@@ -476,10 +476,6 @@ def invariants(n, base):
     return report
 
 
-def invariants_of_spec(spec):
-    return invariants(spec.n, spec.base)
-
-
 def classify(report):
     """Coarse classification from the sign of the canonical pullback."""
     w = report.omega_degree

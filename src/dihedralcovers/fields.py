@@ -87,11 +87,42 @@ class FpElem:
         return "%d" % self.v
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# _MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for 1 < n < _MR_BOUND."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class GF:
-    """The prime field GF(p) for an odd prime p."""
+    """The prime field GF(p) for an odd prime p below 3.3 * 10^24."""
 
     def __init__(self, p):
-        if p < 3 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise ValueError("cannot certify that %r is prime: GF order must be "
+                             "below %d" % (p, _MR_BOUND))
+        if p < 3 or not _is_prime(p):
             raise ValueError("GF order must be an odd prime, got %r" % (p,))
         self.p = p
         self.zero = FpElem(0, p)

@@ -2,9 +2,14 @@
 
 Two tiers:
 
-* field matrices (lists of lists of field elements): rank, nullspace,
-  solving, determinant by plain Gaussian elimination with exact
-  division;
+* field matrices (lists of lists of field elements): rank, reduced row
+  echelon form, nullspace, solving and determinant all go through one
+  Gaussian elimination loop with exact division.  A matrix whose
+  entries are all ``FpElem`` of one prime p is unboxed to plain ints
+  once, reduced with ``% p`` arithmetic and one modular inverse per
+  pivot, and reboxed only at the result (the reduced rows, the kernel
+  vectors, the solution, the determinant; a rank is an int).  Either
+  way the results are the same exact values.
 * integral-domain matrices (e.g. polynomial entries): rank and
   determinant by fraction-free Bareiss elimination, which only ever
   performs divisions that are exact in the domain.
@@ -12,77 +17,142 @@ Two tiers:
 Matrices are plain nested lists; nothing here mutates its input.
 """
 
+import math
+
+from .fields import FpElem
+
 
 def _clone(m):
     return [list(r) for r in m]
 
 
-def rank(m):
-    """Rank of a matrix over a field."""
+def _echelon(m, reduced):
+    """Row-reduce a copy of the matrix m.
+
+    Returns (rows, pivot columns, row swaps, box).  Without ``reduced``
+    the elimination only clears below each pivot and never scales a
+    pivot row (rank, det); with it, each pivot row is scaled to 1 and
+    its column cleared above and below (rref).  ``box`` makes a field
+    element of an entry of ``rows``: the identity, or ``FpElem(., p)``
+    when the rows are the plain ints of the GF(p) loop.
+    """
     if not m or not m[0]:
-        return 0
-    m = _clone(m)
+        return _clone(m), [], 0, _identity
+    ints = _unboxed(m)
+    if ints is None:
+        return _eliminate(_clone(m), reduced) + (_identity,)
+    p = m[0][0].p
+    return _eliminate_mod(ints, p, reduced) + (lambda v: FpElem(v, p),)
+
+
+def _unboxed(m):
+    """The entries of m as ints when all are FpElem of one prime, else None."""
+    if type(m[0][0]) is not FpElem:
+        return None
+    p = m[0][0].p
+    ints = []
+    for row in m:
+        vals = [x.v for x in row if type(x) is FpElem and x.p == p]
+        if len(vals) != len(row):
+            return None
+        ints.append(vals)
+    return ints
+
+
+def _identity(x):
+    return x
+
+
+def _eliminate(m, reduced):
+    """Gaussian elimination of m in place over any exact field."""
     rows, cols = len(m), len(m[0])
-    r = 0
+    pivots, swaps = [], 0
     for c in range(cols):
+        r = len(pivots)
         piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        for i in range(r + 1, rows):
-            if not m[i][c]:
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        top = m[r]
+        if reduced:
+            lead = top[c]
+            top = m[r] = [x / lead for x in top]
+        for i in range(0 if reduced else r + 1, rows):
+            row = m[i]
+            if i == r or not row[c]:
                 continue
-            f = m[i][c] / inv
+            f = row[c] if reduced else row[c] / top[c]
             for j in range(c, cols):
-                m[i][j] = m[i][j] - f * m[r][j]
-        r += 1
-        if r == rows:
+                row[j] = row[j] - f * top[j]
+        pivots.append(c)
+        if r + 1 == rows:
             break
-    return r
+    return m, pivots, swaps
+
+
+def _eliminate_mod(m, p, reduced):
+    """The same elimination in place on rows of ints reduced mod p.
+
+    A target row is updated only where the pivot row is nonzero, which
+    is most of the saving on sparse band matrices such as the torsion
+    certificates.
+    """
+    rows, cols = len(m), len(m[0])
+    pivots, swaps = [], 0
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        inv = pow(m[r][c], -1, p)
+        if reduced:
+            m[r] = [x * inv % p for x in m[r]]
+        top = m[r]
+        tail = [(j, top[j]) for j in range(c + 1, cols) if top[j]]
+        for i in range(0 if reduced else r + 1, rows):
+            row = m[i]
+            if i == r or not row[c]:
+                continue
+            f = row[c] if reduced else row[c] * inv % p
+            for j, t in tail:
+                row[j] = (row[j] - f * t) % p
+            row[c] = 0
+        pivots.append(c)
+        if r + 1 == rows:
+            break
+    return m, pivots, swaps
+
+
+def rank(m):
+    """Rank of a matrix over a field."""
+    return len(_echelon(m, False)[1])
 
 
 def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = _clone(m)
-    if not m or not m[0]:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    red, pivots, _, box = _echelon(m, True)
+    if box is not _identity:
+        red = [[box(x) for x in row] for row in red]
+    return red, pivots
 
 
 def nullspace(m, field):
     """Basis of the right kernel of m, as a list of column vectors."""
-    if not m:
+    if not m or not m[0]:
         return []
     cols = len(m[0])
-    if cols == 0:
-        return []
-    red, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
+    red, pivots, _, box = _echelon(m, True)
     basis = []
-    for fc in free:
+    for fc in [c for c in range(cols) if c not in pivots]:
         v = [field.zero] * cols
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = box(-red[r][fc])
         basis.append(v)
     return basis
 
@@ -93,39 +163,25 @@ def solve(m, b, field):
         return [] if all(not x for x in b) else None
     cols = len(m[0])
     aug = [list(r) + [bv] for r, bv in zip(m, b)]
-    red, pivots = rref(aug)
+    red, pivots, _, box = _echelon(aug, True)
     if cols in pivots:
         return None
     x = [field.zero] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+        x[pc] = box(red[r][cols])
     return x
 
 
 def det(m, field):
-    """Determinant over a field."""
+    """Determinant of a square matrix over a field."""
     n = len(m)
     if n == 0:
         return field.one
-    m = _clone(m)
-    sign = field.one
-    d = field.one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        d = d * m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if not m[i][c]:
-                continue
-            f = m[i][c] / inv
-            for j in range(c, n):
-                m[i][j] = m[i][j] - f * m[c][j]
-    return d * sign
+    red, pivots, swaps, box = _echelon(m, False)
+    if pivots != list(range(n)):
+        return field.zero
+    d = math.prod((red[i][i] for i in range(n)), start=field.one if box is _identity else 1)
+    return box(-d if swaps % 2 else d)
 
 
 def bareiss_rank(m, one):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,22 @@ def test_prime_field_rejects_composites():
         GF(9)
     with pytest.raises(ValueError):
         GF(2)
+
+
+def test_prime_field_primality_is_certified():
+    start = time.perf_counter()
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.1
+    # a Carmichael number, a product of two close primes, a strong
+    # pseudoprime to the bases 2, 3, 5 and 7, and 2 and 1
+    for n in (561, 1009 * 1013, 3215031751, 2, 1):
+        with pytest.raises(ValueError, match="odd prime"):
+            GF(n)
+    # Miller-Rabin to the first 13 prime bases is exact only below 3.3e24
+    with pytest.raises(ValueError, match="cannot certify"):
+        GF(3317044064679887385961981)
+    with pytest.raises(ValueError, match="cannot certify"):
+        GF(2 ** 89 - 1)
 
 
 def test_division_by_zero():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedralcovers.fields import QQ, GF
+from dihedralcovers.fields import QQ, GF, FpElem
 from dihedralcovers.poly import Poly
 from dihedralcovers.homog import HForm
 from dihedralcovers import linalg
@@ -87,3 +87,204 @@ def test_transpose_negates_twists():
     t = m.transpose()
     assert t.row_twists == [-1] and t.col_twists == [0]
     assert t.entries[0][0] == x0
+
+
+# -- the GF(p) elimination path against oracles --------------------------
+
+SHAPES = ("dense", "sparse", "low-rank", "wide", "tall")
+
+
+class Wrapped:
+    """A GF(p) element that is not an FpElem, so a matrix of them takes
+    the generic elimination loop."""
+
+    __slots__ = ("e",)
+
+    def __init__(self, e):
+        self.e = e
+
+    def __add__(self, o):
+        return Wrapped(self.e + o.e)
+
+    def __sub__(self, o):
+        return Wrapped(self.e - o.e)
+
+    def __mul__(self, o):
+        return Wrapped(self.e * o.e)
+
+    def __truediv__(self, o):
+        return Wrapped(self.e / o.e)
+
+    def __neg__(self):
+        return Wrapped(-self.e)
+
+    def __bool__(self):
+        return bool(self.e)
+
+
+def random_gf_matrix(rng, p, shape):
+    """A random matrix over GF(p) of the given shape family."""
+    K = GF(p)
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    if shape == "wide":
+        rows, cols = rng.randint(1, 5), rng.randint(6, 14)
+    elif shape == "tall":
+        rows, cols = rng.randint(6, 14), rng.randint(1, 5)
+    if shape == "low-rank":
+        k = rng.randint(0, min(rows, cols) - 1)
+        a = [[K.random(rng) for _ in range(k)] for _ in range(rows)]
+        b = [[K.random(rng) for _ in range(cols)] for _ in range(k)]
+        return [[sum((a[i][t] * b[t][j] for t in range(k)), K.zero) for j in range(cols)]
+                for i in range(rows)]
+    density = 0.2 if shape == "sparse" else 1.0
+    return [[K.random(rng) if rng.random() < density else K.zero for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def for_gf_matrices(check):
+    """Run ``check(K, m)`` on hypothesis-drawn dense, sparse, low-rank,
+    wide and tall matrices over GF(3), GF(101) and GF(1009)."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.sampled_from((3, 101, 1009)), st.sampled_from(SHAPES), st.randoms())
+    def run(p, shape, rng):
+        check(GF(p), random_gf_matrix(rng, p, shape))
+
+    run()
+
+
+def mat_vec(m, v, K):
+    return [sum((a * b for a, b in zip(row, v)), K.zero) for row in m]
+
+
+def test_gf_rank_matches_bareiss():
+    def check(K, m):
+        assert linalg.rank(m) == linalg.bareiss_rank(m, K.one)
+    for_gf_matrices(check)
+
+
+def test_gf_rref_matches_generic_loop():
+    def check(K, m):
+        red, pivots = linalg.rref(m)
+        wred, wpivots = linalg.rref([[Wrapped(x) for x in row] for row in m])
+        assert pivots == wpivots
+        assert red == [[x.e for x in row] for row in wred]
+        assert all(type(x) is FpElem for row in red for x in row)
+        # a reduced echelon basis of the same row space
+        r = len(pivots)
+        assert all(not x for row in red[r:] for x in row)
+        for i, pc in enumerate(pivots):
+            assert [red[k][pc] for k in range(len(red))] == [K.one if k == i else K.zero
+                                                              for k in range(len(red))]
+            assert all(not x for x in red[i][:pc])
+        assert linalg.bareiss_rank(m + red[:r], K.one) == r == linalg.rank(m)
+    for_gf_matrices(check)
+
+
+def test_gf_nullspace_is_kernel():
+    def check(K, m):
+        basis = linalg.nullspace(m, K)
+        assert len(basis) == len(m[0]) - linalg.bareiss_rank(m, K.one)
+        for v in basis:
+            assert all(type(x) is FpElem for x in v)
+            assert not any(mat_vec(m, v, K))
+        if basis:
+            assert linalg.bareiss_rank(basis, K.one) == len(basis)
+    for_gf_matrices(check)
+
+
+def test_gf_solve_satisfies_system():
+    def check(K, m):
+        rng = random.Random(len(m) * 31 + len(m[0]))
+        b = mat_vec(m, [K.random(rng) for _ in m[0]], K)
+        x = linalg.solve(m, b, K)
+        assert x is not None and mat_vec(m, x, K) == b
+        b = [K.random(rng) for _ in m]
+        aug = [row + [bv] for row, bv in zip(m, b)]
+        consistent = linalg.bareiss_rank(aug, K.one) == linalg.bareiss_rank(m, K.one)
+        x = linalg.solve(m, b, K)
+        if consistent:
+            assert mat_vec(m, x, K) == b
+        else:
+            assert x is None
+    for_gf_matrices(check)
+
+
+def test_gf_det_matches_bareiss():
+    def check(K, m):
+        n = min(len(m), len(m[0]))
+        sq = [row[:n] for row in m[:n]]
+        assert linalg.det(sq, K) == linalg.bareiss_det(sq, K.one)
+    for_gf_matrices(check)
+
+
+def test_det_sign_after_row_swaps():
+    K = GF(101)
+    one, zero = K.one, K.zero
+    swap = [[zero, one, zero], [one, zero, zero], [zero, zero, K.of(5)]]
+    assert linalg.det(swap, K) == K.of(-5)
+    cycle = [[zero, one, zero], [zero, zero, one], [K.of(7), zero, zero]]
+    assert linalg.det(cycle, K) == K.of(7) == linalg.bareiss_det(cycle, K.one)
+
+
+def test_mixed_characteristics_still_raise():
+    m = [[FpElem(1, 7), FpElem(1, 11)], [FpElem(2, 7), FpElem(3, 11)]]
+    for call in (lambda: linalg.rank(m), lambda: linalg.rref(m),
+                 lambda: linalg.det(m, GF(7)), lambda: linalg.nullspace(m, GF(7))):
+        with pytest.raises(ValueError, match="mixed characteristics"):
+            call()
+
+
+def test_fp_and_int_mix_gives_same_answer(rng):
+    K = GF(101)
+    for _ in range(20):
+        m = random_gf_matrix(rng, 101, rng.choice(SHAPES))
+        # ints as the zeros, and as a nonzero entry that never becomes a pivot
+        mixed = [[x if x else 0 for x in row] for row in m]
+        if m[0][0] and len(m[0]) > 1:
+            mixed[0][-1] = m[0][-1].v + 101
+        assert linalg._unboxed(mixed) is None
+        assert linalg.rank(mixed) == linalg.rank(m)
+        assert linalg.rref(mixed) == linalg.rref(m)
+        assert linalg.nullspace(mixed, K) == linalg.nullspace(m, K)
+        b = [K.random(rng) for _ in m]
+        assert linalg.solve(mixed, b, K) == linalg.solve(m, b, K)
+        n = min(len(m), len(m[0]))
+        assert linalg.det([r[:n] for r in mixed[:n]], K) == linalg.det([r[:n] for r in m[:n]], K)
+
+
+def test_empty_and_zero_matrices():
+    K = GF(7)
+    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rref([[], []]) == ([[], []], [])
+    assert linalg.nullspace([], K) == [] and linalg.nullspace([[]], K) == []
+    assert linalg.solve([], [], K) == []
+    assert linalg.solve([], [K.one], K) is None
+    assert linalg.solve([[], []], [K.zero, K.one], K) is None
+    assert linalg.det([], K) == K.one
+    zero = [[K.zero] * 3 for _ in range(2)]
+    assert linalg.rank(zero) == 0
+    assert linalg.rref(zero) == (zero, [])
+    assert linalg.nullspace(zero, K) == [[K.one if i == j else K.zero for i in range(3)]
+                                         for j in range(3)]
+    assert linalg.solve(zero, [K.zero, K.zero], K) == [K.zero] * 3
+    assert linalg.solve(zero, [K.zero, K.one], K) is None
+    assert linalg.det([[K.zero] * 2 for _ in range(2)], K) == K.zero
+
+
+def test_no_call_mutates_its_input(rng):
+    K = GF(101)
+    for m in (random_gf_matrix(rng, 101, "dense"), random_gf_matrix(rng, 101, "tall"),
+              [[QQ.of(2), QQ.of(1)], [QQ.of(4), QQ.of(3)], [QQ.of(1), QQ.of(0)]],
+              [[K.of(3), 5], [0, K.of(2)]]):
+        field = QQ if isinstance(m[0][0], Fraction) else K
+        before = [list(row) for row in m]
+        linalg.rref(m)
+        linalg.rank(m)
+        linalg.nullspace(m, field)
+        linalg.solve(m, [field.one] * len(m), field)
+        assert m == before
+        assert all(a is b for row, old in zip(m, before) for a, b in zip(row, old))
