@@ -40,8 +40,9 @@ from fractions import Fraction
 
 from .fields import QQ, GF
 from .poly import Poly, poly_gcd, resultant, lagrange_interpolate
-from .homog import HForm
+from .homog import HForm, form_gcd
 from .hyperelliptic import class_from_matrix, class_order
+from .deformations import pushforward_twists
 
 
 class ProjectiveSpace:
@@ -144,17 +145,6 @@ def resultant_wrt_last(f, g):
         ys.append(resultant(fu, gu))
     r = lagrange_interpolate(field, list(zip(xs, ys)))
     return HForm.from_univar(r, D)
-
-
-def form_gcd(f, g):
-    """Gcd of two binary forms, monic in the univariate chart."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    u = poly_gcd(f.to_univar(), g.to_univar())
-    mult = min(f.x1_multiplicity(), g.x1_multiplicity())
-    return HForm.from_univar(u, u.degree + mult)
 
 
 def radical_divides(h, r):
@@ -425,22 +415,12 @@ class InvariantReport:
                 % (self.n, self.chi, self.K2, self.label))
 
 
-def pushforward_degrees(n, m, e=0):
-    """Twist degrees of the 2n line-bundle summands of the pushforward
-    of the cover's structure sheaf."""
-    degs = [0, -n * m - e]
-    for i in range(1, n):
-        degs.append(-i * m - e)
-        degs.append(-(n - i) * m - e)
-    return degs
-
-
 def invariants(n, base):
     """Closed-formula invariants, cross-checked by the Riemann-Roch sum
     over the pushforward summands when the base is a surface."""
     if isinstance(base, ProjectiveSpace):
         m = base.m
-        degs = pushforward_degrees(n, m)
+        degs = pushforward_twists(n, m)
         omega = n * m - (base.d + 1)
         if base.d != 2:
             report = InvariantReport(n, omega, None, None, degs,
@@ -452,7 +432,7 @@ def invariants(n, base):
     else:
         chi_y, K2_y, KL, L2 = base.chi, base.K2, base.KL, base.L2
         m = None
-        degs = pushforward_degrees(n, 1)
+        degs = pushforward_twists(n, 1)
         omega = None
         cusps = None
     K2 = 2 * n * (K2_y + 2 * n * KL + n * n * L2)

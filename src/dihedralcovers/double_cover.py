@@ -26,11 +26,15 @@ Operations:
 * ``divisor_of_section`` returns the vanishing divisor of a global
   section in (u, v) coordinates.
 
+The linear equations of ``tensor`` (its graded kernel and the
+factorization of the z-action through it) and of ``is_isomorphic``
+come from ``linalg.convolution_matrix``.
+
 Rings whose branch form F is not squarefree describe non-normal covers;
 module operations that presuppose invertibility refuse to run on them.
 """
 
-from .homog import HForm
+from .homog import HForm, form_gcd
 from .poly import Poly
 from .graded import GradedMatrix, kernel_basis
 from . import linalg, parsing
@@ -173,11 +177,8 @@ class BundlePair:
         """True when the module is invertible: the entries have no
         common zero on the branch locus."""
         self.ring.require_normal("local freeness test")
-        h = _form_gcd(self.P, _form_gcd(self.q, self.f))
-        if h is None:
-            return False          # zero matrix cannot happen over a field, guard anyway
-        g = _form_gcd(h, self.ring.F)
-        return g is not None and g.deg == 0 and g.x1_multiplicity() == 0
+        g = form_gcd(form_gcd(self.P, form_gcd(self.q, self.f)), self.ring.F)
+        return g.deg == 0 and g.x1_multiplicity() == 0
 
     def is_trivial(self):
         return self.a == 0 and self.P.is_zero() and self.q.deg == 0
@@ -234,20 +235,6 @@ def _lift_zero(field, deg):
     return HForm.zero(field, 2, deg)
 
 
-def _form_gcd(A, B):
-    """Gcd of two binary forms, tracking the x1 content; None if both zero."""
-    if A.is_zero() and B.is_zero():
-        return None
-    if A.is_zero():
-        return B
-    if B.is_zero():
-        return A
-    from .poly import poly_gcd
-    g = poly_gcd(A.to_univar(), B.to_univar())
-    k = min(A.x1_multiplicity(), B.x1_multiplicity())
-    return HForm.from_univar(g, g.degree + k)
-
-
 def tensor(p1, p2):
     """The product module of two pairs over the same ring.
 
@@ -265,38 +252,25 @@ def tensor(p1, p2):
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
     cols = [r + l for r in rows]
 
-    def pad(entries):
-        """Resize zero entries to the forced degree of their slot."""
-        out = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                e = entries[i][j]
-                d = cols[j] - rows[i]
-                row.append(HForm.zero(field, 2, max(d, 0)) if e is None or e.is_zero() else e)
-            out.append(row)
-        return out
-
     P1, f1, q1 = p1.P, p1.f, p1.q
-    a_ent = pad([
+    A = GradedMatrix(field, rows, cols, [          # N1 (x) Id
         [P1, None, f1, None],
         [None, P1, None, f1],
         [q1, None, -P1, None],
         [None, q1, None, -P1],
     ])
     P2, f2, q2 = p2.P, p2.f, p2.q
-    b_ent = pad([
+    B = GradedMatrix(field, rows, cols, [          # Id (x) N2
         [P2, f2, None, None],
         [q2, -P2, None, None],
         [None, None, P2, f2],
         [None, None, q2, -P2],
     ])
-    psi_ent = [[a_ent[i][j] - b_ent[i][j] for j in range(4)] for i in range(4)]
+    psi_ent = [[A.entry(i, j) - B.entry(i, j) for j in range(4)] for i in range(4)]
     psi = GradedMatrix(field, rows, cols, psi_ent)
     K = kernel_basis(psi.transpose())
     if K.ncols != 2:
         raise ValueError("product module is not locally free of rank one")
-    A = GradedMatrix(field, rows, cols, a_ent)          # N1 (x) Id
     AtK = A.transpose().compose(K)
     # factor: K(-l) . M = At . K, with M the z-action on the kernel
     KmL = K.twist(-l)
@@ -316,52 +290,31 @@ def tensor(p1, p2):
 
 def _factor_through(K, B):
     """Solve K . M = B for a graded matrix M, given that K has full
-    column rank; coefficient-wise exact linear solve."""
+    column rank; coefficient-wise exact linear solve, one column of M
+    at a time, on the equations of ``linalg.convolution_matrix``."""
     field = K.field
     if K.row_twists != B.row_twists:
         raise ValueError("row twist mismatch")
     m_rows = K.col_twists
     m_cols = B.col_twists
-    Ku = K.univar()
+    coeffs = [[e.c for e in row] for row in K.univar()]
     Bu = B.univar()
-    ent = []
-    for i in range(len(m_rows)):
-        ent.append([None] * len(m_cols))
+    ent = [[None] * len(m_cols) for _ in m_rows]
     for j, ct in enumerate(m_cols):
         # unknown column: entries M[k][j] of degree ct - m_rows[k]
-        offs = []
-        pos = 0
-        for rt in m_rows:
-            d = ct - rt
-            offs.append((pos, d))
-            if d >= 0:
-                pos += d + 1
-        rows_eq = []
-        rhs = []
-        for i, rt in enumerate(K.row_twists):
-            dtar = ct - rt
-            bpoly = Bu[i][j]
-            for c in range(max(dtar, bpoly.degree if bpoly else -1) + 1):
-                row = [field.zero] * pos
-                for k, (o, d) in enumerate(offs):
-                    if d < 0:
-                        continue
-                    e = Ku[i][k]
-                    for s in range(d + 1):
-                        a = e.coeff(c - s)
-                        if a:
-                            row[o + s] = row[o + s] + a
-                rows_eq.append(row)
-                rhs.append(bpoly.coeff(c))
-        sol = linalg.solve(rows_eq, rhs, field) if rows_eq else [field.zero] * pos
+        degs = [ct - rt for rt in m_rows]
+        bcol = [row[j] for row in Bu]
+        out_degs = [max(ct - rt, b.degree if b else -1)
+                    for rt, b in zip(K.row_twists, bcol)]
+        rows_eq = linalg.convolution_matrix(field, coeffs, degs, out_degs)
+        rhs = [b.coeff(c) for b, d in zip(bcol, out_degs) for c in range(d + 1)]
+        sol = (linalg.solve(rows_eq, rhs, field) if rows_eq
+               else [field.zero] * sum(d + 1 for d in degs if d >= 0))
         if sol is None:
             raise ValueError("factorization through kernel failed")
-        for k, (o, d) in enumerate(offs):
-            if d >= 0:
-                p = Poly(field, [sol[o + s] for s in range(d + 1)])
-                ent[k][j] = HForm.from_univar(p, d)
-            else:
-                ent[k][j] = HForm.zero(field, 2, 0)
+        for k, (c, d) in enumerate(zip(linalg.split_blocks(sol, degs), degs)):
+            ent[k][j] = (HForm.from_univar(Poly(field, c), d) if d >= 0
+                         else HForm.zero(field, 2, 0))
     return GradedMatrix(field, m_rows, m_cols, ent)
 
 
@@ -389,59 +342,28 @@ def is_isomorphic(p1, p2):
     l = p1.ring.l
     src = [p1.a, p1.b]
     tgt = [p2.a, p2.b]
-    # unknown Psi entries: deg src[j] - tgt[i], negative -> zero
-    degs = [[src[j] - tgt[i] for j in range(2)] for i in range(2)]
-    offs = {}
-    pos = 0
-    for i in range(2):
-        for j in range(2):
-            d = degs[i][j]
-            if d >= 0:
-                offs[(i, j)] = (pos, d)
-                pos += d + 1
-    n1 = [[p1.P, p1.f], [p1.q, -p1.P]]
-    n2 = [[p2.P, p2.f], [p2.q, -p2.P]]
-    n1u = [[e.to_univar() for e in r] for r in n1]
-    n2u = [[e.to_univar() for e in r] for r in n2]
-    rows_eq = []
-    # equation entry (i, j): sum_k Psi[i][k] n1[k][j] - n2[i][k] Psi[k][j] = 0,
-    # a form of degree src[j] + l - tgt[i]
-    for i in range(2):
-        for j in range(2):
-            dtar = src[j] + l - tgt[i]
-            for c in range(dtar + 1):
-                row = [field.zero] * pos
-                for k in range(2):
-                    if (i, k) in offs:
-                        o, d = offs[(i, k)]
-                        e = n1u[k][j]
-                        for s in range(d + 1):
-                            a = e.coeff(c - s)
-                            if a:
-                                row[o + s] = row[o + s] + a
-                    if (k, j) in offs:
-                        o, d = offs[(k, j)]
-                        e = n2u[i][k]
-                        for s in range(d + 1):
-                            a = e.coeff(c - s)
-                            if a:
-                                row[o + s] = row[o + s] - a
-                if any(row):
-                    rows_eq.append(row)
-    basis = linalg.nullspace(rows_eq, field) if rows_eq else [
-        [field.one if t == u else field.zero for t in range(pos)] for u in range(pos)]
+    # unknowns Psi[a][b] (index 2a + b) of degree src[b] - tgt[a], negative
+    # -> zero; equation entry (i, j) (index 2i + j) is the form
+    # sum_k Psi[i][k] n1[k][j] - n2[i][k] Psi[k][j] of degree
+    # src[j] + l - tgt[i], so unknown (a, b) enters it with the polynomial
+    # [a == i] n1[b][j] - [b == j] n2[i][a]
+    degs = [src[b] - tgt[a] for a in range(2) for b in range(2)]
+    n1 = [[e.to_univar() for e in r] for r in ((p1.P, p1.f), (p1.q, -p1.P))]
+    n2 = [[e.to_univar() for e in r] for r in ((p2.P, p2.f), (p2.q, -p2.P))]
+    zero = Poly.zero(field)
+    coeffs = [[((n1[b][j] if a == i else zero) - (n2[i][a] if b == j else zero)).c
+               for a in range(2) for b in range(2)]
+              for i in range(2) for j in range(2)]
+    # the diagonal equations have degree l >= 0, so there is always a row
+    rows_eq = linalg.convolution_matrix(
+        field, coeffs, degs, [src[j] + l - tgt[i] for i in range(2) for j in range(2)])
+    basis = linalg.nullspace(rows_eq, field)
     if not basis:
         return False
 
     def det_of(vec):
-        def ent(i, j):
-            if (i, j) not in offs:
-                return Poly.zero(field)
-            o, d = offs[(i, j)]
-            return Poly(field, [vec[o + s] for s in range(d + 1)])
-        a_, b_, c_, d_ = ent(0, 0), ent(0, 1), ent(1, 0), ent(1, 1)
-        det = a_ * d_ - b_ * c_
-        return det.coeff(0) if not det.is_zero() else field.zero
+        a_, b_, c_, d_ = (Poly(field, c) for c in linalg.split_blocks(vec, degs))
+        return (a_ * d_ - b_ * c_).coeff(0)
 
     for i, v in enumerate(basis):
         if det_of(v):

@@ -28,18 +28,22 @@ class FpElem:
         self.p = p
 
     def __add__(self, other):
-        return FpElem(self.v + self._val(other), self.p)
+        o = self._val(other)
+        return o if o is NotImplemented else FpElem(self.v + o, self.p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FpElem(self.v - self._val(other), self.p)
+        o = self._val(other)
+        return o if o is NotImplemented else FpElem(self.v - o, self.p)
 
     def __rsub__(self, other):
-        return FpElem(self._val(other) - self.v, self.p)
+        o = self._val(other)
+        return o if o is NotImplemented else FpElem(o - self.v, self.p)
 
     def __mul__(self, other):
-        return FpElem(self.v * self._val(other), self.p)
+        o = self._val(other)
+        return o if o is NotImplemented else FpElem(self.v * o, self.p)
 
     __rmul__ = __mul__
 
@@ -48,7 +52,8 @@ class FpElem:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        return FpElem(self._val(other), self.p) / self
+        o = self._val(other)
+        return o if o is NotImplemented else FpElem(o, self.p) / self
 
     def __neg__(self):
         return FpElem(-self.v, self.p)
@@ -62,6 +67,8 @@ class FpElem:
         return FpElem(pow(self.v, -1, self.p), self.p)
 
     def _val(self, other):
+        """other's residue, or NotImplemented for a foreign type so that
+        Python tries other's reflected operator."""
         if isinstance(other, FpElem):
             if other.p != self.p:
                 raise ValueError("mixed characteristics %d and %d" % (self.p, other.p))

@@ -10,10 +10,11 @@ The twist lists are part of the data; composition and transposition
 check them.
 
 ``kernel_basis`` computes a minimal generating set of the graded kernel
-degree by degree.  On a line the kernel of a map of split bundles is
-itself split, so the number of minimal generators equals the corank and
-the search terminates; a degree bound derived from the column degrees
-caps the loop defensively.
+degree by degree; the equations in each degree come from
+``linalg.convolution_matrix``.  On a line the kernel of a map of split
+bundles is itself split, so the number of minimal generators equals the
+corank and the search terminates; a degree bound derived from the
+column degrees caps the loop defensively.
 
 Rank is taken over the fraction field.  Setting x1 = 1 identifies each
 form with a univariate polynomial without changing any minor's
@@ -127,10 +128,10 @@ def kernel_basis(m):
     """
     field = m.field
     nullity = m.ncols - m.rank()
-    gens = []          # list of (twist, [Poly per source column])
+    gens = []          # (twist, [Poly per source column]), by rising twist
     if nullity == 0:
         return GradedMatrix(field, list(m.col_twists), [], [[] for _ in m.col_twists])
-    uni = m.univar()
+    coeffs = [[e.c for e in row] for row in m.univar()]
     tmin = min(m.col_twists)
     span = sum(max(max((e.deg for e in (m.entries[i][j] for i in range(m.nrows))
                         if not e.is_zero()), default=0), 0) + 1
@@ -140,66 +141,32 @@ def kernel_basis(m):
         if t > tmin + span + max(m.col_twists) - tmin:
             raise RuntimeError("kernel degree bound exceeded; matrix is not graded-consistent")
         # unknowns: coefficients of a degree (t - c_j) form per column j
-        offs = []
-        pos = 0
-        for c in m.col_twists:
-            d = t - c
-            offs.append((pos, d))
-            if d >= 0:
-                pos += d + 1
-        nunk = pos
+        degs = [t - c for c in m.col_twists]
+        nunk = sum(d + 1 for d in degs if d >= 0)
         if nunk:
-            rows = []
-            for i in range(m.nrows):
-                dtar = t - m.row_twists[i]
-                if dtar < 0:
-                    continue
-                for k in range(dtar + 1):
-                    row = [field.zero] * nunk
-                    for j in range(m.ncols):
-                        o, d = offs[j]
-                        if d < 0:
-                            continue
-                        e = uni[i][j]
-                        for s in range(d + 1):
-                            a = e.coeff(k - s)
-                            if a:
-                                row[o + s] = row[o + s] + a
-                    rows.append(row)
+            rows = linalg.convolution_matrix(field, coeffs, degs,
+                                             [t - r for r in m.row_twists])
             sols = linalg.nullspace(rows, field) if rows else [
                 [field.one if idx == q else field.zero for idx in range(nunk)]
                 for q in range(nunk)]
             if sols:
-                # quotient out shifts of generators found in lower degrees
-                old = []
-                for tw, vec in gens:
-                    for s in range(t - tw + 1):
-                        shifted = [field.zero] * nunk
-                        for j in range(m.ncols):
-                            o, d = offs[j]
-                            g = vec[j].shift(s)
-                            for q in range(d + 1):
-                                a = g.coeff(q)
-                                if a:
-                                    shifted[o + q] = shifted[o + q] + a
-                        old.append(shifted)
-                basis = list(old)
+                # quotient out shifts of generators found in lower degrees:
+                # the columns of (x^s)_gen -> (x^s * gen_j)_j
+                shifts = linalg.convolution_matrix(
+                    field, [[vec[j].c for _, vec in gens] for j in range(m.ncols)],
+                    [t - tw for tw, _ in gens], degs)
+                basis = [list(v) for v in zip(*shifts)]
                 r0 = linalg.rank(basis) if basis else 0
                 for v in sols:
                     cand = basis + [v]
                     if linalg.rank(cand) > r0:
                         basis = cand
                         r0 += 1
-                        polys = []
-                        for j in range(m.ncols):
-                            o, d = offs[j]
-                            polys.append(Poly(field, [v[o + q] for q in range(d + 1)])
-                                         if d >= 0 else Poly.zero(field))
-                        gens.append((t, polys))
+                        gens.append((t, [Poly(field, c)
+                                         for c in linalg.split_blocks(v, degs)]))
                         if len(gens) == nullity:
                             break
         t += 1
-    gens.sort(key=lambda g: g[0])
     col_tw = [tw for tw, _ in gens]
     ent = []
     for j in range(m.ncols):

@@ -8,11 +8,11 @@ graded matrix bookkeeping depends on that distinction.
 Binary forms (two variables) are in bijection with univariate
 polynomials of bounded degree via x = x0/x1; the converters
 ``to_univar`` / ``from_univar`` carry the declared degree so nothing is
-lost at the boundary.  Exact division and squarefree testing for binary
-forms go through this bijection.
+lost at the boundary.  Exact division, gcd and squarefree testing for
+binary forms go through this bijection.
 """
 
-from .poly import Poly, poly_gcd, NEG_INF
+from .poly import Poly, poly_gcd, is_squarefree, NEG_INF
 
 
 class HForm:
@@ -195,20 +195,12 @@ class HForm:
         return min(e[1] for e in self.terms)
 
     def is_squarefree(self):
-        """Squarefree test for a nonzero binary form."""
+        """Squarefree test for a binary form (the zero form is not)."""
         if self.nvars != 2:
             raise ValueError("binary forms only")
         if self.is_zero():
             return False
-        if self.x1_multiplicity() >= 2:
-            return False
-        u = self.to_univar()
-        if u.degree <= 0:
-            return True
-        ch = self.field.characteristic
-        if ch and u.degree >= ch:
-            raise ValueError("squarefree test needs field characteristic > degree")
-        return poly_gcd(u, u.derivative()).degree == 0
+        return self.x1_multiplicity() < 2 and is_squarefree(self.to_univar())
 
     # -- ternary form as polynomial in one variable ---------------------
 
@@ -238,3 +230,16 @@ class HForm:
             else:
                 parts.append("%s" % (c,))
         return " + ".join(parts)
+
+
+def form_gcd(f, g):
+    """Gcd of two binary forms, monic in the univariate chart.  The x1
+    content is tracked separately, since x1 = 0 is the root the chart
+    x1 = 1 cannot see; a zero form is a neutral argument."""
+    if f.is_zero():
+        return g
+    if g.is_zero():
+        return f
+    u = poly_gcd(f.to_univar(), g.to_univar())
+    mult = min(f.x1_multiplicity(), g.x1_multiplicity())
+    return HForm.from_univar(u, u.degree + mult)

@@ -19,12 +19,14 @@ trace-free matrix pairs:
   to the splitting.
 
 Torsion is certified two ways: by iterating the group law (the oracle)
-and by the rank of a resultant-style band matrix built from (P, f, q),
-which is rank deficient exactly when the class is n-torsion
-(``torsion_matrix`` / ``is_n_torsion``).
+and by the rank of a resultant-style band matrix built from (P, f, q)
+by ``linalg.convolution_matrix``, which is rank deficient exactly when
+the class is n-torsion (``torsion_matrix`` / ``is_n_torsion``).
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 from .poly import Poly, poly_gcd, poly_xgcd
 from .homog import HForm
@@ -59,29 +61,10 @@ class HECurve:
 
     def rational_branch_root(self):
         """A root (r0 : r1) of F over the base field, or None."""
-        f = self.F.to_univar()
         if self.F.x1_multiplicity() > 0:
             return (self.field.one, self.field.zero)
-        if self.field.characteristic:
-            for v in range(self.field.characteristic):
-                x = self.field.of(v)
-                if not f(x):
-                    return (x, self.field.one)
-            return None
-        # rational root search: candidates p/q from the extreme coefficients
-        from fractions import Fraction
-        import math
-        den = math.lcm(*[Fraction(c).denominator for c in f.c])
-        ic = [int(Fraction(c) * den) for c in f.c]
-        lo = next(c for c in ic if c)
-        hi = ic[-1]
-        for p in _divisors(abs(lo)) | {0}:
-            for q in _divisors(abs(hi)):
-                for s in (1, -1):
-                    x = Fraction(s * p, q)
-                    if not f(x):
-                        return (x, self.field.one)
-        return None
+        x = next(_base_field_roots(self.F.to_univar()), None)
+        return None if x is None else (x, self.field.one)
 
     def odd_model(self):
         """The odd model after moving a rational branch root to (1:0)."""
@@ -106,6 +89,31 @@ class HECurve:
     def from_json(cls, data, field):
         g = int(data["g"])
         return cls(field, g, parsing.parse_form(data["F"], field, 2))
+
+
+def _base_field_roots(f):
+    """The distinct roots of the nonzero polynomial f in its base field,
+    found lazily in a fixed order: ascending residues over GF(p), and
+    over Q the rational-root-theorem candidates +-p/q, p dividing the
+    lowest nonzero and q the leading integer coefficient."""
+    field = f.field
+    if field.characteristic:
+        for v in range(field.characteristic):
+            x = field.of(v)
+            if not f(x):
+                yield x
+        return
+    den = math.lcm(*[Fraction(c).denominator for c in f.c])
+    ic = [int(Fraction(c) * den) for c in f.c]
+    lo = next(c for c in ic if c)
+    seen = set()
+    for p in _divisors(abs(lo)) | {0}:
+        for q in _divisors(abs(ic[-1])):
+            for s in (1, -1):
+                x = Fraction(s * p, q)
+                if x not in seen and not f(x):
+                    seen.add(x)
+                    yield x
 
 
 def _divisors(n):
@@ -536,63 +544,42 @@ def torsion_matrix(pair, n):
     Rows are indexed by coefficient blocks c_i, i = 0..n, of degrees
     i*a + (n-i)*b - 2; columns by target blocks k = 0..n-2 of degrees
     (k+2)*a + (n-k)*b - 2.  Block (i, k) carries the coefficient band of
-    f when i = k+2, of -2P when i = k+1, of -q when i = k.
+    f when i = k+2, of -2P when i = k+1, of -q when i = k.  This is the
+    transpose of ``_torsion_band``.
     """
+    band = _torsion_band(pair, n)
+    rows = sum(max(i * pair.a + (n - i) * pair.b - 1, 0) for i in range(n + 1))
+    return [[r[c] for r in band] for c in range(rows)]
+
+
+def _torsion_band(pair, n):
+    """The torsion band as ``linalg.convolution_matrix`` builds it: one
+    row per target coefficient and one column per coefficient of the
+    unknown blocks c_i, target block k being f c_(k+2) - 2P c_(k+1) - q c_k."""
     if n < 2:
         raise ValueError("torsion index must be at least 2")
     a, b = pair.a, pair.b
-    field = pair.ring.field
-    fc = _form_coeffs(pair.f)
-    pc = [x * field.of(-2) for x in _form_coeffs(pair.P)]
-    qc = [-x for x in _form_coeffs(pair.q)]
-    row_blocks = [i * a + (n - i) * b - 2 for i in range(n + 1)]
-    col_blocks = [(k + 2) * a + (n - k) * b - 2 for k in range(n - 1)]
-    rows = sum(db + 1 for db in row_blocks if db >= 0)
-    cols = sum(db + 1 for db in col_blocks if db >= 0)
-    M = [[field.zero] * cols for _ in range(rows)]
-    roff = []
-    pos = 0
-    for db in row_blocks:
-        roff.append(pos)
-        if db >= 0:
-            pos += db + 1
-    coff = []
-    pos = 0
-    for db in col_blocks:
-        coff.append(pos)
-        if db >= 0:
-            pos += db + 1
+    fc, pc, qc = (e.to_univar().c for e in (pair.f, -2 * pair.P, -pair.q))
+    coeffs = []
     for k in range(n - 1):
-        if col_blocks[k] < 0:
-            continue
-        for i, band in ((k + 2, fc), (k + 1, pc), (k, qc)):
-            if row_blocks[i] < 0:
-                continue
-            for s in range(row_blocks[i] + 1):
-                for t, coefv in enumerate(band):
-                    cidx = s + t
-                    if cidx <= col_blocks[k] and coefv:
-                        M[roff[i] + s][coff[k] + cidx] = \
-                            M[roff[i] + s][coff[k] + cidx] + coefv
-    return M
-
-
-def _form_coeffs(form):
-    """Full homogeneous coefficient list of a binary form, x0-power order."""
-    u = form.to_univar()
-    return [u.coeff(i) for i in range(form.deg + 1)]
+        row = [[]] * (n + 1)
+        row[k], row[k + 1], row[k + 2] = qc, pc, fc
+        coeffs.append(row)
+    return linalg.convolution_matrix(
+        pair.ring.field, coeffs, [i * a + (n - i) * b - 2 for i in range(n + 1)],
+        [(k + 2) * a + (n - k) * b - 2 for k in range(n - 1)])
 
 
 def is_n_torsion(pair, n):
     """True when n times the pair's class is trivial, certified by the
-    rank of the torsion band matrix."""
+    rank of the torsion band matrix (taken on ``_torsion_band``, the
+    transpose of ``torsion_matrix``, as rank is transpose-invariant)."""
     if pair.is_trivial():
         return True
-    M = torsion_matrix(pair, n)
-    cols = len(M[0]) if M else 0
-    if cols == 0:
+    band = _torsion_band(pair, n)
+    if not band:
         return True
-    return linalg.rank(M) < cols
+    return linalg.rank(band) < len(band)
 
 
 def sym_power_pushforward(pair, n):
@@ -648,44 +635,17 @@ def enumerate_two_torsion(curve):
 
 
 def _split_linear_factors(F):
-    """Linear factors of a split binary form, or None if it does not split."""
+    """Linear factors of a squarefree binary form, or None if it does not
+    split over the base field."""
     field = F.field
     u = F.to_univar()
-    k = F.x1_multiplicity()
-    factors = [HForm(field, 2, 1, {(0, 1): field.one})] * k
-    lead = u.lead()
-    roots = []
-    p = u
-    if field.characteristic:
-        for vv in range(field.characteristic):
-            x = field.of(vv)
-            while p.degree > 0 and not p(x):
-                roots.append(x)
-                p = p.exact_div(Poly(field, [-x, field.one]))
-    else:
-        from fractions import Fraction
-        import math
-        changed = True
-        while changed and p.degree > 0:
-            changed = False
-            den = math.lcm(*[Fraction(cc).denominator for cc in p.c])
-            ic = [int(Fraction(cc) * den) for cc in p.c]
-            lo = next(cc for cc in ic if cc)
-            hi = ic[-1]
-            for pp in _divisors(abs(lo)) | {0}:
-                for qq in _divisors(abs(hi)):
-                    for sgn in (1, -1):
-                        x = Fraction(sgn * pp, qq)
-                        if p.degree > 0 and not p(x):
-                            roots.append(x)
-                            p = p.exact_div(Poly(field, [-x, field.one]))
-                            changed = True
-    if p.degree > 0:
+    roots = list(_base_field_roots(u))
+    if len(roots) < u.degree:
         return None
-    for r in roots:
-        factors.append(HForm(field, 2, 1, {(1, 0): field.one, (0, 1): -r}))
+    factors = [HForm(field, 2, 1, {(0, 1): field.one})] * F.x1_multiplicity()
+    factors += [HForm(field, 2, 1, {(1, 0): field.one, (0, 1): -r}) for r in roots]
     # fold the leading unit into the first factor
-    factors[0] = factors[0] * lead
+    factors[0] = factors[0] * u.lead()
     return factors
 
 

@@ -14,6 +14,11 @@ Two tiers:
   determinant by fraction-free Bareiss elimination, which only ever
   performs divisions that are exact in the domain.
 
+``convolution_matrix`` builds the field matrix of "known polynomials
+times unknown coefficients", the linear map behind the graded kernels,
+the intertwining equations and the torsion band matrices;
+``split_blocks`` cuts a solution vector back into its polynomials.
+
 Matrices are plain nested lists; nothing here mutates its input.
 """
 
@@ -40,7 +45,7 @@ def _echelon(m, reduced):
         return _clone(m), [], 0, _identity
     ints = _unboxed(m)
     if ints is None:
-        return _eliminate(_clone(m), reduced) + (_identity,)
+        return _eliminate(_boxed(m), reduced) + (_identity,)
     p = m[0][0].p
     return _eliminate_mod(ints, p, reduced) + (lambda v: FpElem(v, p),)
 
@@ -57,6 +62,16 @@ def _unboxed(m):
             return None
         ints.append(vals)
     return ints
+
+
+def _boxed(m):
+    """A copy of m, with its int entries boxed as FpElem of the prime of
+    its FpElem entries if it has any, so that an int pivot divides
+    exactly."""
+    p = next((x.p for row in m for x in row if type(x) is FpElem), None)
+    if p is None:
+        return _clone(m)
+    return [[FpElem(x, p) if type(x) is int else x for x in row] for row in m]
 
 
 def _identity(x):
@@ -182,6 +197,46 @@ def det(m, field):
         return field.zero
     d = math.prod((red[i][i] for i in range(n)), start=field.one if box is _identity else 1)
     return box(-d if swaps % 2 else d)
+
+
+def convolution_matrix(field, coeffs, in_degs, out_degs):
+    """The matrix of (x_j) -> (sum_j coeffs[i][j] * x_j)_i on coefficient
+    vectors.
+
+    ``coeffs[i][j]`` is the coefficient list, low degree first, of the
+    known polynomial multiplying unknown j in output i.  There is one
+    row block per output i, for its degrees 0..out_degs[i] (higher
+    degrees are dropped), and one column block per unknown j, for its
+    degrees 0..in_degs[j]; a negative degree means the block is absent.
+    Each cell is one (output, degree, unknown, degree) pair, so it is
+    assigned once and never summed.
+    """
+    col_off, ncols = [], 0
+    for d in in_degs:
+        col_off.append(ncols)
+        ncols += max(d + 1, 0)
+    m = []
+    for row_coeffs, dout in zip(coeffs, out_degs):
+        for k in range(dout + 1):
+            row = [field.zero] * ncols
+            for c, o, din in zip(row_coeffs, col_off, in_degs):
+                # unknown degrees s with 0 <= k - s < len(c)
+                lo, hi = max(k - len(c) + 1, 0), min(k, din)
+                if lo <= hi:
+                    row[o + lo:o + hi + 1] = c[k - hi:k - lo + 1][::-1]
+            m.append(row)
+    return m
+
+
+def split_blocks(vec, degs):
+    """Cut a vector laid out like the columns of ``convolution_matrix``
+    into one coefficient list per block; an absent block gives []."""
+    out, pos = [], 0
+    for d in degs:
+        n = max(d + 1, 0)
+        out.append(vec[pos:pos + n])
+        pos += n
+    return out
 
 
 def bareiss_rank(m, one):

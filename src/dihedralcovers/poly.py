@@ -227,13 +227,9 @@ def resultant(a, b):
 
 
 def is_squarefree(a):
-    if a.is_zero():
-        return False
-    if a.field.characteristic and a.degree >= a.field.characteristic:
-        # gcd with the derivative is only a valid test below char p
-        g = poly_gcd(a, a.derivative())
-        return g.degree == 0 and not a.derivative().is_zero()
-    return a.degree == 0 or poly_gcd(a, a.derivative()).degree == 0
+    """gcd(a, a') = 1 iff a is squarefree, over any perfect field: when
+    a' = 0 (a p-th power in characteristic p) the gcd is a itself."""
+    return not a.is_zero() and poly_gcd(a, a.derivative()).degree == 0
 
 
 def lagrange_interpolate(field, points):

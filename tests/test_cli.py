@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -121,3 +122,15 @@ def test_batch_mode_reports_bad_jobs(tmp_path, capsys):
     assert code == 2
     docs = json.loads(out)
     assert "error" in docs[1]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_golden_batch_is_byte_identical(capsys):
+    # batch.out.json is the recorded --json output of batch.json: a
+    # refactor must leave CLI output byte-identical, so any difference
+    # here is a change of behaviour
+    code, out = run(capsys, "--json", str(GOLDEN / "batch.json"))
+    assert code == 0
+    assert out.encode() == (GOLDEN / "batch.out.json").read_bytes()

@@ -90,3 +90,37 @@ def test_field_from_name():
 def test_mixed_characteristic_rejected():
     with pytest.raises(ValueError):
         FpElem(1, 7) + FpElem(1, 11)
+
+
+class Foreign:
+    """A type FpElem does not know, with reflected operators of its own."""
+
+    def __radd__(self, other):
+        return ("radd", other)
+
+    def __rsub__(self, other):
+        return ("rsub", other)
+
+    def __rmul__(self, other):
+        return ("rmul", other)
+
+    def __sub__(self, other):
+        return NotImplemented
+
+    def __truediv__(self, other):
+        return NotImplemented
+
+
+def test_foreign_operand_gets_its_reflected_operator():
+    K = GF(7)
+    a = K.of(3)
+    x = Foreign()
+    assert a + x == ("radd", a)
+    assert a - x == ("rsub", a)
+    assert a * x == ("rmul", a)
+    with pytest.raises(TypeError):
+        x - a               # FpElem.__rsub__ declines as well
+    with pytest.raises(TypeError):
+        x / a               # FpElem.__rtruediv__ declines as well
+    with pytest.raises(TypeError):
+        a + 1.5

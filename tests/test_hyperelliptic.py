@@ -204,3 +204,24 @@ def test_mumford_validation():
     bad = next(c for c in K7.elements() if c * c != f0)
     with pytest.raises(ValueError):
         MumfordClass(model, u, Poly.const(K7, bad))
+
+
+def test_genus_two_over_gf5_matches_enumeration():
+    # 2g + 2 = 6 > p: the squarefree test must hold in degree >= p
+    K5 = GF(5)
+    fodd = Poly(K5, [1, -1, 0, 0, 0, 1])          # x^5 - x + 1, no roots in GF(5)
+    c = HECurve.from_odd_poly(K5, 2, fodd)
+    model = c.odd_model()
+    assert model.fodd.degree == 5
+    classes = enumerate_jacobian(model)
+    group = set(classes)
+    assert len(group) == len(classes)
+    rng = random.Random(7)
+    for _ in range(40):
+        a, b = rng.choice(classes), rng.choice(classes)
+        assert cantor_add(a, b) in group
+        assert a + b == b + a
+        assert len(classes) * a == model.zero_class()
+    a = next(x for x in classes if x.u.degree == 2)
+    pair = matrix_from_class(c, a)
+    assert class_from_matrix(pair) == a

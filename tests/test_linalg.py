@@ -288,3 +288,53 @@ def test_no_call_mutates_its_input(rng):
         linalg.solve(m, [field.one] * len(m), field)
         assert m == before
         assert all(a is b for row, old in zip(m, before) for a, b in zip(row, old))
+
+
+def test_int_pivot_in_fp_matrix_divides_exactly():
+    K = GF(7)
+    red, pivots = linalg.rref([[2], [K.zero]])
+    assert red == [[K.one], [K.zero]] and type(red[0][0]) is FpElem
+    m = [[2, K.of(3)], [K.of(1), K.of(5)]]
+    boxed = [[K.of(2), K.of(3)], [K.of(1), K.of(5)]]
+    assert linalg._unboxed(m) is None
+    assert linalg.rref(m) == linalg.rref(boxed)
+    assert all(type(x) is FpElem for row in linalg.rref(m)[0] for x in row)
+    assert linalg.det(m, K) == linalg.bareiss_det(boxed, K.one)
+    assert linalg.solve(m, [K.one, K.zero], K) == linalg.solve(boxed, [K.one, K.zero], K)
+
+
+# -- the convolution-matrix builder against Poly multiplication ----------
+
+
+def test_convolution_matrix_matches_poly_products():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.sampled_from(("Q", 3, 101)),
+               st.lists(st.integers(-2, 4), min_size=0, max_size=4),
+               st.lists(st.integers(-2, 5), min_size=0, max_size=4),
+               st.randoms())
+    def run(fname, in_degs, out_degs, rng):
+        K = QQ if fname == "Q" else GF(fname)
+
+        def elem():
+            return K.of(rng.randint(-9, 9)) if rng.random() < 0.7 else K.zero
+
+        # known polynomials of random length, the empty list among them
+        coeffs = [[[elem() for _ in range(rng.randint(0, 4))] for _ in in_degs]
+                  for _ in out_degs]
+        xs = [[elem() for _ in range(d + 1)] for d in in_degs]
+        vec = [x for blk in xs for x in blk]
+        assert linalg.split_blocks(vec, in_degs) == xs
+        m = linalg.convolution_matrix(K, coeffs, in_degs, out_degs)
+        assert len(m) == sum(d + 1 for d in out_degs if d >= 0)
+        assert all(len(row) == len(vec) for row in m)
+        want = []
+        for row_coeffs, dout in zip(coeffs, out_degs):
+            total = sum((Poly(K, c) * Poly(K, x) for c, x in zip(row_coeffs, xs)),
+                        Poly.zero(K))
+            want += [total.coeff(k) for k in range(dout + 1)]
+        assert mat_vec(m, vec, K) == want
+
+    run()

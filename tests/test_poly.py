@@ -86,3 +86,13 @@ def test_compose_and_shift():
     a = P(1, 0, 1)
     assert a.compose(P(0, 2)) == P(1, 0, 4)
     assert a.shift(2) == P(0, 0, 1, 0, 1)
+
+
+def test_squarefree_in_degree_at_least_p():
+    K5 = GF(5)
+    x = Poly.x(K5)
+    assert is_squarefree(x ** 5 - x)                  # the five linear factors
+    assert is_squarefree(x ** 5 - x + Poly.one(K5))   # derivative is the unit -1
+    assert not is_squarefree(x ** 5 - Poly.one(K5))   # (x - 1)^5, derivative 0
+    assert not is_squarefree(x ** 10 + x ** 5)        # x^5 (x + 1)^5
+    assert not is_squarefree((x ** 2 + Poly.one(K5)) ** 2 * x)
