@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints one JSON document on standard output and exits
-with 0 (computed), 1 (a checked hypothesis failed) or 2 (usage or parse
-error).  Output is deterministic for a fixed input and seed; the seed
+with 0 (computed), 1 (a checked hypothesis failed), 2 (usage or parse
+error) or 3 (internal error: an ``ArithmeticError`` such as a division
+by zero, an ``AssertionError`` or a ``RuntimeError`` raised while
+computing).  Output is deterministic for a fixed input and seed; the seed
 is recorded in the output.  Rational numbers appear as "p/q" strings
 inside polynomial strings; matrices as arrays of polynomial strings.
 
@@ -18,7 +20,9 @@ Subcommands
 
 Batch mode: ``--json jobs.json`` with a JSON array of job objects, each
 ``{"command": ..., ...}`` with the same keys as the flags; the output
-is the JSON array of the individual reports, in input order.
+is the JSON array of the individual reports, in input order.  A job
+that fails gets a ``{"command", "error"}`` record in its place and the
+batch goes on; the exit code is the largest of the jobs' codes.
 """
 
 import argparse
@@ -39,6 +43,17 @@ from .cover_algebra import eigensheaf_decomposition
 
 class JobError(Exception):
     """Bad input inside an otherwise well-formed job."""
+
+
+_BAD_INPUT = (JobError, KeyError, ValueError)
+_INTERNAL = (ArithmeticError, AssertionError, RuntimeError)
+
+
+def _failure(e):
+    """(message, exit code) for an exception raised by a job."""
+    if isinstance(e, _BAD_INPUT):
+        return str(e), 2
+    return "internal error: %s: %s" % (type(e).__name__, e), 3
 
 
 def _field(job):
@@ -307,9 +322,9 @@ def main(argv=None):
         for job in jobs:
             try:
                 report, code = run_job(job)
-            except (JobError, KeyError, ValueError) as e:
-                report, code = {"command": job.get("command"),
-                                "error": str(e)}, 2
+            except _BAD_INPUT + _INTERNAL as e:
+                msg, code = _failure(e)
+                report = {"command": job.get("command"), "error": msg}
             reports.append(report)
             worst = max(worst, code)
         _emit(reports)
@@ -320,12 +335,10 @@ def main(argv=None):
     try:
         job = _job_from_args(args)
         report, code = run_job(job)
-    except (JobError, KeyError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+    except _BAD_INPUT + _INTERNAL as e:
+        msg, code = _failure(e)
+        print("error: %s" % msg, file=sys.stderr)
+        return code
     _emit(report)
     return code
 

@@ -1,12 +1,17 @@
 """The cyclotomic field Q(zeta_n) as Q[t] modulo the n-th cyclotomic
 polynomial.
 
-Elements are residue classes of rational polynomials; arithmetic is
-exact, inversion goes through the extended Euclidean algorithm, and
-complex conjugation is the substitution zeta -> zeta^(n-1).  The class
-satisfies the same descriptor protocol as the fields in
-:mod:`dihedralcovers.fields` (zero, one, of, inv), so generic linear
-algebra runs over it unchanged.
+An element is the tuple of its phi(n) rational coefficients on the
+basis 1, t, ..., t^(phi(n)-1), always reduced.  Each field precomputes
+two tables: the reduced rows of t^k for phi(n) <= k <= 2 phi(n) - 2,
+and the n powers of zeta.  Addition and subtraction work coefficient
+by coefficient with no reduction; a product is the schoolbook product
+of the coefficients with its high part folded back through the t^k
+rows; complex conjugation sends t^k to zeta^(-k) from the power table.
+Inversion goes through the extended Euclidean algorithm against the
+modulus.  The class satisfies the same descriptor protocol as the
+fields in :mod:`dihedralcovers.fields` (zero, one, of, inv), so generic
+linear algebra runs over it unchanged.
 """
 
 from fractions import Fraction
@@ -15,6 +20,8 @@ from .fields import QQ
 from .poly import Poly, poly_xgcd
 
 _cyclo_cache = {}
+
+_ZERO = Fraction(0)
 
 
 def cyclotomic_polynomial(n):
@@ -31,37 +38,46 @@ def cyclotomic_polynomial(n):
 
 
 class CycloElem:
+    """An element of Q(zeta_n): ``rep`` is its reduced coefficient tuple,
+    of length phi(n), low degree first."""
+
     __slots__ = ("field", "rep")
 
     def __init__(self, field, rep):
         self.field = field
-        self.rep = rep % field.modulus
+        self.rep = rep
 
     def __add__(self, other):
-        return CycloElem(self.field, self.rep + self.field._rep(other))
+        o = self.field._rep(other)
+        return CycloElem(self.field, tuple([a + b if a and b else a or b
+                                            for a, b in zip(self.rep, o)]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return CycloElem(self.field, self.rep - self.field._rep(other))
+        o = self.field._rep(other)
+        return CycloElem(self.field, tuple([a - b if b else a for a, b in zip(self.rep, o)]))
 
     def __rsub__(self, other):
-        return CycloElem(self.field, self.field._rep(other) - self.rep)
+        return CycloElem(self.field, self.field._rep(other)) - self
 
     def __mul__(self, other):
-        return CycloElem(self.field, self.rep * self.field._rep(other))
+        if isinstance(other, (int, Fraction)):
+            return CycloElem(self.field, tuple([a * other if a else a for a in self.rep]))
+        return CycloElem(self.field, self.field._mul(self.rep, self.field._rep(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if isinstance(other, CycloElem) else CycloElem(self.field, self.field._rep(other))
-        return self * o.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return self * self.field.of(other).inverse()
 
     def __rtruediv__(self, other):
-        return CycloElem(self.field, self.field._rep(other)) / self
+        return self.field.of(other) / self
 
     def __neg__(self):
-        return CycloElem(self.field, -self.rep)
+        return CycloElem(self.field, tuple([-a for a in self.rep]))
 
     def __pow__(self, e):
         r = self.field.one
@@ -74,40 +90,47 @@ class CycloElem:
         return r
 
     def inverse(self):
-        g, s, _ = poly_xgcd(self.rep, self.field.modulus)
+        K = self.field
+        g, s, _ = poly_xgcd(Poly(QQ, list(self.rep)), K.modulus)
         if g.degree != 0:
             raise ZeroDivisionError("non-invertible cyclotomic element")
-        return CycloElem(self.field, s * QQ.inv(g.c[0]))
+        return CycloElem(K, K._reduce(s * QQ.inv(g.c[0])))
 
     def conjugate(self):
-        """Complex conjugation zeta -> zeta^(-1)."""
-        n = self.field.n
-        zinv = Poly(QQ, [0] * (n - 1) + [1]) % self.field.modulus
-        return CycloElem(self.field, self.rep.compose(zinv))
+        """Complex conjugation zeta -> zeta^(-1), so t^k -> zeta^(-k)."""
+        K = self.field
+        out = [self.rep[0]] + [_ZERO] * (K.degree - 1)
+        for k in range(1, K.degree):
+            a = self.rep[k]
+            if a:
+                for j, c in enumerate(K._zetas[-k % K.n].rep):
+                    if c:
+                        out[j] = out[j] + a * c
+        return CycloElem(K, tuple(out))
 
     def is_rational(self):
-        return self.rep.degree <= 0
+        return not any(self.rep[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.rep.coeff(0)
+        return self.rep[0]
 
     def __eq__(self, other):
         if isinstance(other, CycloElem):
             return self.field.n == other.field.n and self.rep == other.rep
         if isinstance(other, (int, Fraction)):
-            return self.rep == Poly.const(QQ, Fraction(other))
+            return self.rep[0] == other and self.is_rational()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.n, tuple(self.rep.c)))
+        return hash((self.field.n, self.rep))
 
     def __bool__(self):
-        return not self.rep.is_zero()
+        return any(self.rep)
 
     def __repr__(self):
-        return "(%s)" % repr(self.rep).replace("x", "z")
+        return "(%s)" % repr(Poly(QQ, list(self.rep))).replace("x", "z")
 
 
 class CyclotomicField:
@@ -117,18 +140,31 @@ class CyclotomicField:
         if n < 1:
             raise ValueError("n must be positive")
         self.n = n
-        self.modulus = cyclotomic_polynomial(n)
+        self.modulus = m = cyclotomic_polynomial(n)
+        self.degree = d = m.degree
         self.characteristic = 0
-        self.zero = CycloElem(self, Poly.zero(QQ))
-        self.one = CycloElem(self, Poly.one(QQ))
+        # rows[k] is t^k reduced, for 0 <= k < max(2d - 1, n): t^(k+1) is
+        # t^k shifted, with its t^d coefficient folded back by t^d = -(m - t^d)
+        top = [-c for c in m.c[:d]]
+        rows = [tuple(Fraction(int(i == k)) for i in range(d)) for k in range(d)]
+        while len(rows) < max(2 * d - 1, n):
+            last = rows[-1]
+            lead = last[d - 1]
+            rows.append(tuple([(last[i - 1] if i else _ZERO) + lead * top[i]
+                               for i in range(d)]))
+        self._fold = rows[d:2 * d - 1]
+        self._zetas = [CycloElem(self, row) for row in rows[:n]]
+        self._tail = (_ZERO,) * (d - 1)
+        self.zero = CycloElem(self, (_ZERO,) + self._tail)
+        self.one = self._zetas[0]
 
     def zeta(self, k=1):
         """zeta_n^k."""
-        k %= self.n
-        return CycloElem(self, Poly(QQ, [0] * k + [1]))
+        return self._zetas[k % self.n]
 
     def of(self, x):
-        return CycloElem(self, self._rep(x))
+        rep = self._rep(x)
+        return x if isinstance(x, CycloElem) else CycloElem(self, rep)
 
     def inv(self, x):
         return self.of(x).inverse()
@@ -139,10 +175,32 @@ class CyclotomicField:
                 raise ValueError("mixed cyclotomic orders %d and %d" % (self.n, x.field.n))
             return x.rep
         if isinstance(x, (int, Fraction)):
-            return Poly.const(QQ, Fraction(x))
+            return (Fraction(x),) + self._tail
         if isinstance(x, Poly):
-            return x
+            return self._reduce(x)
         raise TypeError("cannot coerce %r" % (x,))
+
+    def _reduce(self, p):
+        """The coefficient tuple of a rational polynomial modulo Phi_n."""
+        c = (p % self.modulus).c
+        return tuple(c) + (_ZERO,) * (self.degree - len(c))
+
+    def _mul(self, a, b):
+        """The reduced product of two coefficient tuples."""
+        d = self.degree
+        prod = [_ZERO] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] = prod[i + j] + x * y
+        for k, row in enumerate(self._fold, d):
+            h = prod[k]
+            if h:
+                for j, c in enumerate(row):
+                    if c:
+                        prod[j] = prod[j] + h * c
+        return tuple(prod[:d])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.n == self.n

@@ -14,7 +14,10 @@ monomial representation with basis (1, s, u^1..u^(n-1), v^1..v^(n-1)),
 where sigma scales u^i by zeta^i and v^i by zeta^(-i) and tau swaps u
 with v and negates s.  That representation is isomorphic to the regular
 representation, so each projector is idempotent of rank (dim)^2 and the
-projectors sum to the identity.
+projectors sum to the identity.  Every group element acts by a matrix
+with one nonzero entry per row, so the projector is summed cell by cell
+with no matrix product; ``representation_matrix`` builds the dense
+matrices from products of sigma and tau.
 
 ``epsilon`` is the cocycle exponent table: for the subgroup generated
 by sigma^k, the product of the restrictions of the characters indexed
@@ -23,6 +26,7 @@ normalized exponents add up past the subgroup order.
 """
 
 import math
+from fractions import Fraction
 
 from .cyclotomic import CyclotomicField
 from . import linalg
@@ -157,23 +161,22 @@ def projector(n, label, K=None):
     chi = character(n, label, K)
     dim = 2 * n
     acc = [[K.zero] * dim for _ in range(dim)]
-    sigma, tau = monomial_representation(n, K)
-    rho = _identity(dim, K)
-    mats = {}
-    for k in range(n):
-        mats[(k, 0)] = rho
-        mats[(k, 1)] = _matmul(rho, tau, K)
-        rho = _matmul(rho, sigma, K)
-    for g in G.elements():
-        c = chi(g).conjugate()
+    # rho(sigma^k tau^t) has one nonzero entry per row: 1 at (0, 0),
+    # (-1)^t at (1, 1), zeta^(ik) at (u^i, u^i) and zeta^(-ik) at
+    # (v^i, v^i), the last two moved to (u^i, v^i) and (v^i, u^i) when t = 1
+    for k, t in G.elements():
+        c = chi((k, t)).conjugate()
         if not c:
             continue
-        m = mats[g]
-        for i in range(dim):
-            for j in range(dim):
-                acc[i][j] = acc[i][j] + c * m[i][j]
-    scale = K.of(char_degree(label)) / K.of(2 * n)
-    return [[scale * x for x in row] for row in acc]
+        acc[0][0] = acc[0][0] + c
+        acc[1][1] = acc[1][1] - c if t else acc[1][1] + c
+        for i in range(1, n):
+            u, v = 1 + i, n + i
+            cu, cv = (v, u) if t else (u, v)
+            acc[u][cu] = acc[u][cu] + c * K.zeta(i * k)
+            acc[v][cv] = acc[v][cv] + c * K.zeta(-i * k)
+    scale = Fraction(char_degree(label), 2 * n)
+    return [[scale * x if x else x for x in row] for row in acc]
 
 
 def projector_rank(p):

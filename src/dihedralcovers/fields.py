@@ -48,8 +48,8 @@ class FpElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = other if isinstance(other, FpElem) else FpElem(other, self.p)
-        return self * o.inverse()
+        o = self._val(other)
+        return o if o is NotImplemented else self * FpElem(o, self.p).inverse()
 
     def __rtruediv__(self, other):
         o = self._val(other)

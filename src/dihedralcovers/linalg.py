@@ -9,7 +9,10 @@ Two tiers:
   once, reduced with ``% p`` arithmetic and one modular inverse per
   pivot, and reboxed only at the result (the reduced rows, the kernel
   vectors, the solution, the determinant; a rank is an int).  Either
-  way the results are the same exact values.
+  way the results are the same exact values.  On the generic loop the
+  plain int entries are boxed as ``FpElem`` when the matrix holds
+  ``FpElem`` entries, and the nonzero ones as ``Fraction`` otherwise,
+  so no division is ever a float division.
 * integral-domain matrices (e.g. polynomial entries): rank and
   determinant by fraction-free Bareiss elimination, which only ever
   performs divisions that are exact in the domain.
@@ -23,6 +26,7 @@ Matrices are plain nested lists; nothing here mutates its input.
 """
 
 import math
+from fractions import Fraction
 
 from .fields import FpElem
 
@@ -65,12 +69,13 @@ def _unboxed(m):
 
 
 def _boxed(m):
-    """A copy of m, with its int entries boxed as FpElem of the prime of
-    its FpElem entries if it has any, so that an int pivot divides
-    exactly."""
+    """A copy of m in which every int that can become a pivot divides
+    exactly: with FpElem entries, all ints are boxed as FpElem of their
+    prime; without, the nonzero ints are boxed as Fraction (an int zero
+    is zero in any field and is never a pivot)."""
     p = next((x.p for row in m for x in row if type(x) is FpElem), None)
     if p is None:
-        return _clone(m)
+        return [[Fraction(x) if type(x) is int and x else x for x in row] for row in m]
     return [[FpElem(x, p) if type(x) is int else x for x in row] for row in m]
 
 

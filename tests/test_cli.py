@@ -124,6 +124,30 @@ def test_batch_mode_reports_bad_jobs(tmp_path, capsys):
     assert "error" in docs[1]
 
 
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero in GF(101)"),
+                                 AssertionError(), RuntimeError("no prime left")])
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch, exc):
+    def broken(job):
+        raise exc
+    monkeypatch.setitem(cli._RUNNERS, "cover", broken)
+    code = cli.main(["cover", "--n", "3", "--m", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert type(exc).__name__ in captured.err
+    # in batch mode the failing job gets an error record and the rest run
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([{"command": "cover", "n": 3, "m": 1},
+                                {"command": "deform", "n": 3, "m": 1, "d": 2},
+                                {"command": "bogus"}]))
+    code, out = run(capsys, "--json", str(path))
+    assert code == 3
+    docs = json.loads(out)
+    assert docs[0] == {"command": "cover",
+                       "error": "internal error: %s: %s" % (type(exc).__name__, exc)}
+    assert docs[1]["command"] == "deform" and "error" not in docs[1]
+    assert docs[2] == {"command": "bogus", "error": "unknown command 'bogus'"}
+
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -33,6 +34,53 @@ def test_cyclotomic_field_arithmetic():
     assert a * a.inverse() == 1
     assert (z * z.conjugate()) == 1
     assert (z + z.conjugate()).conjugate() == z + z.conjugate()
+
+
+def test_cyclotomic_arithmetic_matches_poly_oracle():
+    # every operation against Poly arithmetic modulo Phi_n
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ints = st.lists(st.integers(-6, 6), max_size=14)
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.integers(1, 12), ints, ints, st.integers(1, 4), st.integers(-3, 4),
+               st.integers(-3, 3), st.integers(1, 3))
+    def run(n, ca, cb, den, e, rn, rd):
+        ca, r = [Fraction(c, den) for c in ca], Fraction(rn, rd)
+        K = CyclotomicField(n)
+        phi = cyclotomic_polynomial(n)
+        pa, pb = Poly(QQ, ca) % phi, Poly(QQ, cb) % phi
+        a = sum((K.zeta(k) * c for k, c in enumerate(ca)), K.zero)
+        b = K.of(Poly(QQ, cb))
+
+        def poly(x):
+            return Poly(QQ, list(x.rep))
+
+        assert len(a.rep) == phi.degree and poly(a) == pa and poly(b) == pb
+        assert repr(a) == "(%s)" % repr(pa).replace("x", "z")
+        assert poly(a + b) == (pa + pb) % phi
+        assert poly(a - b) == (pa - pb) % phi
+        assert poly(r - a) == (Poly.const(QQ, r) - pa) % phi
+        assert poly(a * b) == (pa * pb) % phi
+        assert poly(a * r) == pa * r and poly(-a) == -pa
+        zinv = Poly(QQ, [0] * (n - 1) + [1])
+        assert poly(a.conjugate()) == pa.compose(zinv) % phi
+        assert a.conjugate().conjugate() == a
+        assert (a == b) == (pa == pb)
+        assert a == K.of(Poly(QQ, ca) + Poly(QQ, cb) * phi)
+        assert (a == r) == (pa == Poly.const(QQ, r))
+        assert a.is_rational() == (pa.degree <= 0)
+        if a.is_rational():
+            assert a.rational_value() == pa.coeff(0)
+        if pb:
+            assert ((poly(a / b) * pb - pa) % phi).is_zero()
+            assert ((poly(1 / b) * pb) % phi) == Poly.one(QQ)
+        if e >= 0:
+            assert poly(a ** e) == (pa ** e) % phi
+        elif pa:
+            assert (poly(a ** e) * pa ** -e) % phi == Poly.one(QQ)
+
+    run()
 
 
 def test_group_law():
@@ -82,6 +130,27 @@ def test_projector_identities():
         for l1, l2 in itertools.combinations(labels, 2):
             prod = dihedral._matmul(projs[l1], projs[l2], K)
             assert all(not x for row in prod for x in row), (n, l1, l2)
+
+
+def test_projector_matches_dense_sum():
+    # (deg/2n) sum over g of conj(chi(g)) rho(g), with rho(g) built by
+    # dense products of the monomial sigma and tau matrices
+    for n in range(2, 9):
+        K = CyclotomicField(n)
+        G = dihedral.DihedralGroup(n)
+        dim = 2 * n
+        mats = {g: dihedral.representation_matrix(n, g, K) for g in G.elements()}
+        for lab in dihedral.irreducible_labels(n):
+            chi = dihedral.character(n, lab, K)
+            want = [[K.zero] * dim for _ in range(dim)]
+            for g, m in mats.items():
+                c = chi(g).conjugate()
+                for i in range(dim):
+                    for j in range(dim):
+                        want[i][j] = want[i][j] + c * m[i][j]
+            scale = K.of(dihedral.char_degree(lab)) / K.of(2 * n)
+            want = [[scale * x for x in row] for row in want]
+            assert dihedral.projector(n, lab, K) == want, (n, lab)
 
 
 def test_monomial_representation_is_regular():

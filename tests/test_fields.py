@@ -104,6 +104,9 @@ class Foreign:
     def __rmul__(self, other):
         return ("rmul", other)
 
+    def __rtruediv__(self, other):
+        return ("rtruediv", other)
+
     def __sub__(self, other):
         return NotImplemented
 
@@ -118,6 +121,7 @@ def test_foreign_operand_gets_its_reflected_operator():
     assert a + x == ("radd", a)
     assert a - x == ("rsub", a)
     assert a * x == ("rmul", a)
+    assert a / x == ("rtruediv", a)
     with pytest.raises(TypeError):
         x - a               # FpElem.__rsub__ declines as well
     with pytest.raises(TypeError):

@@ -206,11 +206,11 @@ def test_mumford_validation():
         MumfordClass(model, u, Poly.const(K7, bad))
 
 
-def test_genus_two_over_gf5_matches_enumeration():
+def _check_genus_two_over_small_field(p):
     # 2g + 2 = 6 > p: the squarefree test must hold in degree >= p
-    K5 = GF(5)
-    fodd = Poly(K5, [1, -1, 0, 0, 0, 1])          # x^5 - x + 1, no roots in GF(5)
-    c = HECurve.from_odd_poly(K5, 2, fodd)
+    K = GF(p)
+    fodd = Poly(K, [1, -1, 0, 0, 0, 1])           # x^5 - x + 1, no roots in GF(p)
+    c = HECurve.from_odd_poly(K, 2, fodd)
     model = c.odd_model()
     assert model.fodd.degree == 5
     classes = enumerate_jacobian(model)
@@ -225,3 +225,16 @@ def test_genus_two_over_gf5_matches_enumeration():
     a = next(x for x in classes if x.u.degree == 2)
     pair = matrix_from_class(c, a)
     assert class_from_matrix(pair) == a
+    return len(classes)
+
+
+# a genus-2 Jacobian over GF(q) has (N1^2 + N2)/2 - q classes, N1 and N2
+# the numbers of points over GF(q) and GF(q^2)
+
+
+def test_genus_two_over_gf5_matches_enumeration():
+    assert _check_genus_two_over_small_field(5) == (11 ** 2 + 31) // 2 - 5
+
+
+def test_genus_two_over_gf3_matches_enumeration():
+    assert _check_genus_two_over_small_field(3) == (7 ** 2 + 15) // 2 - 3

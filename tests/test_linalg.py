@@ -303,6 +303,22 @@ def test_int_pivot_in_fp_matrix_divides_exactly():
     assert linalg.solve(m, [K.one, K.zero], K) == linalg.solve(boxed, [K.one, K.zero], K)
 
 
+def test_int_only_matrix_gives_no_floats():
+    # with no FpElem to take a prime from, ints are rationals
+    red, pivots = linalg.rref([[2], [0]])
+    assert red == [[1], [0]] and pivots == [0]
+    m = [[2, 3, 1], [4, 1, 0], [6, 4, 1]]
+    results = [linalg.rref(m)[0], linalg.nullspace(m, QQ),
+               [linalg.solve(m, [1, 2, 3], QQ)], [[linalg.det([[2, 3], [4, 1]], QQ)]]]
+    for rows in [red] + results:
+        assert not any(type(x) is float for row in rows for x in row)
+    assert linalg.rank(m) == 2
+    assert linalg.det([[2, 3], [4, 1]], QQ) == -10
+    v = linalg.nullspace(m, QQ)[0]
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    assert linalg.solve(m, [1, 2, 3], QQ) == [Fraction(1, 2), 0, 0]
+
+
 # -- the convolution-matrix builder against Poly multiplication ----------
 
 
