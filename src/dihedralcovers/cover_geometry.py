@@ -11,13 +11,17 @@ construction hypotheses exactly:
      reduced points.
 
 Condition (ii) gets a certificate: after a random linear change of
-coordinates, the resultant of a and F with respect to the last variable
-is a squarefree binary form.  Condition (i) is tested by projecting the
-singular scheme of a^2 - F^n with iterated resultants of the partial
-derivatives and certifying that every candidate point lies over the
-common zeros of a and F.  Verdicts are "pass", "fail" or
-"inconclusive"; a pass is always backed by an exact computation, never
-by sampling alone.
+coordinates, the resultant R of a and F with respect to the last
+variable is squarefree; a root of R has the multiplicity of the
+intersection of a and F on the line it names (Fulton, Algebraic Curves,
+1.6), so that alone proves transversality.  Condition (i) is tested by
+projecting the singular scheme of a^2 - F^n with resultants of the
+partial derivatives and certifying that every candidate lies over a
+root of R.  Over Q both gcd tests first run modulo a large prime: a
+reduction that keeps the degrees and has gcd 1 proves gcd 1 over Q
+(Brown's one-sided modular gcd); only an inconclusive one falls back to
+the exact gcd.  Verdicts are "pass", "fail" or "inconclusive"; a pass
+or a fail always rests on an exact computation, never on sampling.
 
 Invariants for surfaces (the projective plane or abstract intersection
 data) are computed twice, from the closed formulas
@@ -125,26 +129,22 @@ def resultant_wrt_last(f, g):
 
     Requires both forms to have full degree in x2 (their x2-leading
     coefficients are nonzero scalars), which a generic linear change of
-    coordinates guarantees; computed by specializing x1 = 1 at enough
-    values of x0 and interpolating.
+    coordinates guarantees; computed by specializing x1 = 1 at the
+    deg(f)*deg(g) + 1 values x0 = 0, 1, 2, ... and interpolating, so a
+    prime field with fewer elements raises ValueError.
     """
-    cf = f.coeffs_in(2)
-    cg = g.coeffs_in(2)
-    if cf[f.deg].is_zero() or cg[g.deg].is_zero():
+    cf = [c.to_univar() for c in f.coeffs_in(2)]
+    cg = [c.to_univar() for c in g.coeffs_in(2)]
+    if cf[-1].is_zero() or cg[-1].is_zero():
         raise ValueError("forms must have full degree in x2")
-    field = f.field
-    D = f.deg * g.deg
-    xs, ys = [], []
-    s = 0
-    while len(xs) < D + 1:
-        x = field.of(s)
-        s += 1
-        fu = Poly(field, [c((x, field.one)) for c in cf])
-        gu = Poly(field, [c((x, field.one)) for c in cg])
-        xs.append(x)
-        ys.append(resultant(fu, gu))
-    r = lagrange_interpolate(field, list(zip(xs, ys)))
-    return HForm.from_univar(r, D)
+    field, D = f.field, f.deg * g.deg
+    p = field.characteristic
+    if p and D + 1 > p:
+        raise ValueError("resultant_wrt_last needs %d distinct points, GF(%d) has %d"
+                         % (D + 1, p, p))
+    points = [(x, resultant(Poly(field, [c(x) for c in cf]), Poly(field, [c(x) for c in cg])))
+              for x in map(field.of, range(D + 1))]
+    return HForm.from_univar(lagrange_interpolate(field, points), D)
 
 
 def radical_divides(h, r):
@@ -169,29 +169,19 @@ def radical_divides(h, r):
 
 
 def random_coordinate_change(field, rng):
-    """An invertible linear substitution with small integer entries."""
+    """A linear substitution with small integer entries, invertible over
+    the field: a determinant divisible by p would collapse the plane
+    onto a line and fake a common component."""
     while True:
         rows = [[rng.randint(-10, 10) for _ in range(3)] for _ in range(3)]
         det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-        if det:
+        if field.of(det):
             break
-    images = []
-    for i in range(3):
-        t = {}
-        for j in range(3):
-            if rows[i][j]:
-                e = [0, 0, 0]
-                e[j] = 1
-                t[tuple(e)] = field.of(rows[i][j])
-        images.append(HForm(field, 3, 1, t))
-    return images
-
-
-def _full_x2_degree(form):
-    c = form.coeffs_in(2)
-    return not c[form.deg].is_zero()
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return [HForm(field, 3, 1, {e: field.of(r) for e, r in zip(units, row)})
+            for row in rows]
 
 
 # -- hypothesis checks --------------------------------------------------
@@ -224,12 +214,14 @@ class CheckReport:
 def check_simple(spec, seed=0, retries=5):
     """Check hypotheses (i) and (ii) for a simple cover over the plane.
 
-    (ii) passes with an exact certificate: a squarefree resultant of a
-    and F after a random coordinate change, confirmed by a Jacobian
-    minor test at the common zeros over a prime field.  (ii) fails with
-    a certificate when a and F share a component.  (i) passes when the
-    projected singular candidates of a^2 - F^n all lie over the common
-    zeros of a and F.  Exhausted randomization yields "inconclusive".
+    After a random coordinate change that keeps (0:0:1) off both curves,
+    a root of R = Res_x2(a, F) has the multiplicity of the intersection
+    of a and F on the line through (0:0:1) it names (Fulton, Algebraic
+    Curves, 1.6): a squarefree R proves (ii), and R = 0 a common
+    component ("fail").  (i) passes when the singular points of
+    a^2 - F^n project into the roots of R (see _singular_containment).
+    An attempt whose resultant needs more points than a small prime field
+    has certifies nothing; exhausted retries yield "inconclusive".
     """
     if spec.a is None or spec.F is None:
         raise ValueError("geometric checks need concrete sections")
@@ -243,21 +235,18 @@ def check_simple(spec, seed=0, retries=5):
         images = random_coordinate_change(field, rng)
         a = spec.a.substitute(images)
         F = spec.F.substitute(images)
-        if not (_full_x2_degree(a) and _full_x2_degree(F)):
+        try:
+            R = resultant_wrt_last(a, F)
+        except ValueError:      # (0:0:1) on a curve, or too small a field
             continue
-        R = resultant_wrt_last(a, F)
         if R.is_zero():
             details["commonComponent"] = True
             cond_ii = "fail"
             break
-        if cond_ii != "pass" and R.is_squarefree():
-            if _jacobian_minor_check(spec.a, spec.F):
-                cond_ii = "pass"
-                details["resultantDegree"] = R.deg
-            else:
-                details["jacobianWitness"] = True
-                cond_ii = "fail"
-                break
+        if cond_ii != "pass" and (_trivial_gcd_mod_prime(HForm.is_squarefree, R)
+                                  or R.is_squarefree()):
+            cond_ii = "pass"
+            details["resultantDegree"] = R.deg
         if cond_i != "pass":
             verdict = _singular_containment(a, F, R, n)
             if verdict is not None:
@@ -274,63 +263,63 @@ def check_simple(spec, seed=0, retries=5):
     return CheckReport(cond_i, cond_ii, irreducible, details, seed)
 
 
+CERTIFICATE_PRIME = 2 ** 61 - 1     # below the bound to which GF certifies primes
+
+
 def _singular_containment(a, F, R, n):
     """Certify that the singular scheme of G = a^2 - F^n lies over the
-    common zeros of a and F.  Returns "pass" or None (retry)."""
+    common zeros of a and F: every common root of r1 = Res_x2(G_0, G_1)
+    and r2 = Res_x2(G_0, G_2) is a root of R.  Returns "pass" or None.
+
+    With r1 = R^k r1' and R not dividing r1', a common root of r1 and r2
+    off R is a root of r1', so gcd(r1', r2) = 1 proves the containment,
+    and in general it holds iff every root of gcd(r1', r2) is one of R.
+    Over Q the gcd is first tried modulo a prime, which can only prove
+    it trivial; the exact gcd runs when that is inconclusive."""
     G = a * a - F ** n
     parts = [G.partial(i) for i in range(3)]
-    if any(p.is_zero() for p in parts):
+    try:
+        r1 = resultant_wrt_last(parts[0], parts[1])
+        r2 = resultant_wrt_last(parts[0], parts[2])
+    except ValueError:          # (0:0:1) on a curve, or too small a field
         return None
-    if not all(_full_x2_degree(p) for p in parts):
-        return None
-    r1 = resultant_wrt_last(parts[0], parts[1])
-    r2 = resultant_wrt_last(parts[0], parts[2])
     if r1.is_zero() or r2.is_zero():
         return None
-    h = form_gcd(r1, r2)
-    if h.deg == 0:
-        return "pass"
-    return "pass" if radical_divides(h, R) else None
-
-
-def _jacobian_minor_check(a, F, primes=(101, 211, 401)):
-    """Scan the plane over a prime field for common zeros of a and F
-    and require a nonvanishing 2x2 Jacobian minor at each of them."""
-    for p in primes:
-        K = GF(p)
+    while r1.deg >= R.deg:
         try:
-            ap = _reduce_mod(a, K)
-            Fp = _reduce_mod(F, K)
-        except ZeroDivisionError:
-            continue
-        pa = [ap.partial(i) for i in range(3)]
-        pF = [Fp.partial(i) for i in range(3)]
-        for pt in _plane_points(K):
-            if ap(pt) or Fp(pt):
-                continue
-            va = [g(pt) for g in pa]
-            vF = [g(pt) for g in pF]
-            minors = [va[i] * vF[j] - va[j] * vF[i]
-                      for i in range(3) for j in range(i + 1, 3)]
-            if not any(minors):
-                return False
-        return True
-    return True
+            r1 = r1.exact_div(R)
+        except ValueError:
+            break
+    if _trivial_gcd_mod_prime(lambda f, g: form_gcd(f, g).deg == 0, r1, r2):
+        return "pass"
+    return "pass" if radical_divides(form_gcd(r1, r2), R) else None
 
 
-def _reduce_mod(form, K):
-    return HForm(K, form.nvars, form.deg,
-                 {e: K.of(c) for e, c in form.terms.items()})
+def _trivial_gcd_mod_prime(test, *forms):
+    """True when ``test``, that a gcd is trivial (coprimality, or
+    HForm.is_squarefree: gcd(f, f') = 1), holds for the reductions of
+    binary forms over Q modulo CERTIFICATE_PRIME.  False proves nothing.
 
-
-def _plane_points(K):
-    p = K.p
-    for x in range(p):
-        for y in range(p):
-            yield (K.of(x), K.of(y), K.one)
-    for x in range(p):
-        yield (K.of(x), K.one, K.zero)
-    yield (K.one, K.zero, K.zero)
+    Soundness, the one-sided modular gcd (Brown, J. ACM 18, 1971): if no
+    denominator vanishes and each form keeps its x1-multiplicity (its
+    degree minus that of its chart f(x, 1)), the charts keep their
+    degrees, and so do their derivatives (of degree far below the prime).  A common factor over Q, made primitive
+    in Z[x] (Gauss's lemma), reduces to a common factor of equal degree,
+    and a common power of x1 stays common.  So a trivial gcd modulo the
+    prime proves a trivial gcd over Q."""
+    if forms[0].field != QQ:
+        return False
+    K = GF(CERTIFICATE_PRIME)
+    reduced = []
+    for form in forms:
+        try:
+            fp = HForm(K, 2, form.deg, {e: K.of(c) for e, c in form.terms.items()})
+        except ZeroDivisionError:   # the prime divides a denominator
+            return False
+        if fp.x1_multiplicity() != form.x1_multiplicity():
+            return False
+        reduced.append(fp)
+    return test(*reduced)
 
 
 def check_almost_simple(spec, seed=0, retries=5):
@@ -354,9 +343,10 @@ def check_almost_simple(spec, seed=0, retries=5):
         images = random_coordinate_change(field, rng)
         a0 = spec.a0.substitute(images)
         ainf = spec.ainf.substitute(images)
-        if not (_full_x2_degree(a0) and _full_x2_degree(ainf)):
+        try:
+            R = resultant_wrt_last(a0, ainf)
+        except ValueError:      # (0:0:1) on a curve, or too small a field
             continue
-        R = resultant_wrt_last(a0, ainf)
         break
     details = {"disjointnessRequired": True,
                "bezoutIntersection": spec.a0.deg * spec.e}

@@ -82,6 +82,9 @@ class FpElem:
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
             return self.v == other % self.p
+        if isinstance(other, Fraction) and other.denominator % self.p:
+            # the residue GF.of gives the Fraction
+            return self.v * other.denominator % self.p == other.numerator % self.p
         return NotImplemented
 
     def __hash__(self):

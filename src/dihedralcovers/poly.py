@@ -233,15 +233,22 @@ def is_squarefree(a):
 
 
 def lagrange_interpolate(field, points):
-    """The polynomial of degree < len(points) through the given (x, y) pairs."""
-    result = Poly.zero(field)
-    for i, (xi, yi) in enumerate(points):
-        num = Poly.one(field)
-        den = field.one
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            num = num * Poly(field, [-xj, field.one])
-            den = den * (xi - xj)
-        result = result + num * (yi / den)
-    return result
+    """The polynomial of degree < len(points) through the given (x, y)
+    pairs, in O(len(points)^2) field operations: Newton's divided
+    differences, then Horner's rule on the Newton form.  A repeated x
+    raises ValueError."""
+    xs = [field.of(x) for x, _ in points]
+    d = [field.of(y) for _, y in points]
+    # d[i] becomes the divided difference y[x_0, ..., x_i]; level k
+    # divides by x_i - x_{i-k}, so every pair of nodes is differenced once
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            dx = xs[i] - xs[i - k]
+            if not dx:
+                raise ValueError("repeated interpolation node %s" % (xs[i],))
+            d[i] = (d[i] - d[i - 1]) / dx
+    c = []
+    for xk, dk in zip(reversed(xs), reversed(d)):
+        # c <- c * (x - x_k) + d_k
+        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [field.zero])]
+    return Poly(field, c)

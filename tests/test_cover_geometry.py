@@ -6,7 +6,7 @@ import pytest
 from dihedralcovers.fields import QQ, GF
 from dihedralcovers.homog import HForm
 from dihedralcovers.parsing import parse_form
-from dihedralcovers import cover_geometry as cg
+from dihedralcovers import cover_geometry as cg, cli, linalg
 from dihedralcovers.hyperelliptic import (class_from_matrix, class_order,
                                           enumerate_two_torsion)
 
@@ -193,3 +193,121 @@ def test_normality_rejects_shared_support():
     cls = class_from_matrix(pairs[0])
     with pytest.raises(ValueError):
         cg.normality_criterion(3, pairs[0], [(1, cls), (2, cls)])
+
+
+# -- exact certificates without the mod-p point scan --------------------
+
+# Transversal pairs with a common zero mod 101 where all Jacobian minors
+# vanish: a tangency mod 101 proves nothing over Q, and GF(1009) has no
+# map to GF(101), so (ii) must pass.
+TRANSVERSAL_JOBS = [
+    {"command": "check", "field": "Q", "n": 2, "m": 1, "seed": 40,
+     "a": "-4*x0^2 + x0*x1 - 8*x0*x2 - 4*x1^2 - x1*x2 - 8*x2^2",
+     "F": "-x0^2 - 7*x0*x1 - 6*x0*x2 - 7*x1^2 - 7*x1*x2 + 4*x2^2"},
+    {"command": "check", "field": "Fp:1009", "n": 2, "m": 1, "seed": 245,
+     "a": "240*x0^2 + 269*x0*x1 + 656*x0*x2 + 743*x1^2 + 564*x1*x2 + 289*x2^2",
+     "F": "48*x0^2 + 491*x0*x1 + 739*x0*x2 + 283*x1^2 + 101*x1*x2 + 215*x2^2"},
+]
+
+
+@pytest.mark.parametrize("job", TRANSVERSAL_JOBS, ids=["Q", "Fp1009"])
+def test_transversal_pairs_pass_both_conditions(job):
+    report, code = cli.run_job(job)
+    assert (report["conditionI"], report["conditionII"], code) == ("pass", "pass", 0)
+    assert report["details"]["resultantDegree"] == 4
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1009)], ids=["Q", "Fp1009"])
+def test_tangent_pair_never_passes_condition_ii(field):
+    # the line x0 = 0 touches the conic x1^2 = x0 x2 at (0:0:1)
+    a = parse_form("x0^2 + x0*x1 + x0*x2", field, 3)     # x0 (x0 + x1 + x2)
+    F = parse_form("x1^2 - x0*x2", field, 3)
+    spec = cg.SimpleCoverSpec(2, P2, a, F)
+    for seed in range(8):
+        assert cg.check_simple(spec, seed=seed).condition_ii != "pass", seed
+
+
+def test_inconclusive_reduction_falls_back_to_the_exact_gcd(monkeypatch):
+    job = TRANSVERSAL_JOBS[0]
+    spec = cg.SimpleCoverSpec(2, P2, parse_form(job["a"], QQ, 3),
+                              parse_form(job["F"], QQ, 3))
+    want = cg.check_simple(spec, seed=40).to_json()
+    coprime_tries = []          # (r1 / R^k, r2, verdict of the reduction)
+    gcd_fields = []
+    certify = cg._trivial_gcd_mod_prime
+    form_gcd = cg.form_gcd
+
+    def spy_certify(test, *forms):
+        ok = certify(test, *forms)
+        if len(forms) == 2:
+            coprime_tries.append((*forms, ok))
+        return ok
+
+    def spy_gcd(f, g):
+        gcd_fields.append(f.field)
+        return form_gcd(f, g)
+
+    monkeypatch.setattr(cg, "_trivial_gcd_mod_prime", spy_certify)
+    monkeypatch.setattr(cg, "form_gcd", spy_gcd)
+    assert cg.check_simple(spec, seed=40).to_json() == want
+    assert coprime_tries[-1][2] and QQ not in gcd_fields    # the reduction decided
+    # a prime dividing the leading coefficient of r1 / R^k drops its degree
+    lead = coprime_tries[-1][0].to_univar().lead().numerator
+    prime = next(q for q in range(3, 10 ** 4, 2)
+                 if lead % q == 0 and all(q % d for d in range(3, q, 2)))
+    monkeypatch.setattr(cg, "CERTIFICATE_PRIME", prime)
+    coprime_tries.clear()
+    assert cg.check_simple(spec, seed=40).to_json() == want
+    assert coprime_tries and not any(ok for _, _, ok in coprime_tries)
+    assert QQ in gcd_fields                                 # the exact path decided
+
+
+# -- prime fields too small for the interpolation -----------------------
+
+
+def _check_job(field, n, m, seed):
+    rng = random.Random(seed)
+    K = GF(int(field[3:]))
+
+    def form(deg):
+        return " + ".join("%d*x0^%d*x1^%d*x2^%d" % (rng.randrange(K.p), i, j, deg - i - j)
+                          for i in range(deg + 1) for j in range(deg + 1 - i))
+
+    return {"command": "check", "field": field, "n": n, "m": m,
+            "a": form(n * m), "F": form(2 * m), "seed": seed}
+
+
+@pytest.mark.parametrize("field,n,m", [("Fp:101", 3, 2), ("Fp:31", 2, 2)])
+def test_small_field_leaves_condition_i_inconclusive(field, n, m):
+    # Res(a, F) needs 2nm^2 + 1 points, which fit; the resultants of the
+    # partials of a^2 - F^n need (2nm - 1)^2 + 1 > p
+    report, code = cli.run_job(_check_job(field, n, m, seed=3))
+    assert (report["conditionI"], report["conditionII"], code) == ("inconclusive", "pass", 0)
+    assert report["details"]["resultantDegree"] == 2 * n * m * m
+
+
+def test_field_smaller_than_the_resultant_degree():
+    K = GF(3)
+    f = parse_form("x0^2 + x1^2 + x2^2", K, 3)
+    g = parse_form("x0*x1 + x2^2", K, 3)
+    with pytest.raises(ValueError, match="needs 5 distinct points"):
+        cg.resultant_wrt_last(f, g)
+    report, code = cli.run_job({"command": "check", "field": "Fp:3", "n": 2, "m": 1,
+                                "a": "x0^2 + x1^2 + x2^2", "F": "x0*x1 + x2^2"})
+    assert (report["conditionII"], code) == ("inconclusive", 0)
+
+
+def test_coordinate_change_is_invertible_over_the_field():
+    # a determinant divisible by 5 would collapse the plane onto a line
+    # and make this transversal pair look like a common component
+    report, code = cli.run_job({"command": "check", "field": "Fp:5", "n": 2, "m": 1,
+                                "a": "4*x2^2 + 2*x1*x2 + x1^2 + x0*x2 + 4*x0*x1 + 2*x0^2",
+                                "F": "4*x2^2 + 4*x1*x2 + 3*x1^2 + 4*x0*x2 + 3*x0*x1 + x0^2",
+                                "seed": 659})
+    assert (report["conditionII"], code) == ("pass", 0)
+    K = GF(5)
+    rng = random.Random(0)
+    for _ in range(50):
+        images = cg.random_coordinate_change(K, rng)
+        rows = [[img.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for img in images]
+        assert linalg.rank(rows) == 3

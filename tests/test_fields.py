@@ -128,3 +128,15 @@ def test_foreign_operand_gets_its_reflected_operator():
         x / a               # FpElem.__rtruediv__ declines as well
     with pytest.raises(TypeError):
         a + 1.5
+
+
+def test_prime_field_element_equals_fraction_by_residue():
+    K = GF(7)
+    assert K.of(Fraction(1, 2)) == Fraction(1, 2)
+    assert Fraction(1, 2) == K.of(4)            # the reflected comparison
+    assert K.zero == Fraction(0)
+    assert K.of(3) == Fraction(-4)
+    assert K.of(3) != Fraction(1, 2)
+    # a denominator divisible by p has no residue, so nothing equals it
+    assert K.of(1) != Fraction(1, 7)
+    assert K.zero != Fraction(1, 7)

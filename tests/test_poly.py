@@ -96,3 +96,32 @@ def test_squarefree_in_degree_at_least_p():
     assert not is_squarefree(x ** 5 - Poly.one(K5))   # (x - 1)^5, derivative 0
     assert not is_squarefree(x ** 10 + x ** 5)        # x^5 (x + 1)^5
     assert not is_squarefree((x ** 2 + Poly.one(K5)) ** 2 * x)
+
+
+def test_interpolation_passes_through_every_point():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.sampled_from(("Q", 3, 1009)), st.integers(1, 40),
+               st.booleans(), st.sampled_from((None, "same", "other")), st.randoms())
+    def run(fname, npts, zero_values, repeat, rng):
+        K = QQ if fname == "Q" else GF(fname)
+        npts = min(npts, K.characteristic or npts)
+        nodes = rng.sample(range(-50, 50) if fname == "Q" else range(fname), npts)
+        xs = [K.of(x) for x in nodes]
+        ys = [K.zero if zero_values else K.of(Fraction(rng.randint(-99, 99), rng.randint(1, 2)))
+              for _ in xs]
+        pts = list(zip(xs, ys))
+        if repeat:
+            x, y = rng.choice(pts)
+            pts.insert(rng.randint(0, len(pts)), (x, y if repeat == "same" else y + 1))
+            with pytest.raises(ValueError):
+                lagrange_interpolate(K, pts)
+            return
+        p = lagrange_interpolate(K, pts)
+        assert p.degree < npts
+        assert all(p(x) == y for x, y in pts)
+        assert p.is_zero() == (not any(ys))
+
+    run()
