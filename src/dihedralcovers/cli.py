@@ -34,7 +34,8 @@ from . import parsing
 from .double_cover import DoubleCoverRing, BundlePair, tensor, inverse, is_isomorphic
 from .hyperelliptic import (HECurve, MumfordClass, class_from_matrix,
                             matrix_from_class, class_order, is_n_torsion,
-                            stratum, enumerate_jacobian, enumerate_two_torsion)
+                            stratum, enumerate_jacobian, enumerate_two_torsion,
+                            require_enumerable)
 from . import cover_geometry as geometry
 from . import deformations
 from . import dihedral
@@ -182,6 +183,7 @@ def run_jacobian(job):
         raise JobError("jacobian enumeration needs a finite field")
     curve = _curve(job, field)
     limit = int(job.get("limit", 20000))
+    require_enumerable(field, curve.g, limit)
     classes = enumerate_jacobian(curve.odd_model(), limit=limit)
     out = {"count": len(classes)}
     if job.get("listClasses"):

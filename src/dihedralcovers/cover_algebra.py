@@ -161,10 +161,6 @@ class SimpleCoverAlgebra:
         out += [self.v(i) for i in range(1, self.n)]
         return out
 
-    def basis_keys(self):
-        return (["1", "s"] + [("u", i) for i in range(1, self.n)]
-                + [("v", i) for i in range(1, self.n)])
-
     def _check_index(self, i):
         if not 1 <= i <= self.n - 1:
             raise ValueError("monomial exponent must be in 1..n-1")

@@ -43,7 +43,8 @@ import random
 from fractions import Fraction
 
 from .fields import QQ, GF
-from .poly import Poly, poly_gcd, resultant, lagrange_interpolate
+from .poly import (Poly, plain_poly, trim_c, eval_c, poly_gcd, resultant,
+                   lagrange_interpolate)
 from .homog import HForm, form_gcd
 from .hyperelliptic import class_from_matrix, class_order
 from .deformations import pushforward_twists
@@ -142,8 +143,11 @@ def resultant_wrt_last(f, g):
     if p and D + 1 > p:
         raise ValueError("resultant_wrt_last needs %d distinct points, GF(%d) has %d"
                          % (D + 1, p, p))
-    points = [(x, resultant(Poly(field, [c(x) for c in cf]), Poly(field, [c(x) for c in cg])))
-              for x in map(field.of, range(D + 1))]
+    points = []
+    for x in range(D + 1):
+        u = field.unbox(x)
+        points.append((x, resultant(plain_poly(field, trim_c([eval_c(c.c, u, p) for c in cf])),
+                                    plain_poly(field, trim_c([eval_c(c.c, u, p) for c in cg])))))
     return HForm.from_univar(lagrange_interpolate(field, points), D)
 
 
@@ -180,8 +184,7 @@ def random_coordinate_change(field, rng):
         if field.of(det):
             break
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return [HForm(field, 3, 1, {e: field.of(r) for e, r in zip(units, row)})
-            for row in rows]
+    return [HForm(field, 3, 1, dict(zip(units, row))) for row in rows]
 
 
 # -- hypothesis checks --------------------------------------------------
@@ -313,7 +316,7 @@ def _trivial_gcd_mod_prime(test, *forms):
     reduced = []
     for form in forms:
         try:
-            fp = HForm(K, 2, form.deg, {e: K.of(c) for e, c in form.terms.items()})
+            fp = HForm(K, 2, form.deg, form.terms)
         except ZeroDivisionError:   # the prime divides a denominator
             return False
         if fp.x1_multiplicity() != form.x1_multiplicity():

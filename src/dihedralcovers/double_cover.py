@@ -298,6 +298,7 @@ def _factor_through(K, B):
     m_rows = K.col_twists
     m_cols = B.col_twists
     coeffs = [[e.c for e in row] for row in K.univar()]
+    zero = field.unbox(field.zero)
     Bu = B.univar()
     ent = [[None] * len(m_cols) for _ in m_rows]
     for j, ct in enumerate(m_cols):
@@ -307,7 +308,8 @@ def _factor_through(K, B):
         out_degs = [max(ct - rt, b.degree if b else -1)
                     for rt, b in zip(K.row_twists, bcol)]
         rows_eq = linalg.convolution_matrix(field, coeffs, degs, out_degs)
-        rhs = [b.coeff(c) for b, d in zip(bcol, out_degs) for c in range(d + 1)]
+        rhs = [b.c[c] if c < len(b.c) else zero for b, d in zip(bcol, out_degs)
+               for c in range(d + 1)]
         sol = (linalg.solve(rows_eq, rhs, field) if rows_eq
                else [field.zero] * sum(d + 1 for d in degs if d >= 0))
         if sol is None:
@@ -421,7 +423,7 @@ def divisor_of_section(pair, m, alpha, beta):
         # v * mult = target (mod ua)
         cols = []
         for s in range(d):
-            cols.append((Poly.x(field) ** s * mult) % ua)
+            cols.append(mult.shift(s) % ua)
         for c in range(d):
             rows_eq.append([col.coeff(c) for col in cols])
             rhs.append(target.coeff(c))

@@ -13,6 +13,11 @@ Fields are lightweight descriptor objects exposing ``zero``, ``one``,
 ``of(n)`` for embedding integers, ``inv``, and ``characteristic``.
 Field *elements* support the usual operator protocol so downstream code
 never needs to know which field it is working over.
+
+Polynomials, forms and the matrices built from them keep the plain
+values instead of elements: the residue int over GF(p), the Fraction
+over Q.  ``unbox`` turns an element (or an int or Fraction) into that
+value and ``box`` turns it back into an element.
 """
 
 from fractions import Fraction
@@ -59,6 +64,8 @@ class FpElem:
         return FpElem(-self.v, self.p)
 
     def __pow__(self, e):
+        if e < 0 and not self.v:
+            raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
         return FpElem(pow(self.v, e, self.p), self.p)
 
     def inverse(self):
@@ -150,6 +157,26 @@ class GF:
     def inv(self, a):
         return self.of(a).inverse()
 
+    def box(self, v):
+        """The element of the residue v, an int already reduced mod p."""
+        return FpElem(v, self.p)
+
+    def unbox(self, x):
+        """The residue in range(p) of an element, int or Fraction."""
+        if type(x) is int:
+            return x % self.p
+        if type(x) is FpElem:
+            if x.p != self.p:
+                raise ValueError("mixed characteristics %d and %d" % (self.p, x.p))
+            return x.v
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise ZeroDivisionError("division by zero in GF(%d)" % self.p)
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        if isinstance(x, int):
+            return x % self.p
+        raise TypeError("cannot embed %r in GF(%d)" % (x, self.p))
+
     def elements(self):
         return [FpElem(v, self.p) for v in range(self.p)]
 
@@ -210,6 +237,12 @@ class _QQ:
 
     def inv(self, a):
         return 1 / Fraction(a)
+
+    def box(self, v):
+        return v
+
+    def unbox(self, x):
+        return x if type(x) is Fraction else Fraction(x)
 
     def random(self, rng):
         return Fraction(rng.randrange(-20, 21))

@@ -156,10 +156,10 @@ def kernel_basis(m):
                     field, [[vec[j].c for _, vec in gens] for j in range(m.ncols)],
                     [t - tw for tw, _ in gens], degs)
                 basis = [list(v) for v in zip(*shifts)]
-                r0 = linalg.rank(basis) if basis else 0
+                r0 = linalg.rank(basis, field) if basis else 0
                 for v in sols:
                     cand = basis + [v]
-                    if linalg.rank(cand) > r0:
+                    if linalg.rank(cand, field) > r0:
                         basis = cand
                         r0 += 1
                         gens.append((t, [Poly(field, c)

@@ -9,10 +9,35 @@ Binary forms (two variables) are in bijection with univariate
 polynomials of bounded degree via x = x0/x1; the converters
 ``to_univar`` / ``from_univar`` carry the declared degree so nothing is
 lost at the boundary.  Exact division, gcd and squarefree testing for
-binary forms go through this bijection.
+binary forms go through this bijection, and so does the product of two
+binary forms: it is the product of their coefficient lists.
+
+The coefficients in ``terms`` are plain values as in :mod:`poly`: ints
+reduced mod p over GF(p), Fractions over Q.  The constructor accepts
+field elements, ints and Fractions; ``coeff`` and evaluation return
+field elements.
 """
 
-from .poly import Poly, poly_gcd, is_squarefree, NEG_INF
+from .poly import (plain_poly, trim_c, zero_c, mul_c, poly_gcd,
+                   is_squarefree, NEG_INF)
+
+
+def plain_form(field, nvars, deg, terms):
+    """An HForm on a dict of nonzero plain values with valid exponents,
+    taken as it is (no copy, no checks)."""
+    f = HForm.__new__(HForm)
+    f.field = field
+    f.nvars = nvars
+    f.deg = deg
+    f.terms = terms
+    return f
+
+
+def _nonzero(t, p):
+    """The dict t of plain sums, reduced mod p (when p > 0), without zeros."""
+    if p:
+        t = {e: v % p for e, v in t.items()}
+    return {e: v for e, v in t.items() if v}
 
 
 class HForm:
@@ -29,14 +54,14 @@ class HForm:
             if len(exp) != nvars or sum(exp) != deg or any(e < 0 for e in exp):
                 raise ValueError("exponent %r is not of degree %d in %d vars"
                                  % (exp, deg, nvars))
-            c = field.of(c) if isinstance(c, int) else c
+            c = field.unbox(c)
             if c:
                 clean[exp] = c
         self.terms = clean
 
     @classmethod
     def zero(cls, field, nvars, deg):
-        return cls(field, nvars, deg, {})
+        return plain_form(field, nvars, deg, {})
 
     @classmethod
     def const(cls, field, nvars, a):
@@ -50,50 +75,72 @@ class HForm:
         return not self.terms
 
     def coeff(self, exp):
-        return self.terms.get(tuple(exp), self.field.zero)
+        c = self.terms.get(tuple(exp))
+        return self.field.zero if c is None else self.field.box(c)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other for sign = 1 or -1."""
         self._check(other)
+        p = self.field.characteristic
         t = dict(self.terms)
         for e, c in other.terms.items():
-            s = t.get(e, self.field.zero) + c
+            s = t[e] + sign * c if e in t else sign * c
+            if p:
+                s %= p
             if s:
                 t[e] = s
             else:
-                t.pop(e, None)
-        return HForm(self.field, self.nvars, self.deg, t)
+                del t[e]
+        return plain_form(self.field, self.nvars, self.deg, t)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return HForm(self.field, self.nvars, self.deg,
-                     {e: -c for e, c in self.terms.items()})
+        p = self.field.characteristic
+        return plain_form(self.field, self.nvars, self.deg,
+                          {e: -c % p if p else -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        field = self.field
+        p = field.characteristic
         if not isinstance(other, HForm):
-            s = self.field.of(other)
-            return HForm(self.field, self.nvars, self.deg,
-                         {e: c * s for e, c in self.terms.items()})
+            s = field.unbox(other)
+            if not s:
+                return HForm.zero(field, self.nvars, self.deg)
+            return plain_form(field, self.nvars, self.deg,
+                              {e: c * s % p if p else c * s for e, c in self.terms.items()})
         if other.nvars != self.nvars:
             raise ValueError("mixed variable counts")
+        self._same_field(other)
+        deg = self.deg + other.deg
+        if self.nvars == 2:
+            # through the chart x1 = 1: the product of the dense coefficient lists
+            c = mul_c(self._chart(), other._chart(), p)
+            return plain_form(field, 2, deg, {(i, deg - i): v for i, v in enumerate(c) if v})
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, self.field.zero) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return HForm(self.field, self.nvars, self.deg + other.deg, t)
+        for (a0, a1, a2), c1 in self.terms.items():
+            for (b0, b1, b2), c2 in other.terms.items():
+                e = (a0 + b0, a1 + b1, a2 + b2)
+                t[e] = t.get(e, 0) + c1 * c2
+        return plain_form(field, 3, deg, _nonzero(t, p))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative exponent %d" % k)
         r = HForm.const(self.field, self.nvars, self.field.one)
-        for _ in range(k):
-            r = r * self
+        b = self
+        while k:
+            if k & 1:
+                r = r * b
+            k >>= 1
+            if k:
+                b = b * b
         return r
 
     def __eq__(self, other):
@@ -109,16 +156,24 @@ class HForm:
         return bool(self.terms)
 
     def __call__(self, point):
-        r = self.field.zero
+        field = self.field
+        p = field.characteristic
+        xs = [field.unbox(x) for x in point]
+        r = zero_c(p)
         for e, c in self.terms.items():
-            t = c
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    t = t * x
-            r = r + t
-        return r
+            for x, k in zip(xs, e):
+                if k:
+                    c = c * (pow(x, k, p) if p else x ** k)
+            r = r + c
+        return field.box(r % p if p else r)
+
+    def _same_field(self, other):
+        # the plain values of two fields mix silently, so compare the fields
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError("mixed fields %r and %r" % (self.field, other.field))
 
     def _check(self, other):
+        self._same_field(other)
         if self.nvars != other.nvars or self.deg != other.deg:
             raise ValueError("form degree/arity mismatch: (%d,%d) vs (%d,%d)"
                              % (self.nvars, self.deg, other.nvars, other.deg))
@@ -130,45 +185,57 @@ class HForm:
                 continue
             e2 = list(e)
             e2[i] -= 1
-            t[tuple(e2)] = c * self.field.of(e[i])
-        return HForm(self.field, self.nvars, max(self.deg - 1, 0), t)
+            t[tuple(e2)] = c * e[i]
+        return plain_form(self.field, self.nvars, max(self.deg - 1, 0),
+                          _nonzero(t, self.field.characteristic))
 
     def substitute(self, images):
         """Linear change of variables: x_i -> images[i], a list of
-        degree-1 forms (or forms of a common degree)."""
+        degree-1 forms (or forms of a common degree).  The powers of
+        each image are computed once."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
+        field = self.field
         nv = images[0].nvars
-        d = images[0].deg
-        out = HForm.zero(self.field, nv, self.deg * d)
+        one = HForm.const(field, nv, field.one)
+        powers = []
+        for j, img in enumerate(images):
+            pw = [one]
+            for _ in range(max((e[j] for e in self.terms), default=0)):
+                pw.append(pw[-1] * img)
+            powers.append(pw)
+        t = {}
         for e, c in self.terms.items():
-            term = HForm.const(self.field, nv, c)
-            for img, k in zip(images, e):
-                term = term * img ** k
-            out = out + term
-        return out
+            term = None
+            for pw, k in zip(powers, e):
+                if k:
+                    term = pw[k] if term is None else term * pw[k]
+            for e2, v in (one if term is None else term).terms.items():
+                t[e2] = t.get(e2, 0) + c * v
+        return plain_form(field, nv, self.deg * images[0].deg,
+                          _nonzero(t, field.characteristic))
 
     # -- binary form <-> univariate -------------------------------------
+
+    def _chart(self):
+        """The plain coefficient list of F(x, 1), for a binary form F."""
+        c = [zero_c(self.field.characteristic)] * (self.deg + 1)
+        for (i, _), a in self.terms.items():
+            c[i] = a
+        return trim_c(c)
 
     def to_univar(self):
         """For a binary form F of degree d, return F(x, 1) as a Poly."""
         if self.nvars != 2:
             raise ValueError("to_univar needs a binary form")
-        c = [self.field.zero] * (self.deg + 1)
-        for (i, _), a in self.terms.items():
-            c[i] = a
-        return Poly(self.field, c)
+        return plain_poly(self.field, self._chart())
 
     @classmethod
     def from_univar(cls, p, deg):
         """Homogenize a Poly to a binary form of the given degree."""
         if p.degree > deg:
             raise ValueError("degree %s exceeds target %d" % (p.degree, deg))
-        t = {}
-        for i, a in enumerate(p.c):
-            if a:
-                t[(i, deg - i)] = a
-        return cls(p.field, 2, deg, t)
+        return plain_form(p.field, 2, deg, {(i, deg - i): a for i, a in enumerate(p.c) if a})
 
     def exact_div(self, other):
         """Exact quotient of binary forms; raises if not divisible."""
@@ -214,7 +281,7 @@ class HForm:
         out = [dict() for _ in range(self.deg + 1)]
         for e, c in self.terms.items():
             out[e[var]][(e[keep[0]], e[keep[1]])] = c
-        return [HForm(self.field, 2, self.deg - k, t) for k, t in enumerate(out)]
+        return [plain_form(self.field, 2, self.deg - k, t) for k, t in enumerate(out)]
 
     def __repr__(self):
         if not self.terms:

@@ -28,7 +28,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .poly import Poly, poly_gcd, poly_xgcd
+from .poly import Poly, poly_xgcd, eval_c
 from .homog import HForm
 from .double_cover import (DoubleCoverRing, BundlePair, DegenerateSectionError,
                            divisor_of_section, tensor)
@@ -97,11 +97,11 @@ def _base_field_roots(f):
     over Q the rational-root-theorem candidates +-p/q, p dividing the
     lowest nonzero and q the leading integer coefficient."""
     field = f.field
-    if field.characteristic:
-        for v in range(field.characteristic):
-            x = field.of(v)
-            if not f(x):
-                yield x
+    p = field.characteristic
+    if p:
+        for v in range(p):
+            if not eval_c(f.c, v, p):
+                yield field.box(v)
         return
     den = math.lcm(*[Fraction(c).denominator for c in f.c])
     ic = [int(Fraction(c) * den) for c in f.c]
@@ -328,10 +328,10 @@ def rr_space(model, u, v, k):
     d = u.degree
     basis = []
     for j in range(0, k // 2 + 1 if k >= 0 else 0):
-        basis.append(RRFunction(model, Poly.x(field) ** j * u, Poly.zero(field), u))
+        basis.append(RRFunction(model, u.shift(j), Poly.zero(field), u))
     i = 0
     while 2 * i + 2 * g + 1 - 2 * d <= k:
-        B = Poly.x(field) ** i
+        B = Poly.one(field).shift(i)
         A = (B * v) % u if d > 0 else Poly.zero(field)
         pole = max(2 * A.degree if not A.is_zero() else -1,
                    2 * i + 2 * g + 1) - 2 * d
@@ -365,10 +365,10 @@ def rr_dim_zeros(model, u, v, t):
     rows = []
     cols = []
     for s in range(nb):
-        A = -((Poly.x(field) ** s * v) % u) if d > 0 else Poly.zero(field)
+        A = -(v.shift(s) % u) if d > 0 else Poly.zero(field)
         cols.append(A)
     for s in range(nc):
-        cols.append(u * Poly.x(field) ** s)
+        cols.append(u.shift(s))
     ncols = len(cols)
     for c in range(t // 2 + 1, damax + 1):
         rows.append([col.coeff(c) for col in cols])
@@ -490,22 +490,23 @@ def _mul_y(model, fn):
 
 
 def _fn_coords(fn, dA, dB):
-    """Coefficient vector of (A, B) padded to degrees dA, dB."""
-    return ([fn.A.coeff(i) for i in range(dA + 1)]
-            + [fn.B.coeff(i) for i in range(dB + 1)])
+    """Plain coefficient vector of (A, B) padded to degrees dA, dB."""
+    field = fn.model.field
+    zero = field.unbox(field.zero)
+    return (fn.A.c + [zero] * (dA + 1 - len(fn.A.c))
+            + fn.B.c + [zero] * (dB + 1 - len(fn.B.c)))
 
 
 def _complement(field, model, Vb, e1, shift):
     """A member of Vb independent of x^j e1, j = 0..shift."""
-    x = Poly.x(field)
-    cands = [RRFunction(model, e1.A * x ** j, e1.B * x ** j, e1.den)
+    cands = [RRFunction(model, e1.A.shift(j), e1.B.shift(j), e1.den)
              for j in range(shift + 1)]
     dA = max([f.A.degree for f in cands + Vb if not f.A.is_zero()] + [0])
     dB = max([f.B.degree for f in cands + Vb if not f.B.is_zero()] + [0])
     span = [_fn_coords(f, dA, dB) for f in cands]
-    r0 = linalg.rank(span)
+    r0 = linalg.rank(span, field)
     for f in Vb:
-        if linalg.rank(span + [_fn_coords(f, dA, dB)]) > r0:
+        if linalg.rank(span + [_fn_coords(f, dA, dB)], field) > r0:
             return f
     raise ValueError("no complement found in section space")
 
@@ -515,12 +516,11 @@ def _solve_y_action(field, model, u, src, e1, e2, deg1, deg2):
     deg p2 <= deg2, by an exact linear solve on numerator coefficients.
     Returns (p1, p2)."""
     target = _mul_y(model, src)
-    x = Poly.x(field)
     cols = []
     for j in range(deg1 + 1):
-        cols.append(RRFunction(model, e1.A * x ** j, e1.B * x ** j, u))
+        cols.append(RRFunction(model, e1.A.shift(j), e1.B.shift(j), u))
     for j in range(deg2 + 1):
-        cols.append(RRFunction(model, e2.A * x ** j, e2.B * x ** j, u))
+        cols.append(RRFunction(model, e2.A.shift(j), e2.B.shift(j), u))
     allf = cols + [target]
     dA = max([f.A.degree for f in allf if not f.A.is_zero()] + [0])
     dB = max([f.B.degree for f in allf if not f.B.is_zero()] + [0])
@@ -579,7 +579,7 @@ def is_n_torsion(pair, n):
     band = _torsion_band(pair, n)
     if not band:
         return True
-    return linalg.rank(band) < len(band)
+    return linalg.rank(band, pair.ring.field) < len(band)
 
 
 def sym_power_pushforward(pair, n):
@@ -661,20 +661,29 @@ def enumerate_jacobian(model, limit=20000):
     """
     field = model.field
     p = field.characteristic
-    if not p:
-        raise ValueError("enumeration needs a finite field")
     g = model.g
-    if p ** (2 * g) > limit:
-        raise ValueError("field too large for brute-force enumeration")
+    require_enumerable(field, g, limit)
     out = [model.zero_class()]
     for d in range(1, g + 1):
         for uc in itertools.product(range(p), repeat=d):
-            u = Poly(field, [field.of(c) for c in uc] + [field.one])
+            u = Poly(field, uc + (1,))
             for vc in itertools.product(range(p), repeat=d):
-                v = Poly(field, [field.of(c) for c in vc])
+                v = Poly(field, vc)
                 if ((v * v - model.fodd) % u).is_zero():
                     try:
                         out.append(MumfordClass(model, u, v))
                     except ValueError:
                         pass
     return out
+
+
+def require_enumerable(field, g, limit):
+    """Raise ValueError unless ``enumerate_jacobian`` may run on a genus-g
+    curve over the field: a finite field with p^(2g) <= limit.  Cheap,
+    so a caller can check before building the odd model, which scans
+    the field for a branch root."""
+    p = field.characteristic
+    if not p:
+        raise ValueError("enumeration needs a finite field")
+    if p ** (2 * g) > limit:
+        raise ValueError("field too large for brute-force enumeration")

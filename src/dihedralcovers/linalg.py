@@ -4,15 +4,16 @@ Two tiers:
 
 * field matrices (lists of lists of field elements): rank, reduced row
   echelon form, nullspace, solving and determinant all go through one
-  Gaussian elimination loop with exact division.  A matrix whose
-  entries are all ``FpElem`` of one prime p is unboxed to plain ints
-  once, reduced with ``% p`` arithmetic and one modular inverse per
-  pivot, and reboxed only at the result (the reduced rows, the kernel
-  vectors, the solution, the determinant; a rank is an int).  Either
-  way the results are the same exact values.  On the generic loop the
-  plain int entries are boxed as ``FpElem`` when the matrix holds
-  ``FpElem`` entries, and the nonzero ones as ``Fraction`` otherwise,
-  so no division is ever a float division.
+  Gaussian elimination loop with exact division.  A matrix over GF(p)
+  (the field passed in, or the prime of an ``FpElem`` entry) is read
+  into plain ints reduced mod p once, reduced with ``% p`` arithmetic
+  and one modular inverse per pivot, and boxed as ``FpElem`` only at
+  the result (the reduced rows, the kernel vectors, the solution, the
+  determinant; a rank is an int).  Its entries may be ``FpElem`` or
+  ints, such as the int rows ``convolution_matrix`` builds from the
+  plain coefficient lists of ``Poly``.  Any other matrix goes through
+  the generic loop, with its nonzero int entries as ``Fraction``, so no
+  division is ever a float division.
 * integral-domain matrices (e.g. polynomial entries): rank and
   determinant by fraction-free Bareiss elimination, which only ever
   performs divisions that are exact in the domain.
@@ -28,55 +29,56 @@ Matrices are plain nested lists; nothing here mutates its input.
 import math
 from fractions import Fraction
 
-from .fields import FpElem
+from .fields import FpElem, GF
 
 
 def _clone(m):
     return [list(r) for r in m]
 
 
-def _echelon(m, reduced):
+def _echelon(m, reduced, field=None):
     """Row-reduce a copy of the matrix m.
 
     Returns (rows, pivot columns, row swaps, box).  Without ``reduced``
     the elimination only clears below each pivot and never scales a
     pivot row (rank, det); with it, each pivot row is scaled to 1 and
-    its column cleared above and below (rref).  ``box`` makes a field
-    element of an entry of ``rows``: the identity, or ``FpElem(., p)``
-    when the rows are the plain ints of the GF(p) loop.
+    its column cleared above and below (rref).  The matrix is over
+    ``field`` when given, else over GF(p) when an entry is an ``FpElem``
+    of prime p, else over Q.  ``box`` makes a field element of an entry
+    of ``rows``: the identity, or ``FpElem(., p)`` when the rows are the
+    plain ints of the GF(p) loop.
     """
     if not m or not m[0]:
         return _clone(m), [], 0, _identity
-    ints = _unboxed(m)
-    if ints is None:
-        return _eliminate(_boxed(m), reduced) + (_identity,)
-    p = m[0][0].p
-    return _eliminate_mod(ints, p, reduced) + (lambda v: FpElem(v, p),)
+    if field is not None:
+        p = field.characteristic
+    else:
+        p = next((x.p for row in m for x in row if type(x) is FpElem), 0)
+    if not p:
+        return _eliminate(_rationals(m), reduced) + (_identity,)
+    return _eliminate_mod(_residues(m, p), p, reduced) + (lambda v: FpElem(v, p),)
 
 
-def _unboxed(m):
-    """The entries of m as ints when all are FpElem of one prime, else None."""
-    if type(m[0][0]) is not FpElem:
-        return None
-    p = m[0][0].p
-    ints = []
-    for row in m:
-        vals = [x.v for x in row if type(x) is FpElem and x.p == p]
-        if len(vals) != len(row):
-            return None
-        ints.append(vals)
-    return ints
+def _residues(m, p):
+    """A copy of m with every entry as an int reduced mod p: the rows of
+    ``convolution_matrix`` over GF(p) are ints already, and an FpElem
+    gives its residue (it must be of prime p)."""
+    return [[x % p if type(x) is int else _residue(x, p) for x in row] for row in m]
 
 
-def _boxed(m):
-    """A copy of m in which every int that can become a pivot divides
-    exactly: with FpElem entries, all ints are boxed as FpElem of their
-    prime; without, the nonzero ints are boxed as Fraction (an int zero
-    is zero in any field and is never a pivot)."""
-    p = next((x.p for row in m for x in row if type(x) is FpElem), None)
-    if p is None:
-        return [[Fraction(x) if type(x) is int and x else x for x in row] for row in m]
-    return [[FpElem(x, p) if type(x) is int else x for x in row] for row in m]
+def _residue(x, p):
+    if type(x) is FpElem:
+        if x.p != p:
+            raise ValueError("mixed characteristics %d and %d" % (p, x.p))
+        return x.v
+    return GF(p).unbox(x)
+
+
+def _rationals(m):
+    """A copy of m in which every nonzero int is a Fraction, so that a
+    pivot divides exactly (an int zero is zero in any field and is never
+    a pivot)."""
+    return [[Fraction(x) if type(x) is int and x else x for x in row] for row in m]
 
 
 def _identity(x):
@@ -148,9 +150,9 @@ def _eliminate_mod(m, p, reduced):
     return m, pivots, swaps
 
 
-def rank(m):
-    """Rank of a matrix over a field."""
-    return len(_echelon(m, False)[1])
+def rank(m, field=None):
+    """Rank of a matrix over a field (see ``_echelon`` for the field)."""
+    return len(_echelon(m, False, field)[1])
 
 
 def rref(m):
@@ -166,7 +168,7 @@ def nullspace(m, field):
     if not m or not m[0]:
         return []
     cols = len(m[0])
-    red, pivots, _, box = _echelon(m, True)
+    red, pivots, _, box = _echelon(m, True, field)
     basis = []
     for fc in [c for c in range(cols) if c not in pivots]:
         v = [field.zero] * cols
@@ -183,7 +185,7 @@ def solve(m, b, field):
         return [] if all(not x for x in b) else None
     cols = len(m[0])
     aug = [list(r) + [bv] for r, bv in zip(m, b)]
-    red, pivots, _, box = _echelon(aug, True)
+    red, pivots, _, box = _echelon(aug, True, field)
     if cols in pivots:
         return None
     x = [field.zero] * cols
@@ -197,7 +199,7 @@ def det(m, field):
     n = len(m)
     if n == 0:
         return field.one
-    red, pivots, swaps, box = _echelon(m, False)
+    red, pivots, swaps, box = _echelon(m, False, field)
     if pivots != list(range(n)):
         return field.zero
     d = math.prod((red[i][i] for i in range(n)), start=field.one if box is _identity else 1)
@@ -214,8 +216,12 @@ def convolution_matrix(field, coeffs, in_degs, out_degs):
     degrees are dropped), and one column block per unknown j, for its
     degrees 0..in_degs[j]; a negative degree means the block is absent.
     Each cell is one (output, degree, unknown, degree) pair, so it is
-    assigned once and never summed.
+    assigned once and never summed.  The cells are copied from
+    ``coeffs`` and the rest is the field's plain zero, so with the plain
+    lists of ``Poly.c`` the rows over GF(p) are ints reduced mod p, ready
+    for the elimination loop.
     """
+    zero = field.unbox(field.zero)
     col_off, ncols = [], 0
     for d in in_degs:
         col_off.append(ncols)
@@ -223,7 +229,7 @@ def convolution_matrix(field, coeffs, in_degs, out_degs):
     m = []
     for row_coeffs, dout in zip(coeffs, out_degs):
         for k in range(dout + 1):
-            row = [field.zero] * ncols
+            row = [zero] * ncols
             for c, o, din in zip(row_coeffs, col_off, in_degs):
                 # unknown degrees s with 0 <= k - s < len(c)
                 lo, hi = max(k - len(c) + 1, 0), min(k, din)

@@ -113,7 +113,7 @@ def parse_univar(s, field, var=None):
     if len(seen) > 1 or (var is not None and seen - {var}):
         raise ValueError("unexpected variables %s in %r" % (sorted(seen), s))
     deg = max(coeffs) if coeffs else 0
-    return Poly(field, [field.of(coeffs.get(i, Fraction(0))) for i in range(deg + 1)])
+    return Poly(field, [coeffs.get(i, 0) for i in range(deg + 1)])
 
 
 def parse_form(s, field, nvars):
@@ -139,7 +139,7 @@ def parse_form(s, field, nvars):
     acc = {}
     for c, e in terms:
         acc[e] = acc.get(e, Fraction(0)) + c
-    return HForm(field, nvars, deg, {e: field.of(c) for e, c in acc.items()})
+    return HForm(field, nvars, deg, acc)
 
 
 def _coeff_str(c):

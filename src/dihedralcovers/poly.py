@@ -1,15 +1,245 @@
 """Dense univariate polynomials over an exact field.
 
-A :class:`Poly` stores its coefficient list low degree first with no
-trailing zeros.  The zero polynomial has an empty list and its degree is
+A :class:`Poly` stores its coefficient list ``c`` low degree first with
+no trailing zeros, in the field's plain representation: over GF(p) the
+coefficients are ints already reduced mod p, over Q they are
+``Fraction``s.  The zero polynomial has an empty list and its degree is
 the explicit sentinel ``NEG_INF``, so degree arithmetic such as
 ``deg(f*g) == deg f + deg g`` stays valid without special cases.
 
-Division, gcd, extended gcd, resultants and squarefree tests are all
-exact; nothing here ever touches a float except the degree sentinel.
+All arithmetic runs in one set of routines on such lists (the functions
+ending in ``_c`` below): sum, difference, product, division with
+remainder, gcd, extended gcd, resultant, Horner evaluation, Newton
+interpolation and powers modulo a polynomial (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 2-3).  Each takes the characteristic p
+of the field: for p > 0 the values are ints and every result is reduced
+mod p, with inverses from ``pow(a, -1, p)``; for p = 0 they are
+Fractions, with exact Fraction arithmetic.  Field elements are boxed
+(``FpElem``) only at the public accessors: ``coeff``, ``lead`` and
+evaluation return field elements; the constructor accepts field
+elements, ints and Fractions.  Nothing here ever touches a float
+except the degree sentinel.
 """
 
+from fractions import Fraction
+
 NEG_INF = float("-inf")
+
+_QZERO = Fraction(0)
+_QONE = Fraction(1)
+
+
+# -- routines on coefficient lists ---------------------------------------
+#
+# Lists are low degree first and trimmed (no trailing zeros); p is the
+# field's characteristic, 0 for Q.
+
+
+def trim_c(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def zero_c(p):
+    return 0 if p else _QZERO
+
+
+def one_c(p):
+    return 1 if p else _QONE
+
+
+def inv_c(a, p):
+    """1/a for a nonzero a."""
+    return pow(a, -1, p) if p else _QONE / a
+
+
+def reduce_c(c, p):
+    """The list c reduced mod p (when p > 0) and trimmed."""
+    return trim_c([v % p for v in c] if p else c)
+
+
+def add_c(a, b, p):
+    if len(a) < len(b):
+        a, b = b, a
+    return reduce_c([x + y for x, y in zip(a, b)] + a[len(b):], p)
+
+
+def neg_c(a, p):
+    return reduce_c([-x for x in a], p)
+
+
+def sub_c(a, b, p):
+    n = min(len(a), len(b))
+    return reduce_c([x - y for x, y in zip(a, b)] + a[n:] + [-y for y in b[n:]], p)
+
+
+def scale_c(a, s, p):
+    """a times the scalar s."""
+    return reduce_c([x * s for x in a], p)
+
+
+def mul_c(a, b, p):
+    """The schoolbook product; over GF(p) the sums are reduced once."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    lb = len(b)
+    out = [zero_c(p)] * (len(a) + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
+    return reduce_c(out, p)
+
+
+def divmod_c(a, b, p):
+    """(quotient, remainder) of a by the nonzero b."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    r = list(a)
+    low = b[:-1]
+    binv = inv_c(b[-1], p)
+    q = [zero_c(p)] * (len(a) - db)
+    for i in range(len(a) - 1 - db, -1, -1):
+        t = r[i + db] * binv
+        if p:
+            t %= p      # r's entries may be unreduced; t is not
+        if not t:
+            continue
+        q[i] = t
+        if db:
+            r[i:i + db] = [x - t * y for x, y in zip(r[i:i + db], low)]
+    return q, reduce_c(r[:db], p)
+
+
+def monic_c(a, p):
+    return scale_c(a, inv_c(a[-1], p), p) if a else a
+
+
+def gcd_c(a, b, p):
+    """The monic gcd (empty when both are zero)."""
+    while b:
+        a, b = b, divmod_c(a, b, p)[1]
+    return monic_c(a, p)
+
+
+def xgcd_c(a, b, p):
+    """(g, s, t) with s*a + t*b = g, g monic (all empty when a = b = 0)."""
+    r0, r1 = a, b
+    s0, s1 = [one_c(p)], []
+    t0, t1 = [], [one_c(p)]
+    while r1:
+        q, r = divmod_c(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub_c(s0, mul_c(q, s1, p), p)
+        t0, t1 = t1, sub_c(t0, mul_c(q, t1, p), p)
+    if not r0:
+        return r0, s0, t0
+    inv = inv_c(r0[-1], p)
+    return scale_c(r0, inv, p), scale_c(s0, inv, p), scale_c(t0, inv, p)
+
+
+def _pow(x, e, p):
+    return pow(x, e, p) if p else x ** e
+
+
+def resultant_c(a, b, p):
+    """Res(a, b) by the Euclidean remainder sequence: with r = a mod b,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)."""
+    if not a or not b:
+        return zero_c(p)
+    res = one_c(p)
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            res = res * _pow(b[0], da, p)
+            return res % p if p else res
+        r = divmod_c(a, b, p)[1]
+        if not r:
+            return zero_c(p)
+        res = res * _pow(b[-1], da - len(r) + 1, p)
+        if da & db & 1:
+            res = -res
+        a, b = b, r
+
+
+def eval_c(a, x, p):
+    """a(x) by Horner's rule."""
+    r = zero_c(p)
+    for c in reversed(a):
+        r = r * x + c
+        if p:
+            r %= p
+    return r
+
+
+def interpolate_c(xs, ys, p):
+    """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
+    in O(len(xs)^2) operations: Newton's divided differences, then
+    Horner's rule on the Newton form.  A repeated node raises ValueError."""
+    n = len(xs)
+    d = list(ys)
+    invs = {}       # over GF(p), one inverse per distinct node difference
+    # d[i] becomes the divided difference y[x_0, ..., x_i]; level k
+    # divides by x_i - x_{i-k}, so every pair of nodes is differenced once
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dx = xs[i] - xs[i - k]
+            if p:
+                dx %= p
+            if not dx:
+                raise ValueError("repeated interpolation node %s" % (xs[i],))
+            if p:
+                inv = invs.get(dx)
+                if inv is None:
+                    inv = invs[dx] = pow(dx, -1, p)
+                d[i] = (d[i] - d[i - 1]) * inv % p
+            else:
+                d[i] = (d[i] - d[i - 1]) / dx
+    c = []
+    zero = zero_c(p)
+    for xk, dk in zip(reversed(xs), reversed(d)):
+        # c <- c * (x - x_k) + d_k
+        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [zero])]
+        if p:
+            c = [v % p for v in c]
+    return trim_c(c)
+
+
+def powmod_c(a, e, m, p):
+    """a^e by repeated squaring, reduced modulo m at every step unless m
+    is None.  A negative e raises ValueError."""
+    if e < 0:
+        raise ValueError("negative exponent %d" % e)
+    out = [one_c(p)]
+    if m is not None:
+        a = divmod_c(a, m, p)[1]
+        out = divmod_c(out, m, p)[1]
+    while e:
+        if e & 1:
+            out = mul_c(out, a, p)
+            if m is not None:
+                out = divmod_c(out, m, p)[1]
+        e >>= 1
+        if e:
+            a = mul_c(a, a, p)
+            if m is not None:
+                a = divmod_c(a, m, p)[1]
+    return out
+
+
+# -- the polynomial class -------------------------------------------------
+
+
+def plain_poly(field, c):
+    """A Poly on the trimmed list c of plain values, taken as it is (no
+    copy, no reduction)."""
+    f = Poly.__new__(Poly)
+    f.field = field
+    f.c = c
+    return f
 
 
 class Poly:
@@ -17,26 +247,25 @@ class Poly:
 
     def __init__(self, field, coeffs):
         self.field = field
-        c = [field.of(x) if isinstance(x, int) else x for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self.c = c
+        unbox = field.unbox
+        self.c = trim_c([unbox(x) for x in coeffs])
 
     @classmethod
     def zero(cls, field):
-        return cls(field, [])
+        return plain_poly(field, [])
 
     @classmethod
     def one(cls, field):
-        return cls(field, [field.one])
+        return plain_poly(field, [one_c(field.characteristic)])
 
     @classmethod
     def x(cls, field):
-        return cls(field, [field.zero, field.one])
+        p = field.characteristic
+        return plain_poly(field, [zero_c(p), one_c(p)])
 
     @classmethod
     def const(cls, field, a):
-        return cls(field, [field.of(a)])
+        return cls(field, [a])
 
     @property
     def degree(self):
@@ -46,75 +275,55 @@ class Poly:
         return not self.c
 
     def coeff(self, i):
-        return self.c[i] if 0 <= i < len(self.c) else self.field.zero
+        return self.field.box(self.c[i]) if 0 <= i < len(self.c) else self.field.zero
 
     def lead(self):
         if not self.c:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.c[-1]
+        return self.field.box(self.c[-1])
 
     def monic(self):
-        if not self.c:
-            return self
-        inv = self.field.inv(self.c[-1])
-        return Poly(self.field, [a * inv for a in self.c])
+        return plain_poly(self.field, monic_c(self.c, self.field.characteristic))
+
+    def _plain(self, other):
+        """other's coefficient list: a Poly over the same field, or a scalar."""
+        if isinstance(other, Poly):
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("mixed fields %r and %r" % (self.field, other.field))
+            return other.c
+        return trim_c([self.field.unbox(other)])
 
     def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.c), len(other.c))
-        return Poly(self.field, [self.coeff(i) + other.coeff(i) for i in range(n)])
+        return plain_poly(self.field, add_c(self.c, self._plain(other), self.field.characteristic))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.c), len(other.c))
-        return Poly(self.field, [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return plain_poly(self.field, sub_c(self.c, self._plain(other), self.field.characteristic))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return plain_poly(self.field, sub_c(self._plain(other), self.c, self.field.characteristic))
 
     def __neg__(self):
-        return Poly(self.field, [-a for a in self.c])
+        return plain_poly(self.field, neg_c(self.c, self.field.characteristic))
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            s = self.field.of(other)
-            return Poly(self.field, [a * s for a in self.c])
-        if not self.c or not other.c:
-            return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.c) + len(other.c) - 1)
-        for i, a in enumerate(self.c):
-            if not a:
-                continue
-            for j, b in enumerate(other.c):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        p = self.field.characteristic
+        if isinstance(other, Poly):
+            return plain_poly(self.field, mul_c(self.c, self._plain(other), p))
+        return plain_poly(self.field, scale_c(self.c, self.field.unbox(other), p))
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        r = Poly.one(self.field)
-        for _ in range(e):
-            r = r * self
-        return r
+        return plain_poly(self.field, powmod_c(self.c, e, None, self.field.characteristic))
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
+        b = self._plain(other)
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero] * max(len(self.c) - len(other.c) + 1, 0)
-        r = list(self.c)
-        dinv = self.field.inv(other.lead())
-        db = len(other.c) - 1
-        for i in range(len(r) - 1 - db, -1, -1):
-            t = r[i + db] * dinv
-            if not t:
-                continue
-            q[i] = t
-            for j, b in enumerate(other.c):
-                r[i + j] = r[i + j] - t * b
-        return Poly(self.field, q), Poly(self.field, r)
+        q, r = divmod_c(self.c, b, self.field.characteristic)
+        return plain_poly(self.field, q), plain_poly(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -142,30 +351,24 @@ class Poly:
         return bool(self.c)
 
     def __call__(self, x):
-        r = self.field.zero
-        for a in reversed(self.c):
-            r = r * x + a
-        return r
+        field = self.field
+        return field.box(eval_c(self.c, field.unbox(x), field.characteristic))
 
     def shift(self, k):
         """Multiply by x**k."""
         if not self.c:
             return self
-        return Poly(self.field, [self.field.zero] * k + self.c)
+        return plain_poly(self.field, [zero_c(self.field.characteristic)] * k + self.c)
 
     def derivative(self):
-        return Poly(self.field, [self.field.of(i) * a for i, a in enumerate(self.c)][1:])
+        d = [i * a for i, a in enumerate(self.c)][1:]
+        return plain_poly(self.field, reduce_c(d, self.field.characteristic))
 
     def compose(self, other):
         r = Poly.zero(self.field)
         for a in reversed(self.c):
-            r = r * other + Poly.const(self.field, a)
+            r = r * other + plain_poly(self.field, trim_c([a]))
         return r
-
-    def _coerce(self, other):
-        if isinstance(other, Poly):
-            return other
-        return Poly.const(self.field, other)
 
     def __repr__(self):
         if not self.c:
@@ -185,45 +388,18 @@ class Poly:
 
 def poly_gcd(a, b):
     """Monic gcd of two univariate polynomials."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return plain_poly(a.field, gcd_c(a.c, b.c, a.field.characteristic))
 
 
 def poly_xgcd(a, b):
     """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    inv = f.inv(r0.lead())
-    return r0 * inv, s0 * inv, t0 * inv
+    g, s, t = xgcd_c(a.c, b.c, a.field.characteristic)
+    return plain_poly(a.field, g), plain_poly(a.field, s), plain_poly(a.field, t)
 
 
 def resultant(a, b):
-    """Resultant of a and b via the subresultant-free Euclid recursion."""
-    f = a.field
-    if a.is_zero() or b.is_zero():
-        return f.zero
-    res = f.one
-    while True:
-        da, db = a.degree, b.degree
-        if db == 0:
-            return res * b.c[0] ** da
-        r = a % b
-        if r.is_zero():
-            return f.zero
-        res = res * b.lead() ** (da - r.degree)
-        if (da % 2) and (db % 2):
-            res = -res
-        a, b = b, r
+    """Resultant of a and b via the Euclidean remainder sequence."""
+    return a.field.box(resultant_c(a.c, b.c, a.field.characteristic))
 
 
 def is_squarefree(a):
@@ -234,21 +410,8 @@ def is_squarefree(a):
 
 def lagrange_interpolate(field, points):
     """The polynomial of degree < len(points) through the given (x, y)
-    pairs, in O(len(points)^2) field operations: Newton's divided
-    differences, then Horner's rule on the Newton form.  A repeated x
-    raises ValueError."""
-    xs = [field.of(x) for x, _ in points]
-    d = [field.of(y) for _, y in points]
-    # d[i] becomes the divided difference y[x_0, ..., x_i]; level k
-    # divides by x_i - x_{i-k}, so every pair of nodes is differenced once
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            dx = xs[i] - xs[i - k]
-            if not dx:
-                raise ValueError("repeated interpolation node %s" % (xs[i],))
-            d[i] = (d[i] - d[i - 1]) / dx
-    c = []
-    for xk, dk in zip(reversed(xs), reversed(d)):
-        # c <- c * (x - x_k) + d_k
-        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [field.zero])]
-    return Poly(field, c)
+    pairs (see ``interpolate_c``).  A repeated x raises ValueError."""
+    unbox = field.unbox
+    xs = [unbox(x) for x, _ in points]
+    ys = [unbox(y) for _, y in points]
+    return plain_poly(field, interpolate_c(xs, ys, field.characteristic))

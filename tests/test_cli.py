@@ -80,6 +80,21 @@ def test_jacobian_subcommand(capsys):
     assert doc["orderHistogram"] == {"1": 1, "2": 3, "4": 4}
 
 
+def test_jacobian_refuses_a_large_field_before_building_the_odd_model(capsys, monkeypatch):
+    from dihedralcovers.hyperelliptic import HECurve
+
+    def no_odd_model(self):
+        raise AssertionError("the odd model scans every residue for a branch root")
+
+    monkeypatch.setattr(HECurve, "odd_model", no_odd_model)
+    code, _ = run(capsys, "jacobian", "--field", "Fp:1000000007",
+                  "--curve", '{"g":1,"F":"x0^4 + 3*x1^4 + x0*x1^3"}')
+    assert code == 2
+    code, _ = run(capsys, "jacobian", "--field", "Fp:149", "--limit", "22000",
+                  "--curve", '{"g":1,"F":"x0^4 + 3*x1^4 + x0*x1^3"}')
+    assert code == 2
+
+
 def test_output_is_deterministic(capsys):
     _, out1 = run(capsys, "check", "--n", "3", "--m", "1",
                   "--a", "x0^3 + x1^3 + x2^3",

@@ -72,6 +72,20 @@ def test_substitute_linear_change():
     assert f.substitute(imgs) == form("x0^2 - x1^2")
 
 
+def test_substitute_onto_a_line_and_a_zero_image():
+    K = GF(7)
+    f = parse_form("x0^2 + 3*x1^2 + x0*x1", K, 2)
+    zero = HForm.zero(K, 2, 1)
+    x0 = parse_form("x0", K, 2)
+    assert f.substitute([x0, zero]) == parse_form("x0^2", K, 2)
+    assert f.substitute([zero, x0]) == parse_form("3*x0^2", K, 2)
+    assert f.substitute([zero, zero]) == HForm.zero(K, 2, 2)
+    # a ternary form restricted to the line x2 = x0 + x1
+    g = form("x0*x2 - x1^2", nvars=3)
+    line = [form("x0"), form("x1"), form("x0 + x1")]
+    assert g.substitute(line) == form("x0^2 + x0*x1 - x1^2")
+
+
 def test_coeffs_in():
     f = form("x0^2*x2 + x1*x2^2 + x0^3", nvars=3)
     cs = f.coeffs_in(2)

@@ -238,3 +238,66 @@ def test_genus_two_over_gf5_matches_enumeration():
 
 def test_genus_two_over_gf3_matches_enumeration():
     assert _check_genus_two_over_small_field(3) == (7 ** 2 + 15) // 2 - 3
+
+
+def _group_law_round(curve, a, b):
+    """Cantor's sum of a and b against the matrix calculus: the class of
+    the tensor, the pair of the sum, the inverse and isomorphism."""
+    pa, pb = matrix_from_class(curve, a), matrix_from_class(curve, b)
+    total = a + b
+    t = tensor(pa, pb)
+    assert class_from_matrix(t) == total
+    ms = matrix_from_class(curve, total)
+    assert class_from_matrix(ms) == total
+    assert is_isomorphic(t, ms)
+    assert class_from_matrix(inverse(pa)) == -a
+    return [pa, pb, t, ms, inverse(pa)], [total]
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_group_law_over_a_61_bit_prime(rng, g):
+    curve = split_curve(2 ** 61 - 1, g)
+    model = curve.odd_model()
+    for _ in range(3):
+        a, b = random_class(model, g, rng), random_class(model, g, rng)
+        _group_law_round(curve, a, b)
+        for n in (2, 3):
+            assert is_n_torsion(matrix_from_class(curve, a), n) == (n * a).is_zero()
+
+
+def test_gf_p_values_stay_reduced_ints(rng, monkeypatch):
+    """Every Poly and HForm built on plain values during a GF(p) group-law
+    round holds ints in range(p): never a float (an int / int would give
+    one), never an FpElem, never an unreduced int."""
+    import dihedralcovers
+    from dihedralcovers import homog, poly
+    from dihedralcovers.homog import HForm
+
+    p = 1009
+    built = []
+
+    def checked(make):
+        def build(field, *args):
+            obj = make(field, *args)
+            built.append(obj)
+            values = obj.c if isinstance(obj, Poly) else list(obj.terms.values())
+            assert all(type(v) is int and 0 <= v < p for v in values), values
+            return obj
+        return build
+
+    for name in ("plain_poly", "plain_form"):
+        orig = getattr(poly if name == "plain_poly" else homog, name)
+        for module in vars(dihedralcovers).values():
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, checked(orig))
+    curve = split_curve(p, 2)
+    model = curve.odd_model()
+    a, b = random_class(model, 2, rng), random_class(model, 2, rng)
+    pairs, classes = _group_law_round(curve, a, b)
+    assert len(built) > 1000
+    for pair in pairs:
+        for form in (pair.P, pair.f, pair.q):
+            assert isinstance(form, HForm)
+            assert all(type(v) is int and 0 <= v < p for v in form.terms.values())
+    for c in classes:
+        assert all(type(v) is int and 0 <= v < p for v in c.u.c + c.v.c)
