@@ -43,7 +43,7 @@ import random
 from fractions import Fraction
 
 from .fields import QQ, GF
-from .poly import (Poly, plain_poly, trim_c, eval_c, poly_gcd, resultant,
+from .poly import (plain_poly, trim_c, eval_c, powmod_c, poly_gcd, resultant,
                    lagrange_interpolate)
 from .homog import HForm, form_gcd
 from .hyperelliptic import class_from_matrix, class_order
@@ -165,11 +165,8 @@ def radical_divides(h, r):
     hu = h.to_univar()
     if hu.degree <= 0:
         return True
-    ru = r.to_univar() % hu
-    acc = Poly.one(h.field)
-    for _ in range(hu.degree):
-        acc = (acc * ru) % hu
-    return acc.is_zero()
+    ru = r.to_univar()
+    return not powmod_c(ru.c, hu.degree, hu.c, h.field.characteristic)
 
 
 def random_coordinate_change(field, rng):
@@ -439,7 +436,7 @@ def invariants(n, base):
         rr = sum(1 + Fraction(t * (t + 3), 2) for t in degs)
     else:
         rr = sum(chi_y + Fraction(t * t, 2) * L2 - Fraction(t, 2) * KL
-                 for t in [d for d in degs])
+                 for t in degs)
     if rr != chi:
         raise ArithmeticError("Euler characteristic mismatch: %s vs %s"
                               % (chi, rr))

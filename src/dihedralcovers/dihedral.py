@@ -9,15 +9,19 @@ irreducible characters over Q(zeta_n):
   chi(sigma^k) = zeta^(kl) + zeta^(-kl) and chi vanishing off the
   rotation subgroup.
 
-``projector`` realizes the isotypic projector of each character on the
+``projector`` gives the isotypic projector of each character on the
 monomial representation with basis (1, s, u^1..u^(n-1), v^1..v^(n-1)),
 where sigma scales u^i by zeta^i and v^i by zeta^(-i) and tau swaps u
 with v and negates s.  That representation is isomorphic to the regular
 representation, so each projector is idempotent of rank (dim)^2 and the
-projectors sum to the identity.  Every group element acts by a matrix
-with one nonzero entry per row, so the projector is summed cell by cell
-with no matrix product; ``representation_matrix`` builds the dense
-matrices from products of sigma and tau.
+projectors sum to the identity.  The orthogonality relations evaluate
+(deg/2n) sum over g of conj(chi(g)) rho(g) in closed form: chi1 and
+chi2 project onto 1 and s, chi3 and chi4 onto u^(n/2) + v^(n/2) and
+u^(n/2) - v^(n/2), and rho_l onto the span of u^l, u^(n-l), v^l and
+v^(n-l).  So a projector has at most four nonzero entries, all
+rational, and costs no cyclotomic arithmetic.  ``representation_matrix``
+builds the dense matrices of group elements from products of sigma and
+tau; the tests sum them, as the reference for ``projector``.
 
 ``epsilon`` is the cocycle exponent table: for the subgroup generated
 by sigma^k, the product of the restrictions of the characters indexed
@@ -154,29 +158,31 @@ def representation_matrix(n, g, K=None):
 
 def projector(n, label, K=None):
     """The isotypic projector of the labelled character on the monomial
-    representation: (deg/2n) sum over g of conj(chi(g)) rho(g)."""
+    representation: (deg/2n) sum over g of conj(chi(g)) rho(g), in closed
+    form.  Every entry is 0, 1/2, -1/2 or 1."""
     if K is None:
         K = CyclotomicField(n)
-    G = DihedralGroup(n)
-    chi = character(n, label, K)
+    character(n, label, K)  # raises ValueError on a bad label
     dim = 2 * n
-    acc = [[K.zero] * dim for _ in range(dim)]
-    # rho(sigma^k tau^t) has one nonzero entry per row: 1 at (0, 0),
-    # (-1)^t at (1, 1), zeta^(ik) at (u^i, u^i) and zeta^(-ik) at
-    # (v^i, v^i), the last two moved to (u^i, v^i) and (v^i, u^i) when t = 1
-    for k, t in G.elements():
-        c = chi((k, t)).conjugate()
-        if not c:
-            continue
-        acc[0][0] = acc[0][0] + c
-        acc[1][1] = acc[1][1] - c if t else acc[1][1] + c
-        for i in range(1, n):
-            u, v = 1 + i, n + i
-            cu, cv = (v, u) if t else (u, v)
-            acc[u][cu] = acc[u][cu] + c * K.zeta(i * k)
-            acc[v][cv] = acc[v][cv] + c * K.zeta(-i * k)
-    scale = Fraction(char_degree(label), 2 * n)
-    return [[scale * x if x else x for x in row] for row in acc]
+    out = [[K.zero] * dim for _ in range(dim)]
+    # the rotations give (deg/2n) sum_k conj(chi(sigma^k)) zeta^(ik) at
+    # (u^i, u^i), which is 0 unless chi restricted to the rotations
+    # contains zeta^(-i); the reflections give the same sum at (u^i, v^i),
+    # weighted by chi(tau) for a linear chi and vanishing for rho_l
+    if label == "chi1":
+        out[0][0] = K.one
+    elif label == "chi2":
+        out[1][1] = K.one
+    elif label in ("chi3", "chi4"):
+        u, v = 1 + n // 2, n + n // 2
+        half = K.of(Fraction(1, 2))
+        out[u][u] = out[v][v] = half
+        out[u][v] = out[v][u] = half if label == "chi3" else K.of(Fraction(-1, 2))
+    else:
+        l = int(label[3:])
+        for i in (l, n - l):
+            out[1 + i][1 + i] = out[n + i][n + i] = K.one
+    return out
 
 
 def projector_rank(p):

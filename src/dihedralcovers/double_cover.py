@@ -113,8 +113,6 @@ class BundlePair:
         if P.deg != l and not P.is_zero():
             raise ValueError("P must have degree %d" % l)
         check = P * P + q * f if deg_q >= 0 else P * P
-        if deg_q < 0:
-            check = check + _lift_zero(field, 2 * l)
         if check != ring.F:
             raise ValueError("determinant constraint P^2 + q*f = F violated")
         self.ring = ring
@@ -229,10 +227,6 @@ def _zero_or_raise(field, val):
     if not f.is_zero():
         raise ValueError("entry of negative forced degree must vanish")
     return HForm.zero(field, 2, 0)
-
-
-def _lift_zero(field, deg):
-    return HForm.zero(field, 2, deg)
 
 
 def tensor(p1, p2):

@@ -423,20 +423,23 @@ def class_from_matrix(pair, rng=None):
     raise DegenerateSectionError("all candidate sections were degenerate: %s" % last_err)
 
 
+def _first_section(model, u, v):
+    """The least a in 0..g+1 with L(D + (2a - deg D)*inf) nonzero for the
+    divisor D = (u, v), and a basis of that space."""
+    for a in range(0, model.g + 2):
+        space = rr_space(model, u, v, 2 * a - u.degree)
+        if space:
+            return a, space
+    raise ValueError("no section found in the expected twist range")
+
+
 def stratum(pair, rng=None):
     """The splitting type (a, b) of a degree-zero pair, cross-checked
     against Riemann-Roch dimensions of its divisor class."""
     c = class_from_matrix(pair, rng=rng)
     model = c.model
     g = model.g
-    d = c.u.degree
-    a = None
-    for m in range(0, g + 2):
-        if rr_dim(model, c.u, c.v, 2 * m - d) > 0:
-            a = m
-            break
-    if a is None:
-        raise ValueError("no section found in the expected twist range")
+    a, _ = _first_section(model, c.u, c.v)
     if (pair.a, pair.b) != (a, g + 1 - a):
         raise AssertionError("splitting (%d, %d) disagrees with Riemann-Roch (%d, %d)"
                              % (pair.a, pair.b, a, g + 1 - a))
@@ -451,19 +454,12 @@ def matrix_from_class(curve, c):
     model = curve.odd_model()
     if c.is_zero():
         return ring.trivial_pair()
-    d = c.u.degree
     u, v = c.u, c.v
-    a = None
-    for m in range(0, g + 2):
-        Vm = rr_space(model, u, v, 2 * m - d)
-        if Vm:
-            a = m
-            break
+    a, Va = _first_section(model, u, v)
     b = g + 1 - a
-    Va = rr_space(model, u, v, 2 * a - d)
-    Vb = rr_space(model, u, v, 2 * b - d)
     e1 = Va[0]
     if a < b:
+        Vb = rr_space(model, u, v, 2 * b - u.degree)
         e2 = _complement(field, model, Vb, e1, b - a)
     else:
         if len(Va) < 2:

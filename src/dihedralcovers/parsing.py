@@ -142,62 +142,34 @@ def parse_form(s, field, nvars):
     return HForm(field, nvars, deg, acc)
 
 
-def _coeff_str(c):
-    return "%s" % (c,)
+def _join_terms(terms):
+    """Join (coefficient, monomial) pairs, highest first, as the parser
+    reads them: "3*x^2 - x + 1/2"; no pairs give "0"."""
+    parts = []
+    for a, mono in terms:
+        cs = "%s" % (a,)
+        neg = cs.startswith("-")
+        cs = cs.lstrip("-")
+        if not mono:
+            body = cs
+        elif cs == "1":
+            body = mono
+        else:
+            body = "%s*%s" % (cs, mono)
+        if parts:
+            parts.append(("- " if neg else "+ ") + body)
+        else:
+            parts.append(("-" if neg else "") + body)
+    return " ".join(parts) or "0"
 
 
 def format_univar(p, var="x"):
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i in range(len(p.c) - 1, -1, -1):
-        a = p.c[i]
-        if not a:
-            continue
-        if i == 0:
-            mono = ""
-        elif i == 1:
-            mono = var
-        else:
-            mono = "%s^%d" % (var, i)
-        cs = _coeff_str(a)
-        neg = cs.startswith("-")
-        if neg:
-            cs = cs[1:]
-        if mono and cs == "1":
-            body = mono
-        elif mono:
-            body = "%s*%s" % (cs, mono)
-        else:
-            body = cs
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+    monos = ["", var] + ["%s^%d" % (var, i) for i in range(2, len(p.c))]
+    return _join_terms((a, monos[i]) for i, a in reversed(list(enumerate(p.c))) if a)
 
 
 def format_form(f):
-    if f.is_zero():
-        return "0"
     names = ("x0", "x1", "x2")[:f.nvars]
-    parts = []
-    for e in sorted(f.terms, reverse=True):
-        a = f.terms[e]
-        mono = "*".join("%s^%d" % (n, k) if k > 1 else n
-                        for n, k in zip(names, e) if k)
-        cs = _coeff_str(a)
-        neg = cs.startswith("-")
-        if neg:
-            cs = cs[1:]
-        if mono and cs == "1":
-            body = mono
-        elif mono:
-            body = "%s*%s" % (cs, mono)
-        else:
-            body = cs
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+    return _join_terms((f.terms[e], "*".join("%s^%d" % (n, k) if k > 1 else n
+                                             for n, k in zip(names, e) if k))
+                       for e in sorted(f.terms, reverse=True))

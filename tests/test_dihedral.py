@@ -153,6 +153,59 @@ def test_projector_matches_dense_sum():
             assert dihedral.projector(n, lab, K) == want, (n, lab)
 
 
+def _sparse(m, K):
+    # the identity test only skips the shared zero cheaply
+    return {(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)
+            if x is not K.zero and x}
+
+
+def _sparse_product(a, b):
+    out = {}
+    for (i, k), x in a.items():
+        for (k2, j), y in b.items():
+            if k == k2:
+                out[i, j] = out.get((i, j), 0) + x * y
+    return {c: x for c, x in out.items() if x}
+
+
+def test_closed_form_projectors_are_sparse_rational_and_complete():
+    # for n = 2..40: at most four nonzero entries, all rational;
+    # idempotent, pairwise orthogonal and summing to the identity, checked
+    # with sparse products; rank deg^2, read off as the trace of an
+    # idempotent, and by elimination at n = 40 (n <= 12 is checked above)
+    for n in range(2, 41):
+        K = CyclotomicField(n)
+        labels = dihedral.irreducible_labels(n)
+        projs = {}
+        for lab in labels:
+            p = dihedral.projector(n, lab, K)
+            assert len(p) == 2 * n and all(len(row) == 2 * n for row in p)
+            sp = _sparse(p, K)
+            assert len(sp) <= 4 and all(x.is_rational() for x in sp.values()), (n, lab)
+            assert _sparse_product(sp, sp) == sp, (n, lab)
+            rank = dihedral.char_degree(lab) ** 2
+            assert sum(x for (i, j), x in sp.items() if i == j) == rank, (n, lab)
+            if n == 40:
+                assert dihedral.projector_rank(p) == rank, (n, lab)
+            projs[lab] = sp
+        for l1, l2 in itertools.combinations(labels, 2):
+            assert not _sparse_product(projs[l1], projs[l2]), (n, l1, l2)
+        total = {}
+        for sp in projs.values():
+            for c, x in sp.items():
+                total[c] = total.get(c, 0) + x
+        assert {c: x for c, x in total.items() if x} == {(i, i): 1 for i in range(2 * n)}, n
+
+
+def test_projector_rejects_bad_labels_like_character():
+    for n, lab in ((4, "rho2"), (4, "rho0"), (5, "chi3"), (7, "chi4"), (6, "psi1")):
+        with pytest.raises(ValueError) as want:
+            dihedral.character(n, lab)
+        with pytest.raises(ValueError) as got:
+            dihedral.projector(n, lab)
+        assert str(got.value) == str(want.value), (n, lab)
+
+
 def test_monomial_representation_is_regular():
     # the character of the monomial representation equals that of the
     # regular representation: 2n at the identity, 0 elsewhere

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from dihedralcovers.fields import QQ, GF
@@ -121,3 +124,28 @@ def test_finite_field_forms():
     f = parse_form("x0^2 + 3*x1^2", K, 2)
     assert f((K.of(2), K.one)) == K.of(0)
     assert format_form(parse_form(format_form(f), K, 2)) == format_form(f)
+
+
+def test_parse_inverts_format():
+    # parse(format(f)) == f for random univariate polynomials and binary
+    # and ternary forms, over Q (with fractions), GF(7) and GF(1009)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coeffs = st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 6)), max_size=16)
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.sampled_from((QQ, GF(7), GF(1009))), coeffs, coeffs,
+               st.integers(2, 3), st.integers(0, 4))
+    def run(K, pcs, fcs, nvars, deg):
+        p = Poly(K, [K.of(Fraction(a, b)) for a, b in pcs])
+        s = format_univar(p)
+        assert parse_univar(s, K) == p and format_univar(parse_univar(s, K)) == s
+        exps = [e for e in itertools.product(range(deg + 1), repeat=nvars) if sum(e) == deg]
+        f = HForm(K, nvars, deg, {e: K.of(Fraction(a, b)) for e, (a, b) in zip(exps, fcs)})
+        s = format_form(f)
+        if f.is_zero():
+            assert s == "0" and parse_form(s, K, nvars).is_zero()
+        else:
+            assert parse_form(s, K, nvars) == f and format_form(parse_form(s, K, nvars)) == s
+
+    run()
