@@ -211,7 +211,11 @@ class CheckReport:
         return "CheckReport(i=%s, ii=%s)" % (self.condition_i, self.condition_ii)
 
 
-def check_simple(spec, seed=0, retries=5):
+# random coordinate changes a check tries before it reports "inconclusive"
+ATTEMPTS = 5
+
+
+def check_simple(spec, seed=0):
     """Check hypotheses (i) and (ii) for a simple cover over the plane.
 
     After a random coordinate change that keeps (0:0:1) off both curves,
@@ -221,7 +225,8 @@ def check_simple(spec, seed=0, retries=5):
     component ("fail").  (i) passes when the singular points of
     a^2 - F^n project into the roots of R (see _singular_containment).
     An attempt whose resultant needs more points than a small prime field
-    has certifies nothing; exhausted retries yield "inconclusive".
+    has certifies nothing; ATTEMPTS of them without a certificate yield
+    "inconclusive".
     """
     if spec.a is None or spec.F is None:
         raise ValueError("geometric checks need concrete sections")
@@ -231,7 +236,7 @@ def check_simple(spec, seed=0, retries=5):
     details = {}
     cond_ii = "inconclusive"
     cond_i = "inconclusive"
-    for attempt in range(retries):
+    for _ in range(ATTEMPTS):
         images = random_coordinate_change(field, rng)
         a = spec.a.substitute(images)
         F = spec.F.substitute(images)
@@ -322,7 +327,7 @@ def _trivial_gcd_mod_prime(test, *forms):
     return test(*reduced)
 
 
-def check_almost_simple(spec, seed=0, retries=5):
+def check_almost_simple(spec, seed=0):
     """Check the almost-simple hypotheses.
 
     With a constant twisting section (e = 0) this is exactly the simple
@@ -335,11 +340,11 @@ def check_almost_simple(spec, seed=0, retries=5):
         c = spec.ainf.coeff((0, 0, 0))
         scale = spec.a0.field.inv(c)
         simple = SimpleCoverSpec(n, spec.base, spec.a0 * scale, spec.F)
-        return check_simple(simple, seed=seed, retries=retries)
+        return check_simple(simple, seed=seed)
     R = None
     field = spec.F.field
     rng = random.Random(seed)
-    for attempt in range(retries):
+    for _ in range(ATTEMPTS):
         images = random_coordinate_change(field, rng)
         a0 = spec.a0.substitute(images)
         ainf = spec.ainf.substitute(images)
@@ -463,7 +468,7 @@ def classify(report):
 # -- normality over a hyperelliptic base --------------------------------
 
 
-def normality_criterion(n, pair, components, order_bound=512):
+def normality_criterion(n, pair, components):
     """Normality test for a dihedral cover built over a hyperelliptic
     curve from a divisorial sheaf F1 and branch components D_k.
 
@@ -497,7 +502,7 @@ def normality_criterion(n, pair, components, order_bound=512):
     c = (n // kappa) * class_from_matrix(pair)
     for k, d in classes:
         c = c - (k // kappa) * d
-    order = class_order(c, bound=order_bound)
+    order = class_order(c)
     return order == kappa
 
 
@@ -507,7 +512,7 @@ def building_data_degree_check(m, L_deg, D_degs):
     return m * L_deg == sum(i * d for i, d in enumerate(D_degs, start=1))
 
 
-def dn_epimorphism_criterion(spec, seed=0, retries=5):
+def dn_epimorphism_criterion(spec, seed=0):
     """When the simple-cover hypotheses hold, the complement of the
     branch curve has a dihedral quotient of its fundamental group.
 
@@ -515,7 +520,7 @@ def dn_epimorphism_criterion(spec, seed=0, retries=5):
     only the certified hypotheses plus the nonemptiness of a = F = 0,
     automatic on the plane.
     """
-    report = check_simple(spec, seed=seed, retries=retries)
+    report = check_simple(spec, seed=seed)
     ok = report.passed() and report.irreducible
     explanation = {
         "check": report.to_json(),

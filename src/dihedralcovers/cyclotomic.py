@@ -127,7 +127,8 @@ class CycloElem:
         return hash((self.field.n, self.rep))
 
     def __bool__(self):
-        return any(self.rep)
+        # a fast path for the shared zero, which fills most projector cells
+        return self.rep is not self.field.zero.rep and any(self.rep)
 
     def __repr__(self):
         return "(%s)" % repr(Poly(QQ, list(self.rep))).replace("x", "z")

@@ -147,12 +147,8 @@ class GF:
         self.characteristic = p
 
     def of(self, n):
-        """Embed an integer or Fraction into GF(p)."""
-        if isinstance(n, FpElem):
-            return FpElem(n.v, self.p)
-        if isinstance(n, Fraction):
-            return FpElem(n.numerator, self.p) / FpElem(n.denominator, self.p)
-        return FpElem(n, self.p)
+        """Embed an int, a Fraction or an element of GF(p) into GF(p)."""
+        return FpElem(self.unbox(n), self.p)
 
     def inv(self, a):
         return self.of(a).inverse()

@@ -13,10 +13,12 @@ trace-free matrix pairs:
 * ``class_from_matrix`` intersects a section of the twisted pair with
   its z-image, giving a semireduced divisor (u, v) = (norm form,
   z-value) which reduces to the class;
-* ``matrix_from_class`` computes Riemann-Roch spaces of the class
-  twisted by multiples of the degree-two pencil, finds the splitting
-  (a, b), and reads the matrix off the action of y on a basis adapted
-  to the splitting.
+* ``matrix_from_class`` writes down Mumford's matrix
+  [[-v, (fodd - v^2)/u], [u, v]], which squares to fodd (Mumford, Tata
+  Lectures on Theta II, ch. IIIa), homogenized with splitting
+  a = ceil(deg u / 2), b = g + 1 - a; the exact check P^2 + q f = F in
+  ``BundlePair`` is its certificate.  ``stratum`` keeps the independent
+  Riemann-Roch cross-check of the splitting.
 
 Torsion is certified two ways: by iterating the group law (the oracle)
 and by the rank of a resultant-style band matrix built from (P, f, q)
@@ -381,7 +383,7 @@ def rr_dim_zeros(model, u, v, t):
 # dictionary between classes and pairs
 
 
-def class_from_matrix(pair, rng=None):
+def class_from_matrix(pair):
     """The divisor class of a degree-zero pair, as a reduced Mumford pair
     on the odd model of the pair's curve."""
     ring = pair.ring
@@ -399,14 +401,10 @@ def class_from_matrix(pair, rng=None):
     qT = model.transform_form(pair.q)
     pairT = BundlePair(DoubleCoverRing(field, g + 1, model.transform_form(ring.F)),
                        pair.a, pair.b, PT, fT, qT, normalize=False)
-    sections = [(HForm.const(field, 2, field.one), 0)]
+    one = HForm.const(field, 2, field.one)
+    sections = [(one, 0)]
     if pair.a == pair.b:
-        sections.append((0, HForm.const(field, 2, field.one)))
-        lam = field.of(1)
-        if rng is not None:
-            lam = field.random_nonzero(rng)
-        sections.append((HForm.const(field, 2, field.one),
-                         HForm.const(field, 2, lam)))
+        sections += [(0, one), (one, one)]
     last_err = None
     for alpha, beta in sections:
         try:
@@ -423,23 +421,18 @@ def class_from_matrix(pair, rng=None):
     raise DegenerateSectionError("all candidate sections were degenerate: %s" % last_err)
 
 
-def _first_section(model, u, v):
-    """The least a in 0..g+1 with L(D + (2a - deg D)*inf) nonzero for the
-    divisor D = (u, v), and a basis of that space."""
-    for a in range(0, model.g + 2):
-        space = rr_space(model, u, v, 2 * a - u.degree)
-        if space:
-            return a, space
-    raise ValueError("no section found in the expected twist range")
-
-
-def stratum(pair, rng=None):
+def stratum(pair):
     """The splitting type (a, b) of a degree-zero pair, cross-checked
-    against Riemann-Roch dimensions of its divisor class."""
-    c = class_from_matrix(pair, rng=rng)
+    against Riemann-Roch dimensions of its divisor class: a must be the
+    least twist with L(D + (2a - deg D)*inf) nonzero."""
+    c = class_from_matrix(pair)
     model = c.model
     g = model.g
-    a, _ = _first_section(model, c.u, c.v)
+    for a in range(0, g + 2):
+        if rr_space(model, c.u, c.v, 2 * a - c.u.degree):
+            break
+    else:
+        raise ValueError("no section found in the expected twist range")
     if (pair.a, pair.b) != (a, g + 1 - a):
         raise AssertionError("splitting (%d, %d) disagrees with Riemann-Roch (%d, %d)"
                              % (pair.a, pair.b, a, g + 1 - a))
@@ -447,87 +440,22 @@ def stratum(pair, rng=None):
 
 
 def matrix_from_class(curve, c):
-    """The trace-free pair of a reduced divisor class on curve's odd model."""
-    field = curve.field
-    g = curve.g
+    """The trace-free pair of a reduced divisor class on curve's odd model:
+    Mumford's matrix [[-v, (fodd - v^2)/u], [u, v]], which squares to fodd,
+    homogenized with a = ceil(deg u / 2) and b = g + 1 - a."""
     ring = curve.ring()
-    model = curve.odd_model()
     if c.is_zero():
         return ring.trivial_pair()
+    g = curve.g
+    model = curve.odd_model()
     u, v = c.u, c.v
-    a, Va = _first_section(model, u, v)
+    a = (u.degree + 1) // 2
     b = g + 1 - a
-    e1 = Va[0]
-    if a < b:
-        Vb = rr_space(model, u, v, 2 * b - u.degree)
-        e2 = _complement(field, model, Vb, e1, b - a)
-    else:
-        if len(Va) < 2:
-            raise ValueError("balanced stratum without a two-dimensional section space")
-        e2 = Va[1]
-    # solve y e1 = P e1 + q e2 and y e2 = f e1 - P e2 with
-    # deg P <= g+1, deg q <= 2a, deg f <= 2b
-    P_aff, q_aff = _solve_y_action(field, model, u, e1, e1, e2, g + 1, 2 * a)
-    f_aff, D_aff = _solve_y_action(field, model, u, e2, e1, e2, 2 * b, g + 1)
-    if not (P_aff + D_aff).is_zero():
-        raise AssertionError("y-action is not trace free on the chosen basis")
-    P = HForm.from_univar(P_aff, g + 1)
-    q = HForm.from_univar(q_aff, 2 * a)
-    f = HForm.from_univar(f_aff, 2 * b)
-    Pb = model.untransform_form(P)
-    qb = model.untransform_form(q)
-    fb = model.untransform_form(f)
-    return BundlePair(ring, a, b, Pb, fb, qb)
-
-
-def _mul_y(model, fn):
-    """Multiply an RRFunction by y."""
-    return RRFunction(model, fn.B * model.fodd, fn.A, fn.den)
-
-
-def _fn_coords(fn, dA, dB):
-    """Plain coefficient vector of (A, B) padded to degrees dA, dB."""
-    field = fn.model.field
-    zero = field.unbox(field.zero)
-    return (fn.A.c + [zero] * (dA + 1 - len(fn.A.c))
-            + fn.B.c + [zero] * (dB + 1 - len(fn.B.c)))
-
-
-def _complement(field, model, Vb, e1, shift):
-    """A member of Vb independent of x^j e1, j = 0..shift."""
-    cands = [RRFunction(model, e1.A.shift(j), e1.B.shift(j), e1.den)
-             for j in range(shift + 1)]
-    dA = max([f.A.degree for f in cands + Vb if not f.A.is_zero()] + [0])
-    dB = max([f.B.degree for f in cands + Vb if not f.B.is_zero()] + [0])
-    span = [_fn_coords(f, dA, dB) for f in cands]
-    r0 = linalg.rank(span, field)
-    for f in Vb:
-        if linalg.rank(span + [_fn_coords(f, dA, dB)], field) > r0:
-            return f
-    raise ValueError("no complement found in section space")
-
-
-def _solve_y_action(field, model, u, src, e1, e2, deg1, deg2):
-    """Write y*src = p1(x) e1 + p2(x) e2 with deg p1 <= deg1 and
-    deg p2 <= deg2, by an exact linear solve on numerator coefficients.
-    Returns (p1, p2)."""
-    target = _mul_y(model, src)
-    cols = []
-    for j in range(deg1 + 1):
-        cols.append(RRFunction(model, e1.A.shift(j), e1.B.shift(j), u))
-    for j in range(deg2 + 1):
-        cols.append(RRFunction(model, e2.A.shift(j), e2.B.shift(j), u))
-    allf = cols + [target]
-    dA = max([f.A.degree for f in allf if not f.A.is_zero()] + [0])
-    dB = max([f.B.degree for f in allf if not f.B.is_zero()] + [0])
-    mat = [_fn_coords(f, dA, dB) for f in cols]
-    rhs = _fn_coords(target, dA, dB)
-    # transpose to equations-per-coefficient
-    rows = [[mat[c][r] for c in range(len(cols))] for r in range(len(rhs))]
-    sol = linalg.solve(rows, rhs, field)
-    if sol is None:
-        raise ValueError("y-action does not close on the chosen basis")
-    return Poly(field, sol[:deg1 + 1]), Poly(field, sol[deg1 + 1:])
+    P = HForm.from_univar(-v, g + 1)
+    q = HForm.from_univar(u, 2 * a)
+    f = HForm.from_univar((model.fodd - v * v).exact_div(u), 2 * b)
+    return BundlePair(ring, a, b, model.untransform_form(P),
+                      model.untransform_form(f), model.untransform_form(q))
 
 
 # ---------------------------------------------------------------------------

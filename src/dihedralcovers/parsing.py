@@ -99,9 +99,9 @@ def _terms(s):
         yield sign * coeff, exps
 
 
-def parse_univar(s, field, var=None):
-    """Parse a univariate polynomial.  If ``var`` is None the variable
-    is inferred; a constant string works too."""
+def parse_univar(s, field):
+    """Parse a univariate polynomial in any one variable; a constant
+    string works too."""
     coeffs = {}
     seen = set()
     for c, exps in _terms(s):
@@ -110,7 +110,7 @@ def parse_univar(s, field, var=None):
         if len(exps) > 1:
             raise ValueError("more than one variable in %r" % s)
         coeffs[e] = coeffs.get(e, Fraction(0)) + c
-    if len(seen) > 1 or (var is not None and seen - {var}):
+    if len(seen) > 1:
         raise ValueError("unexpected variables %s in %r" % (sorted(seen), s))
     deg = max(coeffs) if coeffs else 0
     return Poly(field, [coeffs.get(i, 0) for i in range(deg + 1)])
@@ -163,8 +163,8 @@ def _join_terms(terms):
     return " ".join(parts) or "0"
 
 
-def format_univar(p, var="x"):
-    monos = ["", var] + ["%s^%d" % (var, i) for i in range(2, len(p.c))]
+def format_univar(p):
+    monos = ["", "x"] + ["x^%d" % i for i in range(2, len(p.c))]
     return _join_terms((a, monos[i]) for i, a in reversed(list(enumerate(p.c))) if a)
 
 

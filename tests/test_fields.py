@@ -92,6 +92,18 @@ def test_mixed_characteristic_rejected():
         FpElem(1, 7) + FpElem(1, 11)
 
 
+def test_embedding_agrees_with_unbox():
+    K = GF(7)
+    with pytest.raises(ValueError, match="mixed characteristics 7 and 5"):
+        K.of(FpElem(3, 5))
+    with pytest.raises(ZeroDivisionError):
+        K.of(Fraction(3, 14))
+    for x, v in ((10, 3), (-1, 6), (Fraction(1, 2), 4), (Fraction(-5, 3), 3),
+                 (FpElem(3, 7), 3), (FpElem(0, 7), 0)):
+        y = K.of(x)
+        assert type(y) is FpElem and (y.v, y.p) == (v, 7) and y.v == K.unbox(x)
+
+
 class Foreign:
     """A type FpElem does not know, with reflected operators of its own."""
 

@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from dihedralcovers.fields import GF
+from dihedralcovers.fields import GF, QQ
+from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly, poly_gcd
 from dihedralcovers.parsing import parse_form, parse_univar
 from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
@@ -91,6 +94,30 @@ def test_tensor_matches_cantor_addition():
         pa, pb = matrix_from_class(c, a), matrix_from_class(c, b)
         assert class_from_matrix(tensor(pa, pb)) == a + b
         assert class_from_matrix(inverse(pa)) == -a
+
+
+def _quintic_curve(p):
+    # y^2 = x^5 - x + 1, with no roots in GF(3) or GF(5)
+    K = GF(p)
+    return HECurve.from_odd_poly(K, 2, Poly(K, [1, -1, 0, 0, 0, 1]))
+
+
+def test_matrix_from_class_is_mumfords_matrix():
+    # in odd-model coordinates the pair is [[-v, (fodd - v^2)/u], [u, v]]
+    # up to the conjugation by diag(1, lam) that makes q's chart monic
+    for curve in (split_curve(7, 1), split_curve(7, 2),
+                  _quintic_curve(3), _quintic_curve(5)):
+        model = curve.odd_model()
+        for c in enumerate_jacobian(model):
+            pair = matrix_from_class(curve, c)
+            P, f, q = (model.transform_form(e).to_univar()
+                       for e in (pair.P, pair.f, pair.q))
+            lam = q.lead()
+            assert q == c.u * lam
+            assert P == -c.v
+            assert f * lam == (model.fodd - c.v * c.v).exact_div(c.u)
+            a = (c.u.degree + 1) // 2
+            assert (pair.a, pair.b) == (a, curve.g + 1 - a) == stratum(pair)
 
 
 def test_stratum():
@@ -188,6 +215,43 @@ def test_genus_two_roundtrip_random(rng):
         assert class_from_matrix(pair) == a
 
 
+def _rational_points(model):
+    """The points (x, y) of the odd model with x = n/d, |n| <= 6, d <= 3."""
+    out = []
+    for d in (1, 2, 3):
+        for n in range(-6, 7):
+            x = Fraction(n, d)
+            fx = model.fodd(x)
+            if x.denominator != d or fx < 0:
+                continue
+            y = Fraction(math.isqrt(fx.numerator), math.isqrt(fx.denominator))
+            if y * y == fx:
+                out += [model.point_class(x, y)] + ([model.point_class(x, -y)] if y else [])
+    return out
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_roundtrip_over_q_from_rational_points(g):
+    roots = [0, 1, -1, 2, -2, 3, -3, 4][:2 * g + 2]
+    x = Poly.x(QQ)
+    F = Poly.one(QQ)
+    for r in roots:
+        F = F * (x - Poly.const(QQ, Fraction(r)))
+    curve = HECurve(QQ, g, HForm.from_univar(F, 2 * g + 2))
+    model = curve.odd_model()
+    points = _rational_points(model)[:6]
+    degrees = set()
+    for k in range(1, g + 1):
+        for pts in itertools.combinations(points, k):
+            c = sum(pts, model.zero_class())
+            pair = matrix_from_class(curve, c)
+            assert class_from_matrix(pair) == c
+            a = (c.u.degree + 1) // 2
+            assert stratum(pair) == (pair.a, pair.b) == (a, g + 1 - a)
+            degrees.add(c.u.degree)
+    assert degrees == set(range(g + 1))
+
+
 def test_json_roundtrip():
     c = small_curve()
     assert HECurve.from_json(c.to_json(), K7) == c
@@ -254,7 +318,7 @@ def _group_law_round(curve, a, b):
     return [pa, pb, t, ms, inverse(pa)], [total]
 
 
-@pytest.mark.parametrize("g", [1, 2])
+@pytest.mark.parametrize("g", [1, 2, 3])
 def test_group_law_over_a_61_bit_prime(rng, g):
     curve = split_curve(2 ** 61 - 1, g)
     model = curve.odd_model()
