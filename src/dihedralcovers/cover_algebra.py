@@ -21,6 +21,15 @@ characteristic zero or p > 2 (halves are required).  The dihedral
 action is sigma(u^i) = zeta^i u^i (needing a cyclotomic coefficient
 field) and tau swapping u with v, hence negating s.
 
+Products run on the structure constants, a table built from these
+relations on an algebra's first product: for each pair of basis
+elements, the short list of (basis key, scalar, (da, dF)) with
+x_k1 x_k2 = sum scalar * a^da F^dF * x_key.  A product of two elements
+then costs one coefficient product per pair of terms, whose monomials
+are shifted by (da, dF) and multiplied by the scalar.  Arithmetic
+builds its ``AFPoly`` results from dicts of nonzero field elements as
+they are, with no ``K.of`` or zero test per coefficient.
+
 On top of the algebra:
 
 * ``m_plus`` / ``m_minus`` are the symmetrized and antisymmetrized
@@ -40,6 +49,26 @@ from fractions import Fraction
 
 from .fields import QQ
 from .cyclotomic import CyclotomicField
+
+
+def _afpoly(K, terms):
+    """An AFPoly on a dict of nonzero field elements, taken as it is."""
+    p = AFPoly.__new__(AFPoly)
+    p.K = K
+    p.terms = terms
+    return p
+
+
+def _times(t1, t2):
+    """The product of two term dicts; a cancelled term stays as a zero."""
+    out = {}
+    for (i1, j1), c1 in t1.items():
+        for (i2, j2), c2 in t2.items():
+            e = (i1 + i2, j1 + j2)
+            c = c1 * c2
+            w = out.get(e)
+            out[e] = c if w is None else w + c
+    return out
 
 
 class AFPoly:
@@ -76,28 +105,19 @@ class AFPoly:
                 t[e] = s
             else:
                 t.pop(e, None)
-        return AFPoly(self.K, t)
+        return _afpoly(self.K, t)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AFPoly(self.K, {e: -c for e, c in self.terms.items()})
+        return _afpoly(self.K, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, AFPoly):
             s = self.K.of(other)
-            return AFPoly(self.K, {e: c * s for e, c in self.terms.items()})
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1])
-                s = t.get(e, self.K.zero) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    t.pop(e, None)
-        return AFPoly(self.K, t)
+            return _afpoly(self.K, {e: c * s for e, c in self.terms.items()} if s else {})
+        return _afpoly(self.K, {e: c for e, c in _times(self.terms, other.terms).items() if c})
 
     __rmul__ = __mul__
 
@@ -135,6 +155,7 @@ class SimpleCoverAlgebra:
         self.n = n
         self.K = K
         self.half = AFPoly.const(K, K.inv(K.of(2)))
+        self._table = None
 
     # -- element constructors -------------------------------------------
 
@@ -200,19 +221,44 @@ class SimpleCoverAlgebra:
     # -- multiplication --------------------------------------------------
 
     def mul(self, x, y):
-        out = {}
+        table = self._table or self._build_table()
+        one = self.K.one
+        acc = {}
         for k1, c1 in x.items():
+            row = table[k1]
+            t1 = c1.terms
             for k2, c2 in y.items():
-                prod = self._mul_basis(k1, k2)
-                c = c1 * c2
-                for k, w in prod.items():
-                    s = out.get(k)
-                    s = c * w if s is None else s + c * w
-                    if s.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                c = _times(t1, c2.terms)
+                for key, s, (da, dF) in row[k2]:
+                    t = acc.get(key)
+                    if t is None:
+                        t = acc[key] = {}
+                    for (i, j), w in c.items():
+                        if s is not one:
+                            w = s * w
+                        e = (i + da, j + dF)
+                        old = t.get(e)
+                        t[e] = w if old is None else old + w
+        out = {}
+        for key, t in acc.items():
+            t = {e: w for e, w in t.items() if w}
+            if t:
+                out[key] = _afpoly(self.K, t)
         return out
+
+    def _build_table(self):
+        """The structure constants: for each pair of basis keys, the list
+        of (key, scalar, (da, dF)) with x_k1 x_k2 the sum of
+        scalar * a^da F^dF * x_key; a scalar equal to one is ``K.one``."""
+        keys = [k for b in self.basis() for k in b]
+        one = self.K.one
+        self._table = {
+            k1: {k2: [(key, one if c == one else c, e)
+                      for key, w in self._mul_basis(k1, k2).items()
+                      for e, c in w.terms.items()]
+                 for k2 in keys}
+            for k1 in keys}
+        return self._table
 
     def _mul_basis(self, k1, k2):
         K, n = self.K, self.n
@@ -258,26 +304,25 @@ class SimpleCoverAlgebra:
         out = {}
         for k, c in x.items():
             if k == "1":
-                out["1"] = out.get("1", AFPoly(self.K)) + c
+                out[k] = c
             elif k == "s":
-                out["s"] = out.get("s", AFPoly(self.K)) - c
+                out[k] = -c
             else:
-                letter, i = k
-                k2 = ("v" if letter == "u" else "u", i)
-                out[k2] = out.get(k2, AFPoly(self.K)) + c
+                out[("v" if k[0] == "u" else "u", k[1])] = c
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     def sigma(self, x):
-        if not isinstance(self.K, CyclotomicField) or self.K.n % self.n:
+        K = self.K
+        if not isinstance(K, CyclotomicField) or K.n % self.n:
             raise ValueError("sigma needs a coefficient field containing zeta_%d" % self.n)
-        z = lambda k: AFPoly.const(self.K, self.K.zeta(k * (self.K.n // self.n)))
+        step = K.n // self.n
         out = {}
         for k, c in x.items():
             if k in ("1", "s"):
                 out[k] = c
             else:
                 letter, i = k
-                out[k] = c * z(i if letter == "u" else -i)
+                out[k] = c * K.zeta(step * (i if letter == "u" else -i))
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     # -- symmetrized pairings -------------------------------------------

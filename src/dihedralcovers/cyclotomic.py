@@ -2,12 +2,18 @@
 polynomial.
 
 An element is the tuple of its phi(n) rational coefficients on the
-basis 1, t, ..., t^(phi(n)-1), always reduced.  Each field precomputes
-two tables: the reduced rows of t^k for phi(n) <= k <= 2 phi(n) - 2,
-and the n powers of zeta.  Addition and subtraction work coefficient
-by coefficient with no reduction; a product is the schoolbook product
-of the coefficients with its high part folded back through the t^k
-rows; complex conjugation sends t^k to zeta^(-k) from the power table.
+basis 1, t, ..., t^(phi(n)-1), always reduced.  A coefficient is a
+plain ``int`` whenever it is integral, and a ``Fraction`` only where a
+real denominator exists; since ``2 == Fraction(2)`` and the two hash
+alike, equality, hashing and the printed form do not depend on which
+of the two a value happens to be.  Each field precomputes two tables:
+the reduced rows of t^k for phi(n) <= k <= 2 phi(n) - 2, and the n
+powers of zeta.  Phi_n is monic with integer coefficients, so both
+tables hold ints, and arithmetic on integral elements never leaves the
+ints.  Addition and subtraction work coefficient by coefficient with no
+reduction; a product is the schoolbook product of the coefficients
+with its high part folded back through the t^k rows; complex
+conjugation sends t^k to zeta^(-k) from the power table.
 Inversion goes through the extended Euclidean algorithm against the
 modulus.  The class satisfies the same descriptor protocol as the
 fields in :mod:`dihedralcovers.fields` (zero, one, of, inv), so generic
@@ -21,7 +27,11 @@ from .poly import Poly, poly_xgcd
 
 _cyclo_cache = {}
 
-_ZERO = Fraction(0)
+
+def _plain(xs):
+    """The tuple of the rationals xs, each integral one as an int."""
+    return tuple([x if type(x) is int or x.denominator != 1 else x.numerator
+                  for x in xs])
 
 
 def cyclotomic_polynomial(n):
@@ -39,7 +49,7 @@ def cyclotomic_polynomial(n):
 
 class CycloElem:
     """An element of Q(zeta_n): ``rep`` is its reduced coefficient tuple,
-    of length phi(n), low degree first."""
+    of length phi(n), low degree first, with ints for integral entries."""
 
     __slots__ = ("field", "rep")
 
@@ -49,21 +59,21 @@ class CycloElem:
 
     def __add__(self, other):
         o = self.field._rep(other)
-        return CycloElem(self.field, tuple([a + b if a and b else a or b
-                                            for a, b in zip(self.rep, o)]))
+        return CycloElem(self.field, _plain([a + b if a and b else a or b
+                                             for a, b in zip(self.rep, o)]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self.field._rep(other)
-        return CycloElem(self.field, tuple([a - b if b else a for a, b in zip(self.rep, o)]))
+        return CycloElem(self.field, _plain([a - b if b else a for a, b in zip(self.rep, o)]))
 
     def __rsub__(self, other):
         return CycloElem(self.field, self.field._rep(other)) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycloElem(self.field, tuple([a * other if a else a for a in self.rep]))
+            return CycloElem(self.field, _plain([a * other if a else a for a in self.rep]))
         return CycloElem(self.field, self.field._mul(self.rep, self.field._rep(other)))
 
     __rmul__ = __mul__
@@ -99,14 +109,14 @@ class CycloElem:
     def conjugate(self):
         """Complex conjugation zeta -> zeta^(-1), so t^k -> zeta^(-k)."""
         K = self.field
-        out = [self.rep[0]] + [_ZERO] * (K.degree - 1)
+        out = [self.rep[0]] + [0] * (K.degree - 1)
         for k in range(1, K.degree):
             a = self.rep[k]
             if a:
                 for j, c in enumerate(K._zetas[-k % K.n].rep):
                     if c:
                         out[j] = out[j] + a * c
-        return CycloElem(K, tuple(out))
+        return CycloElem(K, _plain(out))
 
     def is_rational(self):
         return not any(self.rep[1:])
@@ -146,17 +156,17 @@ class CyclotomicField:
         self.characteristic = 0
         # rows[k] is t^k reduced, for 0 <= k < max(2d - 1, n): t^(k+1) is
         # t^k shifted, with its t^d coefficient folded back by t^d = -(m - t^d)
-        top = [-c for c in m.c[:d]]
-        rows = [tuple(Fraction(int(i == k)) for i in range(d)) for k in range(d)]
+        top = [-int(c) for c in m.c[:d]]
+        rows = [tuple(int(i == k) for i in range(d)) for k in range(d)]
         while len(rows) < max(2 * d - 1, n):
             last = rows[-1]
             lead = last[d - 1]
-            rows.append(tuple([(last[i - 1] if i else _ZERO) + lead * top[i]
+            rows.append(tuple([(last[i - 1] if i else 0) + lead * top[i]
                                for i in range(d)]))
         self._fold = rows[d:2 * d - 1]
         self._zetas = [CycloElem(self, row) for row in rows[:n]]
-        self._tail = (_ZERO,) * (d - 1)
-        self.zero = CycloElem(self, (_ZERO,) + self._tail)
+        self._tail = (0,) * (d - 1)
+        self.zero = CycloElem(self, (0,) + self._tail)
         self.one = self._zetas[0]
 
     def zeta(self, k=1):
@@ -176,7 +186,7 @@ class CyclotomicField:
                 raise ValueError("mixed cyclotomic orders %d and %d" % (self.n, x.field.n))
             return x.rep
         if isinstance(x, (int, Fraction)):
-            return (Fraction(x),) + self._tail
+            return _plain((x,)) + self._tail
         if isinstance(x, Poly):
             return self._reduce(x)
         raise TypeError("cannot coerce %r" % (x,))
@@ -184,12 +194,12 @@ class CyclotomicField:
     def _reduce(self, p):
         """The coefficient tuple of a rational polynomial modulo Phi_n."""
         c = (p % self.modulus).c
-        return tuple(c) + (_ZERO,) * (self.degree - len(c))
+        return _plain(c) + (0,) * (self.degree - len(c))
 
     def _mul(self, a, b):
         """The reduced product of two coefficient tuples."""
         d = self.degree
-        prod = [_ZERO] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
@@ -201,7 +211,7 @@ class CyclotomicField:
                 for j, c in enumerate(row):
                     if c:
                         prod[j] = prod[j] + h * c
-        return tuple(prod[:d])
+        return _plain(prod[:d])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.n == self.n

@@ -343,10 +343,6 @@ def rr_space(model, u, v, k):
     return basis
 
 
-def rr_dim(model, u, v, k):
-    return len(rr_space(model, u, v, k))
-
-
 def rr_dim_zeros(model, u, v, t):
     """dim L(t*inf - D) for the semireduced divisor D = (u, v): functions
     regular away from infinity, with pole at most t there, vanishing on D."""

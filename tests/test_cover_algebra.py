@@ -1,8 +1,10 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
-from dihedralcovers.fields import QQ
+from dihedralcovers.fields import GF, QQ
 from dihedralcovers.cyclotomic import CyclotomicField
 from dihedralcovers.cover_algebra import (AFPoly, SimpleCoverAlgebra,
                                           phi_tensor, phi_is_symmetric,
@@ -41,6 +43,99 @@ def test_commutativity_and_associativity():
             assert A.equal(A.mul(x, y), A.mul(y, x)), n
         for x, y, z in itertools.product(basis, repeat=3):
             assert A.equal(A.mul(A.mul(x, y), z), A.mul(x, A.mul(y, z))), n
+
+
+def test_associativity_over_a_prime_field():
+    K = GF(7)
+    for n in range(2, 7):
+        A = SimpleCoverAlgebra(n, K)
+        basis = A.basis()
+        for x, y, z in itertools.product(basis, repeat=3):
+            assert A.equal(A.mul(A.mul(x, y), z), A.mul(x, A.mul(y, z))), n
+
+
+def _reference_mul(A, x, y):
+    """x y from the defining relations alone: write each basis element
+    as a polynomial in u and v (s = u^n - v^n), multiply, then rewrite
+    with u v = F, u^(n+k) = u^k (2a - v^n) and u^n, v^n = a +- s/2."""
+    K, n = A.K, A.n
+    a, half = AFPoly.a(K), A.half
+
+    def uv(z):
+        out = {}
+        for key, c in z.items():
+            if key == "1":
+                mono = [((0, 0), c)]
+            elif key == "s":
+                mono = [((n, 0), c), ((0, n), -c)]
+            else:
+                mono = [((key[1], 0) if key[0] == "u" else (0, key[1]), c)]
+            for e, w in mono:
+                out[e] = out.get(e, AFPoly(K)) + w
+        return out
+
+    todo = {}
+    for (i1, j1), c1 in uv(x).items():
+        for (i2, j2), c2 in uv(y).items():
+            e = (i1 + i2, j1 + j2)
+            todo[e] = todo.get(e, AFPoly(K)) + c1 * c2
+    done = {}
+    while todo:
+        (i, j), c = todo.popitem()
+        if i and j:                             # u v = F
+            m = min(i, j)
+            new = [((i - m, j - m), c * AFPoly.F(K, m))]
+        elif max(i, j) > n:                     # u^(n+k) = 2a u^k - F^k v^(n-k)
+            k = max(i, j) - n
+            new = [((k, 0) if i else (0, k), c * a * 2),
+                   ((0, n - k) if i else (n - k, 0), -(c * AFPoly.F(K, k)))]
+        else:
+            done[i, j] = done.get((i, j), AFPoly(K)) + c
+            continue
+        for e, w in new:
+            todo[e] = todo.get(e, AFPoly(K)) + w
+    out = A.zero()
+    for (i, j), c in done.items():
+        if (i, j) == (0, 0):
+            out = A.add(out, A.scale(c, A.one()))
+        elif max(i, j) == n:                    # u^n, v^n = a +- s/2
+            sign = 1 if i else -1
+            out = A.add(out, A.scale(c * a, A.one()))
+            out = A.add(out, A.scale(c * half * sign, A.s()))
+        else:
+            out = A.add(out, A.scale(c, A.u(i) if i else A.v(j)))
+    return out
+
+
+def _random_element(A, rng, scalar):
+    x = A.zero()
+    for b in rng.sample(A.basis(), rng.randint(1, 4)):
+        coef = AFPoly(A.K, {(rng.randint(0, 2), rng.randint(0, 2)): scalar()
+                            for _ in range(rng.randint(1, 3))})
+        x = A.add(x, A.scale(coef, b))
+    return x
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_table_product_matches_the_defining_relations(n):
+    rng = random.Random(1000 + n)
+    Kn = CyclotomicField(n)
+
+    def cyclo():
+        return (Kn.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                + Kn.of(rng.randint(-3, 3)) * Kn.zeta(rng.randrange(n)))
+
+    fields = [(QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+              (GF(7), lambda: GF(7).of(rng.randrange(7))),
+              (GF(1009), lambda: GF(1009).of(rng.randrange(1009))),
+              (Kn, cyclo)]
+    for K, scalar in fields:
+        A = SimpleCoverAlgebra(n, K)
+        for _ in range(6):
+            x, y = _random_element(A, rng, scalar), _random_element(A, rng, scalar)
+            assert A.equal(A.mul(x, y), _reference_mul(A, x, y)), (n, K)
+        for k1, k2 in itertools.product(A.basis(), repeat=2):
+            assert A.equal(A.mul(k1, k2), _reference_mul(A, k1, k2)), (n, K)
 
 
 def test_tau_and_sigma_are_homomorphisms():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dihedralcovers import dihedral
-from dihedralcovers.cyclotomic import CyclotomicField, cyclotomic_polynomial
+from dihedralcovers.cyclotomic import CycloElem, CyclotomicField, cyclotomic_polynomial
 from dihedralcovers.fields import QQ
 from dihedralcovers.poly import Poly
 
@@ -81,6 +81,34 @@ def test_cyclotomic_arithmetic_matches_poly_oracle():
             assert (poly(a ** e) * pa ** -e) % phi == Poly.one(QQ)
 
     run()
+
+
+def _all_ints(x):
+    return all(type(c) is int for c in x.rep)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_integral_coefficients_are_plain_ints(n):
+    K = CyclotomicField(n)
+    zetas = [K.zeta(k) for k in range(n)]
+    assert _all_ints(K.of(2)) and _all_ints(K.of(Fraction(4, 2)))
+    assert _all_ints(K.zero) and _all_ints(K.one) and all(_all_ints(z) for z in zetas)
+    x = K.of(3) + zetas[-1] * 2 - zetas[n // 2]
+    y = zetas[1 % n] * x - x * 5
+    for e in (x, y, x + y, x - y, x * y, -x, y * 7, x ** 3, x.conjugate()):
+        assert _all_ints(e), e
+    # a real denominator stays a Fraction; one that cancels becomes an int
+    h = K.of(Fraction(1, 2))
+    assert type(h.rep[0]) is Fraction and type((K.one / 3).rep[0]) is Fraction
+    assert (x + h).rep[0] == x.rep[0] + Fraction(1, 2) and type((x + h).rep[0]) is Fraction
+    for e in (h * 2, h + h, h * K.of(2), (x / 3) * 3, K.of(6) / 2, x - h - h + 1):
+        assert _all_ints(e), e
+    # the Fraction-built form of each element is the same element
+    for e in (x, y, x * y, K.zero, K.of(-4)):
+        f = CycloElem(K, tuple(Fraction(c) for c in e.rep))
+        assert f == e and e == f and hash(f) == hash(e) and repr(f) == repr(e)
+        if e.is_rational():
+            assert e.rational_value() == f.rational_value()
 
 
 def test_group_law():

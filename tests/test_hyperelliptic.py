@@ -7,10 +7,10 @@ import pytest
 
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.homog import HForm
-from dihedralcovers.poly import Poly, poly_gcd
+from dihedralcovers.poly import Poly
 from dihedralcovers.parsing import parse_form, parse_univar
 from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
-                                          class_order, rr_dim, rr_dim_zeros,
+                                          class_order, rr_dim_zeros,
                                           class_from_matrix, matrix_from_class,
                                           stratum, torsion_matrix, is_n_torsion,
                                           sym_power_pushforward,
