@@ -20,8 +20,11 @@ partial derivatives and certifying that every candidate lies over a
 root of R.  Over Q both gcd tests first run modulo a large prime: a
 reduction that keeps the degrees and has gcd 1 proves gcd 1 over Q
 (Brown's one-sided modular gcd); only an inconclusive one falls back to
-the exact gcd.  Verdicts are "pass", "fail" or "inconclusive"; a pass
-or a fail always rests on an exact computation, never on sampling.
+the exact gcd, a subresultant sequence on integers.  The resultants
+over Q are taken on integers too: each form's denominators are cleared
+once, and its charts are evaluated on ints.  Verdicts are "pass",
+"fail" or "inconclusive"; a pass or a fail always rests on an exact
+computation, never on sampling.
 
 Invariants for surfaces (the projective plane or abstract intersection
 data) are computed twice, from the closed formulas
@@ -39,6 +42,7 @@ of the nonzero branch components, the cover is normal when kappa = 1 or
 when the class (n/kappa) F1 - sum (k/kappa) D_k has order exactly kappa.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -134,21 +138,36 @@ def resultant_wrt_last(f, g):
     deg(f)*deg(g) + 1 values x0 = 0, 1, 2, ... and interpolating, so a
     prime field with fewer elements raises ValueError.
     """
-    cf = [c.to_univar() for c in f.coeffs_in(2)]
-    cg = [c.to_univar() for c in g.coeffs_in(2)]
-    if cf[-1].is_zero() or cg[-1].is_zero():
+    cf = [c.to_univar().c for c in f.coeffs_in(2)]
+    cg = [c.to_univar().c for c in g.coeffs_in(2)]
+    if not cf[-1] or not cg[-1]:
         raise ValueError("forms must have full degree in x2")
     field, D = f.field, f.deg * g.deg
     p = field.characteristic
     if p and D + 1 > p:
         raise ValueError("resultant_wrt_last needs %d distinct points, GF(%d) has %d"
                          % (D + 1, p, p))
+    scale = 1
+    if not p:
+        # Res(lam f, mu g) = lam^(deg g) mu^(deg f) Res(f, g): with the
+        # denominators cleared, the charts are evaluated on ints
+        lam, cf = _clear_denominators(cf)
+        mu, cg = _clear_denominators(cg)
+        scale = lam ** g.deg * mu ** f.deg
     points = []
     for x in range(D + 1):
-        u = field.unbox(x)
-        points.append((x, resultant(plain_poly(field, trim_c([eval_c(c.c, u, p) for c in cf])),
-                                    plain_poly(field, trim_c([eval_c(c.c, u, p) for c in cg])))))
-    return HForm.from_univar(lagrange_interpolate(field, points), D)
+        points.append((x, resultant(plain_poly(field, trim_c([eval_c(c, x, p) for c in cf])),
+                                    plain_poly(field, trim_c([eval_c(c, x, p) for c in cg])))))
+    R = lagrange_interpolate(field, points)
+    if scale != 1:
+        R = R * Fraction(1, scale)
+    return HForm.from_univar(R, D)
+
+
+def _clear_denominators(charts):
+    """(lam, lam * charts on ints) for lam the lcm of all denominators."""
+    lam = math.lcm(*[v.denominator for c in charts for v in c])
+    return lam, [[v.numerator * (lam // v.denominator) for v in c] for c in charts]
 
 
 def radical_divides(h, r):
@@ -308,10 +327,12 @@ def _trivial_gcd_mod_prime(test, *forms):
     Soundness, the one-sided modular gcd (Brown, J. ACM 18, 1971): if no
     denominator vanishes and each form keeps its x1-multiplicity (its
     degree minus that of its chart f(x, 1)), the charts keep their
-    degrees, and so do their derivatives (of degree far below the prime).  A common factor over Q, made primitive
-    in Z[x] (Gauss's lemma), reduces to a common factor of equal degree,
-    and a common power of x1 stays common.  So a trivial gcd modulo the
-    prime proves a trivial gcd over Q."""
+    degrees, and so do their derivatives (of degree far below the
+    prime).  A common factor over Q, made primitive in Z[x] (Gauss's
+    lemma), reduces to a common factor of equal degree, and a common
+    power of x1 stays common.  So a trivial gcd modulo the prime proves
+    a trivial gcd over Q.  It stays in front of the exact gcd because
+    it is far cheaper whenever it decides."""
     if forms[0].field != QQ:
         return False
     K = GF(CERTIFICATE_PRIME)
@@ -478,7 +499,6 @@ def normality_criterion(n, pair, components):
     normal exactly when kappa = 1 or the class
     (n/kappa) F1 - sum (k/kappa) D_k has order kappa.
     """
-    import math
     ks = []
     classes = []
     for k, c in components:

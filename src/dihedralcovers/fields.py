@@ -20,6 +20,7 @@ over Q.  ``unbox`` turns an element (or an int or Fraction) into that
 value and ``box`` turns it back into an element.
 """
 
+import functools
 from fractions import Fraction
 
 
@@ -111,8 +112,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=64)
 def _is_prime(n):
-    """Deterministic Miller-Rabin for 1 < n < _MR_BOUND."""
+    """Deterministic Miller-Rabin for 1 < n < _MR_BOUND.  Cached, since
+    the plane checks over Q build GF(2^61 - 1) twice per attempt."""
     for q in _MR_BASES:
         if n % q == 0:
             return n == q

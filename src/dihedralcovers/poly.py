@@ -14,13 +14,19 @@ interpolation and powers modulo a polynomial (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 2-3).  Each takes the characteristic p
 of the field: for p > 0 the values are ints and every result is reduced
 mod p, with inverses from ``pow(a, -1, p)``; for p = 0 they are
-Fractions, with exact Fraction arithmetic.  Field elements are boxed
-(``FpElem``) only at the public accessors: ``coeff``, ``lead`` and
-evaluation return field elements; the constructor accepts field
-elements, ints and Fractions.  Nothing here ever touches a float
-except the degree sentinel.
+Fractions.  Over Q the gcd, the resultant, exact division and
+interpolation clear denominators once and work on ints (they also
+accept int lists), so that no coefficient operation pays for a Fraction
+gcd: the gcd and the resultant share one subresultant remainder
+sequence, and interpolation runs Newton's table on ints scaled by a
+common denominator.  Their results are Fractions again.  Field elements
+are boxed (``FpElem``) only at the public accessors: ``coeff``, ``lead``
+and evaluation return field elements; the constructor accepts field
+elements, ints and Fractions.  Nothing here ever touches a float except
+the degree sentinel.
 """
 
+import math
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -119,7 +125,16 @@ def monic_c(a, p):
 
 
 def gcd_c(a, b, p):
-    """The monic gcd (empty when both are zero)."""
+    """The monic gcd (empty when both are zero).  Over Q it comes from
+    the integer subresultant sequence of the primitive parts."""
+    if not p and a and b:
+        a, b = _primitive(a)[2], _primitive(b)[2]
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) > 1:
+            a, b = _subresultant_prs(a, b)[1:3]
+        g = a if not b else [1]
+        return [Fraction(v, g[-1]) for v in g]
     while b:
         a, b = b, divmod_c(a, b, p)[1]
     return monic_c(a, p)
@@ -141,71 +156,206 @@ def xgcd_c(a, b, p):
     return scale_c(r0, inv, p), scale_c(s0, inv, p), scale_c(t0, inv, p)
 
 
-def _pow(x, e, p):
-    return pow(x, e, p) if p else x ** e
-
-
 def resultant_c(a, b, p):
-    """Res(a, b) by the Euclidean remainder sequence: with r = a mod b,
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r)."""
+    """Res(a, b).  Over GF(p) by the Euclidean remainder sequence: with
+    r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r).
+    Over Q by the integer subresultant sequence of the primitive parts:
+    with a = c A and b = d B, Res(a, b) = c^(deg b) d^(deg a) Res(A, B)."""
     if not a or not b:
         return zero_c(p)
-    res = one_c(p)
+    if not p:
+        return _resultant_q(a, b)
+    res = 1
     while True:
         da, db = len(a) - 1, len(b) - 1
         if db == 0:
-            res = res * _pow(b[0], da, p)
-            return res % p if p else res
+            return res * pow(b[0], da, p) % p
         r = divmod_c(a, b, p)[1]
         if not r:
-            return zero_c(p)
-        res = res * _pow(b[-1], da - len(r) + 1, p)
+            return 0
+        res = res * pow(b[-1], da - len(r) + 1, p)
         if da & db & 1:
             res = -res
         a, b = b, r
 
 
+# -- Q on integers ----------------------------------------------------------
+#
+# Over Q the gcd, the resultant and exact division run on integer lists:
+# a nonzero list of rationals (Fractions, or ints) is c times a primitive
+# integer list, and the subresultant sequence of two integer lists keeps
+# its coefficients integral and about as long as the Sylvester minors
+# they are (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971),
+# where Euclid on Fractions pays a gcd per coefficient operation.
+
+
+def _primitive(c):
+    """(num, den, ints): the nonzero rational list c is num/den times the
+    primitive integer list ints."""
+    den = math.lcm(*[v.denominator for v in c])
+    ints = [v.numerator * (den // v.denominator) for v in c]
+    g = math.gcd(*ints)
+    return g, den, [v // g for v in ints]
+
+
+def _prem(a, b):
+    """The pseudo-remainder of the integer lists a and b, deg a >= deg b:
+    lc(b)^(deg a - deg b + 1) a mod b, computed without a division."""
+    db = len(b) - 1
+    lb, low = b[-1], b[:-1]
+    r = list(a)
+    for i in range(len(a) - 1 - db, -1, -1):
+        # r <- lc(b) r - lc(r) x^i b; the top term cancels
+        t = r[i + db]
+        r[:i + db] = ([lb * x for x in r[:i]]
+                      + [lb * x - t * y for x, y in zip(r[i:i + db], low)])
+    return trim_c(r[:db])
+
+
+def _subresultant_prs(a, b):
+    """The subresultant sequence of the integer lists a and b,
+    deg a >= deg b >= 1 (Cohen, GTM 138, Alg. 3.3.7), run until its last
+    member is a constant or zero.  Returns (s, a, b, h): the last two
+    members, h = lc of the last subresultant of degree deg a, and the
+    sign s = +-1 of Res(a, b) = s h^(1 - deg a) b^(deg a) when b is a
+    constant.  When b is zero, a is a gcd of the inputs."""
+    s, g, h = 1, 1, 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da & db & 1:
+            s = -s
+        r = _prem(a, b)
+        # Both divisions are exact.  By the fundamental theorem of
+        # subresultants the pseudo-remainder is g h^delta times the next
+        # subresultant, a polynomial in Z[x] (its coefficients are
+        # minors of the Sylvester matrix); and h^(1 - delta) g^delta is
+        # the leading coefficient of the subresultant of degree deg b,
+        # again a minor, so h^(delta - 1) divides g^delta.
+        den = g * h ** delta
+        a, b = b, [v // den for v in r]
+        g = a[-1]
+        if delta:
+            h = g ** delta // h ** (delta - 1)
+        if len(b) <= 1:
+            return s, a, b, h
+
+
+def _resultant_q(a, b):
+    """Res(a, b) of nonzero rational lists, as a Fraction."""
+    da, db = len(a) - 1, len(b) - 1
+    na, ma, a = _primitive(a)
+    nb, mb, b = _primitive(b)
+    num, den = na ** db * nb ** da, ma ** db * mb ** da
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da & db & 1:
+            num = -num
+    if db == 0:
+        return Fraction(num * b[0] ** da, den)
+    s, a, b, h = _subresultant_prs(a, b)
+    if not b:
+        return _QZERO
+    # the last subresultant, h^(1 - deg a) b^(deg a), lies in Z
+    da = len(a) - 1
+    return Fraction(num * (s * b[0] ** da // h ** (da - 1)), den)
+
+
+def _exact_div_q(a, b):
+    """a / b for nonzero rational lists with b dividing a; ValueError when
+    it does not.  On the primitive parts A and B: by Gauss's lemma a
+    primitive B divides A in Q[x] only with a quotient in Z[x], so each
+    quotient coefficient is an exact integer quotient, and the first
+    that is not proves that B does not divide A."""
+    na, ma, a = _primitive(a)
+    nb, mb, b = _primitive(b)
+    db, lb, low = len(b) - 1, b[-1], b[:-1]
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        t, rest = divmod(a[i + db], lb)
+        if rest:
+            raise ValueError("inexact polynomial division")
+        q[i] = t
+        if t:
+            a[i:i + db] = [x - t * y for x, y in zip(a[i:i + db], low)]
+    if not q or any(a[:db]):
+        raise ValueError("inexact polynomial division")
+    num, den = na * mb, ma * nb
+    return [Fraction(num * v, den) for v in q]
+
+
 def eval_c(a, x, p):
-    """a(x) by Horner's rule."""
-    r = zero_c(p)
+    """a(x) by Horner's rule (an int when a and x are ints)."""
+    r = 0
     for c in reversed(a):
         r = r * x + c
         if p:
             r %= p
-    return r
+    return r if a or p else _QZERO
 
 
 def interpolate_c(xs, ys, p):
     """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
     in O(len(xs)^2) operations: Newton's divided differences, then
-    Horner's rule on the Newton form.  A repeated node raises ValueError."""
+    Horner's rule on the Newton form.  A repeated node raises ValueError.
+    Over Q on integers (see ``_interpolate_q``)."""
+    if not p:
+        return _interpolate_q(xs, ys)
     n = len(xs)
     d = list(ys)
-    invs = {}       # over GF(p), one inverse per distinct node difference
+    invs = {}       # one inverse per distinct node difference
     # d[i] becomes the divided difference y[x_0, ..., x_i]; level k
     # divides by x_i - x_{i-k}, so every pair of nodes is differenced once
     for k in range(1, n):
         for i in range(n - 1, k - 1, -1):
-            dx = xs[i] - xs[i - k]
-            if p:
-                dx %= p
+            dx = (xs[i] - xs[i - k]) % p
             if not dx:
                 raise ValueError("repeated interpolation node %s" % (xs[i],))
-            if p:
-                inv = invs.get(dx)
-                if inv is None:
-                    inv = invs[dx] = pow(dx, -1, p)
-                d[i] = (d[i] - d[i - 1]) * inv % p
-            else:
-                d[i] = (d[i] - d[i - 1]) / dx
+            inv = invs.get(dx)
+            if inv is None:
+                inv = invs[dx] = pow(dx, -1, p)
+            d[i] = (d[i] - d[i - 1]) * inv % p
     c = []
-    zero = zero_c(p)
     for xk, dk in zip(reversed(xs), reversed(d)):
         # c <- c * (x - x_k) + d_k
-        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [zero])]
-        if p:
-            c = [v % p for v in c]
+        c = [(hi - xk * lo) % p for hi, lo in zip([dk] + c, c + [0])]
     return trim_c(c)
+
+
+def _interpolate_q(xs, ys):
+    """``interpolate_c`` over Q.  With the nodes scaled by N and the values
+    by M to integers X_i and Y_i, the polynomial is Q(N x) / (M W) for
+    the Q through the points (X_i, W Y_i), where W is the lcm of the
+    Lagrange denominators w_i = prod over j != i of (X_i - X_j).  Q lies
+    in Z[x] (it is sum_i Y_i (W / w_i) prod_{j != i} (x - X_j)), and the
+    divided differences of a polynomial in Z[x] at integer nodes are
+    integers, so Newton's table runs on ints with exact divisions, and
+    each output coefficient costs one division by M W."""
+    N = math.lcm(*[x.denominator for x in xs])
+    X = [x.numerator * (N // x.denominator) for x in xs]
+    M = math.lcm(*[y.denominator for y in ys])
+    if len(set(X)) < len(X):
+        raise ValueError("repeated interpolation node %s"
+                         % next(x for i, x in enumerate(xs) if X[i] in X[:i]))
+    W = 1
+    for xi in X:
+        w = 1
+        for xj in X:
+            if xj != xi:
+                w *= xi - xj
+        W = math.lcm(W, w)
+    d = [y.numerator * (M // y.denominator) * W for y in ys]
+    n = len(X)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            d[i] = (d[i] - d[i - 1]) // (X[i] - X[i - k])
+    c = []
+    for xk, dk in zip(reversed(X), reversed(d)):
+        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [0])]
+    if N > 1:
+        c = [v * N ** k for k, v in enumerate(c)]
+    den = W * M
+    return trim_c([Fraction(v, den) for v in c])
 
 
 def powmod_c(a, e, m, p):
@@ -332,6 +482,11 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
+        if self.field.characteristic == 0 and self.c:
+            b = self._plain(other)
+            if not b:
+                raise ZeroDivisionError("polynomial division by zero")
+            return plain_poly(self.field, _exact_div_q(self.c, b))
         q, r = divmod(self, other)
         if not r.is_zero():
             raise ValueError("inexact polynomial division")

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,67 @@ def test_inconclusive_reduction_falls_back_to_the_exact_gcd(monkeypatch):
     assert cg.check_simple(spec, seed=40).to_json() == want
     assert coprime_tries and not any(ok for _, _, ok in coprime_tries)
     assert QQ in gcd_fields                                 # the exact path decided
+
+
+def _singular_at_origin_pair(rng):
+    """Two quartics with a = F = 1 at (0:0:1) and equal gradients there,
+    so a^2 - F^2 is singular at a point off F = 0."""
+    shared = {(1, 0, 3): rng.randint(-9, 9), (0, 1, 3): rng.randint(-9, 9), (0, 0, 4): 1}
+
+    def form():
+        terms = dict(shared)
+        for i in range(5):
+            for j in range(5 - i):
+                if i + j >= 2:
+                    terms[(i, j, 4 - i - j)] = rng.randint(-9, 9)
+        return HForm(QQ, 3, 4, terms)
+    return form(), form()
+
+
+def test_singular_pair_gets_a_verdict_from_the_exact_gcd(monkeypatch):
+    # the modular step cannot prove gcd(r1', r2) = 1 here, since a common
+    # root off R really exists, so the exact gcd over Q decides; on
+    # Fractions it gave no verdict within a minute even on one attempt
+    a, F = _singular_at_origin_pair(random.Random(1))
+    G = a * a - F * F
+    assert F((0, 0, 1)) == 1
+    assert all(h((0, 0, 1)) == 0 for h in [G] + [G.partial(i) for i in range(3)])
+    spec = cg.SimpleCoverSpec(2, cg.ProjectiveSpace(2, 2), a, F)
+    monkeypatch.setattr(cg, "ATTEMPTS", 1)
+
+    def give_up(signum, frame):
+        raise TimeoutError("no verdict within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    try:
+        report = cg.check_simple(spec, seed=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (report.condition_i, report.condition_ii) == ("inconclusive", "pass")
+    assert report.details["resultantDegree"] == 16
+
+
+def _rational_form(rng, deg):
+    terms = {(i, j, deg - i - j): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for i in range(deg + 1) for j in range(deg + 1 - i)}
+    terms[(0, 0, deg)] = Fraction(rng.randint(1, 9), rng.randint(1, 6))   # full x2-degree
+    return HForm(QQ, 3, deg, terms)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_resultant_wrt_last_over_q_reduces_to_the_large_prime_one(n, m):
+    # the reduction mod p of Res_x2(f, g) over Q is Res_x2 of the reduced
+    # forms over GF(p), when p divides no denominator and no x2-lead
+    K = GF(cg.CERTIFICATE_PRIME)
+    rng = random.Random(100 * n + m)
+    for _ in range(2):
+        f, g = _rational_form(rng, n * m), _rational_form(rng, 2 * m)
+        R = cg.resultant_wrt_last(f, g)
+        assert R.deg == f.deg * g.deg and not R.is_zero()
+        reduced = cg.resultant_wrt_last(HForm(K, 3, f.deg, f.terms), HForm(K, 3, g.deg, g.terms))
+        assert HForm(K, 2, R.deg, R.terms) == reduced
 
 
 # -- prime fields too small for the interpolation -----------------------

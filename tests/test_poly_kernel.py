@@ -7,6 +7,7 @@ list kernel must give the same coefficients over GF(3), GF(5),
 GF(1009), GF(2^61 - 1) and Q.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -154,14 +155,26 @@ def assert_plain(K, c):
         assert all(type(v) is Fraction for v in c)
 
 
+def embed(K, v):
+    """The int or Fraction v as an element of K; over GF(p) a Fraction
+    keeps only its numerator, so no denominator can vanish mod p."""
+    if K.characteristic and isinstance(v, Fraction):
+        v = v.numerator
+    return K.of(v)
+
+
 def with_polys(count, max_len=8):
     """Run the decorated check(K, *polys) on ``count`` random coefficient
     lists of field elements, over each field of FIELDS."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     # small values give many zero and cancelling coefficients and leading
-    # zeros to trim; large ones wrap around every p
-    values = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    # zeros to trim; large ones wrap around every p; over Q, non-integral
+    # Fractions make the kernel clear denominators
+    values = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70),
+                       st.fractions(-5, 5, max_denominator=12),
+                       st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                                 st.integers(1, 2 ** 40)))
     lists = st.tuples(*[st.lists(values, max_size=max_len) for _ in range(count)])
 
     def wrap(check):
@@ -169,7 +182,7 @@ def with_polys(count, max_len=8):
         @hyp.given(st.sampled_from(range(len(FIELDS))), lists)
         def run(fi, polys):
             K = FIELDS[fi]
-            check(K, *[ref_trim([K.of(v) for v in c]) for c in polys])
+            check(K, *[ref_trim([embed(K, v) for v in c]) for c in polys])
         return run
     return wrap
 
@@ -199,6 +212,24 @@ def test_divmod_matches_the_boxed_loop():
         assert_plain(K, q)
         assert_plain(K, r)
         assert (q, r) == (plain(K, wq), plain(K, wr))
+    run()
+
+
+def test_exact_division_matches_the_boxed_loop():
+    @with_polys(2)
+    def run(K, a, b):
+        if not b:
+            return
+        A, B = Poly(K, a), Poly(K, b)
+        assert (A * B).exact_div(B).c == plain(K, a)
+        wq, wr = ref_divmod(K, a, b)
+        if wr:
+            with pytest.raises(ValueError, match="inexact"):
+                A.exact_div(B)
+        else:
+            got = A.exact_div(B).c
+            assert_plain(K, got)
+            assert got == plain(K, wq)
     run()
 
 
@@ -235,6 +266,51 @@ def test_common_factor_gives_gcd_and_zero_resultant():
     run()
 
 
+# over Q: (a, b) pairs for the cases the integer subresultant sequence
+# treats apart, as int or Fraction coefficients, low degree first
+Q_CASES = [
+    ([Fraction(3, 4)], [1, 2, 3]),                          # constant operand
+    ([1, 2, 3], [Fraction(-5, 2)]),
+    ([7], [Fraction(2, 9)]),                                # both constant
+    ([1, Fraction(1, 2), 0, 3], [2, 0, 1, 0, Fraction(-1, 3), 4]),  # deg 3 < deg 5
+    ([0, 1], [1, 0, 1, 1]),                                 # deg 1 < deg 3
+    ([-1, 0, 1], [1, 2, 1]),                                # common factor x + 1
+    ([Fraction(1, 6), Fraction(5, 6), 1],                   # (x + 1/2)(x + 1/3)
+     [Fraction(1, 2), Fraction(3, 2), 1]),                  # (x + 1/2)(x + 1)
+    ([0, 0, 2], [0, 3]),                                    # common factor x
+    ([1, 0, 0, 0, 1], [1, 1, 0, 1, 0, 1]),                  # coprime, several steps
+]
+
+
+@pytest.mark.parametrize("a,b", Q_CASES)
+def test_q_gcd_and_resultant_cases_match_the_boxed_loops(a, b):
+    a, b = [QQ.of(v) for v in a], [QQ.of(v) for v in b]
+    for x, y in ((a, b), (b, a)):
+        assert gcd_c(x, y, 0) == ref_gcd(QQ, x, y)
+        assert resultant_c(x, y, 0) == ref_resultant(QQ, x, y)
+        assert type(resultant_c(x, y, 0)) is Fraction
+
+
+def test_q_gcd_and_resultant_through_degree_gaps():
+    # small sparse coefficients make remainder degrees drop by two or
+    # more, the steps where the subresultant sequence updates h by
+    # g^delta / h^(delta - 1)
+    rng = random.Random(17)
+    for _ in range(400):
+        a, b = ([QQ.of(rng.choice((0, 0, 1, -1, 2, -3, Fraction(1, 2))))
+                 for _ in range(rng.randint(1, 9))] for _ in range(2))
+        a, b = ref_trim(a), ref_trim(b)
+        assert gcd_c(a, b, 0) == ref_gcd(QQ, a, b)
+        assert resultant_c(a, b, 0) == ref_resultant(QQ, a, b)
+
+
+@pytest.mark.parametrize("K,nodes", [(GF(1009), (5, 3, 5)),
+                                     (QQ, (Fraction(1, 2), 3, Fraction(1, 2)))])
+def test_repeated_interpolation_node_raises(K, nodes):
+    with pytest.raises(ValueError, match="repeated interpolation node"):
+        lagrange_interpolate(K, [(K.of(x), K.one) for x in nodes])
+
+
 def test_evaluation_matches_horner_on_elements():
     @with_polys(1)
     def run(K, a):
@@ -259,10 +335,14 @@ def test_interpolation_matches_the_boxed_newton_form():
         n = min(n, K.characteristic or n)
         if K.characteristic:
             nodes = rng.sample(range(min(K.characteristic, 10 ** 6)), n)
+            ys = [rng.randint(-10 ** 20, 10 ** 20) for _ in nodes]
         else:
-            nodes = rng.sample(range(-40, 40), n)
+            # distinct rational nodes, and values with denominators
+            nodes = list({Fraction(v, rng.randint(1, 6)) for v in rng.sample(range(-40, 40), n)})
+            ys = [Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 6))
+                  for _ in nodes]
         xs = [K.of(v) for v in nodes]
-        ys = [K.of(rng.randint(-10 ** 20, 10 ** 20)) for _ in xs]
+        ys = [K.of(v) for v in ys]
         got = interpolate_c(plain(K, xs), plain(K, ys), K.characteristic)
         assert_plain(K, got)
         assert got == plain(K, ref_interpolate(K, xs, ys))
