@@ -89,7 +89,7 @@ def run_torsion(job):
     if job.get("oracle"):
         order = class_order(class_from_matrix(pair))
         out["classOrder"] = order
-        out["oracleAgrees"] = (order is not None and n % order == 0) == torsion
+        out["oracleAgrees"] = (n % order == 0) == torsion
     return out, 0
 
 

@@ -50,7 +50,7 @@ from .fields import QQ, GF
 from .poly import (plain_poly, trim_c, eval_c, powmod_c, poly_gcd, resultant,
                    lagrange_interpolate)
 from .homog import HForm, form_gcd
-from .hyperelliptic import class_from_matrix, class_order
+from .hyperelliptic import class_from_matrix
 from .deformations import pushforward_twists
 
 
@@ -522,8 +522,9 @@ def normality_criterion(n, pair, components):
     c = (n // kappa) * class_from_matrix(pair)
     for k, d in classes:
         c = c - (k // kappa) * d
-    order = class_order(c)
-    return order == kappa
+    # order exactly kappa: kappa * c vanishes, no proper divisor's multiple does
+    return (kappa * c).is_zero() and all(
+        not (d * c).is_zero() for d in range(1, kappa) if kappa % d == 0)
 
 
 def building_data_degree_check(m, L_deg, D_degs):

@@ -98,7 +98,7 @@ class BundlePair:
 
     __slots__ = ("ring", "a", "b", "P", "f", "q")
 
-    def __init__(self, ring, a, b, P, f, q, normalize=True):
+    def __init__(self, ring, a, b, P, f, q):
         field = ring.field
         l = ring.l
         if a > b:
@@ -121,8 +121,7 @@ class BundlePair:
         self.P = P
         self.f = f
         self.q = q
-        if normalize:
-            self._normalize()
+        self._normalize()
 
     def _normalize(self):
         field = self.ring.field
@@ -146,9 +145,6 @@ class BundlePair:
     @property
     def splitting(self):
         return (-self.a, -self.b)
-
-    def degrees(self):
-        return {"P": self.P.deg, "f": self.f.deg, "q": self.q.deg}
 
     def matrix(self):
         """The z-action E(-L) -> E as a graded matrix."""
@@ -382,6 +378,10 @@ def divisor_of_section(pair, m, alpha, beta):
     identically, and ValueError when no single v interpolates the
     z-values (the vanishing scheme is then not reduced in a compatible
     way).
+
+    This is the general section route; ``hyperelliptic.class_from_matrix``
+    reads its answer for the section (1, 0) in closed form, and the tests
+    compare the two.
     """
     ring = pair.ring
     ring.require_normal("divisor of a section")

@@ -10,9 +10,9 @@ pairs (u, v) and the group law is composition and reduction.
 The two directions of the dictionary between divisor classes and
 trace-free matrix pairs:
 
-* ``class_from_matrix`` intersects a section of the twisted pair with
-  its z-image, giving a semireduced divisor (u, v) = (norm form,
-  z-value) which reduces to the class;
+* ``class_from_matrix`` reads the semireduced divisor (q, -(P mod q))
+  off the pair in odd-model coordinates, where the section (1, 0)
+  vanishes on q = 0 with z = P there, and reduces it to the class;
 * ``matrix_from_class`` writes down Mumford's matrix
   [[-v, (fodd - v^2)/u], [u, v]], which squares to fodd (Mumford, Tata
   Lectures on Theta II, ch. IIIa), homogenized with splitting
@@ -32,8 +32,7 @@ from fractions import Fraction
 
 from .poly import Poly, poly_xgcd, eval_c
 from .homog import HForm
-from .double_cover import (DoubleCoverRing, BundlePair, DegenerateSectionError,
-                           divisor_of_section, tensor)
+from .double_cover import DoubleCoverRing, BundlePair, tensor
 from . import linalg, parsing
 
 
@@ -381,40 +380,22 @@ def rr_dim_zeros(model, u, v, t):
 
 def class_from_matrix(pair):
     """The divisor class of a degree-zero pair, as a reduced Mumford pair
-    on the odd model of the pair's curve."""
-    ring = pair.ring
-    field = ring.field
-    g = ring.l - 1
-    curve = HECurve(field, g, ring.F)
-    model = curve.odd_model()
+    on the odd model of the pair's curve.
+
+    In odd-model coordinates the section (1, 0) of the pair vanishes on
+    u = q, and there z = P mod q; as the eigenvalue of N on the section
+    is the z-value at the conjugate point, the class is (q, -(P mod q)).
+    P^2 + q f = F makes u divide v^2 - fodd, which ``semireduced``
+    checks exactly.  q never vanishes: q = 0 would force P^2 = F, and F
+    is squarefree."""
+    g = pair.ring.l - 1
+    model = HECurve(pair.ring.field, g, pair.ring.F).odd_model()
     if pair.is_trivial():
         return model.zero_class()
     if pair.a + pair.b != g + 1:
         raise ValueError("class extraction needs a degree-zero pair")
-    # move the pair into odd-model coordinates
-    PT = model.transform_form(pair.P)
-    fT = model.transform_form(pair.f)
-    qT = model.transform_form(pair.q)
-    pairT = BundlePair(DoubleCoverRing(field, g + 1, model.transform_form(ring.F)),
-                       pair.a, pair.b, PT, fT, qT, normalize=False)
-    one = HForm.const(field, 2, field.one)
-    sections = [(one, 0)]
-    if pair.a == pair.b:
-        sections += [(0, one), (one, one)]
-    last_err = None
-    for alpha, beta in sections:
-        try:
-            uform, vpoly = divisor_of_section(pairT, pairT.a, alpha, beta)
-        except (DegenerateSectionError, ValueError) as e:
-            last_err = e
-            continue
-        ua = uform.to_univar()
-        if ua.is_zero():
-            continue
-        # the eigenvalue of N on the section is the z-value at the
-        # conjugate point, so the vanishing divisor carries -v
-        return model.semireduced(ua.monic(), -vpoly)
-    raise DegenerateSectionError("all candidate sections were degenerate: %s" % last_err)
+    return model.semireduced(model.transform_form(pair.q).to_univar(),
+                             -model.transform_form(pair.P).to_univar())
 
 
 def stratum(pair):

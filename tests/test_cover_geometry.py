@@ -9,9 +9,9 @@ from dihedralcovers.homog import HForm
 from dihedralcovers.parsing import parse_form
 from dihedralcovers import cover_geometry as cg, cli, linalg
 from dihedralcovers.hyperelliptic import (class_from_matrix, class_order,
-                                          enumerate_two_torsion)
+                                          matrix_from_class, enumerate_two_torsion)
 
-from conftest import split_curve
+from conftest import split_curve, random_class
 
 
 P2 = cg.ProjectiveSpace(2, 1)
@@ -186,6 +186,18 @@ def test_normality_criterion():
     assert cg.normality_criterion(2, two, []) is True
     # the trivial sheaf gives a disconnected cover
     assert cg.normality_criterion(2, triv, []) is False
+
+
+def test_normality_criterion_needs_no_class_order():
+    # 2 F1 - D has order 15,372, past the 512 additions of class_order
+    curve = split_curve(1009, 2)
+    model = curve.odd_model()
+    rng = random.Random(5)
+    F1, D = random_class(model, 2, rng), random_class(model, 2, rng)
+    assert cg.normality_criterion(4, matrix_from_class(curve, F1), [(2, D)]) is False
+    # a trivial F1 and one two-torsion component: kappa = 2, class order 2
+    two = class_from_matrix(enumerate_two_torsion(curve)[0])
+    assert cg.normality_criterion(4, curve.ring().trivial_pair(), [(2, two)]) is True
 
 
 def test_normality_rejects_shared_support():

@@ -1,11 +1,13 @@
 import itertools
+import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from dihedralcovers.fields import GF, QQ
+from dihedralcovers.fields import GF, QQ, field_from_name
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
 from dihedralcovers.parsing import parse_form, parse_univar
@@ -16,7 +18,8 @@ from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
                                           sym_power_pushforward,
                                           enumerate_two_torsion,
                                           enumerate_jacobian)
-from dihedralcovers.double_cover import tensor, inverse, is_isomorphic
+from dihedralcovers.double_cover import (DoubleCoverRing, BundlePair, tensor, inverse,
+                                         is_isomorphic, divisor_of_section)
 
 from conftest import split_curve, random_class
 
@@ -329,6 +332,76 @@ def test_group_law_over_a_61_bit_prime(rng, g):
             assert is_n_torsion(matrix_from_class(curve, a), n) == (n * a).is_zero()
 
 
+def _class_by_section(pair):
+    """The class of a degree-zero pair by the section route: the pair
+    moved to odd-model coordinates, the vanishing divisor (u, v) of its
+    section (1, 0), and the class (u, -v)."""
+    ring = pair.ring
+    field = ring.field
+    model = HECurve(field, ring.l - 1, ring.F).odd_model()
+    if pair.is_trivial():
+        return model.zero_class()
+    T = model.transform_form
+    pairT = BundlePair(DoubleCoverRing(field, ring.l, T(ring.F)),
+                       pair.a, pair.b, T(pair.P), T(pair.f), T(pair.q))
+    one = HForm.const(field, 2, field.one)
+    u, v = divisor_of_section(pairT, pairT.a, one, 0)
+    return model.semireduced(u.to_univar(), -v)
+
+
+def _q_vanishes_at_infinity(pair):
+    """True when q, in odd-model coordinates, vanishes at the branch
+    point at infinity."""
+    ring = pair.ring
+    model = HECurve(ring.field, ring.l - 1, ring.F).odd_model()
+    qT = model.transform_form(pair.q)
+    return qT.to_univar().degree < qT.deg
+
+
+def _oracle_pairs():
+    """Degree-zero pairs from every family the dictionary meets: all
+    classes of small split curves with their inverses, some tensors and
+    the two-torsion pairs; random classes over larger fields with the
+    tensors of neighbours; sums of rational points over Q; the pairs of
+    the golden batch."""
+    pairs = []
+    rng = random.Random(19)
+    for p, g in ((5, 1), (11, 1), (7, 1), (7, 2)):
+        curve = split_curve(p, g)
+        ms = [matrix_from_class(curve, c) for c in enumerate_jacobian(curve.odd_model())]
+        pairs += ms + [inverse(m) for m in ms] + enumerate_two_torsion(curve)
+        pairs += [tensor(rng.choice(ms), rng.choice(ms)) for _ in range(48)]
+    for p, g, k in ((101, 2, 4), (1009, 3, 3), (1009, 4, 2),
+                    (2 ** 61 - 1, 2, 3), (2 ** 61 - 1, 3, 2)):
+        curve = split_curve(p, g)
+        model = curve.odd_model()
+        ms = [matrix_from_class(curve, random_class(model, g, rng)) for _ in range(k)]
+        pairs += ms + [tensor(x, y) for x, y in zip(ms, ms[1:])]
+    x = Poly.x(QQ)
+    F = Poly.one(QQ)
+    for r in (0, 1, -1, 2, -2, 3):
+        F = F * (x - Poly.const(QQ, Fraction(r)))
+    curve = HECurve(QQ, 2, HForm.from_univar(F, 6))
+    points = _rational_points(curve.odd_model())[:6]
+    pairs += [matrix_from_class(curve, a + b) for a, b in itertools.combinations(points, 2)]
+    batch = pathlib.Path(__file__).parent / "golden" / "batch.json"
+    for job in json.loads(batch.read_text()):
+        field = field_from_name(job.get("field", "Q"))
+        for key in ("pair", "pair2"):
+            if key in job:
+                ring = HECurve.from_json(job["curve"], field).ring()
+                pairs.append(BundlePair.from_json(job[key], ring))
+    return pairs
+
+
+def test_class_from_matrix_matches_section_route():
+    pairs = _oracle_pairs()
+    for pair in pairs:
+        assert class_from_matrix(pair) == _class_by_section(pair), pair
+    # the closed form must also hold where q vanishes at infinity
+    assert 0 < sum(map(_q_vanishes_at_infinity, pairs)) < len(pairs)
+
+
 def test_gf_p_values_stay_reduced_ints(rng, monkeypatch):
     """Every Poly and HForm built on plain values during a GF(p) group-law
     round holds ints in range(p): never a float (an int / int would give
@@ -358,7 +431,9 @@ def test_gf_p_values_stay_reduced_ints(rng, monkeypatch):
     model = curve.odd_model()
     a, b = random_class(model, 2, rng), random_class(model, 2, rng)
     pairs, classes = _group_law_round(curve, a, b)
-    assert len(built) > 1000
+    # the patched constructors were really called, each hundreds of times
+    assert sum(isinstance(obj, Poly) for obj in built) >= 300
+    assert sum(isinstance(obj, HForm) for obj in built) >= 300
     for pair in pairs:
         for form in (pair.P, pair.f, pair.q):
             assert isinstance(form, HForm)
