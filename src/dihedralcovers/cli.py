@@ -31,7 +31,7 @@ import sys
 
 from .fields import field_from_name
 from . import parsing
-from .double_cover import DoubleCoverRing, BundlePair, tensor, inverse, is_isomorphic
+from .double_cover import BundlePair, tensor, inverse
 from .hyperelliptic import (HECurve, MumfordClass, class_from_matrix,
                             matrix_from_class, class_order, is_n_torsion,
                             stratum, enumerate_jacobian, enumerate_two_torsion,
@@ -67,10 +67,10 @@ def _curve(job, field):
     return HECurve.from_json(job["curve"], field)
 
 
-def _pair(job, key, ring):
+def _pair(job, key, curve):
     if key not in job:
         raise JobError("missing %s" % key)
-    return BundlePair.from_json(job[key], ring)
+    return BundlePair.from_json(job[key], curve)
 
 
 def _form(job, key, field, nvars=3):
@@ -82,22 +82,21 @@ def _form(job, key, field, nvars=3):
 def run_torsion(job):
     field = _field(job)
     curve = _curve(job, field)
-    pair = _pair(job, "pair", curve.ring())
+    pair = _pair(job, "pair", curve)
     n = int(job["n"])
     torsion = is_n_torsion(pair, n)
     out = {"n": n, "torsion": torsion}
     if job.get("oracle"):
-        order = class_order(class_from_matrix(pair))
-        out["classOrder"] = order
-        out["oracleAgrees"] = (n % order == 0) == torsion
+        c = class_from_matrix(pair)
+        out["classOrder"] = class_order(c)
+        out["oracleAgrees"] = (n * c).is_zero() == torsion
     return out, 0
 
 
 def run_pic(job):
     field = _field(job)
     curve = _curve(job, field)
-    ring = curve.ring()
-    pair = _pair(job, "pair", ring)
+    pair = _pair(job, "pair", curve)
     op = job.get("op", "class")
     out = {"op": op}
     if op == "class":
@@ -108,7 +107,7 @@ def run_pic(job):
     elif op == "inverse":
         out["pair"] = inverse(pair).to_json()
     elif op == "tensor":
-        other = _pair(job, "pair2", ring)
+        other = _pair(job, "pair2", curve)
         prod = tensor(pair, other)
         out["pair"] = prod.to_json()
         out["class"] = class_from_matrix(prod).to_json()

@@ -12,11 +12,18 @@ A :class:`BundlePair` stores (a, b, P, f, q) over a
 :class:`DoubleCoverRing` and normalizes q (or f, when q vanishes) to be
 monic, which is the scaling freedom of the choice of basis.
 
+A ring exists only for a squarefree F, that is for a normal cover; any
+other F raises :class:`NonNormalRingError`, a ``ValueError``.  The
+normal cover is the hyperelliptic curve of genus g = l - 1, and the ring
+is that curve: ``hyperelliptic.HECurve`` is its (field, g, F)
+constructor, and ``odd_model`` builds the curve's odd model on the first
+call and keeps it.
+
 Operations:
 
 * ``tensor`` multiplies two modules by presenting the product as the
   cokernel of psi = N1 (x) Id - Id (x) N2 and reading the z-action off a
-  kernel basis of the transpose;
+  kernel basis of the transpose, whose rank is always 2;
 * ``inverse`` flips the sign of P, which realizes the dual module up to
   the standard twist;
 * ``is_isomorphic`` solves the intertwining equation exactly and
@@ -29,19 +36,17 @@ Operations:
 The linear equations of ``tensor`` (its graded kernel and the
 factorization of the z-action through it) and of ``is_isomorphic``
 come from ``linalg.convolution_matrix``.
-
-Rings whose branch form F is not squarefree describe non-normal covers;
-module operations that presuppose invertibility refuse to run on them.
 """
 
 from .homog import HForm, form_gcd
-from .poly import Poly
+from .poly import Poly, base_field_roots
 from .graded import GradedMatrix, kernel_basis
 from . import linalg, parsing
 
 
 class NonNormalRingError(ValueError):
-    """Raised when an operation needs a squarefree branch form."""
+    """Raised for a branch form that is not squarefree: the double cover
+    is then not normal, and no ring is built for it."""
 
 
 class DegenerateSectionError(ValueError):
@@ -50,24 +55,22 @@ class DegenerateSectionError(ValueError):
 
 
 class DoubleCoverRing:
-    """R = O + z O(-l), z^2 = F, with F a binary form of degree 2l."""
+    """R = O + z O(-l), z^2 = F, with F a squarefree binary form of
+    degree 2l: the normal double cover of the line branched along F,
+    which is the hyperelliptic curve of genus g = l - 1."""
 
     def __init__(self, field, l, F):
         if field.characteristic == 2:
             raise ValueError("characteristic 2 is not supported")
         if F.nvars != 2 or F.deg != 2 * l:
             raise ValueError("branch form must be binary of degree %d" % (2 * l))
-        if F.is_zero():
-            raise ValueError("branch form must be nonzero")
+        if not F.is_squarefree():
+            raise NonNormalRingError("branch form must be squarefree (normal cover)")
         self.field = field
         self.l = l
+        self.g = l - 1
         self.F = F
-        self.is_normal = F.is_squarefree()
-
-    def require_normal(self, what):
-        if not self.is_normal:
-            raise NonNormalRingError(
-                "%s needs a squarefree branch form (normal cover)" % what)
+        self._odd = None
 
     def trivial_pair(self):
         """The structure sheaf as a module over itself: N = [[0, F], [1, 0]]."""
@@ -76,20 +79,31 @@ class DoubleCoverRing:
                           self.F,
                           HForm.const(self.field, 2, self.field.one))
 
+    def rational_branch_root(self):
+        """A root (r0 : r1) of F over the base field, or None."""
+        if self.F.x1_multiplicity() > 0:
+            return (self.field.one, self.field.zero)
+        x = next(base_field_roots(self.F.to_univar()), None)
+        return None if x is None else (x, self.field.one)
+
+    def odd_model(self):
+        """The odd model y^2 = fodd(x) after moving a rational branch root
+        to (1:0), built on the first call and kept with the ring."""
+        if self._odd is None:
+            # imported here: hyperelliptic builds on this module
+            from .hyperelliptic import OddModel
+            root = self.rational_branch_root()
+            if root is None:
+                raise ValueError("no rational branch point; odd model unavailable")
+            self._odd = OddModel(self, root)
+        return self._odd
+
     def __eq__(self, other):
         return (isinstance(other, DoubleCoverRing) and other.field == self.field
                 and other.l == self.l and other.F == self.F)
 
     def __repr__(self):
         return "DoubleCoverRing(l=%d, F=%s)" % (self.l, self.F)
-
-    def to_json(self):
-        return {"l": self.l, "F": parsing.format_form(self.F)}
-
-    @classmethod
-    def from_json(cls, data, field):
-        l = int(data["l"])
-        return cls(field, l, parsing.parse_form(data["F"], field, 2))
 
 
 class BundlePair:
@@ -170,7 +184,6 @@ class BundlePair:
     def is_locally_free(self):
         """True when the module is invertible: the entries have no
         common zero on the branch locus."""
-        self.ring.require_normal("local freeness test")
         g = form_gcd(form_gcd(self.P, form_gcd(self.q, self.f)), self.ring.F)
         return g.deg == 0 and g.x1_multiplicity() == 0
 
@@ -236,7 +249,6 @@ def tensor(p1, p2):
     if p1.ring != p2.ring:
         raise ValueError("pairs live over different rings")
     ring = p1.ring
-    ring.require_normal("tensor product")
     field = ring.field
     l = ring.l
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
@@ -258,9 +270,11 @@ def tensor(p1, p2):
     ])
     psi_ent = [[A.entry(i, j) - B.entry(i, j) for j in range(4)] for i in range(4)]
     psi = GradedMatrix(field, rows, cols, psi_ent)
-    K = kernel_basis(psi.transpose())
-    if K.ncols != 2:
-        raise ValueError("product module is not locally free of rank one")
+    # psi^T has a kernel of rank 2: each N_i is trace free, nonzero and
+    # squares to F, so over the fraction field with z = sqrt(F) adjoined it
+    # diagonalizes with eigenvalues z and -z (distinct, as F != 0 and the
+    # characteristic is not 2), and psi has eigenvalues 0, 0, 2z, -2z
+    K = kernel_basis(psi.transpose(), 2)
     AtK = A.transpose().compose(K)
     # factor: K(-l) . M = At . K, with M the z-action on the kernel
     KmL = K.twist(-l)
@@ -312,7 +326,6 @@ def _factor_through(K, B):
 
 def inverse(pair):
     """The inverse module: same splitting with P negated."""
-    pair.ring.require_normal("inverse")
     return BundlePair(pair.ring, pair.a, pair.b, -pair.P, pair.f, pair.q)
 
 
@@ -327,7 +340,6 @@ def is_isomorphic(p1, p2):
     """
     if p1.ring != p2.ring:
         raise ValueError("pairs live over different rings")
-    p1.ring.require_normal("isomorphism test")
     if (p1.a, p1.b) != (p2.a, p2.b):
         return False
     field = p1.ring.field
@@ -384,7 +396,6 @@ def divisor_of_section(pair, m, alpha, beta):
     compare the two.
     """
     ring = pair.ring
-    ring.require_normal("divisor of a section")
     field = ring.field
     da, db = m - pair.a, m - pair.b
     alpha = _as_form(field, alpha, max(da, 0))

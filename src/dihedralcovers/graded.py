@@ -13,13 +13,10 @@ check them.
 degree by degree; the equations in each degree come from
 ``linalg.convolution_matrix``.  On a line the kernel of a map of split
 bundles is itself split, so the number of minimal generators equals the
-corank and the search terminates; a degree bound derived from the
-column degrees caps the loop defensively.
-
-Rank is taken over the fraction field.  Setting x1 = 1 identifies each
-form with a univariate polynomial without changing any minor's
-vanishing, so fraction-free elimination on the dehomogenized matrix
-gives the exact rank.
+kernel's rank over the fraction field.  The caller knows that rank from
+the mathematics and passes it in; the search stops once it has that many
+generators, and a degree bound derived from the column degrees raises
+if the matrix has fewer.
 """
 
 from .poly import Poly
@@ -101,9 +98,6 @@ class GradedMatrix:
         """Entries as univariate polynomials (x1 = 1)."""
         return [[e.to_univar() for e in row] for row in self.entries]
 
-    def rank(self):
-        return linalg.bareiss_rank(self.univar(), Poly.one(self.field))
-
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
 
@@ -119,18 +113,16 @@ class GradedMatrix:
             self.row_twists, self.col_twists, self.entries)
 
 
-def kernel_basis(m):
-    """Minimal homogeneous generators of ker(m) as a GradedMatrix.
+def kernel_basis(m, nullity):
+    """Minimal homogeneous generators of ker(m) as a GradedMatrix, given
+    the kernel's rank ``nullity`` over the fraction field.
 
     The returned matrix K maps a twisted sum onto the kernel subsheaf of
-    m's source: m.compose(K) vanishes and K has full column rank equal
-    to m.ncols - m.rank().
+    m's source: m.compose(K) vanishes and K has ``nullity`` columns of
+    full rank.
     """
     field = m.field
-    nullity = m.ncols - m.rank()
     gens = []          # (twist, [Poly per source column]), by rising twist
-    if nullity == 0:
-        return GradedMatrix(field, list(m.col_twists), [], [[] for _ in m.col_twists])
     coeffs = [[e.c for e in row] for row in m.univar()]
     tmin = min(m.col_twists)
     span = sum(max(max((e.deg for e in (m.entries[i][j] for i in range(m.nrows))

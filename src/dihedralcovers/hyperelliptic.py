@@ -1,18 +1,22 @@
 """Hyperelliptic Jacobian arithmetic and its bridge to bundle pairs.
 
 A curve is given by its even model z^2 = F(x0, x1) with F binary,
-squarefree of degree 2g + 2.  When F has a rational root the coordinate
-change sending that root to (1:0) produces an odd model y^2 = fodd(x)
-with deg fodd = 2g + 1 and a single rational point at infinity, which
-is where divisor class arithmetic happens: classes are reduced Mumford
-pairs (u, v) and the group law is composition and reduction.
+squarefree of degree 2g + 2.  :class:`HECurve` is the double cover ring
+of ``double_cover`` with l = g + 1, built from (field, g, F): the pairs
+on a curve live over the curve itself.  When F has a rational root the
+coordinate change sending that root to (1:0) produces an odd model
+y^2 = fodd(x) with deg fodd = 2g + 1 and a single rational point at
+infinity, built once per curve (``odd_model``), which is where divisor
+class arithmetic happens: classes are reduced Mumford pairs (u, v) and
+the group law is composition and reduction (Cantor, Math. Comp. 48,
+1987).
 
 The two directions of the dictionary between divisor classes and
 trace-free matrix pairs:
 
 * ``class_from_matrix`` reads the semireduced divisor (q, -(P mod q))
-  off the pair in odd-model coordinates, where the section (1, 0)
-  vanishes on q = 0 with z = P there, and reduces it to the class;
+  off the pair in the odd model of the pair's ring, where the section
+  (1, 0) vanishes on q = 0 with z = P there, and reduces it to the class;
 * ``matrix_from_class`` writes down Mumford's matrix
   [[-v, (fodd - v^2)/u], [u, v]], which squares to fodd (Mumford, Tata
   Lectures on Theta II, ch. IIIa), homogenized with splitting
@@ -20,34 +24,28 @@ trace-free matrix pairs:
   ``BundlePair`` is its certificate.  ``stratum`` keeps the independent
   Riemann-Roch cross-check of the splitting.
 
-Torsion is certified two ways: by iterating the group law (the oracle)
-and by the rank of a resultant-style band matrix built from (P, f, q)
-by ``linalg.convolution_matrix``, which is rank deficient exactly when
-the class is n-torsion (``torsion_matrix`` / ``is_n_torsion``).
+Torsion is certified two ways: by the group law (the oracle: n * c by
+double-and-add; ``class_order`` iterates the addition and returns None
+past its bound) and by the rank of a resultant-style band matrix built
+from (P, f, q) by ``linalg.convolution_matrix``, which is rank deficient
+exactly when the class is n-torsion (``torsion_matrix`` /
+``is_n_torsion``).
 """
 
 import itertools
-import math
-from fractions import Fraction
 
-from .poly import Poly, poly_xgcd, eval_c
+from .poly import Poly, poly_xgcd, base_field_roots
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair, tensor
 from . import linalg, parsing
 
 
-class HECurve:
-    """A hyperelliptic curve of genus g in its even model z^2 = F."""
+class HECurve(DoubleCoverRing):
+    """A hyperelliptic curve of genus g in its even model z^2 = F: the
+    double cover ring with l = g + 1, built from (field, g, F)."""
 
     def __init__(self, field, g, F):
-        if F.nvars != 2 or F.deg != 2 * g + 2:
-            raise ValueError("even model needs a binary form of degree %d" % (2 * g + 2))
-        if not F.is_squarefree():
-            raise ValueError("branch form must be squarefree")
-        self.field = field
-        self.g = g
-        self.F = F
-        self._odd = None
+        super().__init__(field, g + 1, F)
 
     @classmethod
     def from_odd_poly(cls, field, g, fodd):
@@ -57,32 +55,6 @@ class HECurve:
         F = HForm.from_univar(fodd, 2 * g + 2)
         return cls(field, g, F)
 
-    def ring(self):
-        return DoubleCoverRing(self.field, self.g + 1, self.F)
-
-    def rational_branch_root(self):
-        """A root (r0 : r1) of F over the base field, or None."""
-        if self.F.x1_multiplicity() > 0:
-            return (self.field.one, self.field.zero)
-        x = next(_base_field_roots(self.F.to_univar()), None)
-        return None if x is None else (x, self.field.one)
-
-    def odd_model(self):
-        """The odd model after moving a rational branch root to (1:0)."""
-        if self._odd is None:
-            root = self.rational_branch_root()
-            if root is None:
-                raise ValueError("no rational branch point; odd model unavailable")
-            self._odd = OddModel(self, root)
-        return self._odd
-
-    def __eq__(self, other):
-        return (isinstance(other, HECurve) and other.field == self.field
-                and other.g == self.g and other.F == self.F)
-
-    def __repr__(self):
-        return "HECurve(g=%d, F=%s)" % (self.g, self.F)
-
     def to_json(self):
         return {"g": self.g, "F": parsing.format_form(self.F)}
 
@@ -90,44 +62,6 @@ class HECurve:
     def from_json(cls, data, field):
         g = int(data["g"])
         return cls(field, g, parsing.parse_form(data["F"], field, 2))
-
-
-def _base_field_roots(f):
-    """The distinct roots of the nonzero polynomial f in its base field,
-    found lazily in a fixed order: ascending residues over GF(p), and
-    over Q the rational-root-theorem candidates +-p/q, p dividing the
-    lowest nonzero and q the leading integer coefficient."""
-    field = f.field
-    p = field.characteristic
-    if p:
-        for v in range(p):
-            if not eval_c(f.c, v, p):
-                yield field.box(v)
-        return
-    den = math.lcm(*[Fraction(c).denominator for c in f.c])
-    ic = [int(Fraction(c) * den) for c in f.c]
-    lo = next(c for c in ic if c)
-    seen = set()
-    for p in _divisors(abs(lo)) | {0}:
-        for q in _divisors(abs(ic[-1])):
-            for s in (1, -1):
-                x = Fraction(s * p, q)
-                if x not in seen and not f(x):
-                    seen.add(x)
-                    yield x
-
-
-def _divisors(n):
-    if n == 0:
-        return {1}
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
 
 
 class OddModel:
@@ -288,13 +222,15 @@ def _reduce(model, u, v):
 
 
 def class_order(c, bound=512):
-    """The order of a class in the Jacobian, by iterated addition."""
+    """The order of a class in the Jacobian, by iterated addition, or
+    None when it exceeds ``bound``: orders in the thousands are common
+    over GF(p), and over Q a class may have infinite order."""
     acc = c
     for n in range(1, bound + 1):
         if acc.is_zero():
             return n
         acc = acc + c
-    raise ValueError("class order exceeds bound %d" % bound)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +324,10 @@ def class_from_matrix(pair):
     P^2 + q f = F makes u divide v^2 - fodd, which ``semireduced``
     checks exactly.  q never vanishes: q = 0 would force P^2 = F, and F
     is squarefree."""
-    g = pair.ring.l - 1
-    model = HECurve(pair.ring.field, g, pair.ring.F).odd_model()
+    model = pair.ring.odd_model()
     if pair.is_trivial():
         return model.zero_class()
-    if pair.a + pair.b != g + 1:
+    if pair.a + pair.b != model.g + 1:
         raise ValueError("class extraction needs a degree-zero pair")
     return model.semireduced(model.transform_form(pair.q).to_univar(),
                              -model.transform_form(pair.P).to_univar())
@@ -420,9 +355,8 @@ def matrix_from_class(curve, c):
     """The trace-free pair of a reduced divisor class on curve's odd model:
     Mumford's matrix [[-v, (fodd - v^2)/u], [u, v]], which squares to fodd,
     homogenized with a = ceil(deg u / 2) and b = g + 1 - a."""
-    ring = curve.ring()
     if c.is_zero():
-        return ring.trivial_pair()
+        return curve.trivial_pair()
     g = curve.g
     model = curve.odd_model()
     u, v = c.u, c.v
@@ -431,7 +365,7 @@ def matrix_from_class(curve, c):
     P = HForm.from_univar(-v, g + 1)
     q = HForm.from_univar(u, 2 * a)
     f = HForm.from_univar((model.fodd - v * v).exact_div(u), 2 * b)
-    return BundlePair(ring, a, b, model.untransform_form(P),
+    return BundlePair(curve, a, b, model.untransform_form(P),
                       model.untransform_form(f), model.untransform_form(q))
 
 
@@ -516,7 +450,6 @@ def enumerate_two_torsion(curve):
     n = len(factors)
     out = []
     seen = set()
-    ring = curve.ring()
     for a in range(1, (g + 1) // 2 + 1):
         for S in itertools.combinations(range(n), 2 * a):
             key = frozenset(S)
@@ -531,7 +464,7 @@ def enumerate_two_torsion(curve):
                     q = q * factors[i]
                 else:
                     f = f * factors[i]
-            out.append(BundlePair(ring, a, g + 1 - a, HForm.zero(field, 2, g + 1), f, q))
+            out.append(BundlePair(curve, a, g + 1 - a, HForm.zero(field, 2, g + 1), f, q))
     return out
 
 
@@ -540,7 +473,7 @@ def _split_linear_factors(F):
     split over the base field."""
     field = F.field
     u = F.to_univar()
-    roots = list(_base_field_roots(u))
+    roots = list(base_field_roots(u))
     if len(roots) < u.degree:
         return None
     factors = [HForm(field, 2, 1, {(0, 1): field.one})] * F.x1_multiplicity()

@@ -22,8 +22,9 @@ sequence, and interpolation runs Newton's table on ints scaled by a
 common denominator.  Their results are Fractions again.  Field elements
 are boxed (``FpElem``) only at the public accessors: ``coeff``, ``lead``
 and evaluation return field elements; the constructor accepts field
-elements, ints and Fractions.  Nothing here ever touches a float except
-the degree sentinel.
+elements, ints and Fractions.  ``base_field_roots`` is the one root
+finder: ascending residues over GF(p), rational-root-theorem candidates
+over Q.  Nothing here ever touches a float except the degree sentinel.
 """
 
 import math
@@ -561,6 +562,44 @@ def is_squarefree(a):
     """gcd(a, a') = 1 iff a is squarefree, over any perfect field: when
     a' = 0 (a p-th power in characteristic p) the gcd is a itself."""
     return not a.is_zero() and poly_gcd(a, a.derivative()).degree == 0
+
+
+def base_field_roots(f):
+    """The distinct roots of the nonzero polynomial f in its base field,
+    found lazily in a fixed order: ascending residues over GF(p), and
+    over Q the rational-root-theorem candidates +-p/q, p dividing the
+    lowest nonzero and q the leading integer coefficient."""
+    field = f.field
+    p = field.characteristic
+    if p:
+        for v in range(p):
+            if not eval_c(f.c, v, p):
+                yield field.box(v)
+        return
+    den = math.lcm(*[Fraction(c).denominator for c in f.c])
+    ic = [int(Fraction(c) * den) for c in f.c]
+    lo = next(c for c in ic if c)
+    seen = set()
+    for p in _divisors(abs(lo)) | {0}:
+        for q in _divisors(abs(ic[-1])):
+            for s in (1, -1):
+                x = Fraction(s * p, q)
+                if x not in seen and not f(x):
+                    seen.add(x)
+                    yield x
+
+
+def _divisors(n):
+    if n == 0:
+        return {1}
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return out
 
 
 def lagrange_interpolate(field, points):

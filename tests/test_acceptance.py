@@ -185,11 +185,10 @@ def test_7_deformations():
 
 def test_8_normality_criterion():
     curve = split_curve(7, 1)
-    ring = curve.ring()
     two = enumerate_two_torsion(curve)[0]
     cls = class_from_matrix(two)
     assert class_order(cls) == 2                     # exact certificate
-    triv = ring.trivial_pair()
+    triv = curve.trivial_pair()
     assert cg.normality_criterion(2, triv, [(1, cls)]) is True
     assert cg.normality_criterion(2, two, []) is True
     assert cg.normality_criterion(2, triv, []) is False

@@ -49,6 +49,27 @@ def test_pic_subcommand(capsys):
     assert doc["stratum"] == [1, 1]
 
 
+_LARGE_ORDER = ['--field', 'Fp:1009', '--curve',
+                '{"g":2,"F":"x0^6 + 1006*x0^5*x1 + 1004*x0^4*x1^2 + 15*x0^3*x1^3'
+                ' + 4*x0^2*x1^4 + 997*x0*x1^5"}',
+                '--pair', '{"a":1,"b":2,"P":"207*x0^3","f":"539*x0^4 + 774*x0^3*x1'
+                ' + 888*x0^2*x1^2 + 273*x0*x1^3 + 581*x1^4","q":"x0^2 + 811*x0*x1"}']
+
+
+def test_class_order_past_the_bound_is_null(capsys):
+    # the class is killed by 5,124 and not by 1,024: its order exceeds
+    # class_order's 512 additions, which is no reason to refuse the job
+    code, out = run(capsys, "torsion", "--n", "2", "--oracle", *_LARGE_ORDER)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["classOrder"] is None
+    assert doc["torsion"] is False and doc["oracleAgrees"] is True
+    code, out = run(capsys, "pic", "--op", "class", *_LARGE_ORDER)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] is None and doc["stratum"] == [1, 2]
+
+
 def test_check_subcommand_exit_codes(capsys):
     code, out = run(capsys, "check", "--n", "3", "--m", "1",
                     "--a", "x0^3 + x1^3 + x2^3",

@@ -174,12 +174,11 @@ def test_building_data_degree_check():
 
 def test_normality_criterion():
     curve = split_curve(7, 1)
-    ring = curve.ring()
     pairs = enumerate_two_torsion(curve)
     two = pairs[0]
     cls = class_from_matrix(two)
     assert class_order(cls) == 2
-    triv = ring.trivial_pair()
+    triv = curve.trivial_pair()
     # any nonzero component with label 1 gives kappa = 1
     assert cg.normality_criterion(2, triv, [(1, cls)]) is True
     # etale double cover from an honest 2-torsion sheaf
@@ -197,7 +196,7 @@ def test_normality_criterion_needs_no_class_order():
     assert cg.normality_criterion(4, matrix_from_class(curve, F1), [(2, D)]) is False
     # a trivial F1 and one two-torsion component: kappa = 2, class order 2
     two = class_from_matrix(enumerate_two_torsion(curve)[0])
-    assert cg.normality_criterion(4, curve.ring().trivial_pair(), [(2, two)]) is True
+    assert cg.normality_criterion(4, curve.trivial_pair(), [(2, two)]) is True
 
 
 def test_normality_rejects_shared_support():

@@ -11,6 +11,7 @@ from dihedralcovers.fields import GF, QQ, field_from_name
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
 from dihedralcovers.parsing import parse_form, parse_univar
+from dihedralcovers import linalg
 from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
                                           class_order, rr_dim_zeros,
                                           class_from_matrix, matrix_from_class,
@@ -338,7 +339,7 @@ def _class_by_section(pair):
     section (1, 0), and the class (u, -v)."""
     ring = pair.ring
     field = ring.field
-    model = HECurve(field, ring.l - 1, ring.F).odd_model()
+    model = ring.odd_model()
     if pair.is_trivial():
         return model.zero_class()
     T = model.transform_form
@@ -352,9 +353,7 @@ def _class_by_section(pair):
 def _q_vanishes_at_infinity(pair):
     """True when q, in odd-model coordinates, vanishes at the branch
     point at infinity."""
-    ring = pair.ring
-    model = HECurve(ring.field, ring.l - 1, ring.F).odd_model()
-    qT = model.transform_form(pair.q)
+    qT = pair.ring.odd_model().transform_form(pair.q)
     return qT.to_univar().degree < qT.deg
 
 
@@ -389,8 +388,8 @@ def _oracle_pairs():
         field = field_from_name(job.get("field", "Q"))
         for key in ("pair", "pair2"):
             if key in job:
-                ring = HECurve.from_json(job["curve"], field).ring()
-                pairs.append(BundlePair.from_json(job[key], ring))
+                curve = HECurve.from_json(job["curve"], field)
+                pairs.append(BundlePair.from_json(job[key], curve))
     return pairs
 
 
@@ -431,12 +430,77 @@ def test_gf_p_values_stay_reduced_ints(rng, monkeypatch):
     model = curve.odd_model()
     a, b = random_class(model, 2, rng), random_class(model, 2, rng)
     pairs, classes = _group_law_round(curve, a, b)
-    # the patched constructors were really called, each hundreds of times
-    assert sum(isinstance(obj, Poly) for obj in built) >= 300
-    assert sum(isinstance(obj, HForm) for obj in built) >= 300
+    # the patches intercepted: each constructor was called, and every form
+    # and class polynomial the round returns came out of one of them
+    assert any(isinstance(obj, Poly) for obj in built)
+    assert any(isinstance(obj, HForm) for obj in built)
+    made = set(map(id, built))     # ``built`` keeps its objects alive
     for pair in pairs:
         for form in (pair.P, pair.f, pair.q):
-            assert isinstance(form, HForm)
+            assert isinstance(form, HForm) and id(form) in made
             assert all(type(v) is int and 0 <= v < p for v in form.terms.values())
     for c in classes:
+        assert id(c.u) in made and id(c.v) in made
         assert all(type(v) is int and 0 <= v < p for v in c.u.c + c.v.c)
+
+
+def test_group_law_round_builds_the_odd_model_once(rng, monkeypatch):
+    """A group-law round over GF(1009) reads the curve's one odd model,
+    and F is tested for squarefreeness once, when the curve is built."""
+    from dihedralcovers import hyperelliptic
+
+    calls = {"odd model": 0, "squarefree": 0}
+
+    def counted(key, orig):
+        def wrapper(*args):
+            calls[key] += 1
+            return orig(*args)
+        return wrapper
+
+    monkeypatch.setattr(hyperelliptic.OddModel, "__init__",
+                        counted("odd model", hyperelliptic.OddModel.__init__))
+    monkeypatch.setattr(HForm, "is_squarefree", counted("squarefree", HForm.is_squarefree))
+    curve = split_curve(1009, 2)
+    model = curve.odd_model()
+    a, b = random_class(model, 2, rng), random_class(model, 2, rng)
+    _group_law_round(curve, a, b)
+    stratum(matrix_from_class(curve, a))
+    assert calls == {"odd model": 1, "squarefree": 1}
+
+
+def test_tensor_takes_no_rank(rng, monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("the kernel of psi^T always has rank 2")
+
+    monkeypatch.setattr(linalg, "bareiss_rank", no_rank)
+    curve = split_curve(1009, 2)
+    model = curve.odd_model()
+    a, b = random_class(model, 2, rng), random_class(model, 2, rng)
+    t = tensor(matrix_from_class(curve, a), matrix_from_class(curve, b))
+    assert class_from_matrix(t) == a + b
+
+
+def _psi_transpose_chart(p1, p2):
+    """psi^T for psi = N1 (x) Id - Id (x) N2, in the chart x1 = 1, with
+    e_i (x) e_j at index 2i + j."""
+    zero = Poly.zero(p1.ring.field)
+    n1, n2 = ([[e.to_univar() for e in row] for row in ((p.P, p.f), (p.q, -p.P))]
+              for p in (p1, p2))
+    psi = [[(n1[i][k] if j == m else zero) - (n2[j][m] if i == k else zero)
+            for k in range(2) for m in range(2)]
+           for i in range(2) for j in range(2)]
+    return [list(col) for col in zip(*psi)]
+
+
+def test_tensor_kernel_rank_is_two():
+    """The rank ``tensor`` passes to ``kernel_basis`` against the
+    computation it replaced: psi^T has rank 2 over the fraction field,
+    so its kernel has rank 4 - 2."""
+    pairs = _oracle_pairs()[::6]
+    checked = 0
+    for p1, p2 in zip(pairs, pairs[1:]):
+        if p1.ring == p2.ring:
+            one = Poly.one(p1.ring.field)
+            assert linalg.bareiss_rank(_psi_transpose_chart(p1, p2), one) == 2
+            checked += 1
+    assert checked >= 50
