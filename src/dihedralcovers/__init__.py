@@ -4,7 +4,8 @@ The package is organised bottom up:
 
 * :mod:`dihedralcovers.fields`, :mod:`~dihedralcovers.poly`,
   :mod:`~dihedralcovers.homog`, :mod:`~dihedralcovers.linalg`,
-  :mod:`~dihedralcovers.graded` -- exact arithmetic over Q and GF(p);
+  :mod:`~dihedralcovers.graded` -- exact arithmetic over Q and GF(p),
+  with graded maps on the line given by twists plus entry charts;
 * :mod:`~dihedralcovers.double_cover` -- rank-two bundle pairs on a
   hyperelliptic double cover of the line, with tensor, inverse and
   isomorphism testing;

@@ -10,7 +10,8 @@ trace-free graded matrix
 so P^2 + q f = F with deg P = l, deg f = l - a + b, deg q = l + a - b.
 A :class:`BundlePair` stores (a, b, P, f, q) over a
 :class:`DoubleCoverRing` and normalizes q (or f, when q vanishes) to be
-monic, which is the scaling freedom of the choice of basis.
+monic, which is the scaling freedom of the choice of basis; its
+``validate`` checks the degrees and P^2 + q f = F on construction.
 
 A ring exists only for a squarefree F, that is for a normal cover; any
 other F raises :class:`NonNormalRingError`, a ``ValueError``.  The
@@ -33,14 +34,16 @@ Operations:
 * ``divisor_of_section`` returns the vanishing divisor of a global
   section in (u, v) coordinates.
 
-The linear equations of ``tensor`` (its graded kernel and the
-factorization of the z-action through it) and of ``is_isomorphic``
-come from ``linalg.convolution_matrix``.
+``tensor`` and ``is_isomorphic`` work on the charts F(x, 1) of N's
+entries (``_charts``): the twists (a, b, l) fix every degree, and forms
+are made only for the result.  Their linear equations (the graded
+kernel, the factorization of the z-action through it and the
+intertwining equation) come from ``linalg.convolution_matrix``.
 """
 
-from .homog import HForm, form_gcd
-from .poly import Poly, base_field_roots
-from .graded import GradedMatrix, kernel_basis
+from .homog import HForm
+from .poly import Poly, base_field_roots, neg_c, sub_c, add_c, mul_c
+from .graded import kernel_basis
 from . import linalg, parsing
 
 
@@ -124,17 +127,13 @@ class BundlePair:
         P = _as_form(field, P, l)
         f = _as_form(field, f, deg_f)
         q = _as_form(field, q, deg_q) if deg_q >= 0 else _zero_or_raise(field, q)
-        if P.deg != l and not P.is_zero():
-            raise ValueError("P must have degree %d" % l)
-        check = P * P + q * f if deg_q >= 0 else P * P
-        if check != ring.F:
-            raise ValueError("determinant constraint P^2 + q*f = F violated")
         self.ring = ring
         self.a = a
         self.b = b
         self.P = P
         self.f = f
         self.q = q
+        self.validate()
         self._normalize()
 
     def _normalize(self):
@@ -160,32 +159,20 @@ class BundlePair:
     def splitting(self):
         return (-self.a, -self.b)
 
-    def matrix(self):
-        """The z-action E(-L) -> E as a graded matrix."""
-        l = self.ring.l
-        rows = [self.a, self.b]
-        cols = [self.a + l, self.b + l]
-        return GradedMatrix(self.ring.field, rows, cols,
-                            [[self.P, self.f], [self.q, -self.P]])
-
     def validate(self):
-        """Re-check all structural invariants; raises on violation."""
-        m = self.matrix()
-        sq = m.compose(m.twist(self.ring.l))
-        F = self.ring.F
-        for i in range(2):
-            for j in range(2):
-                want = F if i == j else HForm.zero(self.ring.field, 2, F.deg)
-                got = sq.entry(i, j)
-                if (got - want if got.deg == want.deg else got):
-                    raise ValueError("z-action does not square to F")
+        """Check the entries' degrees and the determinant constraint
+        P^2 + q f = F, which says N^2 = F * Id; raises ValueError."""
+        l = self.ring.l
+        for name, e, d in (("P", self.P, l), ("f", self.f, l - self.a + self.b),
+                           ("q", self.q, l + self.a - self.b)):
+            if e.deg != d and not e.is_zero():
+                raise ValueError("%s must have degree %d" % (name, d))
+        check = self.P * self.P
+        if not self.q.is_zero():
+            check = check + self.q * self.f
+        if check != self.ring.F:
+            raise ValueError("determinant constraint P^2 + q*f = F violated")
         return True
-
-    def is_locally_free(self):
-        """True when the module is invertible: the entries have no
-        common zero on the branch locus."""
-        g = form_gcd(form_gcd(self.P, form_gcd(self.q, self.f)), self.ring.F)
-        return g.deg == 0 and g.x1_multiplicity() == 0
 
     def is_trivial(self):
         return self.a == 0 and self.P.is_zero() and self.q.deg == 0
@@ -238,6 +225,13 @@ def _zero_or_raise(field, val):
     return HForm.zero(field, 2, 0)
 
 
+def _charts(pair):
+    """N = [[P, f], [q, -P]] as the charts F(x, 1) of its entries."""
+    p = pair.ring.field.characteristic
+    P = pair.P.to_univar().c
+    return [[P, pair.f.to_univar().c], [pair.q.to_univar().c, neg_c(P, p)]]
+
+
 def tensor(p1, p2):
     """The product module of two pairs over the same ring.
 
@@ -245,83 +239,57 @@ def tensor(p1, p2):
     the tensor of the underlying bundles; its dual is the kernel of the
     transpose, which a graded kernel basis computes exactly.  The
     z-action is read off by factoring (N1 (x) Id)^T through the kernel.
+    Everything runs on charts, with e_i (x) e_j at index 2i + j of
+    O(-rows[2i + j]); forms are made only for the result.
     """
     if p1.ring != p2.ring:
         raise ValueError("pairs live over different rings")
     ring = p1.ring
     field = ring.field
+    p = field.characteristic
     l = ring.l
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
     cols = [r + l for r in rows]
-
-    P1, f1, q1 = p1.P, p1.f, p1.q
-    A = GradedMatrix(field, rows, cols, [          # N1 (x) Id
-        [P1, None, f1, None],
-        [None, P1, None, f1],
-        [q1, None, -P1, None],
-        [None, q1, None, -P1],
-    ])
-    P2, f2, q2 = p2.P, p2.f, p2.q
-    B = GradedMatrix(field, rows, cols, [          # Id (x) N2
-        [P2, f2, None, None],
-        [q2, -P2, None, None],
-        [None, None, P2, f2],
-        [None, None, q2, -P2],
-    ])
-    psi_ent = [[A.entry(i, j) - B.entry(i, j) for j in range(4)] for i in range(4)]
-    psi = GradedMatrix(field, rows, cols, psi_ent)
+    n1, n2 = _charts(p1), _charts(p2)
+    # psi^T: entry ((k, m), (i, j)) is N1[i][k] [j == m] - [i == k] N2[j][m]
+    psiT = [[sub_c(n1[i][k] if j == m else [], n2[j][m] if i == k else [], p)
+             for i in range(2) for j in range(2)]
+            for k in range(2) for m in range(2)]
     # psi^T has a kernel of rank 2: each N_i is trace free, nonzero and
     # squares to F, so over the fraction field with z = sqrt(F) adjoined it
     # diagonalizes with eigenvalues z and -z (distinct, as F != 0 and the
     # characteristic is not 2), and psi has eigenvalues 0, 0, 2z, -2z
-    K = kernel_basis(psi.transpose(), 2)
-    AtK = A.transpose().compose(K)
-    # factor: K(-l) . M = At . K, with M the z-action on the kernel
-    KmL = K.twist(-l)
-    M = _factor_through(KmL, AtK)
-    N3 = M.twist(l).transpose().twist(l)
-    tw = N3.row_twists
-    a3, b3 = tw[0], tw[1]
-    P3, f3, q3 = N3.entry(0, 0), N3.entry(0, 1), N3.entry(1, 0)
-    minusP3 = N3.entry(1, 1)
-    if (P3 + minusP3):
-        raise AssertionError("tensor z-action is not trace free")
-    res = BundlePair(ring, a3, b3, P3, f3, q3)
-    if res.c1() != p1.c1() + p2.c1() - ring.trivial_pair().c1():
-        raise AssertionError("first Chern class bookkeeping failed in tensor")
-    return res
-
-
-def _factor_through(K, B):
-    """Solve K . M = B for a graded matrix M, given that K has full
-    column rank; coefficient-wise exact linear solve, one column of M
-    at a time, on the equations of ``linalg.convolution_matrix``."""
-    field = K.field
-    if K.row_twists != B.row_twists:
-        raise ValueError("row twist mismatch")
-    m_rows = K.col_twists
-    m_cols = B.col_twists
-    coeffs = [[e.c for e in row] for row in K.univar()]
+    tw, gens = kernel_basis(field, psiT, [-c for c in cols], [-r for r in rows], 2)
+    K = list(zip(*gens))
+    # (N1 (x) Id)^T K: entry ((k, m), g) is sum_i N1[i][k] K[(i, m)][g]
+    AtK = [[add_c(mul_c(n1[0][k], K[m][g], p), mul_c(n1[1][k], K[2 + m][g], p), p)
+            for g in range(2)]
+           for k in range(2) for m in range(2)]
+    # factor K(-l) M = (N1 (x) Id)^T K, with M the z-action on the kernel,
+    # one column of M at a time; entry M[h][g] has degree tw[g] - tw[h] + l
     zero = field.unbox(field.zero)
-    Bu = B.univar()
-    ent = [[None] * len(m_cols) for _ in m_rows]
-    for j, ct in enumerate(m_cols):
-        # unknown column: entries M[k][j] of degree ct - m_rows[k]
-        degs = [ct - rt for rt in m_rows]
-        bcol = [row[j] for row in Bu]
-        out_degs = [max(ct - rt, b.degree if b else -1)
-                    for rt, b in zip(K.row_twists, bcol)]
-        rows_eq = linalg.convolution_matrix(field, coeffs, degs, out_degs)
-        rhs = [b.c[c] if c < len(b.c) else zero for b, d in zip(bcol, out_degs)
-               for c in range(d + 1)]
+    M = [[None] * 2 for _ in range(2)]
+    for g in range(2):
+        degs = [tw[g] - th + l for th in tw]
+        out_degs = [tw[g] + c for c in cols]
+        rows_eq = linalg.convolution_matrix(field, K, degs, out_degs)
+        rhs = [b[c] if c < len(b) else zero
+               for b, d in zip((row[g] for row in AtK), out_degs) for c in range(d + 1)]
         sol = (linalg.solve(rows_eq, rhs, field) if rows_eq
                else [field.zero] * sum(d + 1 for d in degs if d >= 0))
         if sol is None:
             raise ValueError("factorization through kernel failed")
-        for k, (c, d) in enumerate(zip(linalg.split_blocks(sol, degs), degs)):
-            ent[k][j] = (HForm.from_univar(Poly(field, c), d) if d >= 0
-                         else HForm.zero(field, 2, 0))
-    return GradedMatrix(field, m_rows, m_cols, ent)
+        for h, c in enumerate(linalg.split_blocks(sol, degs)):
+            M[h][g] = (HForm.from_univar(Poly(field, c), degs[h]) if degs[h] >= 0
+                       else HForm.zero(field, 2, 0))
+    # N3 = M^T up to twists: O(-a3) + O(-b3) with (a3, b3) = (-tw0, -tw1)
+    P3, f3, q3 = M[0][0], M[1][0], M[0][1]
+    if P3 + M[1][1]:
+        raise AssertionError("tensor z-action is not trace free")
+    res = BundlePair(ring, -tw[0], -tw[1], P3, f3, q3)
+    if res.c1() != p1.c1() + p2.c1() - ring.trivial_pair().c1():
+        raise AssertionError("first Chern class bookkeeping failed in tensor")
+    return res
 
 
 def inverse(pair):
@@ -352,10 +320,9 @@ def is_isomorphic(p1, p2):
     # src[j] + l - tgt[i], so unknown (a, b) enters it with the polynomial
     # [a == i] n1[b][j] - [b == j] n2[i][a]
     degs = [src[b] - tgt[a] for a in range(2) for b in range(2)]
-    n1 = [[e.to_univar() for e in r] for r in ((p1.P, p1.f), (p1.q, -p1.P))]
-    n2 = [[e.to_univar() for e in r] for r in ((p2.P, p2.f), (p2.q, -p2.P))]
-    zero = Poly.zero(field)
-    coeffs = [[((n1[b][j] if a == i else zero) - (n2[i][a] if b == j else zero)).c
+    n1, n2 = _charts(p1), _charts(p2)
+    p = field.characteristic
+    coeffs = [[sub_c(n1[b][j] if a == i else [], n2[i][a] if b == j else [], p)
                for a in range(2) for b in range(2)]
               for i in range(2) for j in range(2)]
     # the diagonal equations have degree l >= 0, so there is always a row

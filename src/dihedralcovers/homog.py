@@ -3,7 +3,7 @@
 A :class:`HForm` is a homogeneous polynomial of a declared degree with a
 sparse exponent-tuple representation.  The degree is part of the data,
 so the zero form of degree d is distinct from the zero form of degree e;
-graded matrix bookkeeping depends on that distinction.
+the entries of a bundle pair depend on that distinction.
 
 Binary forms (two variables) are in bijection with univariate
 polynomials of bounded degree via x = x0/x1; the converters

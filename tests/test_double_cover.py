@@ -42,27 +42,13 @@ def test_determinant_constraint_enforced():
     with pytest.raises(ValueError):
         BundlePair(r, 1, 1, HForm.zero(K, 2, 2),
                    parse_form("x0^2", K, 2), parse_form("x1^2", K, 2))
-
-
-def test_matrix_squares_to_branch_form():
-    r = ring()
-    p = two_torsion_pair(r)
-    p.validate()
-    n = p.matrix()
-    sq = n.compose(n.twist(r.l))
-    for i in range(2):
-        for j in range(2):
-            expected = F4 if i == j else None
-            e = sq.entries[i][j]
-            if expected is None:
-                assert e.is_zero()
-            else:
-                assert e == expected
+    # q f = F, but with deg f = 1 and deg q = 3 where (a, b) = (1, 1) asks 2, 2
+    f = parse_form("x0 - x1", K, 2)
+    with pytest.raises(ValueError, match="must have degree"):
+        BundlePair(r, 1, 1, HForm.zero(K, 2, 2), f, F4.exact_div(f))
 
 
 def test_local_freeness():
-    r = ring()
-    assert two_torsion_pair(r).is_locally_free()
     # a shared zero of P, q and f forces a double root of the branch
     # form, and no ring is built over such a form
     with pytest.raises(NonNormalRingError):

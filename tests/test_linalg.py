@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dihedralcovers.fields import QQ, GF, FpElem
-from dihedralcovers.poly import Poly
-from dihedralcovers.homog import HForm
+from dihedralcovers.poly import Poly, add_c, mul_c, neg_c
 from dihedralcovers import linalg
-from dihedralcovers.graded import GradedMatrix, kernel_basis
+from dihedralcovers.graded import kernel_basis
 from dihedralcovers.parsing import parse_form
 
 
@@ -49,43 +48,25 @@ def test_bareiss_over_polynomials():
     assert linalg.bareiss_rank([row[:] for row in m2], one) == 2
 
 
-def test_graded_matrix_degrees_enforced():
-    f = parse_form("x0^2", QQ, 2)
-    with pytest.raises(ValueError):
-        GradedMatrix(QQ, [0], [1], [[f]])
-    GradedMatrix(QQ, [0], [2], [[f]])
-
-
-def test_graded_compose_and_twist():
-    x0 = parse_form("x0", QQ, 2)
-    x1 = parse_form("x1", QQ, 2)
-    a = GradedMatrix(QQ, [0], [1, 1], [[x0, x1]])
-    b = GradedMatrix(QQ, [1, 1], [2], [[x1], [x0]])
-    c = a.compose(b)
-    assert c.row_twists == [0] and c.col_twists == [2]
-    assert c.entries[0][0] == parse_form("2*x0*x1", QQ, 2)
-    t = a.twist(3)
-    assert t.row_twists == [3] and t.col_twists == [4, 4]
-
-
 def test_koszul_kernel():
     # kernel of (x0, x1): O(-1)^2 -> O is O(-2), spanned by (x1, -x0)
-    x0 = parse_form("x0", QQ, 2)
-    x1 = parse_form("x1", QQ, 2)
-    m = GradedMatrix(QQ, [0], [1, 1], [[x0, x1]])
-    ker = kernel_basis(m, nullity=1)
-    assert ker.col_twists == [2]
-    col = [ker.entries[0][0], ker.entries[1][0]]
-    s = m.entries[0][0] * col[0] + m.entries[0][1] * col[1]
-    assert s.is_zero()
+    x0 = parse_form("x0", QQ, 2).to_univar().c
+    x1 = parse_form("x1", QQ, 2).to_univar().c
+    twists, gens = kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=1)
+    assert twists == [2]
+    (g0, g1), = gens
+    # (x1, -x0) up to a unit
+    assert len(g0) == 1 and g1 == mul_c(neg_c(x0, 0), g0, 0)
+    assert not add_c(mul_c(x0, g0, 0), mul_c(x1, g1, 0), 0)
 
 
-def test_transpose_negates_twists():
-    x0 = parse_form("x0", QQ, 2)
-    m = GradedMatrix(QQ, [0], [1], [[x0]])
-    t = m.transpose()
-    assert t.row_twists == [-1] and t.col_twists == [0]
-    assert t.entries[0][0] == x0
+def test_kernel_degree_bound_raises():
+    # (x0, x1) has a kernel of rank 1; asking for 2 generators hits the
+    # degree bound instead of searching forever
+    x0 = parse_form("x0", QQ, 2).to_univar().c
+    x1 = parse_form("x1", QQ, 2).to_univar().c
+    with pytest.raises(RuntimeError):
+        kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=2)
 
 
 # -- the GF(p) elimination path against oracles --------------------------
