@@ -20,9 +20,11 @@ partial derivatives and certifying that every candidate lies over a
 root of R.  Over Q both gcd tests first run modulo a large prime: a
 reduction that keeps the degrees and has gcd 1 proves gcd 1 over Q
 (Brown's one-sided modular gcd); only an inconclusive one falls back to
-the exact gcd, a subresultant sequence on integers.  The resultants
-over Q are taken on integers too: each form's denominators are cleared
-once, and its charts are evaluated on ints.  Verdicts are "pass",
+the exact gcd, a subresultant sequence on integers.  Over Q a form's
+coefficients are ints wherever integral (see :mod:`poly`), so on
+integer input the coordinate change, a^2 - F^n and its partials run on
+ints; the resultants clear any remaining denominators once and
+evaluate the charts on ints.  Verdicts are "pass",
 "fail" or "inconclusive"; a pass or a fail always rests on an exact
 computation, never on sampling.
 

@@ -15,8 +15,10 @@ Field *elements* support the usual operator protocol so downstream code
 never needs to know which field it is working over.
 
 Polynomials, forms and the matrices built from them keep the plain
-values instead of elements: the residue int over GF(p), the Fraction
-over Q.  ``unbox`` turns an element (or an int or Fraction) into that
+values instead of elements: the residue int over GF(p); over Q an int
+wherever the value is integral and a Fraction only where a denominator
+exists (``2 == Fraction(2)`` and the two hash alike, so the mix never
+shows).  ``unbox`` turns an element (or an int or Fraction) into that
 value and ``box`` turns it back into an element.
 """
 
@@ -224,7 +226,9 @@ class GF:
 
 
 class _QQ:
-    """The rational field, with Fraction elements."""
+    """The rational field.  Its elements are Fractions; its plain values
+    are ints where integral and Fractions only where a denominator
+    exists.  A float is refused: it is not an exact rational."""
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -232,16 +236,23 @@ class _QQ:
         self.characteristic = 0
 
     def of(self, n):
-        return Fraction(n)
+        return Fraction(self.unbox(n))
 
     def inv(self, a):
-        return 1 / Fraction(a)
+        return 1 / self.of(a)
 
     def box(self, v):
-        return v
+        return v if type(v) is Fraction else Fraction(v)
 
     def unbox(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+        """The plain value of an int, a Fraction or another exact rational."""
+        if type(x) is int:
+            return x
+        if type(x) is not Fraction:
+            if isinstance(x, float):
+                raise TypeError("cannot embed the float %r in QQ" % (x,))
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def random(self, rng):
         return Fraction(rng.randrange(-20, 21))

@@ -13,13 +13,14 @@ binary forms go through this bijection, and so does the product of two
 binary forms: it is the product of their coefficient lists.
 
 The coefficients in ``terms`` are plain values as in :mod:`poly`: ints
-reduced mod p over GF(p), Fractions over Q.  The constructor accepts
-field elements, ints and Fractions; ``coeff`` and evaluation return
-field elements.
+reduced mod p over GF(p); over Q ints wherever integral and Fractions
+only where a denominator exists, so that a form with integer
+coefficients is substituted, multiplied and differentiated on ints.
+The constructor accepts field elements, ints and Fractions (a float
+raises TypeError); ``coeff`` and evaluation return field elements.
 """
 
-from .poly import (plain_poly, trim_c, zero_c, mul_c, poly_gcd,
-                   is_squarefree, NEG_INF)
+from .poly import plain_poly, trim_c, mul_c, poly_gcd, is_squarefree, NEG_INF
 
 
 def plain_form(field, nvars, deg, terms):
@@ -159,7 +160,7 @@ class HForm:
         field = self.field
         p = field.characteristic
         xs = [field.unbox(x) for x in point]
-        r = zero_c(p)
+        r = 0
         for e, c in self.terms.items():
             for x, k in zip(xs, e):
                 if k:
@@ -219,7 +220,7 @@ class HForm:
 
     def _chart(self):
         """The plain coefficient list of F(x, 1), for a binary form F."""
-        c = [zero_c(self.field.characteristic)] * (self.deg + 1)
+        c = [0] * (self.deg + 1)
         for (i, _), a in self.terms.items():
             c[i] = a
         return trim_c(c)

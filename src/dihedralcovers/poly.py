@@ -2,8 +2,9 @@
 
 A :class:`Poly` stores its coefficient list ``c`` low degree first with
 no trailing zeros, in the field's plain representation: over GF(p) the
-coefficients are ints already reduced mod p, over Q they are
-``Fraction``s.  The zero polynomial has an empty list and its degree is
+coefficients are ints already reduced mod p; over Q a coefficient is an
+int wherever it is integral and a ``Fraction`` only where a denominator
+exists.  The zero polynomial has an empty list and its degree is
 the explicit sentinel ``NEG_INF``, so degree arithmetic such as
 ``deg(f*g) == deg f + deg g`` stays valid without special cases.
 
@@ -13,18 +14,21 @@ remainder, gcd, extended gcd, resultant, Horner evaluation, Newton
 interpolation and powers modulo a polynomial (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 2-3).  Each takes the characteristic p
 of the field: for p > 0 the values are ints and every result is reduced
-mod p, with inverses from ``pow(a, -1, p)``; for p = 0 they are
-Fractions.  Over Q the gcd, the resultant, exact division and
-interpolation clear denominators once and work on ints (they also
-accept int lists), so that no coefficient operation pays for a Fraction
-gcd: the gcd and the resultant share one subresultant remainder
-sequence, and interpolation runs Newton's table on ints scaled by a
-common denominator.  Their results are Fractions again.  Field elements
-are boxed (``FpElem``) only at the public accessors: ``coeff``, ``lead``
-and evaluation return field elements; the constructor accepts field
-elements, ints and Fractions.  ``base_field_roots`` is the one root
-finder: ascending residues over GF(p), rational-root-theorem candidates
-over Q.  Nothing here ever touches a float except the degree sentinel.
+mod p, with inverses from ``pow(a, -1, p)``; for p = 0 they are ints and
+Fractions, sums and products of ints stay ints, and the one inverse,
+``inv_c``, is a Fraction, so that no division is a float division.
+Over Q the gcd, the resultant, exact division and interpolation clear
+denominators once and work on ints, so that no coefficient operation
+pays for a Fraction gcd: the gcd and the resultant share one
+subresultant remainder sequence, and interpolation runs Newton's table
+on ints scaled by a common denominator.  Each result coefficient is an
+int where the denominator divides it.  Field elements are boxed
+(``FpElem``, ``Fraction``) only at the public accessors: ``coeff``,
+``lead`` and evaluation return field elements; the constructor accepts
+field elements, ints and Fractions, and refuses floats.
+``base_field_roots`` is the one root finder: ascending residues over
+GF(p), rational-root-theorem candidates over Q.  Nothing here ever
+touches a float except the degree sentinel.
 """
 
 import math
@@ -32,7 +36,6 @@ from fractions import Fraction
 
 NEG_INF = float("-inf")
 
-_QZERO = Fraction(0)
 _QONE = Fraction(1)
 
 
@@ -48,16 +51,8 @@ def trim_c(c):
     return c
 
 
-def zero_c(p):
-    return 0 if p else _QZERO
-
-
-def one_c(p):
-    return 1 if p else _QONE
-
-
 def inv_c(a, p):
-    """1/a for a nonzero a."""
+    """1/a for a nonzero a; over Q a Fraction even for an int a."""
     return pow(a, -1, p) if p else _QONE / a
 
 
@@ -93,7 +88,7 @@ def mul_c(a, b, p):
     if len(a) > len(b):
         a, b = b, a
     lb = len(b)
-    out = [zero_c(p)] * (len(a) + lb - 1)
+    out = [0] * (len(a) + lb - 1)
     for i, x in enumerate(a):
         if x:
             out[i:i + lb] = [o + x * y for o, y in zip(out[i:i + lb], b)]
@@ -108,7 +103,7 @@ def divmod_c(a, b, p):
     r = list(a)
     low = b[:-1]
     binv = inv_c(b[-1], p)
-    q = [zero_c(p)] * (len(a) - db)
+    q = [0] * (len(a) - db)
     for i in range(len(a) - 1 - db, -1, -1):
         t = r[i + db] * binv
         if p:
@@ -135,7 +130,7 @@ def gcd_c(a, b, p):
         if len(b) > 1:
             a, b = _subresultant_prs(a, b)[1:3]
         g = a if not b else [1]
-        return [Fraction(v, g[-1]) for v in g]
+        return [_ratio(v, g[-1]) for v in g]
     while b:
         a, b = b, divmod_c(a, b, p)[1]
     return monic_c(a, p)
@@ -144,8 +139,8 @@ def gcd_c(a, b, p):
 def xgcd_c(a, b, p):
     """(g, s, t) with s*a + t*b = g, g monic (all empty when a = b = 0)."""
     r0, r1 = a, b
-    s0, s1 = [one_c(p)], []
-    t0, t1 = [], [one_c(p)]
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
     while r1:
         q, r = divmod_c(r0, r1, p)
         r0, r1 = r1, r
@@ -163,7 +158,7 @@ def resultant_c(a, b, p):
     Over Q by the integer subresultant sequence of the primitive parts:
     with a = c A and b = d B, Res(a, b) = c^(deg b) d^(deg a) Res(A, B)."""
     if not a or not b:
-        return zero_c(p)
+        return 0
     if not p:
         return _resultant_q(a, b)
     res = 1
@@ -188,6 +183,12 @@ def resultant_c(a, b, p):
 # its coefficients integral and about as long as the Sylvester minors
 # they are (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971),
 # where Euclid on Fractions pays a gcd per coefficient operation.
+
+
+def _ratio(num, den):
+    """num / den as a plain value over Q: an int when den divides num."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _primitive(c):
@@ -243,7 +244,7 @@ def _subresultant_prs(a, b):
 
 
 def _resultant_q(a, b):
-    """Res(a, b) of nonzero rational lists, as a Fraction."""
+    """Res(a, b) of nonzero rational lists, as a plain value."""
     da, db = len(a) - 1, len(b) - 1
     na, ma, a = _primitive(a)
     nb, mb, b = _primitive(b)
@@ -253,13 +254,13 @@ def _resultant_q(a, b):
         if da & db & 1:
             num = -num
     if db == 0:
-        return Fraction(num * b[0] ** da, den)
+        return _ratio(num * b[0] ** da, den)
     s, a, b, h = _subresultant_prs(a, b)
     if not b:
-        return _QZERO
+        return 0
     # the last subresultant, h^(1 - deg a) b^(deg a), lies in Z
     da = len(a) - 1
-    return Fraction(num * (s * b[0] ** da // h ** (da - 1)), den)
+    return _ratio(num * (s * b[0] ** da // h ** (da - 1)), den)
 
 
 def _exact_div_q(a, b):
@@ -282,7 +283,7 @@ def _exact_div_q(a, b):
     if not q or any(a[:db]):
         raise ValueError("inexact polynomial division")
     num, den = na * mb, ma * nb
-    return [Fraction(num * v, den) for v in q]
+    return [_ratio(num * v, den) for v in q]
 
 
 def eval_c(a, x, p):
@@ -292,7 +293,7 @@ def eval_c(a, x, p):
         r = r * x + c
         if p:
             r %= p
-    return r if a or p else _QZERO
+    return r
 
 
 def interpolate_c(xs, ys, p):
@@ -356,7 +357,7 @@ def _interpolate_q(xs, ys):
     if N > 1:
         c = [v * N ** k for k, v in enumerate(c)]
     den = W * M
-    return trim_c([Fraction(v, den) for v in c])
+    return trim_c([_ratio(v, den) for v in c])
 
 
 def powmod_c(a, e, m, p):
@@ -364,7 +365,7 @@ def powmod_c(a, e, m, p):
     is None.  A negative e raises ValueError."""
     if e < 0:
         raise ValueError("negative exponent %d" % e)
-    out = [one_c(p)]
+    out = [1]
     if m is not None:
         a = divmod_c(a, m, p)[1]
         out = divmod_c(out, m, p)[1]
@@ -407,12 +408,11 @@ class Poly:
 
     @classmethod
     def one(cls, field):
-        return plain_poly(field, [one_c(field.characteristic)])
+        return plain_poly(field, [1])
 
     @classmethod
     def x(cls, field):
-        p = field.characteristic
-        return plain_poly(field, [zero_c(p), one_c(p)])
+        return plain_poly(field, [0, 1])
 
     @classmethod
     def const(cls, field, a):
@@ -514,7 +514,7 @@ class Poly:
         """Multiply by x**k."""
         if not self.c:
             return self
-        return plain_poly(self.field, [zero_c(self.field.characteristic)] * k + self.c)
+        return plain_poly(self.field, [0] * k + self.c)
 
     def derivative(self):
         d = [i * a for i, a in enumerate(self.c)][1:]

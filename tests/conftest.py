@@ -43,6 +43,33 @@ def random_class(model, g, rng):
     return c
 
 
+def watch_plain_values(monkeypatch, check):
+    """Patch ``poly.plain_poly`` and ``homog.plain_form`` wherever the
+    package imported them, so that every Poly and HForm they build has
+    its plain values asserted by ``check`` (one value at a time).
+    Returns the list the built objects are appended to."""
+    import dihedralcovers
+    from dihedralcovers import homog, poly
+
+    built = []
+
+    def checked(make):
+        def build(field, *args):
+            obj = make(field, *args)
+            built.append(obj)
+            values = obj.c if isinstance(obj, Poly) else list(obj.terms.values())
+            assert all(map(check, values)), values
+            return obj
+        return build
+
+    for source, name in ((poly, "plain_poly"), (homog, "plain_form")):
+        orig = getattr(source, name)
+        for module in vars(dihedralcovers).values():
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, checked(orig))
+    return built
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

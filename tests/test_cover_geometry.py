@@ -11,7 +11,7 @@ from dihedralcovers import cover_geometry as cg, cli, linalg
 from dihedralcovers.hyperelliptic import (class_from_matrix, class_order,
                                           matrix_from_class, enumerate_two_torsion)
 
-from conftest import split_curve, random_class
+from conftest import split_curve, random_class, watch_plain_values
 
 
 P2 = cg.ProjectiveSpace(2, 1)
@@ -104,6 +104,35 @@ def test_check_simple_fermat():
     assert rep.irreducible is True
     assert rep.details["branchDegree"] == 6
     assert rep.details["cuspCount"] == 6
+
+
+def test_q_integer_forms_stay_ints(monkeypatch):
+    """A Q check on integer forms builds no float, and runs its forms on
+    ints: the substituted a and F, G = a^2 - F^n and its partials hold
+    no Fraction.  The report is the one the Fraction forms gave."""
+    built = watch_plain_values(monkeypatch, lambda v: type(v) in (int, Fraction))
+    forms = []
+
+    def kept(method):
+        def run(f, *args):
+            out = method(f, *args)
+            forms.extend((f, out) if method is partial else (out,))
+            return out
+        return run
+
+    substitute, partial = HForm.substitute, HForm.partial
+    monkeypatch.setattr(HForm, "substitute", kept(substitute))
+    monkeypatch.setattr(HForm, "partial", kept(partial))
+    spec = cg.SimpleCoverSpec(2, P2, parse_form(
+        "-3*x0^2 - 4*x0*x1 - 3*x0*x2 - 4*x1^2 + 9*x1*x2 + 3*x2^2", QQ, 3), parse_form(
+        "5*x0^2 - 9*x0*x1 - 5*x1^2 - 7*x1*x2 - 4*x2^2", QQ, 3))
+    assert cg.check_simple(spec, seed=3).to_json() == {
+        "conditionI": "pass", "conditionII": "pass", "irreducible": True,
+        "details": {"resultantDegree": 4, "intersectionNonempty": True,
+                    "branchDegree": 4, "cuspCount": 4}, "seed": 3}
+    assert built and len(forms) >= 2 + 2 * 3
+    for f in forms:
+        assert all(type(v) is int for v in f.terms.values()), f
 
 
 def test_check_simple_common_component_fails():

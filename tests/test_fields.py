@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dihedralcovers.fields import QQ, GF, FpElem, field_from_name
+from dihedralcovers.homog import HForm
+from dihedralcovers.poly import Poly
 
 
 def test_rationals_protocol():
@@ -13,6 +15,24 @@ def test_rationals_protocol():
     assert QQ.of(3) == Fraction(3)
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert QQ.characteristic == 0
+    # plain values are ints where integral; elements are Fractions
+    for x in (3, Fraction(6, 2), QQ.of(-4)):
+        assert type(QQ.unbox(x)) is int and QQ.unbox(x) == x
+    assert type(QQ.unbox(Fraction(1, 2))) is Fraction
+    for v in (3, Fraction(1, 2)):
+        assert type(QQ.box(v)) is Fraction and QQ.box(v) == v
+
+
+def test_rationals_refuse_floats():
+    """A float is no exact rational: QQ refuses it as GF(p) does, and so
+    do the constructors that embed coefficients through it."""
+    for embed in (QQ.unbox, QQ.of, QQ.inv, GF(7).unbox):
+        with pytest.raises(TypeError):
+            embed(0.1)
+    with pytest.raises(TypeError):
+        HForm(QQ, 2, 1, {(1, 0): 0.5})
+    with pytest.raises(TypeError):
+        Poly(QQ, [1, 0.5])
 
 
 def test_prime_field_arithmetic():

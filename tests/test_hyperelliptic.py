@@ -22,7 +22,7 @@ from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
 from dihedralcovers.double_cover import (DoubleCoverRing, BundlePair, tensor, inverse,
                                          is_isomorphic, divisor_of_section)
 
-from conftest import split_curve, random_class
+from conftest import split_curve, random_class, watch_plain_values
 
 K7 = GF(7)
 
@@ -405,27 +405,10 @@ def test_gf_p_values_stay_reduced_ints(rng, monkeypatch):
     """Every Poly and HForm built on plain values during a GF(p) group-law
     round holds ints in range(p): never a float (an int / int would give
     one), never an FpElem, never an unreduced int."""
-    import dihedralcovers
-    from dihedralcovers import homog, poly
     from dihedralcovers.homog import HForm
 
     p = 1009
-    built = []
-
-    def checked(make):
-        def build(field, *args):
-            obj = make(field, *args)
-            built.append(obj)
-            values = obj.c if isinstance(obj, Poly) else list(obj.terms.values())
-            assert all(type(v) is int and 0 <= v < p for v in values), values
-            return obj
-        return build
-
-    for name in ("plain_poly", "plain_form"):
-        orig = getattr(poly if name == "plain_poly" else homog, name)
-        for module in vars(dihedralcovers).values():
-            if getattr(module, name, None) is orig:
-                monkeypatch.setattr(module, name, checked(orig))
+    built = watch_plain_values(monkeypatch, lambda v: type(v) is int and 0 <= v < p)
     curve = split_curve(p, 2)
     model = curve.odd_model()
     a, b = random_class(model, 2, rng), random_class(model, 2, rng)
