@@ -514,8 +514,7 @@ def enumerate_jacobian(model, limit=20000):
 def require_enumerable(field, g, limit):
     """Raise ValueError unless ``enumerate_jacobian`` may run on a genus-g
     curve over the field: a finite field with p^(2g) <= limit.  Cheap,
-    so a caller can check before building the odd model, which scans
-    the field for a branch root."""
+    so a caller can check before building the odd model."""
     p = field.characteristic
     if not p:
         raise ValueError("enumeration needs a finite field")

@@ -6,14 +6,15 @@ Two tiers:
   echelon form, nullspace, solving and determinant all go through one
   Gaussian elimination loop with exact division.  A matrix over GF(p)
   (the field passed in, or the prime of an ``FpElem`` entry) is read
-  into plain ints reduced mod p once, reduced with ``% p`` arithmetic
-  and one modular inverse per pivot, and boxed as ``FpElem`` only at
-  the result (the reduced rows, the kernel vectors, the solution, the
-  determinant; a rank is an int).  Its entries may be ``FpElem`` or
-  ints, such as the int rows ``convolution_matrix`` builds from the
-  plain coefficient lists of ``Poly``.  Any other matrix goes through
-  the generic loop, with its nonzero int entries as ``Fraction``, so no
-  division is ever a float division.
+  into plain ints (an ``FpElem`` gives its residue, an int row such as
+  those ``convolution_matrix`` builds from the plain coefficient lists
+  of ``Poly`` is copied as it is), eliminated on ints that are reduced
+  mod p only where they are read, with one modular inverse per pivot,
+  and boxed as reduced ``FpElem`` only at the result (the reduced rows,
+  the kernel vectors, the solution, the determinant; a rank is an
+  int).  Any other matrix goes through the generic loop, with its
+  nonzero int entries as ``Fraction``, so no division is ever a float
+  division.
 * integral-domain matrices (e.g. polynomial entries): rank and
   determinant by fraction-free Bareiss elimination, which only ever
   performs divisions that are exact in the domain.
@@ -60,10 +61,12 @@ def _echelon(m, reduced, field=None):
 
 
 def _residues(m, p):
-    """A copy of m with every entry as an int reduced mod p: the rows of
-    ``convolution_matrix`` over GF(p) are ints already, and an FpElem
-    gives its residue (it must be of prime p)."""
-    return [[x % p if type(x) is int else _residue(x, p) for x in row] for row in m]
+    """A copy of m on plain ints for ``_eliminate_mod``: a row of ints
+    (the rows of ``convolution_matrix`` over GF(p)) is copied as it is,
+    since the elimination reduces an entry when it reads it; any other
+    row is read entry by entry (an FpElem must be of prime p)."""
+    return [list(row) if {*map(type, row)} <= {int} else [_residue(x, p) for x in row]
+            for row in m]
 
 
 def _residue(x, p):
@@ -115,34 +118,50 @@ def _eliminate(m, reduced):
 
 
 def _eliminate_mod(m, p, reduced):
-    """The same elimination in place on rows of ints reduced mod p.
+    """The same elimination in place on rows of ints, reduced mod p
+    lazily.
 
-    A target row is updated only where the pivot row is nonzero, which
-    is most of the saving on sparse band matrices such as the torsion
-    certificates.
+    An entry is reduced only where it is read: a pivot-column entry when
+    it is tested as a pivot, the pivot row's tail when it is used, and
+    the row factor f; a target row is then updated by plain
+    ``row[j] -= f * t``.  This is exact: every entry stays congruent
+    mod p to its value in the elimination over GF(p), every zero test
+    reads a residue, and an int cannot overflow (an update makes it at
+    most p^2 larger).  So the rows returned are only congruent mod p to
+    the eliminated matrix, apart from the pivots, which the search
+    stores reduced: rank and det read only the pivots, and the box of
+    ``_echelon``, ``FpElem(., p)``, reduces every value that rref,
+    nullspace and solve return.  A target row is updated only where
+    the pivot row is nonzero, which is most of the saving on sparse
+    band matrices such as the torsion certificates.
     """
     rows, cols = len(m), len(m[0])
     pivots, swaps = [], 0
     for c in range(cols):
         r = len(pivots)
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, rows):
+            lead = m[piv][c] = m[piv][c] % p
+            if lead:
+                break
+        else:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             swaps += 1
-        inv = pow(m[r][c], -1, p)
+        inv = pow(lead, -1, p)
         if reduced:
             m[r] = [x * inv % p for x in m[r]]
         top = m[r]
-        tail = [(j, top[j]) for j in range(c + 1, cols) if top[j]]
-        for i in range(0 if reduced else r + 1, rows):
-            row = m[i]
-            if i == r or not row[c]:
+        tail = [(j, t) for j, x in enumerate(top[c + 1:], c + 1) if x and (t := x % p)]
+        for row in m if reduced else m[r + 1:]:
+            x = row[c]
+            if not x or row is top:
                 continue
-            f = row[c] if reduced else row[c] * inv % p
+            f = x % p if reduced else x * inv % p
+            if not f:
+                continue
             for j, t in tail:
-                row[j] = (row[j] - f * t) % p
+                row[j] -= f * t
             row[c] = 0
         pivots.append(c)
         if r + 1 == rows:
@@ -228,9 +247,11 @@ def convolution_matrix(field, coeffs, in_degs, out_degs):
         ncols += max(d + 1, 0)
     m = []
     for row_coeffs, dout in zip(coeffs, out_degs):
+        blocks = [(c, o, din) for c, o, din in zip(row_coeffs, col_off, in_degs)
+                  if c and din >= 0]
         for k in range(dout + 1):
             row = [zero] * ncols
-            for c, o, din in zip(row_coeffs, col_off, in_degs):
+            for c, o, din in blocks:
                 # unknown degrees s with 0 <= k - s < len(c)
                 lo, hi = max(k - len(c) + 1, 0), min(k, din)
                 if lo <= hi:

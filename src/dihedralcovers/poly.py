@@ -16,7 +16,9 @@ interpolation and powers modulo a polynomial (von zur Gathen & Gerhard,
 of the field: for p > 0 the values are ints and every result is reduced
 mod p, with inverses from ``pow(a, -1, p)``; for p = 0 they are ints and
 Fractions, sums and products of ints stay ints, and the one inverse,
-``inv_c``, is a Fraction, so that no division is a float division.
+``inv_c``, is a Fraction, so that no division is a float division;
+``reduce_c`` and the quotient of ``divmod_c`` turn an integral Fraction
+back into an int.
 Over Q the gcd, the resultant, exact division and interpolation clear
 denominators once and work on ints, so that no coefficient operation
 pays for a Fraction gcd: the gcd and the resultant share one
@@ -26,12 +28,16 @@ int where the denominator divides it.  Field elements are boxed
 (``FpElem``, ``Fraction``) only at the public accessors: ``coeff``,
 ``lead`` and evaluation return field elements; the constructor accepts
 field elements, ints and Fractions, and refuses floats.
-``base_field_roots`` is the one root finder: ascending residues over
-GF(p), rational-root-theorem candidates over Q.  Nothing here ever
-touches a float except the degree sentinel.
+``base_field_roots`` is the one root finder: over GF(p) the roots of
+gcd(x^p - x, f), split apart by seeded equal-degree splitting and
+given in ascending order, so that a prime of any size costs about
+log p polynomial products; over Q the rational-root-theorem
+candidates.  Nothing here ever touches a float except the degree
+sentinel.
 """
 
 import math
+import random
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -57,8 +63,12 @@ def inv_c(a, p):
 
 
 def reduce_c(c, p):
-    """The list c reduced mod p (when p > 0) and trimmed."""
-    return trim_c([v % p for v in c] if p else c)
+    """The list c reduced mod p (when p > 0) and trimmed; over Q an
+    integral Fraction becomes an int."""
+    if p:
+        return trim_c([v % p for v in c])
+    return trim_c([v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                   for v in c])
 
 
 def add_c(a, b, p):
@@ -99,7 +109,7 @@ def divmod_c(a, b, p):
     """(quotient, remainder) of a by the nonzero b."""
     db = len(b) - 1
     if len(a) <= db:
-        return [], list(a)
+        return [], reduce_c(a, p)
     r = list(a)
     low = b[:-1]
     binv = inv_c(b[-1], p)
@@ -108,6 +118,8 @@ def divmod_c(a, b, p):
         t = r[i + db] * binv
         if p:
             t %= p      # r's entries may be unreduced; t is not
+        elif t.denominator == 1:
+            t = t.numerator
         if not t:
             continue
         q[i] = t
@@ -566,15 +578,40 @@ def is_squarefree(a):
 
 def base_field_roots(f):
     """The distinct roots of the nonzero polynomial f in its base field,
-    found lazily in a fixed order: ascending residues over GF(p), and
-    over Q the rational-root-theorem candidates +-p/q, p dividing the
-    lowest nonzero and q the leading integer coefficient."""
+    in a fixed order.
+
+    Over GF(p), p odd (``fields.GF`` refuses 2), all at once and in
+    ascending order: g = gcd(x^p - x, f) is the product of the distinct
+    linear factors of f, and for a random a the gcd of g with
+    (x + a)^((p - 1)/2) - 1 takes the roots r with r + a a nonzero
+    square, about half of them; such splits are repeated until every
+    factor is linear (equal-degree splitting: Cantor & Zassenhaus,
+    Math. Comp. 36, 1981).  The draws come from a generator of their
+    own with a fixed seed, so no other random state is read or moved.
+    Over Q, lazily, the rational-root-theorem candidates +-p/q, p
+    dividing the lowest nonzero and q the leading integer coefficient.
+    """
     field = f.field
     p = field.characteristic
     if p:
-        for v in range(p):
-            if not eval_c(f.c, v, p):
-                yield field.box(v)
+        g = monic_c(f.c, p)
+        if len(g) > 1:
+            g = gcd_c(sub_c(powmod_c([0, 1], p, g, p), [0, 1], p), g, p)
+        rng = random.Random(0)
+        roots, todo = [], [g]
+        while todo:
+            h = todo.pop()
+            if len(h) == 2:
+                roots.append(-h[0] % p)
+            elif len(h) > 2:
+                s = powmod_c([rng.randrange(p), 1], (p - 1) // 2, h, p)
+                d = gcd_c(sub_c(s, [1], p), h, p)
+                if 1 < len(d) < len(h):
+                    todo += [d, divmod_c(h, d, p)[0]]
+                else:
+                    todo.append(h)
+        for v in sorted(roots):
+            yield field.box(v)
         return
     den = math.lcm(*[Fraction(c).denominator for c in f.c])
     ic = [int(Fraction(c) * den) for c in f.c]

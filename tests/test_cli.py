@@ -49,6 +49,16 @@ def test_pic_subcommand(capsys):
     assert doc["stratum"] == [1, 1]
 
 
+def test_pic_over_a_large_prime_finds_the_branch_root(capsys):
+    code, out = run(capsys, "pic", "--field", "Fp:1000000007",
+                    "--curve", '{"g":1,"F":"x0^4 + 3*x1^4 + x0*x1^3"}',
+                    "--pair", '{"a":0,"b":2,"P":"0","f":"x0^4 + 3*x1^4 + x0*x1^3","q":"1"}',
+                    "--op", "class")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["class"] == {"u": "1", "v": "0"} and doc["order"] == 1
+
+
 _LARGE_ORDER = ['--field', 'Fp:1009', '--curve',
                 '{"g":2,"F":"x0^6 + 1006*x0^5*x1 + 1004*x0^4*x1^2 + 15*x0^3*x1^3'
                 ' + 4*x0^2*x1^4 + 997*x0*x1^5"}',

@@ -333,6 +333,23 @@ def test_group_law_over_a_61_bit_prime(rng, g):
             assert is_n_torsion(matrix_from_class(curve, a), n) == (n * a).is_zero()
 
 
+@pytest.mark.parametrize("p, g, ns", [(1009, 3, [10]), (1009, 4, [9, 12]),
+                                        (2 ** 61 - 1, 2, range(2, 7)),
+                                        (2 ** 61 - 1, 3, range(2, 7))])
+def test_torsion_certificate_at_the_benchmark_tail_shapes(rng, p, g, ns):
+    """The band-matrix certificate against Cantor multiples at the
+    largest band shapes: random classes (almost surely of large order)
+    and 2-torsion classes, so both verdicts occur."""
+    curve = split_curve(p, g)
+    model = curve.odd_model()
+    pairs = [matrix_from_class(curve, random_class(model, g, rng)) for _ in range(2)]
+    pairs += rng.sample(enumerate_two_torsion(curve), 2)
+    for pair in pairs:
+        c = class_from_matrix(pair)
+        for n in ns:
+            assert is_n_torsion(pair, n) == (n * c).is_zero(), (pair, n)
+
+
 def _class_by_section(pair):
     """The class of a degree-zero pair by the section route: the pair
     moved to odd-model coordinates, the vanishing divisor (u, v) of its

@@ -225,7 +225,6 @@ def test_fp_and_int_mix_gives_same_answer(rng):
         mixed = [[x if x else 0 for x in row] for row in m]
         if m[0][0] and len(m[0]) > 1:
             mixed[0][-1] = m[0][-1].v + 101
-        assert linalg._residues(mixed, 101) == linalg._residues(m, 101)
         assert linalg.rank(mixed) == linalg.rank(m)
         assert linalg.rref(mixed) == linalg.rref(m)
         assert linalg.nullspace(mixed, K) == linalg.nullspace(m, K)
@@ -233,6 +232,35 @@ def test_fp_and_int_mix_gives_same_answer(rng):
         assert linalg.solve(mixed, b, K) == linalg.solve(m, b, K)
         n = min(len(m), len(m[0]))
         assert linalg.det([r[:n] for r in mixed[:n]], K) == linalg.det([r[:n] for r in m[:n]], K)
+
+
+def test_lazy_reduction_matches_reduced_matrix(rng):
+    """Int entries shifted by multiples of p (negative ones, and ones
+    near 2^200 p) give the same results as the reduced FpElem matrix,
+    and every returned value is a reduced FpElem."""
+    shifts = (lambda: rng.randint(-5, 5), lambda: rng.randint(-2 ** 64, 2 ** 64),
+              lambda: rng.choice((1, -1)) * (2 ** 200 + rng.randint(0, 2 ** 20)))
+    for p in (101, 2 ** 61 - 1):
+        K = GF(p)
+        for shape in SHAPES * 4:
+            m = random_gf_matrix(rng, p, shape)
+            lazy = [[x.v + rng.choice(shifts)() * p for x in row] for row in m]
+            assert linalg.rank(lazy, K) == linalg.rank(m)
+            # rref takes its field from an FpElem: a zero row of them,
+            # which leaves the int rows all-int
+            zero = [K.zero] * len(m[0])
+            red, pivots = linalg.rref(lazy + [zero])
+            assert (red, pivots) == linalg.rref(m + [zero])
+            basis = linalg.nullspace(lazy, K)
+            assert basis == linalg.nullspace(m, K)
+            b = [K.random(rng) for _ in m]
+            x = linalg.solve(lazy, b, K)
+            assert x == linalg.solve(m, b, K)
+            n = min(len(m), len(m[0]))
+            d = linalg.det([r[:n] for r in lazy[:n]], K)
+            assert d == linalg.det([r[:n] for r in m[:n]], K)
+            for v in [d] + (x or []) + [v for row in red + basis for v in row]:
+                assert type(v) is FpElem and v.p == p and 0 <= v.v < p
 
 
 def test_empty_and_zero_matrices():

@@ -6,7 +6,7 @@ import pytest
 from dihedralcovers.fields import QQ, GF
 from dihedralcovers.poly import (Poly, NEG_INF, poly_gcd, poly_xgcd,
                                  resultant, is_squarefree,
-                                 lagrange_interpolate)
+                                 lagrange_interpolate, base_field_roots)
 
 
 def P(*coeffs):
@@ -125,3 +125,33 @@ def test_interpolation_passes_through_every_point():
         assert p.is_zero() == (not any(ys))
 
     run()
+
+
+def test_base_field_roots_match_a_scan(rng):
+    for p in (3, 5, 7, 101):
+        K = GF(p)
+        x = Poly.x(K)
+        for _ in range(60):
+            f = Poly(K, [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [1])
+            # repeated and many distinct roots, too
+            for r in rng.sample(range(p), rng.randint(0, min(p, 6))):
+                f = f * (x - r) ** rng.randint(1, 2)
+            want = [v for v in range(p) if f(K.of(v)) == 0]
+            assert [r.v for r in base_field_roots(f)] == want
+
+
+@pytest.mark.parametrize("p", [10 ** 9 + 7, 2 ** 61 - 1])
+def test_base_field_roots_over_a_large_prime(p):
+    K = GF(p)
+    x = Poly.x(K)
+    non_square = next(n for n in range(2, 100) if pow(n, (p - 1) // 2, p) == p - 1)
+    roots = [0, 1, 2, p - 1, 12345, p // 3]
+    f = (x * x - non_square) * (x - 1)
+    for r in roots:
+        f = f * (x - r)
+    state = random.getstate()
+    assert [r.v for r in base_field_roots(f)] == sorted(roots)
+    assert list(base_field_roots(x * x - non_square)) == []
+    assert list(base_field_roots(Poly.const(K, 3))) == []
+    # the splitting draws from a generator of its own
+    assert random.getstate() == state

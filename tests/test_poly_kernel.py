@@ -14,7 +14,7 @@ import pytest
 
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.poly import (Poly, add_c, sub_c, mul_c, divmod_c, gcd_c, xgcd_c,
-                                 resultant_c, eval_c, interpolate_c, powmod_c,
+                                 monic_c, scale_c, resultant_c, eval_c, interpolate_c, powmod_c,
                                  poly_gcd, poly_xgcd, resultant, lagrange_interpolate)
 
 FIELDS = [GF(3), GF(5), GF(1009), GF(2 ** 61 - 1), QQ]
@@ -151,14 +151,15 @@ def plain(K, c):
 
 
 def assert_plain(K, c):
-    """c is trimmed, and made of ints in range(p) over GF(p), of ints
-    and Fractions (never a float) over Q."""
+    """c is trimmed, and made of ints in range(p) over GF(p); over Q of
+    ints and of Fractions with a denominator (never a float, never an
+    integral Fraction)."""
     assert not c or c[-1]
     p = K.characteristic
     if p:
         assert all(type(v) is int and 0 <= v < p for v in c)
     else:
-        assert all(type(v) in (int, Fraction) for v in c)
+        assert all(type(v) is int or type(v) is Fraction and v.denominator > 1 for v in c)
 
 
 def embed(K, v):
@@ -219,6 +220,17 @@ def test_divmod_matches_the_boxed_loop():
         assert_plain(K, r)
         assert (q, r) == (plain(K, wq), plain(K, wr))
     run()
+
+
+def test_q_division_gives_ints_where_integral():
+    q, r = divmod_c([2, 4, 6], [1, 2], 0)
+    assert (q, r) == ([Fraction(1, 2), 3], [Fraction(3, 2)])
+    assert [type(v) for v in q] == [Fraction, int]
+    results = [monic_c([2, 4], 0), scale_c([Fraction(1, 2), Fraction(3, 2)], 2, 0),
+               *xgcd_c([-1, 0, 1], [1, 1], 0), *divmod_c([Fraction(3, 2), 3], [3], 0)]
+    assert results == [[Fraction(1, 2), 1], [1, 3], [1, 1], [], [1], [Fraction(1, 2), 1], []]
+    for c in results:
+        assert_plain(QQ, c)
 
 
 def test_exact_division_matches_the_boxed_loop():
