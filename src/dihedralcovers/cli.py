@@ -96,17 +96,18 @@ def run_torsion(job):
 def run_pic(job):
     field = _field(job)
     curve = _curve(job, field)
-    pair = _pair(job, "pair", curve)
     op = job.get("op", "class")
     out = {"op": op}
     if op == "class":
+        pair = _pair(job, "pair", curve)
         c = class_from_matrix(pair)
         out["class"] = c.to_json()
         out["order"] = class_order(c)
         out["stratum"] = list(stratum(pair))
     elif op == "inverse":
-        out["pair"] = inverse(pair).to_json()
+        out["pair"] = inverse(_pair(job, "pair", curve)).to_json()
     elif op == "tensor":
+        pair = _pair(job, "pair", curve)
         other = _pair(job, "pair2", curve)
         prod = tensor(pair, other)
         out["pair"] = prod.to_json()
@@ -241,8 +242,8 @@ def _build_parser():
     p = sub.add_parser("pic", help="divisor class arithmetic")
     common(p)
     p.add_argument("--curve", required=True)
-    p.add_argument("--pair", required=True)
-    p.add_argument("--pair2")
+    p.add_argument("--pair", help="JSON {a, b, P, f, q}; every op but two-torsion")
+    p.add_argument("--pair2", help="JSON {a, b, P, f, q}; the second factor of tensor")
     p.add_argument("--op", default="class",
                    choices=["class", "inverse", "tensor", "two-torsion"])
 

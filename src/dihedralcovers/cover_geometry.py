@@ -49,8 +49,8 @@ import random
 from fractions import Fraction
 
 from .fields import QQ, GF
-from .poly import (plain_poly, trim_c, eval_c, powmod_c, poly_gcd, resultant,
-                   lagrange_interpolate)
+from .poly import (plain_poly, trim_c, eval_c, powmod_c, poly_gcd, resultant_c,
+                   interpolate_c)
 from .homog import HForm, form_gcd
 from .hyperelliptic import class_from_matrix
 from .deformations import pushforward_twists
@@ -156,11 +156,11 @@ def resultant_wrt_last(f, g):
         lam, cf = _clear_denominators(cf)
         mu, cg = _clear_denominators(cg)
         scale = lam ** g.deg * mu ** f.deg
-    points = []
-    for x in range(D + 1):
-        points.append((x, resultant(plain_poly(field, trim_c([eval_c(c, x, p) for c in cf])),
-                                    plain_poly(field, trim_c([eval_c(c, x, p) for c in cg])))))
-    R = lagrange_interpolate(field, points)
+    # each point's resultant goes to the interpolation as a plain value, unboxed
+    xs = range(D + 1)
+    R = plain_poly(field, interpolate_c(
+        xs, [resultant_c(trim_c([eval_c(c, x, p) for c in cf]),
+                         trim_c([eval_c(c, x, p) for c in cg]), p) for x in xs], p))
     if scale != 1:
         R = R * Fraction(1, scale)
     return HForm.from_univar(R, D)

@@ -27,9 +27,11 @@ trace-free matrix pairs:
 Torsion is certified two ways: by the group law (the oracle: n * c by
 double-and-add; ``class_order`` iterates the addition and returns None
 past its bound) and by the rank of a resultant-style band matrix built
-from (P, f, q) by ``linalg.convolution_matrix``, which is rank deficient
-exactly when the class is n-torsion (``torsion_matrix`` /
-``is_n_torsion``).
+from the charts of (f, -2P, -q), which is rank deficient exactly when
+the class is n-torsion.  ``torsion_matrix`` writes the band out as a
+list matrix; ``is_n_torsion`` takes its rank by
+``linalg.convolution_rank``, which over GF(p) packs the band's rows
+straight from the three charts and never builds it as lists.
 """
 
 import itertools
@@ -380,17 +382,19 @@ def torsion_matrix(pair, n):
     i*a + (n-i)*b - 2; columns by target blocks k = 0..n-2 of degrees
     (k+2)*a + (n-k)*b - 2.  Block (i, k) carries the coefficient band of
     f when i = k+2, of -2P when i = k+1, of -q when i = k.  This is the
-    transpose of ``_torsion_band``.
+    transpose of the band that ``is_n_torsion`` ranks.
     """
-    band = _torsion_band(pair, n)
+    band = linalg.convolution_matrix(pair.ring.field, *_torsion_blocks(pair, n))
     rows = sum(max(i * pair.a + (n - i) * pair.b - 1, 0) for i in range(n + 1))
     return [[r[c] for r in band] for c in range(rows)]
 
 
-def _torsion_band(pair, n):
-    """The torsion band as ``linalg.convolution_matrix`` builds it: one
-    row per target coefficient and one column per coefficient of the
-    unknown blocks c_i, target block k being f c_(k+2) - 2P c_(k+1) - q c_k."""
+def _torsion_blocks(pair, n):
+    """The torsion band as the arguments (coeffs, in_degs, out_degs),
+    after the field, of ``linalg.convolution_matrix`` and
+    ``linalg.convolution_rank``: one row per target coefficient and one
+    column per coefficient of the unknown blocks c_i, target block k
+    being f c_(k+2) - 2P c_(k+1) - q c_k."""
     if n < 2:
         raise ValueError("torsion index must be at least 2")
     a, b = pair.a, pair.b
@@ -400,21 +404,24 @@ def _torsion_band(pair, n):
         row = [[]] * (n + 1)
         row[k], row[k + 1], row[k + 2] = qc, pc, fc
         coeffs.append(row)
-    return linalg.convolution_matrix(
-        pair.ring.field, coeffs, [i * a + (n - i) * b - 2 for i in range(n + 1)],
-        [(k + 2) * a + (n - k) * b - 2 for k in range(n - 1)])
+    return (coeffs, [i * a + (n - i) * b - 2 for i in range(n + 1)],
+            [(k + 2) * a + (n - k) * b - 2 for k in range(n - 1)])
 
 
 def is_n_torsion(pair, n):
     """True when n times the pair's class is trivial, certified by the
-    rank of the torsion band matrix (taken on ``_torsion_band``, the
-    transpose of ``torsion_matrix``, as rank is transpose-invariant)."""
+    rank of the torsion band (the transpose of ``torsion_matrix``, as
+    rank is transpose-invariant), which is rank deficient exactly then.
+    ``linalg.convolution_rank`` takes the rank from the three charts of
+    (f, -2P, -q), so over GF(p) the band is built as packed rows and
+    never as lists."""
     if pair.is_trivial():
         return True
-    band = _torsion_band(pair, n)
-    if not band:
+    blocks = _torsion_blocks(pair, n)
+    nrows = sum(d + 1 for d in blocks[2] if d >= 0)
+    if not nrows:
         return True
-    return linalg.rank(band, pair.ring.field) < len(band)
+    return linalg.convolution_rank(pair.ring.field, *blocks) < nrows
 
 
 def sym_power_pushforward(pair, n):

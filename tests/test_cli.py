@@ -59,6 +59,18 @@ def test_pic_over_a_large_prime_finds_the_branch_root(capsys):
     assert doc["class"] == {"u": "1", "v": "0"} and doc["order"] == 1
 
 
+
+def test_pic_two_torsion_needs_no_pair(capsys):
+    curve = '{"g":1,"F":"x0^4 - 2*x0^3*x1 - x0^2*x1^2 + 2*x0*x1^3"}'
+    code, out = run(capsys, "pic", "--op", "two-torsion", "--field", "Fp:2305843009213693951",
+                    "--curve", curve)
+    assert code == 0
+    assert json.loads(out)["count"] == 3
+    # the ops that read a pair still refuse a job without one
+    code = cli.main(["pic", "--op", "class", "--field", "Fp:7", "--curve", curve])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "missing pair" in captured.err
+
 _LARGE_ORDER = ['--field', 'Fp:1009', '--curve',
                 '{"g":2,"F":"x0^6 + 1006*x0^5*x1 + 1004*x0^4*x1^2 + 15*x0^3*x1^3'
                 ' + 4*x0^2*x1^4 + 997*x0*x1^5"}',

@@ -350,6 +350,31 @@ def test_torsion_certificate_at_the_benchmark_tail_shapes(rng, p, g, ns):
             assert is_n_torsion(pair, n) == (n * c).is_zero(), (pair, n)
 
 
+
+@pytest.mark.parametrize("p, g", [(5, 1), (1009, 2), (2 ** 61 - 1, 2)])
+def test_torsion_certificate_matches_bareiss_and_cantor(rng, p, g):
+    """The packed band rank of ``is_n_torsion`` against two oracles: the
+    fraction-free rank of ``torsion_matrix`` (rank deficient exactly for
+    n-torsion) and the group law.  Over GF(5) every class of the curve,
+    elsewhere random and 2-torsion classes."""
+    K = GF(p)
+    curve = split_curve(p, g)
+    model = curve.odd_model()
+    if p == 5:
+        classes = enumerate_jacobian(model)
+    else:
+        classes = [random_class(model, g, rng) for _ in range(2)]
+        classes += [class_from_matrix(x) for x in rng.sample(enumerate_two_torsion(curve), 2)]
+    for c in classes:
+        pair = matrix_from_class(curve, c)
+        for n in range(2, 6):
+            verdict = is_n_torsion(pair, n)
+            assert verdict == (n * c).is_zero(), (c, n)
+            if not pair.is_trivial():
+                m = torsion_matrix(pair, n)
+                boxed = [[K.of(x) for x in row] for row in m]
+                assert verdict == (linalg.bareiss_rank(boxed, K.one) < len(m[0])), (c, n)
+
 def _class_by_section(pair):
     """The class of a degree-zero pair by the section route: the pair
     moved to odd-model coordinates, the vanishing divisor (u, v) of its

@@ -1,9 +1,11 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dihedralcovers.fields import QQ, GF, FpElem
+from dihedralcovers.fields import QQ, GF, FpElem, _is_prime
 from dihedralcovers.poly import Poly, add_c, mul_c, neg_c
 from dihedralcovers import linalg
 from dihedralcovers.graded import kernel_basis
@@ -139,10 +141,51 @@ def mat_vec(m, v, K):
     return [sum((a * b for a, b in zip(row, v)), K.zero) for row in m]
 
 
-def test_gf_rank_matches_bareiss():
+def slot_boundary_primes():
+    """(p, ncols) pairs whose (ncols + 1) p^2, the bound the slot width
+    of the packed rank loop is taken from, lies just below or just above
+    2^32 or 2^64, then 65521, 2^31 - 1 and 2^61 - 1 at a few widths."""
+    out = []
+    for bits, ncols in itertools.product((32, 64), (1, 2, 5)):
+        r = math.isqrt(2 ** bits // (ncols + 1))
+        below = next(p for p in range(r, 2, -1) if _is_prime(p))
+        above = next(p for p in itertools.count(r + 1) if _is_prime(p))
+        assert (ncols + 1) * below ** 2 < 2 ** bits <= (ncols + 1) * above ** 2
+        out += [(below, ncols), (above, ncols)]
+    return out + [(p, n) for p in (65521, 2 ** 31 - 1, 2 ** 61 - 1) for n in (1, 3, 8)]
+
+
+def disguise(x, p, rng):
+    """The residue x as one of the entries the GF(p) paths accept: an
+    FpElem, or an int congruent to it that is negative, at least p, or
+    about 2^200 p away."""
+    return rng.choice((lambda: FpElem(x, p), lambda: x - rng.randint(1, 9) * p,
+                       lambda: x + rng.randint(1, 9) * p,
+                       lambda: x + rng.choice((1, -1)) * (2 ** 200 + rng.randint(0, 99)) * p))()
+
+
+def slot_boundary_matrices(rng):
+    """(K, m, disguised m) over the primes of ``slot_boundary_primes``:
+    1 x N, N x 1, square and tall shapes with entries drawn from 0, 1,
+    p - 1, p - 2 and random residues, some rows all zero."""
+    for p, ncols in slot_boundary_primes():
+        K = GF(p)
+        for nrows in sorted({1, 2, ncols, ncols + 3}):
+            m = [[rng.choice((0, 1, p - 1, p - 2, rng.randrange(p))) for _ in range(ncols)]
+                 for _ in range(nrows)]
+            if nrows > 1 and rng.random() < 0.5:
+                m[rng.randrange(nrows)] = [0] * ncols
+            yield K, [[K.of(x) for x in row] for row in m], [[disguise(x, p, rng) for x in row]
+                                                             for row in m]
+
+
+def test_gf_rank_matches_bareiss(rng):
     def check(K, m):
         assert linalg.rank(m) == linalg.bareiss_rank(m, K.one)
     for_gf_matrices(check)
+    for K, m, disguised in slot_boundary_matrices(rng):
+        check(K, m)
+        assert linalg.rank(disguised, K) == linalg.bareiss_rank(m, K.one)
 
 
 def test_gf_rref_matches_generic_loop():
@@ -192,21 +235,47 @@ def test_gf_solve_satisfies_system():
     for_gf_matrices(check)
 
 
-def test_gf_det_matches_bareiss():
+def test_gf_det_matches_bareiss(rng):
     def check(K, m):
         n = min(len(m), len(m[0]))
         sq = [row[:n] for row in m[:n]]
         assert linalg.det(sq, K) == linalg.bareiss_det(sq, K.one)
     for_gf_matrices(check)
+    for K, m, disguised in slot_boundary_matrices(rng):
+        check(K, m)
+        n = min(len(m), len(m[0]))
+        assert linalg.det([r[:n] for r in disguised[:n]], K) == linalg.bareiss_det(
+            [r[:n] for r in m[:n]], K.one)
 
 
-def test_det_sign_after_row_swaps():
+def test_det_sign_after_row_swaps(rng):
     K = GF(101)
     one, zero = K.one, K.zero
     swap = [[zero, one, zero], [one, zero, zero], [zero, zero, K.of(5)]]
     assert linalg.det(swap, K) == K.of(-5)
     cycle = [[zero, one, zero], [zero, zero, one], [K.of(7), zero, zero]]
     assert linalg.det(cycle, K) == K.of(7) == linalg.bareiss_det(cycle, K.one)
+    # det(P U) = sign(P) * prod diag(U) for a row permutation P of an
+    # upper triangular U, also after adding multiples of rows to other
+    # rows, which moves the pivots away from the ends of their buckets
+    for p in (101, 65521, 2 ** 31 - 1, 2 ** 61 - 1):
+        K = GF(p)
+        for n in range(1, 8):
+            diag = [rng.randrange(1, p) for _ in range(n)]
+            upper = [[0] * i + [diag[i]] + [rng.randrange(p) for _ in range(n - i - 1)]
+                     for i in range(n)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            want = K.of((-1) ** inversions * math.prod(diag))
+            m = [upper[i] for i in perm]
+            for mixed in (False, True):
+                for i, j in itertools.permutations(range(n), 2) if mixed else ():
+                    if rng.random() < 0.3:
+                        f = rng.randrange(p)
+                        m[j] = [(y + f * x) % p for x, y in zip(m[i], m[j])]
+                assert linalg.det([[K.of(x) for x in row] for row in m], K) == want
+                assert linalg.det([[disguise(x, p, rng) for x in row] for row in m], K) == want
 
 
 def test_mixed_characteristics_still_raise():
@@ -240,10 +309,17 @@ def test_lazy_reduction_matches_reduced_matrix(rng):
     and every returned value is a reduced FpElem."""
     shifts = (lambda: rng.randint(-5, 5), lambda: rng.randint(-2 ** 64, 2 ** 64),
               lambda: rng.choice((1, -1)) * (2 ** 200 + rng.randint(0, 2 ** 20)))
-    for p in (101, 2 ** 61 - 1):
+    for p in (101, 65521, 2 ** 31 - 1, 2 ** 61 - 1):
         K = GF(p)
-        for shape in SHAPES * 4:
-            m = random_gf_matrix(rng, p, shape)
+        for shape in SHAPES * 4 + ("1xN", "Nx1", "zero rows"):
+            if shape == "1xN":
+                m = [[K.random(rng) for _ in range(rng.randint(1, 9))]]
+            elif shape == "Nx1":
+                m = [[K.random(rng)] for _ in range(rng.randint(1, 9))]
+            else:
+                m = random_gf_matrix(rng, p, "dense" if shape == "zero rows" else shape)
+            if shape == "zero rows":
+                m[::2] = [[K.zero] * len(m[0])] * len(m[::2])
             lazy = [[x.v + rng.choice(shifts)() * p for x in row] for row in m]
             assert linalg.rank(lazy, K) == linalg.rank(m)
             # rref takes its field from an FpElem: a zero row of them,
@@ -335,7 +411,7 @@ def test_convolution_matrix_matches_poly_products():
     st = hyp.strategies
 
     @hyp.settings(max_examples=200, deadline=None)
-    @hyp.given(st.sampled_from(("Q", 3, 101)),
+    @hyp.given(st.sampled_from(("Q", 3, 101, 2 ** 61 - 1)),
                st.lists(st.integers(-2, 4), min_size=0, max_size=4),
                st.lists(st.integers(-2, 5), min_size=0, max_size=4),
                st.randoms())
@@ -360,5 +436,8 @@ def test_convolution_matrix_matches_poly_products():
                         Poly.zero(K))
             want += [total.coeff(k) for k in range(dout + 1)]
         assert mat_vec(m, vec, K) == want
+        # the rank, over GF(p) from rows packed straight from the charts
+        assert linalg.convolution_rank(K, coeffs, in_degs, out_degs) == linalg.bareiss_rank(
+            [[K.of(x) for x in row] for row in m], K.one)
 
     run()
