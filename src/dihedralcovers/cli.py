@@ -39,6 +39,7 @@ from .hyperelliptic import (HECurve, MumfordClass, class_from_matrix,
 from . import cover_geometry as geometry
 from . import deformations
 from . import dihedral
+from .cyclotomic import CyclotomicField
 from .cover_algebra import eigensheaf_decomposition
 
 
@@ -170,10 +171,9 @@ def run_dn_table(job):
            "eigensheaf": [{"label": lab, "degrees": degs}
                           for lab, degs in eigensheaf_decomposition(n, m)]}
     if job.get("projectorRanks"):
-        ranks = {}
-        for lab in labels:
-            ranks[lab] = dihedral.projector_rank(dihedral.projector(n, lab))
-        out["projectorRanks"] = ranks
+        K = CyclotomicField(n)
+        out["projectorRanks"] = {lab: dihedral.projector_rank(dihedral.projector(n, lab, K))
+                                 for lab in labels}
     return out, 0
 
 

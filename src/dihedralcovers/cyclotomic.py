@@ -1,37 +1,36 @@
 """The cyclotomic field Q(zeta_n) as Q[t] modulo the n-th cyclotomic
 polynomial.
 
-An element is the tuple of its phi(n) rational coefficients on the
-basis 1, t, ..., t^(phi(n)-1), always reduced.  A coefficient is a
-plain ``int`` whenever it is integral, and a ``Fraction`` only where a
-real denominator exists; since ``2 == Fraction(2)`` and the two hash
-alike, equality, hashing and the printed form do not depend on which
-of the two a value happens to be.  Each field precomputes two tables:
-the reduced rows of t^k for phi(n) <= k <= 2 phi(n) - 2, and the n
-powers of zeta.  Phi_n is monic with integer coefficients, so both
-tables hold ints, and arithmetic on integral elements never leaves the
-ints.  Addition and subtraction work coefficient by coefficient with no
-reduction; a product is the schoolbook product of the coefficients
-with its high part folded back through the t^k rows; complex
-conjugation sends t^k to zeta^(-k) from the power table.
-Inversion goes through the extended Euclidean algorithm against the
-modulus.  The class satisfies the same descriptor protocol as the
-fields in :mod:`dihedralcovers.fields` (zero, one, of, inv), so generic
-linear algebra runs over it unchanged.
+An element is num(t) / den, reduced modulo Phi_n: ``num`` is the tuple
+of its phi(n) integer numerators on the basis 1, t, ..., t^(phi(n)-1),
+``den`` one positive int denominator, always in lowest terms (no prime
+divides den and every numerator; zero is 0/1), so that each value has
+one representation.  This is the layout of ANTIC's ``nf_elem`` (W. Hart,
+"ANTIC: Algebraic Number Theory In C", Computeralgebra-Rundbrief 56,
+2015).  ``CycloElem(field, num, den)`` is the one constructor and takes
+the pair as it is; arithmetic brings each result to lowest terms first.
+``rep`` is a read-only view of the coefficients as rationals.
+
+Each field precomputes the reduced rows of t^k for phi(n) <= k <=
+2 phi(n) - 2 and the n powers of zeta; Phi_n is monic in Z[t], so both
+hold ints.  A sum over one denominator is one tuple sum; a product is
+one integer convolution, its high part folded back through the t^k
+rows, then one gcd pass, and a product with a rational factor is a
+scalar multiple.  Conjugation sends t^k to zeta^(-k); as an automorphism
+of Z[zeta_n], whose Z-basis the t^k are, it keeps the numerators'
+content.  Inversion runs the extended Euclidean algorithm against the
+modulus.  The field satisfies the descriptor protocol of
+:mod:`dihedralcovers.fields` (zero, one, of, inv), so generic linear
+algebra runs over it unchanged.
 """
 
+import math
 from fractions import Fraction
 
 from .fields import QQ
 from .poly import Poly, poly_xgcd
 
 _cyclo_cache = {}
-
-
-def _plain(xs):
-    """The tuple of the rationals xs, each integral one as an int."""
-    return tuple([x if type(x) is int or x.denominator != 1 else x.numerator
-                  for x in xs])
 
 
 def cyclotomic_polynomial(n):
@@ -47,34 +46,80 @@ def cyclotomic_polynomial(n):
     return num
 
 
+def _lowest(K, num, den):
+    """The element num / den of K, brought to lowest terms (den > 0)."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([a // g for a in num])
+            den //= g
+    return CycloElem(K, num, den)
+
+
+def _combine(x, y, sign):
+    """x + y for sign 1, x - y for sign -1; y may be any value K.of takes."""
+    K = x.field
+    if type(y) is not CycloElem or y.field is not K:
+        y = K.of(y)
+    da, db = x.den, y.den
+    if da == db:
+        if sign > 0:
+            return _lowest(K, tuple([a + b for a, b in zip(x.num, y.num)]), da)
+        return _lowest(K, tuple([a - b for a, b in zip(x.num, y.num)]), da)
+    g = math.gcd(da, db)
+    fa, fb = db // g, sign * (da // g)
+    return _lowest(K, tuple([a * fa + b * fb for a, b in zip(x.num, y.num)]), da * fa)
+
+
 class CycloElem:
-    """An element of Q(zeta_n): ``rep`` is its reduced coefficient tuple,
-    of length phi(n), low degree first, with ints for integral entries."""
+    """An element num(t) / den of Q(zeta_n): ``num`` is a tuple of phi(n)
+    ints, low degree first, and ``den`` a positive int, in lowest terms."""
 
-    __slots__ = ("field", "rep")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, rep):
+    def __init__(self, field, num, den=1):
         self.field = field
-        self.rep = rep
+        self.num = num
+        self.den = den
+
+    @property
+    def rep(self):
+        """The reduced coefficients as rationals, ints where integral."""
+        num, den = self.num, self.den
+        if den == 1:
+            return num
+        return tuple([Fraction(a, den) if a % den else a // den for a in num])
 
     def __add__(self, other):
-        o = self.field._rep(other)
-        return CycloElem(self.field, _plain([a + b if a and b else a or b
-                                             for a, b in zip(self.rep, o)]))
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self.field._rep(other)
-        return CycloElem(self.field, _plain([a - b if b else a for a, b in zip(self.rep, o)]))
+        return _combine(self, other, -1)
 
     def __rsub__(self, other):
-        return CycloElem(self.field, self.field._rep(other)) - self
+        return _combine(self.field.of(other), self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElem(self.field, _plain([a * other if a else a for a in self.rep]))
-        return CycloElem(self.field, self.field._mul(self.rep, self.field._rep(other)))
+        K = self.field
+        if type(other) is not CycloElem or other.field is not K:
+            if isinstance(other, (int, Fraction)):
+                s = other.numerator
+                return _lowest(K, tuple([a * s for a in self.num]),
+                               self.den * other.denominator)
+            other = K.of(other)
+        a, b = self.num, other.num
+        tail = K._tail
+        if b[1:] == tail:
+            s = b[0]
+            num = tuple([x * s for x in a])
+        elif a[1:] == tail:
+            s = a[0]
+            num = tuple([s * y for y in b])
+        else:
+            num = K._mul(a, b)
+        return _lowest(K, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -87,39 +132,45 @@ class CycloElem:
         return self.field.of(other) / self
 
     def __neg__(self):
-        return CycloElem(self.field, tuple([-a for a in self.rep]))
+        return CycloElem(self.field, tuple([-a for a in self.num]), self.den)
 
     def __pow__(self, e):
-        r = self.field.one
         b = self
         if e < 0:
             b = b.inverse()
             e = -e
-        for _ in range(e):
-            r = r * b
+        r = self.field.one
+        while e:
+            if e & 1:
+                r = r * b
+            e >>= 1
+            if e:
+                b = b * b
         return r
 
     def inverse(self):
         K = self.field
-        g, s, _ = poly_xgcd(Poly(QQ, list(self.rep)), K.modulus)
+        g, s, _ = poly_xgcd(Poly(QQ, list(self.num)), K.modulus)
         if g.degree != 0:
             raise ZeroDivisionError("non-invertible cyclotomic element")
-        return CycloElem(K, K._reduce(s * QQ.inv(g.c[0])))
+        # g is monic, so s * num = 1 and (num / den)^(-1) = s * den
+        return K._reduce(s) * self.den
 
     def conjugate(self):
         """Complex conjugation zeta -> zeta^(-1), so t^k -> zeta^(-k)."""
         K = self.field
-        out = [self.rep[0]] + [0] * (K.degree - 1)
+        num = self.num
+        out = [num[0]] + [0] * (K.degree - 1)
         for k in range(1, K.degree):
-            a = self.rep[k]
+            a = num[k]
             if a:
-                for j, c in enumerate(K._zetas[-k % K.n].rep):
+                for j, c in enumerate(K._zetas[-k % K.n].num):
                     if c:
-                        out[j] = out[j] + a * c
-        return CycloElem(K, _plain(out))
+                        out[j] += a * c
+        return CycloElem(K, tuple(out), self.den)
 
     def is_rational(self):
-        return not any(self.rep[1:])
+        return self.num[1:] == self.field._tail
 
     def rational_value(self):
         if not self.is_rational():
@@ -128,9 +179,10 @@ class CycloElem:
 
     def __eq__(self, other):
         if isinstance(other, CycloElem):
-            return self.field.n == other.field.n and self.rep == other.rep
+            return (self.field.n == other.field.n and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            return self.rep[0] == other and self.is_rational()
+            return self.num[0] == other * self.den and self.is_rational()
         return NotImplemented
 
     def __hash__(self):
@@ -138,7 +190,7 @@ class CycloElem:
 
     def __bool__(self):
         # a fast path for the shared zero, which fills most projector cells
-        return self.rep is not self.field.zero.rep and any(self.rep)
+        return self is not self.field.zero and any(self.num)
 
     def __repr__(self):
         return "(%s)" % repr(Poly(QQ, list(self.rep))).replace("x", "z")
@@ -163,7 +215,9 @@ class CyclotomicField:
             lead = last[d - 1]
             rows.append(tuple([(last[i - 1] if i else 0) + lead * top[i]
                                for i in range(d)]))
-        self._fold = rows[d:2 * d - 1]
+        # the nonzero (j, c) of each row t^k, k >= d, that folds a product
+        self._fold = [(k, [(j, c) for j, c in enumerate(rows[k]) if c])
+                      for k in range(d, 2 * d - 1)]
         self._zetas = [CycloElem(self, row) for row in rows[:n]]
         self._tail = (0,) * (d - 1)
         self.zero = CycloElem(self, (0,) + self._tail)
@@ -174,44 +228,42 @@ class CyclotomicField:
         return self._zetas[k % self.n]
 
     def of(self, x):
-        rep = self._rep(x)
-        return x if isinstance(x, CycloElem) else CycloElem(self, rep)
-
-    def inv(self, x):
-        return self.of(x).inverse()
-
-    def _rep(self, x):
         if isinstance(x, CycloElem):
             if x.field.n != self.n:
                 raise ValueError("mixed cyclotomic orders %d and %d" % (self.n, x.field.n))
-            return x.rep
+            return x
         if isinstance(x, (int, Fraction)):
-            return _plain((x,)) + self._tail
+            return CycloElem(self, (x.numerator,) + self._tail, x.denominator)
         if isinstance(x, Poly):
             return self._reduce(x)
         raise TypeError("cannot coerce %r" % (x,))
 
+    def inv(self, x):
+        return self.of(x).inverse()
+
     def _reduce(self, p):
-        """The coefficient tuple of a rational polynomial modulo Phi_n."""
+        """The element of a rational polynomial, reduced modulo Phi_n."""
         c = (p % self.modulus).c
-        return _plain(c) + (0,) * (self.degree - len(c))
+        # each prime power of the lcm is some coefficient's full
+        # denominator, and does not divide its numerator: lowest terms
+        den = math.lcm(*[x.denominator for x in c])
+        num = [x.numerator * (den // x.denominator) for x in c]
+        return CycloElem(self, tuple(num) + (0,) * (self.degree - len(c)), den)
 
     def _mul(self, a, b):
-        """The reduced product of two coefficient tuples."""
+        """The reduced integer product of two numerator tuples."""
         d = self.degree
         prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = prod[i + j] + x * y
-        for k, row in enumerate(self._fold, d):
+                for k, y in enumerate(b, i):
+                    prod[k] += x * y
+        for k, row in self._fold:
             h = prod[k]
             if h:
-                for j, c in enumerate(row):
-                    if c:
-                        prod[j] = prod[j] + h * c
-        return _plain(prod[:d])
+                for j, c in row:
+                    prod[j] += h * c
+        return tuple(prod[:d])
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.n == self.n

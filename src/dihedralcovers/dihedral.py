@@ -19,9 +19,15 @@ projectors sum to the identity.  The orthogonality relations evaluate
 chi2 project onto 1 and s, chi3 and chi4 onto u^(n/2) + v^(n/2) and
 u^(n/2) - v^(n/2), and rho_l onto the span of u^l, u^(n-l), v^l and
 v^(n-l).  So a projector has at most four nonzero entries, all
-rational, and costs no cyclotomic arithmetic.  ``representation_matrix``
-builds the dense matrices of group elements from products of sigma and
-tau; the tests sum them, as the reference for ``projector``.
+rational, and costs no cyclotomic arithmetic.  ``projector_rank`` reads
+the rank off as the trace: over a field of characteristic 0 the rank of
+an idempotent equals its trace, so it checks p * p = p exactly on the
+nonzero cells and sums the diagonal, with no elimination.  It refuses
+entries of positive characteristic, where the trace is only the rank
+mod p.  ``representation_matrix`` builds the dense matrices of group
+elements from products of sigma and tau; the tests sum them, as the
+reference for ``projector``, and take their rank by elimination, as the
+reference for ``projector_rank``.
 
 ``epsilon`` is the cocycle exponent table: for the subgroup generated
 by sigma^k, the product of the restrictions of the characters indexed
@@ -32,8 +38,7 @@ normalized exponents add up past the subgroup order.
 import math
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicField
-from . import linalg
+from .cyclotomic import CycloElem, CyclotomicField
 
 
 class DihedralGroup:
@@ -186,7 +191,40 @@ def projector(n, label, K=None):
 
 
 def projector_rank(p):
-    return linalg.rank(p)
+    """The rank of an idempotent square matrix p over Q or Q(zeta_n), read
+    off as its trace once p * p = p is checked exactly on the nonzero
+    cells (an all-zero row is skipped by one ``count`` of the zero of
+    p[0][0]; a rational cell is taken as its int or Fraction value).
+    Raises ``ValueError`` if p is not square or not idempotent, or has
+    an entry of positive characteristic."""
+    dim = len(p)
+    if not dim:
+        return 0
+    zero = p[0][0].field.zero if isinstance(p[0][0], CycloElem) else 0
+    rows = {}
+    for i, row in enumerate(p):
+        if len(row) != dim:
+            raise ValueError("projector_rank needs a square matrix")
+        if row.count(zero) != dim:
+            rows[i] = {j: _entry(x) for j, x in enumerate(row) if x}
+    for i, cells in rows.items():
+        square = {}
+        for k, x in cells.items():
+            for j, y in rows.get(k, {}).items():
+                square[j] = square.get(j, 0) + x * y
+        if {j: w for j, w in square.items() if w} != cells:
+            raise ValueError("projector_rank needs an idempotent matrix")
+    trace = sum(cells.get(i, 0) for i, cells in rows.items())
+    return int(trace.rational_value() if isinstance(trace, CycloElem) else trace)
+
+
+def _entry(x):
+    """A nonzero entry, as its int or Fraction value where it is rational."""
+    if isinstance(x, CycloElem):
+        return x.rational_value() if x.is_rational() else x
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise ValueError("projector_rank needs entries of characteristic 0, not %r" % (x,))
 
 
 def _identity(dim, K):

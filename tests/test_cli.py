@@ -113,6 +113,27 @@ def test_dn_table(capsys):
     assert labels == ["chi1", "chi2", "rho1"]
 
 
+def test_dn_table_projector_ranks_share_one_field(capsys, monkeypatch):
+    # every chi has rank 1 and every rho rank 4, all on one Q(zeta_n)
+    from dihedralcovers.cyclotomic import CyclotomicField
+
+    built = []
+    init = CyclotomicField.__init__
+
+    def counted(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(CyclotomicField, "__init__", counted)
+    for n in (12, 40):
+        built.clear()
+        code, out = run(capsys, "dn-table", "--n", str(n), "--projector-ranks")
+        assert code == 0 and built == [n]
+        ranks = json.loads(out)["projectorRanks"]
+        assert len(ranks) == (n + 6) // 2
+        assert all(r == (1 if lab.startswith("chi") else 4) for lab, r in ranks.items())
+
+
 def test_jacobian_subcommand(capsys):
     code, out = run(capsys, "jacobian", "--field", "Fp:7",
                     "--curve", '{"g":1,"F":"x0^4 - 5*x0^2*x1^2 + 4*x1^4"}',

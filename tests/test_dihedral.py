@@ -1,11 +1,14 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from dihedralcovers import dihedral
+from dihedralcovers import dihedral, linalg
+from dihedralcovers.cover_algebra import AFPoly, SimpleCoverAlgebra
 from dihedralcovers.cyclotomic import CycloElem, CyclotomicField, cyclotomic_polynomial
-from dihedralcovers.fields import QQ
+from dihedralcovers.fields import GF, QQ
 from dihedralcovers.poly import Poly
 
 
@@ -54,9 +57,12 @@ def test_cyclotomic_arithmetic_matches_poly_oracle():
         b = K.of(Poly(QQ, cb))
 
         def poly(x):
+            assert _in_lowest_terms(x), (x.num, x.den)
             return Poly(QQ, list(x.rep))
 
         assert len(a.rep) == phi.degree and poly(a) == pa and poly(b) == pb
+        assert poly(K.of(r)) == Poly.const(QQ, r) and poly(K.of(rn)) == Poly.const(QQ, rn)
+        assert poly(K.of(Poly(QQ, ca))) == pa and K.zeta(1) ** 1000 == K.zeta(1000 % n)
         assert repr(a) == "(%s)" % repr(pa).replace("x", "z")
         assert poly(a + b) == (pa + pb) % phi
         assert poly(a - b) == (pa - pb) % phi
@@ -72,15 +78,25 @@ def test_cyclotomic_arithmetic_matches_poly_oracle():
         assert a.is_rational() == (pa.degree <= 0)
         if a.is_rational():
             assert a.rational_value() == pa.coeff(0)
+        assert poly(a * rn) == pa * rn and poly(a / rd) == pa * Fraction(1, rd)
         if pb:
             assert ((poly(a / b) * pb - pa) % phi).is_zero()
             assert ((poly(1 / b) * pb) % phi) == Poly.one(QQ)
+            assert ((poly(b.inverse()) * pb) % phi) == Poly.one(QQ)
         if e >= 0:
             assert poly(a ** e) == (pa ** e) % phi
         elif pa:
             assert (poly(a ** e) * pa ** -e) % phi == Poly.one(QQ)
 
     run()
+
+
+def _in_lowest_terms(x):
+    """phi(n) int numerators over one positive int denominator, with no
+    common factor, so that zero is 0/1."""
+    return (type(x) is CycloElem and len(x.num) == x.field.degree
+            and all(type(c) is int for c in x.num) and type(x.den) is int and x.den > 0
+            and math.gcd(x.den, *x.num) == 1)
 
 
 def _all_ints(x):
@@ -105,10 +121,40 @@ def test_integral_coefficients_are_plain_ints(n):
         assert _all_ints(e), e
     # the Fraction-built form of each element is the same element
     for e in (x, y, x * y, K.zero, K.of(-4)):
-        f = CycloElem(K, tuple(Fraction(c) for c in e.rep))
+        f = sum((zetas[k] * Fraction(c) for k, c in enumerate(e.rep)), K.of(Fraction(0)))
         assert f == e and e == f and hash(f) == hash(e) and repr(f) == repr(e)
         if e.is_rational():
             assert e.rational_value() == f.rational_value()
+
+
+def test_cyclotomic_results_pass_through_the_constructor(monkeypatch):
+    """Every CycloElem that arithmetic, K.of and the cover algebra return
+    was built by ``CycloElem.__init__`` (which the benchmark tracer wraps
+    to count constructions) and is in lowest terms."""
+    made = []
+    init = CycloElem.__init__
+
+    def watched(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(CycloElem, "__init__", watched)
+    K = CyclotomicField(12)
+    x = K.of(Fraction(3, 4)) + K.zeta(1) * Fraction(-5, 6) + K.zeta(5)
+    y = K.of(Poly(QQ, [Fraction(2, 3), 0, 1, Fraction(1, 5), 7]))
+    h = K.of(Fraction(1, 2))
+    results = [x, y, h, K.of(2), x + y, x - y, y - 1, 1 - y, x * y, x * h, h * x, x * 6,
+               x * Fraction(4, 3), x / y, x / 3, 2 / y, -x, x.conjugate(), y.inverse(),
+               x ** 0, x ** 3, x ** -2, h + h, (x * 4) - (x * 4)]
+    A = SimpleCoverAlgebra(4, CyclotomicField(4))
+    L = A.K
+    c = AFPoly(L, {(0, 0): L.zeta(1) * Fraction(1, 3), (1, 0): L.of(Fraction(-1, 2))})
+    w = A.add(A.scale(c, A.u(2)), A.scale(c, A.s()))
+    prod = A.mul(A.sigma(w), A.tau(A.mul(w, w)))
+    results += [v for p in prod.values() for v in p.terms.values()]
+    made = set(map(id, made))     # ``made`` kept its objects alive
+    for r in results:
+        assert id(r) in made and _in_lowest_terms(r), r
 
 
 def test_group_law():
@@ -178,7 +224,10 @@ def test_projector_matches_dense_sum():
                         want[i][j] = want[i][j] + c * m[i][j]
             scale = K.of(dihedral.char_degree(lab)) / K.of(2 * n)
             want = [[scale * x for x in row] for row in want]
-            assert dihedral.projector(n, lab, K) == want, (n, lab)
+            p = dihedral.projector(n, lab, K)
+            assert p == want, (n, lab)
+            assert linalg.rank(want) == dihedral.projector_rank(p), (n, lab)
+            assert dihedral.projector_rank(want) == dihedral.char_degree(lab) ** 2
 
 
 def _sparse(m, K):
@@ -200,7 +249,7 @@ def test_closed_form_projectors_are_sparse_rational_and_complete():
     # for n = 2..40: at most four nonzero entries, all rational;
     # idempotent, pairwise orthogonal and summing to the identity, checked
     # with sparse products; rank deg^2, read off as the trace of an
-    # idempotent, and by elimination at n = 40 (n <= 12 is checked above)
+    # idempotent, and by elimination at n = 40 (n <= 8 is checked above)
     for n in range(2, 41):
         K = CyclotomicField(n)
         labels = dihedral.irreducible_labels(n)
@@ -213,8 +262,9 @@ def test_closed_form_projectors_are_sparse_rational_and_complete():
             assert _sparse_product(sp, sp) == sp, (n, lab)
             rank = dihedral.char_degree(lab) ** 2
             assert sum(x for (i, j), x in sp.items() if i == j) == rank, (n, lab)
+            assert dihedral.projector_rank(p) == rank, (n, lab)
             if n == 40:
-                assert dihedral.projector_rank(p) == rank, (n, lab)
+                assert linalg.rank(p) == rank, (n, lab)
             projs[lab] = sp
         for l1, l2 in itertools.combinations(labels, 2):
             assert not _sparse_product(projs[l1], projs[l2]), (n, l1, l2)
@@ -223,6 +273,59 @@ def test_closed_form_projectors_are_sparse_rational_and_complete():
             for c, x in sp.items():
                 total[c] = total.get(c, 0) + x
         assert {c: x for c, x in total.items() if x} == {(i, i): 1 for i in range(2 * n)}, n
+
+
+def _invertible(rng, dim, entry):
+    while True:
+        a = [[entry() for _ in range(dim)] for _ in range(dim)]
+        if linalg.rank(a) == dim:
+            return a
+
+
+def _inverse(a, K):
+    dim = len(a)
+    aug = [list(row) + [K.one if i == j else K.zero for j in range(dim)]
+           for i, row in enumerate(a)]
+    red, _ = linalg.rref(aug)
+    return [row[dim:] for row in red]
+
+
+@pytest.mark.parametrize("n", [None, 5, 8, 12])
+def test_trace_rank_of_dense_idempotents_matches_elimination(n):
+    # A E A^(-1) for a random invertible A and a 0/1 diagonal E, over Q
+    # (n None) and over Q(zeta_n): trace rank equals the rank by elimination
+    rng = random.Random(2026 + (n or 0))
+    K = QQ if n is None else CyclotomicField(n)
+
+    def entry():
+        x = K.of(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return x if n is None else x + K.zeta(rng.randrange(n)) * rng.randint(-2, 2)
+
+    for dim in (1, 3, 5):
+        for r in range(dim + 1):
+            diag = [K.one] * r + [K.zero] * (dim - r)
+            rng.shuffle(diag)
+            e = [[diag[i] if i == j else K.zero for j in range(dim)] for i in range(dim)]
+            a = _invertible(rng, dim, entry)
+            p = dihedral._matmul(dihedral._matmul(a, e, K), _inverse(a, K), K)
+            assert dihedral._matmul(p, p, K) == p
+            assert dihedral.projector_rank(p) == linalg.rank(p) == r, (n, dim, r)
+
+
+def test_trace_rank_refuses_what_it_cannot_certify():
+    K = CyclotomicField(6)
+    for m in ([[0, 1], [0, 0]], [[2, 0], [0, 2]],
+              [[K.zero, K.one], [K.zero, K.zero]], [[K.of(2), K.zero], [K.zero, K.of(2)]],
+              [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            dihedral.projector_rank(m)
+    # over GF(p) the trace is only the rank mod p: refused, even for an idempotent
+    F = GF(7)
+    for m in ([[F.one, F.zero], [F.zero, F.one]], [[0, F.zero], [F.zero, F.one]]):
+        with pytest.raises(ValueError):
+            dihedral.projector_rank(m)
+    assert dihedral.projector_rank([]) == 0
+    assert dihedral.projector_rank([[0, 0], [0, Fraction(1)]]) == 1
 
 
 def test_projector_rejects_bad_labels_like_character():
