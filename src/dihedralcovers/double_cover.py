@@ -24,7 +24,9 @@ Operations:
 
 * ``tensor`` multiplies two modules by presenting the product as the
   cokernel of psi = N1 (x) Id - Id (x) N2 and reading the z-action off a
-  kernel basis of the transpose, whose rank is always 2;
+  kernel basis of the transpose, whose rank is always 2 and whose twist
+  sum is known beforehand: l - (a1 + b1 + a2 + b2), the first Chern
+  class of the product;
 * ``inverse`` flips the sign of P, which realizes the dual module up to
   the standard twist;
 * ``is_isomorphic`` solves the intertwining equation exactly and
@@ -37,13 +39,16 @@ Operations:
 ``tensor`` and ``is_isomorphic`` work on the charts F(x, 1) of N's
 entries (``_charts``): the twists (a, b, l) fix every degree, and forms
 are made only for the result.  Their linear equations (the graded
-kernel, the factorization of the z-action through it and the
-intertwining equation) come from ``linalg.convolution_matrix``.
+kernel in at most three degrees, and the intertwining equation) come
+from ``linalg.convolution_matrix``; the z-action on the kernel is an
+exact division of charts by a nonzero 2 x 2 minor of the kernel basis
+(its adjugate), checked on the other two rows, and needs no solve.
 """
 
 from .homog import HForm
-from .poly import Poly, base_field_roots, neg_c, sub_c, add_c, mul_c
-from .graded import kernel_basis
+from .poly import (Poly, plain_poly, base_field_roots, neg_c, sub_c, add_c, mul_c,
+                   divmod_c)
+from .graded import kernel_basis, nonzero_minor
 from . import linalg, parsing
 
 
@@ -237,10 +242,18 @@ def tensor(p1, p2):
 
     The product is the cokernel of psi = N1 (x) Id - Id (x) N2 acting on
     the tensor of the underlying bundles; its dual is the kernel of the
-    transpose, which a graded kernel basis computes exactly.  The
-    z-action is read off by factoring (N1 (x) Id)^T through the kernel.
+    transpose, which ``kernel_basis`` computes exactly at its known twist
+    sum l - (a1 + b1 + a2 + b2), the first Chern class of the product
+    (c1 = c1(p1) + c1(p2) - c1(O)), and certifies there.
     Everything runs on charts, with e_i (x) e_j at index 2i + j of
     O(-rows[2i + j]); forms are made only for the result.
+
+    The z-action M on the kernel K (4 x 2) solves K(-l) M = (N1 (x) Id)^T K.
+    Two rows j1, j2 of K with a nonzero determinant D give B M = C for
+    the 2 x 2 blocks B of K and C of the right side, so M = adj(B) C / D,
+    an exact division of charts; each M[h][g] must fit its degree
+    tw[g] - tw[h] + l, and K M must equal the right side on the other two
+    rows as well.  K has rank 2, so that solution is the only one.
     """
     if p1.ring != p2.ring:
         raise ValueError("pairs live over different rings")
@@ -259,37 +272,45 @@ def tensor(p1, p2):
     # squares to F, so over the fraction field with z = sqrt(F) adjoined it
     # diagonalizes with eigenvalues z and -z (distinct, as F != 0 and the
     # characteristic is not 2), and psi has eigenvalues 0, 0, 2z, -2z
-    tw, gens = kernel_basis(field, psiT, [-c for c in cols], [-r for r in rows], 2)
-    K = list(zip(*gens))
+    tw, gens = kernel_basis(field, psiT, [-c for c in cols], [-r for r in rows], 2,
+                            l - (p1.a + p1.b + p2.a + p2.b))
+    return BundlePair(ring, -tw[0], -tw[1], *_z_action(field, l, n1, tw, gens))
+
+
+def _z_action(field, l, n1, tw, gens):
+    """(P3, f3, q3) of the product: the z-action M on the kernel with
+    generators ``gens`` of twists ``tw``, by the adjugate division in
+    ``tensor``; raises ValueError when it does not factor."""
+    p = field.characteristic
+    g0, g1 = gens
     # (N1 (x) Id)^T K: entry ((k, m), g) is sum_i N1[i][k] K[(i, m)][g]
-    AtK = [[add_c(mul_c(n1[0][k], K[m][g], p), mul_c(n1[1][k], K[2 + m][g], p), p)
-            for g in range(2)]
+    AtK = [[add_c(mul_c(n1[0][k], g[m], p), mul_c(n1[1][k], g[2 + m], p), p)
+            for g in gens]
            for k in range(2) for m in range(2)]
-    # factor K(-l) M = (N1 (x) Id)^T K, with M the z-action on the kernel,
-    # one column of M at a time; entry M[h][g] has degree tw[g] - tw[h] + l
-    zero = field.unbox(field.zero)
+    # kernel_basis certified g0 and g1 independent, so some minor is nonzero
+    j1, j2, D = nonzero_minor(g0, g1, p)
+    # adj(B) C with B = [[g0[j1], g1[j1]], [g0[j2], g1[j2]]]
     M = [[None] * 2 for _ in range(2)]
     for g in range(2):
-        degs = [tw[g] - th + l for th in tw]
-        out_degs = [tw[g] + c for c in cols]
-        rows_eq = linalg.convolution_matrix(field, K, degs, out_degs)
-        rhs = [b[c] if c < len(b) else zero
-               for b, d in zip((row[g] for row in AtK), out_degs) for c in range(d + 1)]
-        sol = (linalg.solve(rows_eq, rhs, field) if rows_eq
-               else [field.zero] * sum(d + 1 for d in degs if d >= 0))
-        if sol is None:
-            raise ValueError("factorization through kernel failed")
-        for h, c in enumerate(linalg.split_blocks(sol, degs)):
-            M[h][g] = (HForm.from_univar(Poly(field, c), degs[h]) if degs[h] >= 0
-                       else HForm.zero(field, 2, 0))
+        c1, c2 = AtK[j1][g], AtK[j2][g]
+        nums = (sub_c(mul_c(g1[j2], c1, p), mul_c(g1[j1], c2, p), p),
+                sub_c(mul_c(g0[j1], c2, p), mul_c(g0[j2], c1, p), p))
+        for h, num in enumerate(nums):
+            q, r = divmod_c(num, D, p)
+            if r or len(q) > tw[g] - tw[h] + l + 1:
+                raise ValueError("factorization through kernel failed")
+            M[h][g] = q
+    # rows j1 and j2 of K M = (N1 (x) Id)^T K hold by the exact division
+    for r in {0, 1, 2, 3} - {j1, j2}:
+        for g in range(2):
+            if add_c(mul_c(g0[r], M[0][g], p), mul_c(g1[r], M[1][g], p), p) != AtK[r][g]:
+                raise ValueError("factorization through kernel failed")
     # N3 = M^T up to twists: O(-a3) + O(-b3) with (a3, b3) = (-tw0, -tw1)
-    P3, f3, q3 = M[0][0], M[1][0], M[0][1]
-    if P3 + M[1][1]:
+    if add_c(M[0][0], M[1][1], p):
         raise AssertionError("tensor z-action is not trace free")
-    res = BundlePair(ring, -tw[0], -tw[1], P3, f3, q3)
-    if res.c1() != p1.c1() + p2.c1() - ring.trivial_pair().c1():
-        raise AssertionError("first Chern class bookkeeping failed in tensor")
-    return res
+    return [HForm.from_univar(plain_poly(field, M[h][g]), tw[g] - tw[h] + l)
+            if tw[g] - tw[h] + l >= 0 else HForm.zero(field, 2, 0)
+            for h, g in ((0, 0), (1, 0), (0, 1))]
 
 
 def inverse(pair):

@@ -6,7 +6,8 @@ of ``double_cover`` with l = g + 1, built from (field, g, F): the pairs
 on a curve live over the curve itself.  When F has a rational root the
 coordinate change sending that root to (1:0) produces an odd model
 y^2 = fodd(x) with deg fodd = 2g + 1 and a single rational point at
-infinity, built once per curve (``odd_model``), which is where divisor
+infinity, built once per curve (``odd_model``; its Mobius maps of forms
+run Horner's rule on charts, ``_substitute_matrix``), which is where divisor
 class arithmetic happens: classes are reduced Mumford pairs (u, v) and
 the group law is composition and reduction (Cantor, Math. Comp. 48,
 1987).
@@ -36,7 +37,8 @@ straight from the three charts and never builds it as lists.
 
 import itertools
 
-from .poly import Poly, poly_xgcd, base_field_roots
+from .poly import (Poly, plain_poly, poly_xgcd, base_field_roots, reduce_c, add_c,
+                   mul_c, scale_c)
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair, tensor
 from . import linalg, parsing
@@ -116,10 +118,26 @@ class OddModel:
 
 
 def _substitute_matrix(form, m):
+    """The binary form F(m00 x0 + m01 x1, m10 x0 + m11 x1), by Horner's
+    rule on charts: with A = m00 x + m01, B = m10 x + m11 and F's chart
+    coefficients f_i, the image's chart is sum_i f_i A^i B^(d - i), built
+    as r <- r A + f_i B^(d - i) from i = d down, with the powers of B
+    computed once: O(d^2) field operations."""
     field = form.field
-    x0 = HForm(field, 2, 1, {(1, 0): m[0][0], (0, 1): m[0][1]})
-    x1 = HForm(field, 2, 1, {(1, 0): m[1][0], (0, 1): m[1][1]})
-    return form.substitute([x0, x1])
+    p = field.characteristic
+    d = form.deg
+    (m00, m01), (m10, m11) = ([field.unbox(x) for x in row] for row in m)
+    A, B = reduce_c([m01, m00], p), reduce_c([m11, m10], p)
+    powers = [[1]]
+    for _ in range(d):
+        powers.append(mul_c(powers[-1], B, p))
+    f = form.to_univar().c
+    r = []
+    for i in range(d, -1, -1):
+        r = mul_c(r, A, p)
+        if i < len(f) and f[i]:
+            r = add_c(r, scale_c(powers[d - i], f[i], p), p)
+    return HForm.from_univar(plain_poly(field, r), d)
 
 
 class MumfordClass:

@@ -44,6 +44,10 @@ NEG_INF = float("-inf")
 
 _QONE = Fraction(1)
 
+# the residues 0 .. ROOT_PREFIX - 1 that ``base_field_roots`` tries by
+# evaluation before it splits
+ROOT_PREFIX = 32
+
 
 # -- routines on coefficient lists ---------------------------------------
 #
@@ -580,14 +584,19 @@ def base_field_roots(f):
     """The distinct roots of the nonzero polynomial f in its base field,
     in a fixed order.
 
-    Over GF(p), p odd (``fields.GF`` refuses 2), all at once and in
-    ascending order: g = gcd(x^p - x, f) is the product of the distinct
-    linear factors of f, and for a random a the gcd of g with
+    Over GF(p), p odd (``fields.GF`` refuses 2), in ascending order:
+    g = gcd(x^p - x, f) is the product of the distinct linear factors of
+    f.  The residues 0, 1, ... below ``ROOT_PREFIX`` are tried first, by
+    evaluating g, and each root found is yielded at once and divided out
+    of g, so a caller that wants only the least root of a curve with a
+    small root never splits g.  What is left of g after the prefix has
+    only larger roots: for a random a the gcd of it with
     (x + a)^((p - 1)/2) - 1 takes the roots r with r + a a nonzero
     square, about half of them; such splits are repeated until every
     factor is linear (equal-degree splitting: Cantor & Zassenhaus,
-    Math. Comp. 36, 1981).  The draws come from a generator of their
-    own with a fixed seed, so no other random state is read or moved.
+    Math. Comp. 36, 1981), and those roots follow, sorted.  The draws come
+    from a generator of their own with a fixed seed, so no other random
+    state is read or moved.
     Over Q, lazily, the rational-root-theorem candidates +-p/q, p
     dividing the lowest nonzero and q the leading integer coefficient.
     """
@@ -597,6 +606,12 @@ def base_field_roots(f):
         g = monic_c(f.c, p)
         if len(g) > 1:
             g = gcd_c(sub_c(powmod_c([0, 1], p, g, p), [0, 1], p), g, p)
+        for x in range(min(p, ROOT_PREFIX)):
+            if len(g) < 2:
+                return
+            if not eval_c(g, x, p):
+                yield field.box(x)
+                g = divmod_c(g, [-x % p, 1], p)[0]
         rng = random.Random(0)
         roots, todo = [], [g]
         while todo:

@@ -529,3 +529,43 @@ def test_tensor_kernel_rank_is_two():
             assert linalg.bareiss_rank(_psi_transpose_chart(p1, p2), one) == 2
             checked += 1
     assert checked >= 50
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(1009), GF(2 ** 61 - 1), QQ],
+                         ids=["GF(7)", "GF(1009)", "GF(2^61-1)", "Q"])
+def test_substitute_matrix_matches_the_form_substitution(rng, field):
+    """The Horner substitution on charts against ``HForm.substitute`` on
+    random binary forms of degree 0-12 and random invertible matrices
+    (zero entries, determinants other than +-1), with the odd model's
+    round trip."""
+    from dihedralcovers.hyperelliptic import _substitute_matrix
+
+    def value():
+        if field.characteristic:
+            return field.of(rng.choice([0, 1, -1, rng.randrange(field.characteristic)]))
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+
+    checked = 0
+    while checked < 60:
+        m = ((value(), value()), (value(), value()))
+        if not m[0][0] * m[1][1] - m[0][1] * m[1][0]:
+            continue
+        d = checked % 13
+        F = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})
+        images = [HForm(field, 2, 1, {(1, 0): row[0], (0, 1): row[1]}) for row in m]
+        want = F.substitute(images)
+        got = _substitute_matrix(F, m)
+        assert got == want and repr(got) == repr(want), (F, m)
+        checked += 1
+    p = field.characteristic
+    if p:
+        curve = split_curve(p, 1 if p == 7 else 2)
+    else:
+        # branch roots 2, -2, 1/3 and 5: the odd model moves a finite root
+        curve = HECurve(QQ, 1, parse_form("3*x0^4 - 16*x0^3*x1 - 7*x0^2*x1^2 + 64*x0*x1^3 "
+                                          "- 20*x1^4", QQ, 2))
+    model = curve.odd_model()
+    assert model.T[1][0]
+    for d in range(9):
+        F = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})
+        assert model.untransform_form(model.transform_form(F)) == F

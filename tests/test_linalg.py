@@ -54,7 +54,7 @@ def test_koszul_kernel():
     # kernel of (x0, x1): O(-1)^2 -> O is O(-2), spanned by (x1, -x0)
     x0 = parse_form("x0", QQ, 2).to_univar().c
     x1 = parse_form("x1", QQ, 2).to_univar().c
-    twists, gens = kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=1)
+    twists, gens = kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=1, twist_sum=2)
     assert twists == [2]
     (g0, g1), = gens
     # (x1, -x0) up to a unit
@@ -63,12 +63,18 @@ def test_koszul_kernel():
 
 
 def test_kernel_degree_bound_raises():
-    # (x0, x1) has a kernel of rank 1; asking for 2 generators hits the
-    # degree bound instead of searching forever
+    # (x0, x1) has a kernel of rank 1, O(-2); asking for 2 generators of
+    # any twist sum reads a kernel dimension that fits no O(-t0) + O(-t1)
+    # and raises instead of searching
     x0 = parse_form("x0", QQ, 2).to_univar().c
     x1 = parse_form("x1", QQ, 2).to_univar().c
-    with pytest.raises(RuntimeError):
-        kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=2)
+    for twist_sum in range(2, 7):
+        with pytest.raises(RuntimeError):
+            kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=2, twist_sum=twist_sum)
+    # and rank 1 at a wrong twist sum raises too
+    for twist_sum in (1, 3):
+        with pytest.raises(RuntimeError):
+            kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=1, twist_sum=twist_sum)
 
 
 # -- the GF(p) elimination path against oracles --------------------------

@@ -140,6 +140,41 @@ def test_base_field_roots_match_a_scan(rng):
             assert [r.v for r in base_field_roots(f)] == want
 
 
+@pytest.mark.parametrize("p", [5, 1009, 2 ** 61 - 1])
+def test_base_field_roots_prefix_then_split(rng, p, monkeypatch):
+    """Roots below ``ROOT_PREFIX`` come by evaluation, the rest by the
+    split, in one ascending order: against a scan over GF(5) and GF(1009),
+    and against the roots a polynomial was built from over GF(2^61 - 1).
+    The first root costs no split when a small root exists."""
+    from dihedralcovers import poly
+
+    K = GF(p)
+    x = Poly.x(K)
+    non_square = next(n for n in range(2, 100) if pow(n, (p - 1) // 2, p) == p - 1)
+    small = range(min(p, poly.ROOT_PREFIX))
+    large = range(poly.ROOT_PREFIX, p) if p > poly.ROOT_PREFIX else range(p)
+    cases = [[], [0], [0, 3, 4], rng.sample(large, min(3, len(large)))]
+    for _ in range(20):
+        cases.append(rng.sample(small, rng.randint(0, 3))
+                     + rng.sample(large, rng.randint(0, min(3, len(large)))))
+    for roots in cases:
+        f = x * x - non_square
+        for r in roots:
+            f = f * (x - r) ** rng.randint(1, 2)
+        got = [r.v for r in base_field_roots(f)]
+        if p <= 1009:
+            assert got == [v for v in range(p) if f(K.of(v)) == 0], (p, roots)
+        assert got == sorted(set(roots)), (p, roots)
+        assert next(base_field_roots(f), None) == (min(roots) if roots else None)
+    # with a root below the prefix, the first root takes one power (x^p)
+    powers = []
+    real = poly.powmod_c
+    monkeypatch.setattr(poly, "powmod_c", lambda *a: powers.append(a) or real(*a))
+    f = (x * x - non_square) * (x - 3) * (x - (p - 1))
+    assert next(base_field_roots(f)).v == 3
+    assert len(powers) == 1
+
+
 @pytest.mark.parametrize("p", [10 ** 9 + 7, 2 ** 61 - 1])
 def test_base_field_roots_over_a_large_prime(p):
     K = GF(p)
