@@ -22,13 +22,13 @@ action is sigma(u^i) = zeta^i u^i (needing a cyclotomic coefficient
 field) and tau swapping u with v, hence negating s.
 
 Products run on the structure constants, a table built from these
-relations on an algebra's first product: for each pair of basis
-elements, the short list of (basis key, scalar, (da, dF)) with
-x_k1 x_k2 = sum scalar * a^da F^dF * x_key.  A product of two elements
-then costs one coefficient product per pair of terms, whose monomials
-are shifted by (da, dF) and multiplied by the scalar.  Arithmetic
-builds its ``AFPoly`` results from dicts of nonzero field elements as
-they are, with no ``K.of`` or zero test per coefficient.
+relations on an algebra's first product, and on packed integers: each
+coefficient of an operand is one int (Kronecker substitution of its
+numerators over the operand's common denominator), a pair of terms
+costs one int product added into one int per output, and each output
+is reduced modulo Phi_n(2^W) and unpacked once (``mul`` says why that
+is exact).  ``AFPoly`` coerces its coefficients through ``K.of``, so a
+coefficient from another field raises ``ValueError``.
 
 On top of the algebra:
 
@@ -45,6 +45,7 @@ On top of the algebra:
   prod_i (X - zeta^i u)(X - zeta^i v) over Q(zeta_n) to confirm it.
 """
 
+import math
 from fractions import Fraction
 
 from .fields import QQ
@@ -57,6 +58,20 @@ def _afpoly(K, terms):
     p.K = K
     p.terms = terms
     return p
+
+
+def _kron(num, W):
+    """An integer vector's value at t = 2^W, by Horner's rule."""
+    v = 0
+    for a in reversed(num):
+        v = (v << W) + a
+    return v
+
+
+def _packed(rows, D, W):
+    """The rows of ``_numerators`` over D, each vector as its ``_kron``."""
+    return [(key, {e: _kron(num, W) * (D // den) for e, num, den in row})
+            for key, row in rows]
 
 
 def _times(t1, t2):
@@ -80,7 +95,7 @@ class AFPoly:
         self.K = K
         t = {}
         for e, c in (terms or {}).items():
-            c = K.of(c) if isinstance(c, (int, Fraction)) else c
+            c = K.of(c)
             if c:
                 t[e] = c
         self.terms = t
@@ -221,82 +236,135 @@ class SimpleCoverAlgebra:
     # -- multiplication --------------------------------------------------
 
     def mul(self, x, y):
+        """The product x y on packed ints (Kronecker 1882; Harvey, J.
+        Symb. Comput. 44, 2009).  Each operand's coefficients, the
+        ``K.to_ints`` vectors over one denominator, are packed as their
+        values at t = 2^W; a pair of terms costs one int product, added s
+        times (s a table scalar over T) into one int per (basis key,
+        a^i F^j); and each nonzero output is reduced once: its symmetric
+        residue modulo Phi_n(2^W) is unpacked into signed W-bit slots,
+        halved while its denominator and every slot are even, and built
+        by ``K.from_ints``.  A field of degree 1 (QQ, GF(p)) has one slot,
+        a constant, and reduces modulo t instead, which changes nothing.
+
+        Soundness: the output numerators, folded, have |c_k| <= smax
+        phi(n) Mx My nx ny (1 + (phi(n) - 1) h) (smax the largest |s|,
+        Mx, My the largest |numerator|, nx, ny the term counts, h the
+        largest entry of the fold rows t^k mod Phi_n), and W has three
+        bits more, so |c_k| < 2^(W-3).  Phi_n is monic, so the
+        accumulated P(2^W) = c(2^W) modulo Phi_n(2^W); Phi_n's
+        coefficients are at most h < 2^(W-2), so Phi_n(2^W) >
+        2^(W phi(n) - 1) > 2 |c(2^W)|, and the symmetric residue is c(2^W).
+        """
         table = self._table or self._build_table()
-        one = self.K.one
-        acc = {}
-        for k1, c1 in x.items():
+        K, d = self.K, self._degree
+        (px, Dx, Mx, nx), (py, Dy, My, ny) = self._numerators(x), self._numerators(y)
+        W = (self._smax * d * Mx * My * nx * ny
+             * (1 + (d - 1) * self._height)).bit_length() + 3
+        acc, py = {}, _packed(py, Dy, W)
+        for k1, t1 in _packed(px, Dx, W):
             row = table[k1]
-            t1 = c1.terms
-            for k2, c2 in y.items():
-                c = _times(t1, c2.terms)
+            for k2, t2 in py:
+                c = _times(t1, t2)
                 for key, s, (da, dF) in row[k2]:
-                    t = acc.get(key)
-                    if t is None:
-                        t = acc[key] = {}
+                    t = acc.setdefault(key, {})
                     for (i, j), w in c.items():
-                        if s is not one:
-                            w = s * w
                         e = (i + da, j + dF)
-                        old = t.get(e)
-                        t[e] = w if old is None else old + w
+                        t[e] = t.get(e, 0) + s * w
+        # (w + half) % M - half is the symmetric residue of w, and adding
+        # ``lift`` makes each of its signed slots nonnegative
+        D, M, p = Dx * Dy * self._denominator, _kron(self._modulus, W), K.characteristic
+        top, mask, half = 1 << (W - 1), (1 << W) - 1, M >> 1
+        shifts, low_bits = range(0, d * W, W), _kron((1,) * d, W)
+        lift = top * low_bits
         out = {}
         for key, t in acc.items():
-            t = {e: w for e, w in t.items() if w}
-            if t:
-                out[key] = _afpoly(self.K, t)
+            terms = {}
+            for e, w in t.items():
+                w = (w + half) % M + (lift - half)
+                if w != lift:
+                    den = D
+                    while not den & 1 and not w & low_bits:
+                        w, den = (w + lift) >> 1, den >> 1
+                    w = K.from_ints(tuple([(w >> k & mask) - top for k in shifts]), den)
+                    if not p or w:
+                        terms[e] = w
+            if terms:
+                out[key] = _afpoly(K, terms)
         return out
+
+    def _numerators(self, x):
+        """x's terms as (key, [((i, j), integer vector, denominator)]), with
+        their common denominator, largest |numerator| over it and count."""
+        K = self.K
+        rows = []
+        for key, c in x.items():
+            if c.K is not K and c.K != K:
+                raise ValueError("coefficient over %r in an algebra over %r" % (c.K, K))
+            rows.append((key, [(e,) + K.to_ints(w) for e, w in c.terms.items()]))
+        terms = [t for _, row in rows for t in row]
+        D = math.lcm(*[den for _, _, den in terms])
+        big = max([max(map(abs, num)) * (D // den) for _, num, den in terms], default=0)
+        return rows, D, big, len(terms)
 
     def _build_table(self):
         """The structure constants: for each pair of basis keys, the list
-        of (key, scalar, (da, dF)) with x_k1 x_k2 the sum of
-        scalar * a^da F^dF * x_key; a scalar equal to one is ``K.one``."""
+        of (key, s, (da, dF)) with x_k1 x_k2 = sum (s/T) a^da F^dF x_key,
+        s an int over T, the denominator of 1/2 (the scalars are halves).
+        Also the degree, Phi_n and the largest fold-row entry for ``mul``."""
+        K = self.K
         keys = [k for b in self.basis() for k in b]
-        one = self.K.one
-        self._table = {
-            k1: {k2: [(key, one if c == one else c, e)
-                      for key, w in self._mul_basis(k1, k2).items()
-                      for e, c in w.terms.items()]
-                 for k2 in keys}
-            for k1 in keys}
+        self._denominator = T = K.to_ints(self.half.terms[(0, 0)])[1]
+        rows = {(k1, k2): self._mul_basis(k1, k2) for k1 in keys for k2 in keys}
+        ints = {q: K.to_ints(K.of(q * T))[0][0]
+                for q in {q for row in rows.values() for _, _, q in row}}
+        self._table = {k1: {} for k1 in keys}
+        for (k1, k2), row in rows.items():
+            self._table[k1][k2] = [(key, ints[q], e) for key, e, q in row]
+        self._smax = max(abs(s) for s in ints.values())
+        self._degree = d = len(K.to_ints(K.one)[0])
+        # a degree-1 field's values are constants: reducing modulo t is exact
+        self._modulus, self._height = [0, 1], 0
+        if d > 1:       # the fold rows t^k, d <= k <= 2d - 2, are zeta^k
+            self._modulus = [int(c) for c in K.modulus.c]
+            self._height = max(abs(c) for k in range(d, 2 * d - 1)
+                               for c in K.to_ints(K.zeta(k))[0])
         return self._table
 
     def _mul_basis(self, k1, k2):
-        K, n = self.K, self.n
-        one = AFPoly.const(K, K.one)
-        a = AFPoly.a(K)
+        """x_k1 x_k2 from the relations, as a list of (key, (da, dF), q)
+        with q a rational: x_k1 x_k2 = sum q a^da F^dF x_key."""
+        n = self.n
         if k1 == "1":
-            return {k2: one}
+            return [(k2, (0, 0), 1)]
         if k2 == "1":
-            return {k1: one}
+            return [(k1, (0, 0), 1)]
         if k1 == "s" and k2 == "s":
-            return {"1": a * a * 4 - AFPoly.F(K, n) * 4}
+            return [("1", (2, 0), 4), ("1", (0, n), -4)]
         if k1 == "s" or k2 == "s":
-            k = k2 if k1 == "s" else k1
-            letter, i = k
-            Fi = AFPoly.F(K, i)
+            letter, i = k2 if k1 == "s" else k1
             if letter == "u":
-                return {("u", i): a * 2, ("v", n - i): Fi * (-2)}
-            return {("u", n - i): Fi * 2, ("v", i): a * (-2)}
+                return [(("u", i), (1, 0), 2), (("v", n - i), (0, i), -2)]
+            return [(("u", n - i), (0, i), 2), (("v", i), (1, 0), -2)]
         l1, i = k1
         l2, j = k2
         if l1 == l2:
             t = i + j
-            sg = 1 if l1 == "u" else -1
             if t < n:
-                return {(l1, t): one}
+                return [((l1, t), (0, 0), 1)]
             if t == n:
-                return {"1": a, "s": self.half * sg}
+                return [("1", (1, 0), 1), ("s", (0, 0), Fraction(1 if l1 == "u" else -1, 2))]
             k = t - n
             other = "v" if l1 == "u" else "u"
-            return {(l1, k): a * 2, (other, n - k): AFPoly.F(K, k) * (-1)}
+            return [((l1, k), (1, 0), 2), ((other, n - k), (0, k), -1)]
         # mixed u^i v^j
         if l1 == "v":
             l1, i, l2, j = l2, j, l1, i
         if i > j:
-            return {("u", i - j): AFPoly.F(K, j)}
+            return [(("u", i - j), (0, j), 1)]
         if i == j:
-            return {"1": AFPoly.F(K, i)}
-        return {("v", j - i): AFPoly.F(K, i)}
+            return [("1", (0, i), 1)]
+        return [(("v", j - i), (0, i), 1)]
 
     # -- dihedral action -------------------------------------------------
 

@@ -20,8 +20,8 @@ scalar multiple.  Conjugation sends t^k to zeta^(-k); as an automorphism
 of Z[zeta_n], whose Z-basis the t^k are, it keeps the numerators'
 content.  Inversion runs the extended Euclidean algorithm against the
 modulus.  The field satisfies the descriptor protocol of
-:mod:`dihedralcovers.fields` (zero, one, of, inv), so generic linear
-algebra runs over it unchanged.
+:mod:`dihedralcovers.fields` (zero, one, of, inv, to_ints, from_ints),
+so generic linear algebra and the cover algebra run over it unchanged.
 """
 
 import math
@@ -186,7 +186,10 @@ class CycloElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.n, self.rep))
+        # a rational element hashes like its Fraction, which it equals
+        if self.num[1:] == self.field._tail:
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field.n, self.num, self.den))
 
     def __bool__(self):
         # a fast path for the shared zero, which fills most projector cells
@@ -240,6 +243,11 @@ class CyclotomicField:
 
     def inv(self, x):
         return self.of(x).inverse()
+
+    def to_ints(self, x):
+        return x.num, x.den
+
+    from_ints = _lowest     # the element num / den, in lowest terms
 
     def _reduce(self, p):
         """The element of a rational polynomial, reduced modulo Phi_n."""

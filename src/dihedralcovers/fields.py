@@ -10,7 +10,9 @@ matrix arithmetic:
   immutable wrappers around a reduced int.
 
 Fields are lightweight descriptor objects exposing ``zero``, ``one``,
-``of(n)`` for embedding integers, ``inv``, and ``characteristic``.
+``of(n)`` for embedding integers, ``inv``, and ``characteristic``;
+``to_ints`` gives an element as (integer vector, positive denominator)
+and ``from_ints`` builds it back.
 Field *elements* support the usual operator protocol so downstream code
 never needs to know which field it is working over.
 
@@ -162,6 +164,12 @@ class GF:
         """The element of the residue v, an int already reduced mod p."""
         return FpElem(v, self.p)
 
+    def to_ints(self, x):
+        return (x.v,), 1
+
+    def from_ints(self, num, den):
+        return FpElem(num[0] * pow(den, -1, self.p), self.p)
+
     def unbox(self, x):
         """The residue in range(p) of an element, int or Fraction."""
         if type(x) is int:
@@ -243,6 +251,12 @@ class _QQ:
 
     def box(self, v):
         return v if type(v) is Fraction else Fraction(v)
+
+    def to_ints(self, x):
+        return (x.numerator,), x.denominator
+
+    def from_ints(self, num, den):
+        return Fraction(num[0], den)
 
     def unbox(self, x):
         """The plain value of an int, a Fraction or another exact rational."""

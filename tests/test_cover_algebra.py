@@ -6,6 +6,7 @@ import pytest
 
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.cyclotomic import CyclotomicField
+from dihedralcovers.poly import Poly
 from dihedralcovers.cover_algebra import (AFPoly, SimpleCoverAlgebra,
                                           phi_tensor, phi_is_symmetric,
                                           d3_resolvent, field_polynomial,
@@ -136,6 +137,135 @@ def test_table_product_matches_the_defining_relations(n):
             assert A.equal(A.mul(x, y), _reference_mul(A, x, y)), (n, K)
         for k1, k2 in itertools.product(A.basis(), repeat=2):
             assert A.equal(A.mul(k1, k2), _reference_mul(A, k1, k2)), (n, K)
+
+
+def _term_by_term_mul(A, x, y):
+    """x y from the structure constants, one field product per pair of
+    terms and one scalar multiple per table entry: the product loop the
+    packed one replaced, kept as its reference."""
+    acc = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            c = c1 * c2
+            for key, (da, dF), q in A._mul_basis(k1, k2):
+                t = acc.setdefault(key, {})
+                s = A.K.of(q)
+                for (i, j), v in c.terms.items():
+                    e = (i + da, j + dF)
+                    t[e] = t[e] + s * v if e in t else s * v
+    return {key: p for key, p in ((k, AFPoly(A.K, t)) for k, t in acc.items()) if p}
+
+
+def _big_scalar(K, rng):
+    """A coefficient up to 2^200 in size with one of several denominators,
+    over Q(zeta_m) a combination of three powers of zeta."""
+    def q():
+        return Fraction(rng.randint(-2 ** 200, 2 ** 200), rng.choice((1, 1, 3, 4, 35, 2 ** 61 - 1)))
+    if isinstance(K, CyclotomicField):
+        return sum((K.zeta(rng.randrange(K.n)) * q() for _ in range(3)), K.zero)
+    return K.of(q()) if K is QQ else K.of(rng.randint(-2 ** 200, 2 ** 200))
+
+
+_PACKED_FIELDS = ([QQ, GF(3), GF(1009)] + [CyclotomicField(m) for m in range(1, 13)]
+                  + [CyclotomicField(105)])
+
+
+@pytest.mark.parametrize("K", _PACKED_FIELDS, ids=repr)
+def test_packed_product_matches_both_references(K):
+    rng = random.Random(hash(repr(K)) % 1000)
+    for n in ((3,) if K == CyclotomicField(105) else (2, 3, 5)):
+        A = SimpleCoverAlgebra(n, K)
+        for _ in range(3):
+            x = _random_element(A, rng, lambda: _big_scalar(K, rng))
+            y = _random_element(A, rng, lambda: _big_scalar(K, rng))
+            got = A.mul(x, y)
+            assert got == _term_by_term_mul(A, x, y), (n, K)
+            assert A.equal(got, _reference_mul(A, x, y)), (n, K)
+            for c in got.values():
+                assert all(w and type(w) is type(K.one) for w in c.terms.values())
+
+
+@pytest.mark.parametrize("K", _PACKED_FIELDS, ids=repr)
+def test_packed_product_drops_outputs_that_cancel(K):
+    A = SimpleCoverAlgebra(5, K)
+    one = AFPoly.const(K, K.one)
+    # (u + v)(u - v) = u^2 - v^2: the two F terms of the "1" output cancel
+    x = A.add(A.u(1), A.v(1))
+    y = A.sub(A.u(1), A.v(1))
+    assert A.mul(x, y) == {("u", 2): one, ("v", 2): -one}
+    assert A.mul(x, A.neg(x)) == A.neg(A.mul(x, x))
+    assert A.mul(x, A.zero()) == {} and A.mul(A.zero(), x) == {}
+    if isinstance(K, CyclotomicField) and K.degree > 1:
+        # zeta^(d-1) zeta + (Phi_n - t^d) is Phi_n(zeta) = 0, d = phi(n), but
+        # only after the fold: the packed sum is the nonzero Phi_n(2^W) T
+        low = K.of(Poly(QQ, [int(c) for c in K.modulus.c[:-1]]))
+        assert K.zeta(K.degree) + low == K.zero
+        x = {("u", 1): AFPoly.const(K, K.zeta(K.degree - 1)), ("v", 1): AFPoly.const(K, low)}
+        y = {("v", 1): AFPoly.const(K, K.zeta(1)), ("u", 1): AFPoly.const(K, K.one)}
+        got = A.mul(x, y)
+        assert "1" not in got and got == _term_by_term_mul(A, x, y)
+
+
+def _sign_vectors(K):
+    """Two +-1 vectors whose product, folded modulo Phi_n, has one
+    coefficient as large as an alternating search finds."""
+    d = K.degree
+    rows = [K.to_ints(K.zeta(k))[0] for k in range(2 * d - 1)]
+    best = (0,)
+    for k in range(d):
+        q = [1] * d
+        for _ in range(4):
+            p = [1 if sum(q[b] * rows[a + b][k] for b in range(d)) >= 0 else -1
+                 for a in range(d)]
+            g = [sum(p[a] * rows[a + b][k] for a in range(d)) for b in range(d)]
+            q = [1 if v >= 0 else -1 for v in g]
+        best = max(best, (sum(v * w for v, w in zip(q, g)), p, q))
+    return best
+
+
+def test_packed_product_at_the_size_bound():
+    """Products whose folded numerators come near the bound W is sized
+    from: a slot too narrow by the fold factor or by the guard bits, or a
+    residue not lifted to the symmetric range, gives a wrong product."""
+    big = 2 ** 200 - 1
+    # Q(zeta_105), whose fold rows have entries of 2: the sign vectors put
+    # more than 8 phi(n) Mx My into one folded slot, more than a W sized
+    # without the fold factor holds
+    K = CyclotomicField(105)
+    A = SimpleCoverAlgebra(3, K)
+    size, p, q = _sign_vectors(K)
+    assert size > 8 * K.degree
+    for sp, sq in ((1, 1), (1, -1)):
+        x = {"s": AFPoly.const(K, K.of(Poly(QQ, [sp * big * a for a in p])))}
+        y = {"s": AFPoly.const(K, K.of(Poly(QQ, [sq * big * b for b in q])))}
+        assert A.mul(x, y) == _term_by_term_mul(A, x, y)
+    # Q(zeta_3): s^2 puts 8 (1 - t)^2 big^2 = -24 big^2 t over T = 2 into the
+    # a^2 slot, three quarters of the bound 8 * 2 * big^2 * 2
+    K = CyclotomicField(3)
+    A = SimpleCoverAlgebra(3, K)
+    c = AFPoly.const(K, (K.one - K.zeta(1)) * big)
+    for x, y in (({"s": c}, {"s": c}), ({"s": c}, {"s": -c}), ({"s": c, "1": c}, {"s": c})):
+        assert A.mul(x, y) == _term_by_term_mul(A, x, y)
+    assert A.mul({"s": c}, {"s": c})["1"].terms[(2, 0)] == K.zeta(1) * (-12 * big * big)
+
+
+def test_mixed_fields_are_refused():
+    K3, K6 = CyclotomicField(3), CyclotomicField(6)
+    with pytest.raises(ValueError):
+        AFPoly(K3, {(0, 0): K6.zeta(1)})
+    with pytest.raises(ValueError):
+        AFPoly(GF(7), {(1, 0): GF(11).of(2)})
+    for K, L in ((K3, K6), (GF(7), GF(11)), (QQ, GF(7))):
+        A = SimpleCoverAlgebra(3, K)
+        x = A.scale(AFPoly.a(L), {"s": AFPoly.const(L, L.one)})
+        with pytest.raises(ValueError):
+            A.mul(x, A.u(1))
+        with pytest.raises(ValueError):
+            A.mul(A.u(1), x)
+    # a field equal to the algebra's, but another instance, is accepted
+    A = SimpleCoverAlgebra(3, K3)
+    w = {"s": AFPoly.const(CyclotomicField(3), CyclotomicField(3).zeta(1))}
+    assert A.mul(w, A.one()) == A.mul(A.one(), w)
 
 
 def test_tau_and_sigma_are_homomorphisms():

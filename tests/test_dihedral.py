@@ -127,6 +127,24 @@ def test_integral_coefficients_are_plain_ints(n):
             assert e.rational_value() == f.rational_value()
 
 
+def test_cyclotomic_hash_agrees_with_equality():
+    """Equal values hash alike: a rational element like the int or
+    Fraction it equals, any element like its copy in another instance of
+    the same field."""
+    for n in (1, 2, 5, 12):
+        K, L = CyclotomicField(n), CyclotomicField(n)
+        for v in (0, 3, -7, 2 ** 100, Fraction(5, 3), Fraction(-1, 2 ** 70)):
+            assert K.of(v) == v and hash(K.of(v)) == hash(v), (n, v)
+            assert len({K.of(v), v, L.of(v)}) == 1
+        assert hash(K.zeta(0)) == hash(1) and hash(K.zeta(n)) == hash(K.one)
+        for k in range(1, n):
+            z = K.zeta(k)
+            assert hash(z) == hash(L.zeta(k)) == hash(K.zeta(1) ** k), (n, k)
+            assert hash(z * Fraction(2, 3)) == hash(L.zeta(k) / Fraction(3, 2))
+        if n > 2:
+            assert len({K.zeta(k) for k in range(n)} | {1, Fraction(1)}) == n
+
+
 def test_cyclotomic_results_pass_through_the_constructor(monkeypatch):
     """Every CycloElem that arithmetic, K.of and the cover algebra return
     was built by ``CycloElem.__init__`` (which the benchmark tracer wraps
