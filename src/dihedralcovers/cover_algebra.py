@@ -390,7 +390,8 @@ class SimpleCoverAlgebra:
                 out[k] = c
             else:
                 letter, i = k
-                out[k] = c * K.zeta(step * (i if letter == "u" else -i))
+                e = step * (i if letter == "u" else -i)
+                out[k] = _afpoly(K, {m: K.times_zeta(w, e) for m, w in c.terms.items()})
         return {k: c for k, c in out.items() if not c.is_zero()}
 
     # -- symmetrized pairings -------------------------------------------

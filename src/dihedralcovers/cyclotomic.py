@@ -15,10 +15,11 @@ Each field precomputes the reduced rows of t^k for phi(n) <= k <=
 2 phi(n) - 2 and the n powers of zeta; Phi_n is monic in Z[t], so both
 hold ints.  A sum over one denominator is one tuple sum; a product is
 one integer convolution, its high part folded back through the t^k
-rows, then one gcd pass, and a product with a rational factor is a
-scalar multiple.  Conjugation sends t^k to zeta^(-k); as an automorphism
-of Z[zeta_n], whose Z-basis the t^k are, it keeps the numerators'
-content.  Inversion runs the extended Euclidean algorithm against the
+rows, then one gcd pass; a product with a rational factor is a scalar
+multiple, and one with zeta^k a rotation of the numerators
+(``times_zeta``).  Conjugation sends t^k to zeta^(-k); as an
+automorphism of Z[zeta_n], whose Z-basis the t^k are, it keeps the
+numerators' content.  Inversion runs the extended Euclidean algorithm against the
 modulus.  The field satisfies the descriptor protocol of
 :mod:`dihedralcovers.fields` (zero, one, of, inv, to_ints, from_ints),
 so generic linear algebra and the cover algebra run over it unchanged.
@@ -219,8 +220,9 @@ class CyclotomicField:
             rows.append(tuple([(last[i - 1] if i else 0) + lead * top[i]
                                for i in range(d)]))
         # the nonzero (j, c) of each row t^k, k >= d, that folds a product
-        self._fold = [(k, [(j, c) for j, c in enumerate(rows[k]) if c])
-                      for k in range(d, 2 * d - 1)]
+        sparse = [[(j, c) for j, c in enumerate(row) if c] for row in rows]
+        self._fold = [(k, sparse[k]) for k in range(d, 2 * d - 1)]
+        self._sparse = sparse[:n]
         self._zetas = [CycloElem(self, row) for row in rows[:n]]
         self._tail = (0,) * (d - 1)
         self.zero = CycloElem(self, (0,) + self._tail)
@@ -229,6 +231,17 @@ class CyclotomicField:
     def zeta(self, k=1):
         """zeta_n^k."""
         return self._zetas[k % self.n]
+
+    def times_zeta(self, x, k):
+        """x zeta^k by rotation: numerator i goes to t^((i + k) mod n), read
+        off its reduced row; zeta^k is a unit of Z[zeta_n], so the lowest
+        terms stay."""
+        n, out = self.n, [0] * self.degree
+        for i, a in enumerate(x.num):
+            if a:
+                for j, c in self._sparse[(i + k) % n]:
+                    out[j] += a * c
+        return CycloElem(self, tuple(out), x.den)
 
     def of(self, x):
         if isinstance(x, CycloElem):

@@ -29,25 +29,30 @@ Operations:
   class of the product;
 * ``inverse`` flips the sign of P, which realizes the dual module up to
   the standard twist;
-* ``is_isomorphic`` solves the intertwining equation exactly and
-  decides whether the solution space contains an invertible element by
-  evaluating the determinant quadratic form on a basis and on pairwise
-  sums (valid in characteristic != 2);
+* ``is_isomorphic`` compares the twists and the normal forms
+  (``BundlePair.normal_form``); where there is none (a = b, F(1, 0) not
+  a square) it solves the intertwining equation exactly and evaluates
+  the determinant quadratic form on a basis of the solutions and on
+  pairwise sums (valid in characteristic != 2);
 * ``divisor_of_section`` returns the vanishing divisor of a global
   section in (u, v) coordinates.
 
-``tensor`` and ``is_isomorphic`` work on the charts F(x, 1) of N's
-entries (``_charts``): the twists (a, b, l) fix every degree, and forms
-are made only for the result.  Their linear equations (the graded
-kernel in at most three degrees, and the intertwining equation) come
-from ``linalg.convolution_matrix``; the z-action on the kernel is an
-exact division of charts by a nonzero 2 x 2 minor of the kernel basis
-(its adjugate), checked on the other two rows, and needs no solve.
+``tensor``, ``is_isomorphic`` and the checks of a pair work on the
+charts F(x, 1) of N's entries (``_charts``): the twists (a, b, l) fix
+every degree, and forms are made only for the result.  The linear
+equations (the graded kernel in at most three degrees, and the
+intertwining equation) come from ``linalg.convolution_matrix``; the
+z-action on the kernel is an exact division of charts by a nonzero
+2 x 2 minor of the kernel basis (its adjugate), checked on the other
+two rows, and needs no solve.
 """
 
+import math
+from fractions import Fraction
+
 from .homog import HForm
-from .poly import (Poly, plain_poly, base_field_roots, neg_c, sub_c, add_c, mul_c,
-                   divmod_c)
+from .poly import (Poly, plain_poly, base_field_roots, inv_c, reduce_c, neg_c, sub_c,
+                   add_c, scale_c, mul_c, divmod_c, monic_c)
 from .graded import kernel_basis, nonzero_minor
 from . import linalg, parsing
 
@@ -142,23 +147,15 @@ class BundlePair:
         self._normalize()
 
     def _normalize(self):
-        field = self.ring.field
-        if not self.q.is_zero():
-            lead = self.q.to_univar().lead()
-        elif not self.f.is_zero():
-            lead = self.f.to_univar().lead()
-        else:
+        lead = (self.q._chart() or self.f._chart() or [1])[-1]
+        if lead == 1:
             return
-        if lead == field.one:
-            return
-        inv = field.inv(lead)
+        inv = inv_c(lead, self.ring.field.characteristic)
         # conjugating by diag(1, lead) scales q by 1/lead and f by lead
-        if not self.q.is_zero():
-            self.q = self.q * inv
-            self.f = self.f * lead
+        if self.q:
+            self.q, self.f = self.q * inv, self.f * lead
         else:
-            self.f = self.f * inv
-            self.q = self.q * lead
+            self.f, self.q = self.f * inv, self.q * lead
 
     @property
     def splitting(self):
@@ -172,12 +169,51 @@ class BundlePair:
                            ("q", self.q, l + self.a - self.b)):
             if e.deg != d and not e.is_zero():
                 raise ValueError("%s must have degree %d" % (name, d))
-        check = self.P * self.P
-        if not self.q.is_zero():
-            check = check + self.q * self.f
-        if check != self.ring.F:
+        # every degree is fixed at 2l, so the charts decide the identity
+        p = self.ring.field.characteristic
+        P, f, q = self.P._chart(), self.f._chart(), self.q._chart()
+        if add_c(mul_c(P, P, p), mul_c(q, f, p), p) != self.ring.F._chart():
             raise ValueError("determinant constraint P^2 + q*f = F violated")
         return True
+
+    def normal_form(self):
+        """(a, b, P, q), P and q charts, of one fixed pair of the class,
+        or None when a = b and F(1, 0) is not a square.
+
+        An isomorphism conjugates N by a graded automorphism U, which
+        turns NJ = [[-f, P], [P, q]] (J = [[0, 1], [-1, 0]]), the form
+        Q = -f X^2 + 2P XY + q Y^2, into U NJ U^T / det U.  U = [[alpha,
+        h], [0, beta]] moves P by (h / alpha) q and scales q, so q monic
+        and P reduced from the top modulo x^j q, j = b - a .. 0, fix the
+        pair.  For a = b, U is constant, and first its second row is put
+        on the root of Q's x0^l coefficient (discriminant 4 F(1, 0)) that
+        makes the new P(1, 0) the field's square root of F(1, 0)."""
+        ring = self.ring
+        p, l = ring.field.characteristic, ring.l
+        P, q = self.P._chart(), self.q._chart()
+        if self.a == self.b:
+            f, F = self.f._chart(), ring.F._chart()
+            s = _square_root(ring.field, F[2 * l] if len(F) > 2 * l else 0)
+            if s is None:
+                return None
+            Pl, fl, ql = (c[l] if len(c) > l else 0 for c in (P, f, q))
+            d = (Pl + s) % p if p else Pl + s
+            if d or fl:
+                # U = [[1, 0], [gamma, 1]], gamma the root with P_l - gamma f_l = s
+                gamma = -ql * inv_c(d, p) if d else 2 * Pl * inv_c(fl, p)
+                Pn = sub_c(P, scale_c(f, gamma, p), p)
+                P, q = Pn, add_c(q, scale_c(add_c(P, Pn, p), gamma, p), p)
+            else:
+                # f_l = 0 and s = -P_l: the line is (1 : 0), U swaps the summands
+                P, q = neg_c(P, p), f
+            q = monic_c(q, p)
+        # deg q <= l - (b - a), so every position j + deg q is at most l
+        P, dq = P + [0] * (l + 1 - len(P)), len(q) - 1
+        for j in range(self.b - self.a, -1, -1):
+            c = P[j + dq] % p if p else P[j + dq]
+            if c:
+                P[j:j + dq + 1] = [x - c * y for x, y in zip(P[j:j + dq + 1], q)]
+        return self.a, self.b, tuple(reduce_c(P, p)), tuple(q)
 
     def is_trivial(self):
         return self.a == 0 and self.P.is_zero() and self.q.deg == 0
@@ -223,6 +259,17 @@ def _as_form(field, val, deg):
     raise ValueError("expected a binary form of degree %d" % deg)
 
 
+def _square_root(field, v):
+    """A plain square root of the plain value v, or None: ``GF.sqrt``, and
+    over Q ``math.isqrt`` of the numerator and the denominator."""
+    if field.characteristic:
+        r = field.sqrt(v)
+        return None if r is None else field.unbox(r)
+    v = Fraction(v)
+    n, d = math.isqrt(max(v.numerator, 0)), math.isqrt(v.denominator)
+    return Fraction(n, d) if n * n == v.numerator and d * d == v.denominator else None
+
+
 def _zero_or_raise(field, val):
     f = val if isinstance(val, HForm) else HForm.zero(field, 2, 0)
     if not f.is_zero():
@@ -233,8 +280,8 @@ def _zero_or_raise(field, val):
 def _charts(pair):
     """N = [[P, f], [q, -P]] as the charts F(x, 1) of its entries."""
     p = pair.ring.field.characteristic
-    P = pair.P.to_univar().c
-    return [[P, pair.f.to_univar().c], [pair.q.to_univar().c, neg_c(P, p)]]
+    P = pair.P._chart()
+    return [[P, pair.f._chart()], [pair.q._chart(), neg_c(P, p)]]
 
 
 def tensor(p1, p2):
@@ -272,15 +319,16 @@ def tensor(p1, p2):
     # squares to F, so over the fraction field with z = sqrt(F) adjoined it
     # diagonalizes with eigenvalues z and -z (distinct, as F != 0 and the
     # characteristic is not 2), and psi has eigenvalues 0, 0, 2z, -2z
-    tw, gens = kernel_basis(field, psiT, [-c for c in cols], [-r for r in rows], 2,
-                            l - (p1.a + p1.b + p2.a + p2.b))
-    return BundlePair(ring, -tw[0], -tw[1], *_z_action(field, l, n1, tw, gens))
+    tw, gens, minor = kernel_basis(field, psiT, [-c for c in cols], [-r for r in rows], 2,
+                                   l - (p1.a + p1.b + p2.a + p2.b))
+    return BundlePair(ring, -tw[0], -tw[1], *_z_action(field, l, n1, tw, gens, minor))
 
 
-def _z_action(field, l, n1, tw, gens):
+def _z_action(field, l, n1, tw, gens, minor=None):
     """(P3, f3, q3) of the product: the z-action M on the kernel with
     generators ``gens`` of twists ``tw``, by the adjugate division in
-    ``tensor``; raises ValueError when it does not factor."""
+    ``tensor`` (through ``minor`` when ``kernel_basis`` found one);
+    raises ValueError when it does not factor."""
     p = field.characteristic
     g0, g1 = gens
     # (N1 (x) Id)^T K: entry ((k, m), g) is sum_i N1[i][k] K[(i, m)][g]
@@ -288,7 +336,7 @@ def _z_action(field, l, n1, tw, gens):
             for g in gens]
            for k in range(2) for m in range(2)]
     # kernel_basis certified g0 and g1 independent, so some minor is nonzero
-    j1, j2, D = nonzero_minor(g0, g1, p)
+    j1, j2, D = minor or nonzero_minor(g0, g1, p)
     # adj(B) C with B = [[g0[j1], g1[j1]], [g0[j2], g1[j2]]]
     M = [[None] * 2 for _ in range(2)]
     for g in range(2):
@@ -321,7 +369,9 @@ def inverse(pair):
 def is_isomorphic(p1, p2):
     """Exact isomorphism test for two pairs over the same ring.
 
-    Solves the intertwining equation Psi N1 = N2 Psi(-L) for graded Psi
+    Two pairs with the same twists are isomorphic iff their normal forms
+    are equal.  Where there is none (a = b, F(1, 0) not a square), it
+    solves the intertwining equation Psi N1 = N2 Psi(-L) for graded Psi
     and decides invertibility on the solution space.  det Psi is
     homogeneous of degree zero, hence a quadratic form Q in the solution
     coordinates; Q is nonzero on the space iff it is nonzero at a basis
@@ -331,6 +381,9 @@ def is_isomorphic(p1, p2):
         raise ValueError("pairs live over different rings")
     if (p1.a, p1.b) != (p2.a, p2.b):
         return False
+    form = p1.normal_form()
+    if form is not None:
+        return form == p2.normal_form()
     field = p1.ring.field
     l = p1.ring.l
     src = [p1.a, p1.b]

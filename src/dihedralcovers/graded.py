@@ -43,9 +43,10 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
     kernel's rank ``nullity`` (1 or 2) over the fraction field and the
     sum S = ``twist_sum`` of its twists (S = -deg of the kernel).
 
-    Returns ``(twists, gens)``, by rising twist: generator k maps
+    Returns ``(twists, gens, minor)``, by rising twist: generator k maps
     O(-twists[k]) into the source, and ``gens[k][j]`` is the chart of
-    its component j, a form of degree twists[k] - col_twists[j].
+    its component j, a form of degree twists[k] - col_twists[j];
+    ``minor`` is the ``nonzero_minor`` of the balanced case, else None.
 
     Rank 1: the kernel is O(-S) for S = ``twist_sum``, and its one
     section in degree S is the generator.
@@ -83,7 +84,7 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
 
     if nullity == 1:
         sols, degs = sections(twist_sum, 1)
-        return [twist_sum], [_vector_charts(field, sols[0], degs)]
+        return [twist_sum], [_vector_charts(field, sols[0], degs)], None
     if nullity != 2:
         raise ValueError("kernel rank must be 1 or 2, not %r" % (nullity,))
     t = twist_sum // 2
@@ -91,8 +92,9 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
     tw0 = t - len(sols) + 1
     if len(sols) == 2 and 2 * t == twist_sum:
         gens = [_vector_charts(field, v, degs) for v in sols]
-        if nonzero_minor(*gens, field.characteristic):
-            return [t, t], gens
+        minor = nonzero_minor(*gens, field.characteristic)
+        if minor:
+            return [t, t], gens, minor
         tw0 = t - 1
     tw1 = twist_sum - tw0
     if tw0 >= tw1:
@@ -109,5 +111,5 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
     basis = [list(v) for v in zip(*shifts)]
     for v in sols:
         if linalg.rank(basis + [v], field) > k + 1:
-            return [tw0, tw1], [g0, _vector_charts(field, v, degs)]
+            return [tw0, tw1], [g0, _vector_charts(field, v, degs)], None
     raise RuntimeError("no second generator in degree %d" % tw1)

@@ -37,8 +37,7 @@ straight from the three charts and never builds it as lists.
 
 import itertools
 
-from .poly import (Poly, plain_poly, poly_xgcd, base_field_roots, reduce_c, add_c,
-                   mul_c, scale_c)
+from .poly import Poly, plain_poly, poly_xgcd, base_field_roots, reduce_c
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair, tensor
 from . import linalg, parsing
@@ -122,22 +121,26 @@ def _substitute_matrix(form, m):
     rule on charts: with A = m00 x + m01, B = m10 x + m11 and F's chart
     coefficients f_i, the image's chart is sum_i f_i A^i B^(d - i), built
     as r <- r A + f_i B^(d - i) from i = d down, with the powers of B
-    computed once: O(d^2) field operations."""
+    computed once.  A and B are linear, so each step is one pass over
+    untrimmed lists (B^j has j + 1 entries): O(d^2) field operations."""
     field = form.field
     p = field.characteristic
     d = form.deg
     (m00, m01), (m10, m11) = ([field.unbox(x) for x in row] for row in m)
-    A, B = reduce_c([m01, m00], p), reduce_c([m11, m10], p)
+    f = form._chart()
+    f += [0] * (d + 1 - len(f))
     powers = [[1]]
     for _ in range(d):
-        powers.append(mul_c(powers[-1], B, p))
-    f = form.to_univar().c
+        pw = powers[-1]
+        pw = [m11 * x + m10 * y for x, y in zip(pw + [0], [0] + pw)]
+        powers.append([v % p for v in pw] if p else pw)
     r = []
     for i in range(d, -1, -1):
-        r = mul_c(r, A, p)
-        if i < len(f) and f[i]:
-            r = add_c(r, scale_c(powers[d - i], f[i], p), p)
-    return HForm.from_univar(plain_poly(field, r), d)
+        c = f[i]
+        r = [m01 * x + m00 * y + c * z for x, y, z in zip(r + [0], [0] + r, powers[d - i])]
+        if p:
+            r = [v % p for v in r]
+    return HForm.from_univar(plain_poly(field, reduce_c(r, p)), d)
 
 
 class MumfordClass:

@@ -283,6 +283,27 @@ def test_tau_and_sigma_are_homomorphisms():
         assert A.equal(A.tau(A.tau(x)), x)
 
 
+@pytest.mark.parametrize("m", range(3, 13))
+def test_sigma_by_rotation_matches_the_full_product(m):
+    """sigma rotates the numerators instead of multiplying by zeta^k; over
+    Q(zeta_m) for every n | m (step m / n above 1 when m > n) it must
+    equal the full product, and sigma^n must be the identity."""
+    K = CyclotomicField(m)
+    rng = random.Random(m)
+    for n in (d for d in range(2, m + 1) if m % d == 0):
+        A = SimpleCoverAlgebra(n, K)
+        for _ in range(3):
+            x = _random_element(A, rng, lambda: _big_scalar(K, rng))
+            want = {k: c if k in ("1", "s") else
+                    c * K.zeta(m // n * (k[1] if k[0] == "u" else -k[1]))
+                    for k, c in x.items()}
+            got = A.sigma(x)
+            assert got == want, (m, n)
+            for _ in range(n - 1):
+                got = A.sigma(got)
+            assert got == x, (m, n)
+
+
 def test_sigma_needs_roots_of_unity():
     A = SimpleCoverAlgebra(3)
     with pytest.raises(ValueError):

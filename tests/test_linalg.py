@@ -54,7 +54,7 @@ def test_koszul_kernel():
     # kernel of (x0, x1): O(-1)^2 -> O is O(-2), spanned by (x1, -x0)
     x0 = parse_form("x0", QQ, 2).to_univar().c
     x1 = parse_form("x1", QQ, 2).to_univar().c
-    twists, gens = kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=1, twist_sum=2)
+    twists, gens, _ = kernel_basis(QQ, [[x0, x1]], [0], [1, 1], nullity=1, twist_sum=2)
     assert twists == [2]
     (g0, g1), = gens
     # (x1, -x0) up to a unit
