@@ -117,6 +117,8 @@ class AlmostSimpleSpec:
         self.F = F
         self.a0 = a0
         self.ainf = ainf
+        if not ainf:
+            raise ValueError("a_inf must be nonzero")
         if not isinstance(base, ProjectiveSpace) or base.d != 2:
             raise ValueError("concrete sections need the projective plane")
         if F.deg != 2 * base.m:
@@ -436,6 +438,8 @@ class InvariantReport:
 def invariants(n, base):
     """Closed-formula invariants, cross-checked by the Riemann-Roch sum
     over the pushforward summands when the base is a surface."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     if isinstance(base, ProjectiveSpace):
         m = base.m
         degs = pushforward_twists(n, m)

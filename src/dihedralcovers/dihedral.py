@@ -24,10 +24,10 @@ the rank off as the trace: over a field of characteristic 0 the rank of
 an idempotent equals its trace, so it checks p * p = p exactly on the
 nonzero cells and sums the diagonal, with no elimination.  It refuses
 entries of positive characteristic, where the trace is only the rank
-mod p.  ``representation_matrix`` builds the dense matrices of group
-elements from products of sigma and tau; the tests sum them, as the
-reference for ``projector``, and take their rank by elimination, as the
-reference for ``projector_rank``.
+mod p.  The dense matrices of group elements, built from products of
+sigma and tau, are not needed here and live in the tests, which sum
+them as the reference for ``projector`` and take their rank by
+elimination as the reference for ``projector_rank``.
 
 ``epsilon`` is the cocycle exponent table: for the subgroup generated
 by sigma^k, the product of the restrictions of the characters indexed
@@ -70,6 +70,8 @@ class DihedralGroup:
 
 def irreducible_labels(n):
     """Labels of the irreducible characters of D_n in a fixed order."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     labels = ["chi1", "chi2"]
     if n % 2 == 0:
         labels += ["chi3", "chi4"]
@@ -119,46 +121,6 @@ def character_table(n):
         chi = character(n, lab, K)
         table[lab] = {g: chi(g) for g in G.elements()}
     return table
-
-
-def monomial_representation(n, K=None):
-    """Matrices of sigma and tau on the basis (1, s, u^i, v^i).
-
-    Basis order: index 0 is 1, index 1 is s, indices 2..n is u^1..u^(n-1),
-    indices n+1..2n-1 is v^1..v^(n-1).
-    """
-    if K is None:
-        K = CyclotomicField(n)
-    dim = 2 * n
-    zero = K.zero
-    sigma = [[zero] * dim for _ in range(dim)]
-    tau = [[zero] * dim for _ in range(dim)]
-    sigma[0][0] = K.one
-    sigma[1][1] = K.one
-    tau[0][0] = K.one
-    tau[1][1] = -K.one
-    for i in range(1, n):
-        ui = 1 + i
-        vi = n + i
-        sigma[ui][ui] = K.zeta(i)
-        sigma[vi][vi] = K.zeta(-i)
-        tau[ui][vi] = K.one
-        tau[vi][ui] = K.one
-    return sigma, tau
-
-
-def representation_matrix(n, g, K=None):
-    """The matrix of sigma^k tau^t in the monomial representation."""
-    if K is None:
-        K = CyclotomicField(n)
-    sigma, tau = monomial_representation(n, K)
-    k, t = g
-    m = _identity(2 * n, K)
-    for _ in range(k):
-        m = _matmul(m, sigma, K)
-    if t:
-        m = _matmul(m, tau, K)
-    return m
 
 
 def projector(n, label, K=None):
@@ -225,24 +187,6 @@ def _entry(x):
     if isinstance(x, (int, Fraction)):
         return x
     raise ValueError("projector_rank needs entries of characteristic 0, not %r" % (x,))
-
-
-def _identity(dim, K):
-    return [[K.one if i == j else K.zero for j in range(dim)] for i in range(dim)]
-
-
-def _matmul(a, b, K):
-    dim = len(a)
-    out = [[K.zero] * dim for _ in range(dim)]
-    for i in range(dim):
-        for k in range(dim):
-            if not a[i][k]:
-                continue
-            aik = a[i][k]
-            for j in range(dim):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + aik * b[k][j]
-    return out
 
 
 def epsilon(n, k, i, j):

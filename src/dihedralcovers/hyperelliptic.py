@@ -39,7 +39,7 @@ import itertools
 
 from .poly import Poly, plain_poly, poly_xgcd, base_field_roots, reduce_c
 from .homog import HForm
-from .double_cover import DoubleCoverRing, BundlePair, tensor
+from .double_cover import DoubleCoverRing, BundlePair
 from . import linalg, parsing
 
 
@@ -260,35 +260,22 @@ def class_order(c, bound=512):
 # Riemann-Roch spaces on the odd model
 
 
-class RRFunction:
-    """A function (A + B y) / u on an odd model."""
-
-    __slots__ = ("model", "A", "B", "den")
-
-    def __init__(self, model, A, B, den):
-        self.model = model
-        self.A = A
-        self.B = B
-        self.den = den
-
-    def __repr__(self):
-        return "(%s + (%s)*y) / (%s)" % (self.A, self.B, self.den)
-
-
 def rr_space(model, u, v, k):
-    """Basis of L(D + k*inf) for the semireduced affine divisor D = (u, v).
+    """Basis of L(D + k*inf) for the semireduced affine divisor D = (u, v),
+    as pairs (A, B) of polynomials, each the function (A + B y)/u.
 
-    Functions are (A + B y)/u with A = B v mod u plus a polynomial
-    multiple of u; the basis consists of powers of x and of
-    x^i (v + y)-type generators whose pole at infinity fits the budget.
-    deg D + k < 0 returns the empty list.
+    A is B v mod u plus a polynomial multiple of u; the basis consists of
+    powers of x and of x^i (v + y)-type generators whose pole at infinity
+    fits the budget.  deg D + k < 0 returns the empty list.  ``stratum``
+    reads only whether the basis is empty; the tests check its length
+    against Riemann-Roch duality.
     """
     field = model.field
     g = model.g
     d = u.degree
     basis = []
     for j in range(0, k // 2 + 1 if k >= 0 else 0):
-        basis.append(RRFunction(model, u.shift(j), Poly.zero(field), u))
+        basis.append((u.shift(j), Poly.zero(field)))
     i = 0
     while 2 * i + 2 * g + 1 - 2 * d <= k:
         B = Poly.one(field).shift(i)
@@ -296,41 +283,9 @@ def rr_space(model, u, v, k):
         pole = max(2 * A.degree if not A.is_zero() else -1,
                    2 * i + 2 * g + 1) - 2 * d
         if pole <= k:
-            basis.append(RRFunction(model, A, B, u))
+            basis.append((A, B))
         i += 1
     return basis
-
-
-def rr_dim_zeros(model, u, v, t):
-    """dim L(t*inf - D) for the semireduced divisor D = (u, v): functions
-    regular away from infinity, with pole at most t there, vanishing on D."""
-    field = model.field
-    g = model.g
-    d = u.degree
-    if t < 0:
-        return 0
-    # A + B y with A = -(B v mod u) + u C, pole max(2 deg A, 2 deg B + 2g+1) <= t
-    db = (t - 2 * g - 1) // 2
-    dc = t // 2 - d
-    nb = db + 1 if db >= 0 else 0
-    nc = dc + 1 if dc >= 0 else 0
-    if nb + nc == 0:
-        return 0
-    # columns: B coeffs then C coeffs; constraints: coefficients of A above t/2
-    damax = max(t // 2, d + max(dc, 0))
-    rows = []
-    cols = []
-    for s in range(nb):
-        A = -(v.shift(s) % u) if d > 0 else Poly.zero(field)
-        cols.append(A)
-    for s in range(nc):
-        cols.append(u.shift(s))
-    ncols = len(cols)
-    for c in range(t // 2 + 1, damax + 1):
-        rows.append([col.coeff(c) for col in cols])
-    if not rows:
-        return ncols
-    return ncols - linalg.rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +398,6 @@ def is_n_torsion(pair, n):
     if not nrows:
         return True
     return linalg.convolution_rank(pair.ring.field, *blocks) < nrows
-
-
-def sym_power_pushforward(pair, n):
-    """Splitting type of the pushforward of the n-th power of the pair's
-    line bundle, via iterated tensor, with Chern class bookkeeping."""
-    if n < 1:
-        raise ValueError("power must be positive")
-    acc = pair
-    for _ in range(n - 1):
-        acc = tensor(acc, pair)
-    s = pair.a + pair.b
-    lhs = -s * (n * (n + 1) // 2)
-    if n >= 2:
-        k2 = -s - pair.ring.l
-        lhs -= -s * ((n - 2) * (n - 1) // 2) + (n - 1) * k2
-    if lhs != acc.c1():
-        raise AssertionError("Chern class bookkeeping failed for the symmetric power")
-    return acc.splitting
 
 
 def enumerate_two_torsion(curve):

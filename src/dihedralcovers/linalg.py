@@ -7,10 +7,9 @@ Two tiers:
   read into plain ints (an ``FpElem`` gives its residue), eliminated on
   ints with one modular inverse per pivot, and boxed as reduced
   ``FpElem`` only at the result (the reduced rows, the kernel vectors,
-  the solution, the determinant; a rank is an int).  Two loops serve
-  it:
+  the solution; a rank is an int).  Two loops serve it:
 
-  - rank and det: forward elimination on packed rows
+  - rank: forward elimination on packed rows
     (``_forward_mod``).  A row is a single int that holds its residues,
     from its leading column on, in W-bit slots, so one big-int
     expression updates a whole row (packing several residues into one
@@ -31,9 +30,11 @@ Two tiers:
   Any other matrix (over Q or Q(zeta_n)) goes through the generic loop
   ``_eliminate``, with its nonzero int entries as ``Fraction``, so no
   division is ever a float division.
-* integral-domain matrices (e.g. polynomial entries): rank and
-  determinant by fraction-free Bareiss elimination, which only ever
-  performs divisions that are exact in the domain.
+* integral-domain matrices (e.g. polynomial entries): rank by
+  fraction-free Bareiss elimination, which only ever performs divisions
+  that are exact in the domain; the tests use it as the oracle of
+  ``rank`` and ``convolution_rank``.  No package path takes a
+  determinant, so there is none here.
 
 ``convolution_matrix`` builds the field matrix of "known polynomials
 times unknown coefficients", the linear map behind the graded kernels,
@@ -44,7 +45,6 @@ vector back into its polynomials.
 Matrices are plain nested lists; nothing here mutates its input.
 """
 
-import math
 from fractions import Fraction
 
 from .fields import FpElem, GF
@@ -77,7 +77,7 @@ def _echelon(m, field=None):
         return _clone(m), [], _identity
     p = _prime(m, field)
     if not p:
-        return _eliminate(_rationals(m), True)[:2] + (_identity,)
+        return _eliminate(_rationals(m), True) + (_identity,)
     return _eliminate_mod(_residues(m, p), p) + (lambda v: FpElem(v, p),)
 
 
@@ -114,15 +114,13 @@ def _identity(x):
 def _eliminate(m, reduced):
     """Gaussian elimination of m in place over any exact field."""
     rows, cols = len(m), len(m[0])
-    pivots, swaps = [], 0
+    pivots = []
     for c in range(cols):
         r = len(pivots)
         piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            swaps += 1
+        m[r], m[piv] = m[piv], m[r]
         top = m[r]
         if reduced:
             lead = top[c]
@@ -137,7 +135,7 @@ def _eliminate(m, reduced):
         pivots.append(c)
         if r + 1 == rows:
             break
-    return m, pivots, swaps
+    return m, pivots
 
 
 def _eliminate_mod(m, p):
@@ -193,8 +191,7 @@ def _slot_width(p, ncols):
 
 
 def _forward_mod(buckets, p, W):
-    """Forward elimination over GF(p) on packed rows; returns (the pivot
-    values, the number of row transpositions).
+    """Forward elimination over GF(p) on packed rows; returns the rank.
 
     A row is one int: its entries from its leading column c on, the
     entry of column c + k in the W-bit slot k.  ``buckets[c]`` holds
@@ -213,14 +210,12 @@ def _forward_mod(buckets, p, W):
     a row is updated at most once per column, so a slot stays below
     (ncols + 1) p^2 < 2^W.
 
-    The rows keep their order (the pivot rows found, then the buckets in
-    turn), so taking the pivot at place t of its bucket is t
-    transpositions; a row that becomes zero is dropped, which only
-    happens when the rank is below the number of rows.
+    A row that becomes zero is dropped, which only happens when the rank
+    is below the number of rows.
     """
     M = (1 << W) - 1
     fresh = {v for bucket in buckets for v in bucket}
-    leads, swaps = [], 0
+    r = 0
     for c in range(len(buckets) - 1):
         bucket = buckets[c]
         if not bucket:
@@ -233,8 +228,7 @@ def _forward_mod(buckets, p, W):
             buckets[c + 1][:0] = [w for v in bucket if (w := v >> W)]
             continue
         v = bucket.pop(t)
-        swaps += t
-        leads.append(lead)
+        r += 1
         if not bucket:
             continue
         if v in fresh:
@@ -247,18 +241,18 @@ def _forward_mod(buckets, p, W):
                 s += W
         neg = p - pow(lead, -1, p)
         buckets[c + 1][:0] = [w for v in bucket if (w := (v + (v & M) * neg % p * top) >> W)]
-    return leads, swaps
+    return r
 
 
-def _forward(m, field):
-    """Forward elimination for rank and det: (the pivot values, the
-    number of row transpositions, box).  Over GF(p) on packed rows, all
-    filed in bucket 0 (``_forward_mod``), over any other field by
-    ``_eliminate``."""
+def rank(m, field=None):
+    """Rank of a matrix over a field (see ``_echelon`` for the field):
+    over GF(p) on packed rows, all filed in bucket 0 (``_forward_mod``),
+    over any other field by ``_eliminate``."""
+    if not m or not m[0]:
+        return 0
     p = _prime(m, field)
     if not p:
-        red, pivots, swaps = _eliminate(_rationals(m), False)
-        return [red[i][c] for i, c in enumerate(pivots)], swaps, _identity
+        return len(_eliminate(_rationals(m), False)[1])
     W = _slot_width(p, len(m[0]))
     first = []
     for row in m:
@@ -268,14 +262,7 @@ def _forward(m, field):
                 x = x.v
             v = v << W | (x % p if type(x) is int else _residue(x, p))
         first.append(v)
-    return _forward_mod([first] + [[] for _ in m[0]], p, W) + (lambda v: FpElem(v, p),)
-
-
-def rank(m, field=None):
-    """Rank of a matrix over a field (see ``_echelon`` for the field)."""
-    if not m or not m[0]:
-        return 0
-    return len(_forward(m, field)[0])
+    return _forward_mod([first] + [[] for _ in m[0]], p, W)
 
 
 def rref(m):
@@ -315,18 +302,6 @@ def solve(m, b, field):
     for r, pc in enumerate(pivots):
         x[pc] = box(red[r][cols])
     return x
-
-
-def det(m, field):
-    """Determinant of a square matrix over a field."""
-    n = len(m)
-    if n == 0:
-        return field.one
-    leads, swaps, box = _forward(m, field)
-    if len(leads) < n:
-        return field.zero
-    d = math.prod(leads, start=field.one if box is _identity else 1)
-    return box(-d if swaps % 2 else d)
 
 
 def _convolution_blocks(coeffs, in_degs, out_degs):
@@ -411,7 +386,7 @@ def convolution_rank(field, coeffs, in_degs, out_degs):
             if v:
                 lead = ((v & -v).bit_length() - 1) // W
                 buckets[base + lead].append(v >> W * lead)
-    return len(_forward_mod(buckets, p, W)[0])
+    return _forward_mod(buckets, p, W)
 
 
 def split_blocks(vec, degs):
@@ -453,30 +428,6 @@ def bareiss_rank(m, one):
         if r == rows:
             break
     return r
-
-
-def bareiss_det(m, one):
-    """Determinant of a square matrix over an integral domain."""
-    n = len(m)
-    if n == 0:
-        return one
-    m = _clone(m)
-    prev = one
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return one - one
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                num = m[c][c] * m[i][j] - m[i][c] * m[c][j]
-                m[i][j] = _exact(num, prev)
-        prev = m[c][c]
-    d = m[n - 1][n - 1]
-    return d if sign > 0 else -d
 
 
 def _exact(a, b):

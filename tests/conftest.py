@@ -70,6 +70,26 @@ def watch_plain_values(monkeypatch, check):
     return built
 
 
+def identity(dim, K):
+    """The dim x dim identity matrix over K."""
+    return [[K.one if i == j else K.zero for j in range(dim)] for i in range(dim)]
+
+
+def matmul(a, b, K):
+    """The product of two square matrices over K, skipping zero entries."""
+    dim = len(a)
+    out = [[K.zero] * dim for _ in range(dim)]
+    for i in range(dim):
+        for k in range(dim):
+            if not a[i][k]:
+                continue
+            aik = a[i][k]
+            for j in range(dim):
+                if b[k][j]:
+                    out[i][j] = out[i][j] + aik * b[k][j]
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

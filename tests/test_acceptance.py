@@ -30,7 +30,7 @@ from dihedralcovers.hyperelliptic import (class_from_matrix, matrix_from_class,
                                           torsion_matrix,
                                           enumerate_two_torsion)
 
-from conftest import split_curve, random_class
+from conftest import identity, matmul, split_curve, random_class
 
 
 def test_1_invariant_regression():
@@ -108,15 +108,15 @@ def test_5_dihedral_algebra():
         projs = {lab: dihedral.projector(n, lab, K) for lab in labels}
         total = [[K.zero] * dim for _ in range(dim)]
         for lab, pr in projs.items():
-            assert dihedral._matmul(pr, pr, K) == pr
+            assert matmul(pr, pr, K) == pr
             assert dihedral.projector_rank(pr) == \
                 dihedral.char_degree(lab) ** 2
             for i in range(dim):
                 for j in range(dim):
                     total[i][j] = total[i][j] + pr[i][j]
-        assert total == dihedral._identity(dim, K)
+        assert total == identity(dim, K)
         for l1, l2 in itertools.combinations(labels, 2):
-            prod = dihedral._matmul(projs[l1], projs[l2], K)
+            prod = matmul(projs[l1], projs[l2], K)
             assert all(not x for row in prod for x in row)
     # algebra commutativity and associativity on all triples, n <= 8
     for n in range(2, 9):

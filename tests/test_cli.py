@@ -134,6 +134,26 @@ def test_dn_table_projector_ranks_share_one_field(capsys, monkeypatch):
         assert all(r == (1 if lab.startswith("chi") else 4) for lab, r in ranks.items())
 
 
+ALMOST_SIMPLE = ["check", "--kind", "almost-simple", "--n", "3", "--m", "1",
+                 "--F", "x0*x1 + x0*x2 + x1*x2", "--a0", "x0^3 + x1^3 + x2^3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--n", "0", "--m", "1"], "need n >= 2"),
+    (["cover", "--n", "-1", "--m", "1"], "need n >= 2"),
+    (["dn-table", "--n", "0"], "need n >= 1"),
+    (["dn-table", "--n", "-2"], "need n >= 1"),
+    (ALMOST_SIMPLE + ["--ainf", "0"], "a_inf must be nonzero"),
+    (ALMOST_SIMPLE + ["--field", "Fp:7", "--ainf", "7"], "a_inf must be nonzero"),
+])
+def test_out_of_domain_input_exits_2(capsys, argv, message):
+    # refused as bad input, not an internal error (3) and not a report (0)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_jacobian_subcommand(capsys):
     code, out = run(capsys, "jacobian", "--field", "Fp:7",
                     "--curve", '{"g":1,"F":"x0^4 - 5*x0^2*x1^2 + 4*x1^4"}',

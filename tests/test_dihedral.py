@@ -11,6 +11,8 @@ from dihedralcovers.cyclotomic import CycloElem, CyclotomicField, cyclotomic_pol
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.poly import Poly
 
+from conftest import identity, matmul
+
 
 def test_cyclotomic_polynomials():
     x = Poly.x(QQ)
@@ -212,16 +214,52 @@ def test_projector_identities():
         projs = {lab: dihedral.projector(n, lab, K) for lab in labels}
         total = [[K.zero] * dim for _ in range(dim)]
         for lab, p in projs.items():
-            sq = dihedral._matmul(p, p, K)
+            sq = matmul(p, p, K)
             assert sq == p, (n, lab)
             assert dihedral.projector_rank(p) == dihedral.char_degree(lab) ** 2
             for i in range(dim):
                 for j in range(dim):
                     total[i][j] = total[i][j] + p[i][j]
-        assert total == dihedral._identity(dim, K), n
+        assert total == identity(dim, K), n
         for l1, l2 in itertools.combinations(labels, 2):
-            prod = dihedral._matmul(projs[l1], projs[l2], K)
+            prod = matmul(projs[l1], projs[l2], K)
             assert all(not x for row in prod for x in row), (n, l1, l2)
+
+
+def monomial_representation(n, K):
+    """Matrices of sigma and tau on the basis (1, s, u^i, v^i).
+
+    Basis order: index 0 is 1, index 1 is s, indices 2..n is u^1..u^(n-1),
+    indices n+1..2n-1 is v^1..v^(n-1).
+    """
+    dim = 2 * n
+    zero = K.zero
+    sigma = [[zero] * dim for _ in range(dim)]
+    tau = [[zero] * dim for _ in range(dim)]
+    sigma[0][0] = K.one
+    sigma[1][1] = K.one
+    tau[0][0] = K.one
+    tau[1][1] = -K.one
+    for i in range(1, n):
+        ui = 1 + i
+        vi = n + i
+        sigma[ui][ui] = K.zeta(i)
+        sigma[vi][vi] = K.zeta(-i)
+        tau[ui][vi] = K.one
+        tau[vi][ui] = K.one
+    return sigma, tau
+
+
+def representation_matrix(n, g, K):
+    """The dense matrix of sigma^k tau^t in the monomial representation."""
+    sigma, tau = monomial_representation(n, K)
+    k, t = g
+    m = identity(2 * n, K)
+    for _ in range(k):
+        m = matmul(m, sigma, K)
+    if t:
+        m = matmul(m, tau, K)
+    return m
 
 
 def test_projector_matches_dense_sum():
@@ -231,7 +269,7 @@ def test_projector_matches_dense_sum():
         K = CyclotomicField(n)
         G = dihedral.DihedralGroup(n)
         dim = 2 * n
-        mats = {g: dihedral.representation_matrix(n, g, K) for g in G.elements()}
+        mats = {g: representation_matrix(n, g, K) for g in G.elements()}
         for lab in dihedral.irreducible_labels(n):
             chi = dihedral.character(n, lab, K)
             want = [[K.zero] * dim for _ in range(dim)]
@@ -325,8 +363,8 @@ def test_trace_rank_of_dense_idempotents_matches_elimination(n):
             rng.shuffle(diag)
             e = [[diag[i] if i == j else K.zero for j in range(dim)] for i in range(dim)]
             a = _invertible(rng, dim, entry)
-            p = dihedral._matmul(dihedral._matmul(a, e, K), _inverse(a, K), K)
-            assert dihedral._matmul(p, p, K) == p
+            p = matmul(matmul(a, e, K), _inverse(a, K), K)
+            assert matmul(p, p, K) == p
             assert dihedral.projector_rank(p) == linalg.rank(p) == r, (n, dim, r)
 
 
@@ -362,7 +400,7 @@ def test_monomial_representation_is_regular():
         K = CyclotomicField(n)
         G = dihedral.DihedralGroup(n)
         for g in G.elements():
-            m = dihedral.representation_matrix(n, g, K)
+            m = representation_matrix(n, g, K)
             tr = sum((m[i][i] for i in range(2 * n)), K.zero)
             assert tr == (2 * n if g == (0, 0) else 0), (n, g)
 

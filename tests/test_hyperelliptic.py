@@ -13,10 +13,9 @@ from dihedralcovers.poly import Poly
 from dihedralcovers.parsing import parse_form, parse_univar
 from dihedralcovers import linalg
 from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
-                                          class_order, rr_dim_zeros,
+                                          class_order, rr_space,
                                           class_from_matrix, matrix_from_class,
                                           stratum, torsion_matrix, is_n_torsion,
-                                          sym_power_pushforward,
                                           enumerate_two_torsion,
                                           enumerate_jacobian)
 from dihedralcovers.double_cover import (DoubleCoverRing, BundlePair, tensor, inverse,
@@ -182,7 +181,11 @@ def test_symmetric_power_pushforward():
         if a.is_zero():
             continue
         pair = matrix_from_class(c, a)
-        degs = sym_power_pushforward(pair, 2)
+        # the square's first Chern class is 2 c1 + l, the bookkeeping of
+        # the symmetric power at n = 2
+        square = tensor(pair, pair)
+        assert square.c1() == 2 * pair.c1() + pair.ring.l
+        degs = square.splitting
         assert sum(degs) == -2
         # the square of the class is trivial exactly for 2-torsion, and
         # then the splitting contains the degree-0 summand
@@ -191,7 +194,8 @@ def test_symmetric_power_pushforward():
 
 
 def test_riemann_roch_duality():
-    # l(D) - l(K - D) = deg D + 1 - g with K = (2g-2) * infinity
+    # l(D) - l(K - D) = deg D + 1 - g with K = (2g-2) * infinity, the
+    # dimensions l counted as the lengths of rr_space's bases
     for g in (1, 2):
         c = split_curve(7, g)
         model = c.odd_model()
@@ -201,13 +205,13 @@ def test_riemann_roch_duality():
                                           for _ in range(6)]
         for a in samples:
             d = a.u.degree
-            for k in range(0, 7):
-                # D = k*infinity - A with A the effective part (u, v);
-                # K - D is equivalent to (2g-2-k+2d)*infinity - A^sigma
-                # because A + A^sigma is a sum of hyperelliptic fibres
-                lhs = rr_dim_zeros(model, a.u, a.v, k)
-                dual = rr_dim_zeros(model, a.u, (-a).v, 2 * g - 2 - k + 2 * d)
-                assert lhs - dual == (k - d) + 1 - g, (g, a, k)
+            for k in range(-2 * d - 2, 7):
+                # D = A + k*infinity with A the effective part (u, v);
+                # K - D is equivalent to A^sigma + (2g-2-k-2d)*infinity
+                # because A + A^sigma is a sum of d hyperelliptic fibres
+                lhs = len(rr_space(model, a.u, a.v, k))
+                dual = len(rr_space(model, a.u, (-a).v, 2 * g - 2 - k - 2 * d))
+                assert lhs - dual == (d + k) + 1 - g, (g, a, k)
 
 
 def test_genus_two_roundtrip_random(rng):
