@@ -40,9 +40,9 @@ On top of the algebra:
   algebraic heart of the triple-cover comparison;
 * ``d3_resolvent`` checks w^3 = 2a + 3F w for w = u + v when n = 3 and
   returns the discriminant 108(F^3 - a^2) of the resolvent cubic;
-* ``field_polynomial`` is X^(2n) - 2a X^n + F^n, and
-  ``verify_field_polynomial`` multiplies out
-  prod_i (X - zeta^i u)(X - zeta^i v) over Q(zeta_n) to confirm it.
+* ``field_polynomial`` is X^(2n) - 2a X^n + F^n, the product of
+  (X - zeta^i u)(X - zeta^i v) over i < n (the tests multiply it out
+  over Q(zeta_n)).
 """
 
 import math
@@ -437,20 +437,6 @@ def phi_tensor(n, K=QQ):
     return out
 
 
-def phi_is_symmetric(table):
-    """True when the tensor form values depend only on the multiset of
-    arguments."""
-    by_count = {}
-    for choice, val in table.items():
-        c = sum(choice)
-        if c in by_count:
-            if by_count[c] != val:
-                return False
-        else:
-            by_count[c] = val
-    return True
-
-
 def d3_resolvent(K=QQ):
     """Check the resolvent cubic w^3 = 2a + 3F w for w = u + v at n = 3
     and return the discriminant 108(F^3 - a^2)."""
@@ -471,33 +457,6 @@ def field_polynomial(n, K=QQ):
             0: AFPoly.F(K, n)}
 
 
-def verify_field_polynomial(n):
-    """Multiply out prod_i (X - zeta^i u)(X - zeta^i v) over Q(zeta_n)
-    inside the algebra and compare with ``field_polynomial``."""
-    K = CyclotomicField(n)
-    A = SimpleCoverAlgebra(n, K)
-    # polynomial in X with algebra coefficients, low degree first
-    poly = [A.one()]
-    for i in range(n):
-        for gen in (A.u(1), A.v(1)):
-            root = A.scale(AFPoly.const(K, K.zeta(i)), gen)
-            new = [A.zero() for _ in range(len(poly) + 1)]
-            for d, coef in enumerate(poly):
-                new[d + 1] = A.add(new[d + 1], coef)
-                new[d] = A.sub(new[d], A.mul(root, coef))
-            poly = new
-    want = field_polynomial(n, K)
-    for d, coef in enumerate(poly):
-        target = want.get(d)
-        if target is None:
-            if coef:
-                return False
-        else:
-            if not A.equal(coef, A.scale(target, A.one())):
-                return False
-    return True
-
-
 def eigensheaf_decomposition(n, m):
     """Line bundle degrees of the isotypic pieces of the pushforward of
     the structure sheaf of a simple cover with branch data of degree m.
@@ -505,6 +464,8 @@ def eigensheaf_decomposition(n, m):
     The monomial u^i (and v^i) has degree -i*m; the odd part s has
     degree -n*m.  Returns a list of (character label, sorted degrees).
     """
+    if m < 1:
+        raise ValueError("need m >= 1")
     from .dihedral import irreducible_labels
     out = []
     for lab in irreducible_labels(n):

@@ -533,12 +533,6 @@ def normality_criterion(n, pair, components):
         not (d * c).is_zero() for d in range(1, kappa) if kappa % d == 0)
 
 
-def building_data_degree_check(m, L_deg, D_degs):
-    """Degree bookkeeping for cyclic building data: m*L must equal the
-    weighted sum of the component degrees."""
-    return m * L_deg == sum(i * d for i, d in enumerate(D_degs, start=1))
-
-
 def dn_epimorphism_criterion(spec, seed=0):
     """When the simple-cover hypotheses hold, the complement of the
     branch curve has a dihedral quotient of its fundamental group.

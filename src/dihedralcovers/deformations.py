@@ -9,7 +9,9 @@ closed formula: the only nonzero cases are
     q = p, k = 0:      1
 
 The tangent sheaf is handled through the twist identity
-Theta = Omega^(d-1)(d+1), so one routine serves both.
+Theta = Omega^(d-1)(d+1), so one routine serves both.  The tests check
+the formula against chi of Omega^p(k) computed independently, through
+the exterior powers of the Euler sequence.
 
 The deformation bookkeeping concerns a simple cover with data a (a
 section of O(nm)) and F (a section of O(2m)) over projective d-space.
@@ -23,7 +25,6 @@ bound for the dimension of the space of non-trivial natural
 deformations.
 """
 
-from fractions import Fraction
 from math import comb
 
 _bott_cache = {}
@@ -57,20 +58,6 @@ def h_tangent(d, k, q):
 def h_line(d, k, q):
     """h^q of O(k) on projective d-space."""
     return bott(d, 0, k, q)
-
-
-def euler_characteristic_form(d, p, k):
-    """chi of Omega^p(k), computed independently of ``bott`` through
-    the exterior powers of the Euler sequence."""
-    def chi_line(j):
-        v = Fraction(1)
-        for i in range(1, d + 1):
-            v *= Fraction(j + i, i)
-        return v
-    if p == 0:
-        return int(chi_line(k))
-    val = comb(d + 1, p) * chi_line(k - p) - euler_characteristic_form(d, p - 1, k)
-    return int(val)
 
 
 def pushforward_twists(n, m, e=0):

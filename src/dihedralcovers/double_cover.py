@@ -73,6 +73,8 @@ class DoubleCoverRing:
     which is the hyperelliptic curve of genus g = l - 1."""
 
     def __init__(self, field, l, F):
+        if l < 1:
+            raise ValueError("need l >= 1, that is genus g = l - 1 >= 0")
         if field.characteristic == 2:
             raise ValueError("characteristic 2 is not supported")
         if F.nvars != 2 or F.deg != 2 * l:

@@ -58,9 +58,6 @@ class HECurve(DoubleCoverRing):
         F = HForm.from_univar(fodd, 2 * g + 2)
         return cls(field, g, F)
 
-    def to_json(self):
-        return {"g": self.g, "F": parsing.format_form(self.F)}
-
     @classmethod
     def from_json(cls, data, field):
         g = int(data["g"])
@@ -206,12 +203,6 @@ class MumfordClass:
     def to_json(self):
         return {"u": parsing.format_univar(self.u),
                 "v": parsing.format_univar(self.v)}
-
-    @classmethod
-    def from_json(cls, data, model):
-        u = parsing.parse_univar(data["u"], model.field)
-        v = parsing.parse_univar(data["v"], model.field)
-        return model.semireduced(u, v)
 
 
 def cantor_add(c1, c2):

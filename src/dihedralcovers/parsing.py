@@ -7,20 +7,18 @@ Accepted inputs are sums of terms like ``3*x0^2*x1 - 1/2*x1^3 + x0``:
 * variable powers are ``name`` or ``name^k`` joined by ``*``;
 * recognised variable names: x, x0, x1, x2, u, v, w, z.
 
-``parse_univar`` returns a :class:`~dihedralcovers.poly.Poly` in a
-single variable; ``parse_form`` returns a homogeneous
-:class:`~dihedralcovers.homog.HForm` and rejects inhomogeneous input.
-Formatting is the inverse, producing strings the parser accepts, so
-round trips are byte stable.
+``parse_form`` returns a homogeneous :class:`~dihedralcovers.homog.HForm`
+and rejects inhomogeneous input.  Formatting is the inverse, producing
+strings the parser accepts, so round trips are byte stable;
+``format_univar`` writes a :class:`~dihedralcovers.poly.Poly` in the
+variable x (the CLI prints Mumford classes with it; the tests read it
+back with their own ``parse_univar``).
 """
 
 import re
 from fractions import Fraction
 
-from .poly import Poly
 from .homog import HForm
-
-VAR_NAMES = ("x", "x0", "x1", "x2", "u", "v", "w", "z")
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x0|x1|x2|[xuvwz])|(\^)|(\*)|(\+)|(-))")
 
@@ -97,23 +95,6 @@ def _terms(s):
                 raise ValueError("unexpected token in %r" % s)
             expect_factor = False
         yield sign * coeff, exps
-
-
-def parse_univar(s, field):
-    """Parse a univariate polynomial in any one variable; a constant
-    string works too."""
-    coeffs = {}
-    seen = set()
-    for c, exps in _terms(s):
-        seen.update(exps)
-        e = sum(exps.values())
-        if len(exps) > 1:
-            raise ValueError("more than one variable in %r" % s)
-        coeffs[e] = coeffs.get(e, Fraction(0)) + c
-    if len(seen) > 1:
-        raise ValueError("unexpected variables %s in %r" % (sorted(seen), s))
-    deg = max(coeffs) if coeffs else 0
-    return Poly(field, [coeffs.get(i, 0) for i in range(deg + 1)])
 
 
 def parse_form(s, field, nvars):

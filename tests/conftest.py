@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -6,6 +8,7 @@ from dihedralcovers.fields import GF
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
 from dihedralcovers.hyperelliptic import HECurve
+from dihedralcovers.parsing import _terms
 
 
 def split_curve(p, g):
@@ -88,6 +91,52 @@ def matmul(a, b, K):
                 if b[k][j]:
                     out[i][j] = out[i][j] + aik * b[k][j]
     return out
+
+
+def parse_univar(s, field):
+    """The inverse of ``parsing.format_univar``: a univariate polynomial
+    in any one variable; a constant string works too."""
+    coeffs = {}
+    seen = set()
+    for c, exps in _terms(s):
+        seen.update(exps)
+        e = sum(exps.values())
+        if len(exps) > 1:
+            raise ValueError("more than one variable in %r" % s)
+        coeffs[e] = coeffs.get(e, Fraction(0)) + c
+    if len(seen) > 1:
+        raise ValueError("unexpected variables %s in %r" % (sorted(seen), s))
+    deg = max(coeffs) if coeffs else 0
+    return Poly(field, [coeffs.get(i, 0) for i in range(deg + 1)])
+
+
+def euler_characteristic_form(d, p, k):
+    """chi of Omega^p(k) on projective d-space, computed independently
+    of ``deformations.bott`` through the exterior powers of the Euler
+    sequence."""
+    def chi_line(j):
+        v = Fraction(1)
+        for i in range(1, d + 1):
+            v *= Fraction(j + i, i)
+        return v
+    if p == 0:
+        return int(chi_line(k))
+    val = comb(d + 1, p) * chi_line(k - p) - euler_characteristic_form(d, p - 1, k)
+    return int(val)
+
+
+def phi_is_symmetric(table):
+    """True when the values of ``cover_algebra.phi_tensor`` depend only on
+    the multiset of arguments."""
+    by_count = {}
+    for choice, val in table.items():
+        c = sum(choice)
+        if c in by_count:
+            if by_count[c] != val:
+                return False
+        else:
+            by_count[c] = val
+    return True
 
 
 @pytest.fixture

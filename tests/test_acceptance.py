@@ -22,15 +22,15 @@ from dihedralcovers import deformations as df
 from dihedralcovers import dihedral
 from dihedralcovers.cyclotomic import CyclotomicField
 from dihedralcovers.cover_algebra import (SimpleCoverAlgebra, AFPoly,
-                                          phi_tensor, phi_is_symmetric,
-                                          d3_resolvent)
+                                          phi_tensor, d3_resolvent)
 from dihedralcovers.double_cover import tensor, inverse
 from dihedralcovers.hyperelliptic import (class_from_matrix, matrix_from_class,
                                           class_order, is_n_torsion,
                                           torsion_matrix,
                                           enumerate_two_torsion)
 
-from conftest import identity, matmul, split_curve, random_class
+from conftest import (identity, matmul, split_curve, random_class,
+                      euler_characteristic_form, phi_is_symmetric)
 
 
 def test_1_invariant_regression():
@@ -180,7 +180,7 @@ def test_7_deformations():
             for k in range(-12, 13):
                 chi = sum((-1) ** q * df.bott(d, p, k, q)
                           for q in range(d + 1))
-                assert chi == df.euler_characteristic_form(d, p, k)
+                assert chi == euler_characteristic_form(d, p, k)
 
 
 def test_8_normality_criterion():

@@ -137,6 +137,9 @@ def test_dn_table_projector_ranks_share_one_field(capsys, monkeypatch):
 ALMOST_SIMPLE = ["check", "--kind", "almost-simple", "--n", "3", "--m", "1",
                  "--F", "x0*x1 + x0*x2 + x1*x2", "--a0", "x0^3 + x1^3 + x2^3"]
 
+# g = -1: a branch form of degree 2g + 2 = 0
+NEGATIVE_GENUS = ["--field", "Fp:7", "--curve", '{"g":-1,"F":"1"}']
+
 
 @pytest.mark.parametrize("argv, message", [
     (["cover", "--n", "0", "--m", "1"], "need n >= 2"),
@@ -145,6 +148,11 @@ ALMOST_SIMPLE = ["check", "--kind", "almost-simple", "--n", "3", "--m", "1",
     (["dn-table", "--n", "-2"], "need n >= 1"),
     (ALMOST_SIMPLE + ["--ainf", "0"], "a_inf must be nonzero"),
     (ALMOST_SIMPLE + ["--field", "Fp:7", "--ainf", "7"], "a_inf must be nonzero"),
+    (["pic", "--op", "two-torsion"] + NEGATIVE_GENUS, "need l >= 1, that is genus g = l - 1 >= 0"),
+    (["torsion", "--n", "2", "--pair", '{"a":0,"b":0,"P":"0","f":"1","q":"1"}']
+     + NEGATIVE_GENUS, "need l >= 1, that is genus g = l - 1 >= 0"),
+    (["dn-table", "--n", "3", "--m", "0"], "need m >= 1"),
+    (["dn-table", "--n", "3", "--m", "-2"], "need m >= 1"),
 ])
 def test_out_of_domain_input_exits_2(capsys, argv, message):
     # refused as bad input, not an internal error (3) and not a report (0)
@@ -221,6 +229,22 @@ def test_batch_mode_reports_bad_jobs(tmp_path, capsys):
     assert code == 2
     docs = json.loads(out)
     assert "error" in docs[1]
+
+
+def test_batch_mode_keeps_the_reports_before_a_refused_curve(tmp_path, capsys):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps([
+        {"command": "cover", "n": 3, "m": 1},
+        {"command": "pic", "op": "two-torsion", "field": "Fp:7",
+         "curve": {"g": -1, "F": "1"}},
+        {"command": "deform", "n": 2, "m": 1}]))
+    code, out = run(capsys, "--json", str(path))
+    assert code == 2
+    docs = json.loads(out)
+    assert docs[0]["command"] == "cover" and docs[0]["label"] == "K3"
+    assert docs[1] == {"command": "pic",
+                       "error": "need l >= 1, that is genus g = l - 1 >= 0"}
+    assert docs[2]["command"] == "deform" and "error" not in docs[2]
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero in GF(101)"),

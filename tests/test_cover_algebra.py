@@ -8,10 +8,11 @@ from dihedralcovers.fields import GF, QQ
 from dihedralcovers.cyclotomic import CyclotomicField
 from dihedralcovers.poly import Poly
 from dihedralcovers.cover_algebra import (AFPoly, SimpleCoverAlgebra,
-                                          phi_tensor, phi_is_symmetric,
-                                          d3_resolvent, field_polynomial,
-                                          verify_field_polynomial,
+                                          phi_tensor, d3_resolvent,
+                                          field_polynomial,
                                           eigensheaf_decomposition)
+
+from conftest import phi_is_symmetric
 
 
 def test_afpoly_ring():
@@ -355,6 +356,33 @@ def test_tensor_form_values_for_triple_cover():
 def test_d3_resolvent():
     disc = d3_resolvent()
     assert disc == (AFPoly.F(QQ, 3) - AFPoly.a(QQ, 2)) * 108
+
+
+def verify_field_polynomial(n):
+    """Multiply out prod_i (X - zeta^i u)(X - zeta^i v) over Q(zeta_n)
+    inside the algebra and compare with ``field_polynomial``."""
+    K = CyclotomicField(n)
+    A = SimpleCoverAlgebra(n, K)
+    # polynomial in X with algebra coefficients, low degree first
+    poly = [A.one()]
+    for i in range(n):
+        for gen in (A.u(1), A.v(1)):
+            root = A.scale(AFPoly.const(K, K.zeta(i)), gen)
+            new = [A.zero() for _ in range(len(poly) + 1)]
+            for d, coef in enumerate(poly):
+                new[d + 1] = A.add(new[d + 1], coef)
+                new[d] = A.sub(new[d], A.mul(root, coef))
+            poly = new
+    want = field_polynomial(n, K)
+    for d, coef in enumerate(poly):
+        target = want.get(d)
+        if target is None:
+            if coef:
+                return False
+        else:
+            if not A.equal(coef, A.scale(target, A.one())):
+                return False
+    return True
 
 
 def test_field_polynomial():

@@ -195,12 +195,6 @@ def test_epimorphism_criterion():
     assert verdict2 == "fail"
 
 
-def test_building_data_degree_check():
-    assert cg.building_data_degree_check(2, 3, [6])
-    assert cg.building_data_degree_check(3, 1, [1, 1])
-    assert not cg.building_data_degree_check(3, 1, [2, 1])
-
-
 def test_normality_criterion():
     curve = split_curve(7, 1)
     pairs = enumerate_two_torsion(curve)

@@ -2,6 +2,8 @@ import pytest
 
 from dihedralcovers import deformations as df
 
+from conftest import euler_characteristic_form
+
 
 def test_bott_rejects_bad_indices():
     with pytest.raises(ValueError):
@@ -34,7 +36,7 @@ def test_euler_characteristic_consistency():
             for k in range(-12, 13):
                 chi = sum((-1) ** q * df.bott(d, p, k, q)
                           for q in range(d + 1))
-                assert chi == df.euler_characteristic_form(d, p, k), (d, p, k)
+                assert chi == euler_characteristic_form(d, p, k), (d, p, k)
 
 
 def test_pushforward_twists():

@@ -6,8 +6,9 @@ import pytest
 from dihedralcovers.fields import QQ, GF
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
-from dihedralcovers.parsing import (parse_univar, parse_form,
-                                    format_univar, format_form)
+from dihedralcovers.parsing import parse_form, format_univar, format_form
+
+from conftest import parse_univar
 
 
 def form(s, nvars=2, field=QQ):
