@@ -30,19 +30,12 @@ is reduced modulo Phi_n(2^W) and unpacked once (``mul`` says why that
 is exact).  ``AFPoly`` coerces its coefficients through ``K.of``, so a
 coefficient from another field raises ``ValueError``.
 
-On top of the algebra:
-
-* ``m_plus`` / ``m_minus`` are the symmetrized and antisymmetrized
-  pairings x, y -> (x tau(y) +- tau(x) y)/2;
-* ``phi_tensor`` evaluates the degree-n form
-  (w_1, .., w_n) -> tau(w_1 .. w_(n-1)) wedge w_n on the rank-two
-  eigenspace spanned by u and v^(n-1), whose total symmetry is the
-  algebraic heart of the triple-cover comparison;
-* ``d3_resolvent`` checks w^3 = 2a + 3F w for w = u + v when n = 3 and
-  returns the discriminant 108(F^3 - a^2) of the resolvent cubic;
-* ``field_polynomial`` is X^(2n) - 2a X^n + F^n, the product of
-  (X - zeta^i u)(X - zeta^i v) over i < n (the tests multiply it out
-  over Q(zeta_n)).
+The tests check the paper's identities on top of the algebra: the
+pairings x, y -> (x tau(y) +- tau(x) y)/2, the total symmetry of the
+degree-n form on the eigenspace spanned by u and v^(n-1), the resolvent
+cubic w^3 = 2a + 3F w of w = u + v at n = 3, and the field polynomial
+X^(2n) - 2a X^n + F^n as the product of (X - zeta^i u)(X - zeta^i v)
+over Q(zeta_n).
 """
 
 import math
@@ -103,14 +96,6 @@ class AFPoly:
     @classmethod
     def const(cls, K, c):
         return cls(K, {(0, 0): c})
-
-    @classmethod
-    def a(cls, K, i=1):
-        return cls(K, {(i, 0): K.one})
-
-    @classmethod
-    def F(cls, K, j=1):
-        return cls(K, {(0, j): K.one})
 
     def __add__(self, other):
         t = dict(self.terms)
@@ -393,68 +378,6 @@ class SimpleCoverAlgebra:
                 e = step * (i if letter == "u" else -i)
                 out[k] = _afpoly(K, {m: K.times_zeta(w, e) for m, w in c.terms.items()})
         return {k: c for k, c in out.items() if not c.is_zero()}
-
-    # -- symmetrized pairings -------------------------------------------
-
-    def m_plus(self, x, y):
-        return self.scale(self.half,
-                          self.add(self.mul(x, self.tau(y)), self.mul(self.tau(x), y)))
-
-    def m_minus(self, x, y):
-        return self.scale(self.half,
-                          self.sub(self.mul(x, self.tau(y)), self.mul(self.tau(x), y)))
-
-
-def phi_tensor(n, K=QQ):
-    """The values of the degree-n form on tuples from the eigenspace
-    basis (u, v^(n-1)).
-
-    Returns a dict mapping each tuple of 0/1 choices (0 = u,
-    1 = v^(n-1)) to the AFPoly coefficient of u wedge v^(n-1).
-    """
-    if n < 3:
-        raise ValueError("the tensor form needs n >= 3")
-    A = SimpleCoverAlgebra(n, K)
-    gens = [A.u(1), A.v(n - 1)]
-    import itertools
-    out = {}
-    for choice in itertools.product((0, 1), repeat=n):
-        prod = A.one()
-        for c in choice[:-1]:
-            prod = A.mul(prod, gens[c])
-        w = A.tau(prod)
-        # w lies in the eigenspace spanned by u and v^(n-1)
-        alpha = w.get(("u", 1), AFPoly(A.K))
-        beta = w.get(("v", n - 1), AFPoly(A.K))
-        rest = {k: c for k, c in w.items() if k not in (("u", 1), ("v", n - 1))}
-        if rest:
-            raise AssertionError("product left the expected eigenspace: %r" % rest)
-        if choice[-1] == 0:       # wedge with u
-            val = -beta
-        else:                     # wedge with v^(n-1)
-            val = alpha
-        out[choice] = val
-    return out
-
-
-def d3_resolvent(K=QQ):
-    """Check the resolvent cubic w^3 = 2a + 3F w for w = u + v at n = 3
-    and return the discriminant 108(F^3 - a^2)."""
-    A = SimpleCoverAlgebra(3, K)
-    w = A.add(A.u(1), A.v(1))
-    w3 = A.mul(A.mul(w, w), w)
-    rhs = A.add(A.scale(AFPoly.a(K) * 2, A.one()),
-                A.scale(AFPoly.F(K) * 3, w))
-    if not A.equal(w3, rhs):
-        raise AssertionError("resolvent identity w^3 = 2a + 3Fw failed")
-    return (AFPoly.F(K, 3) - AFPoly.a(K, 2)) * 108
-
-
-def field_polynomial(n, K=QQ):
-    """Coefficients {degree: AFPoly} of X^(2n) - 2a X^n + F^n."""
-    return {2 * n: AFPoly.const(K, K.one),
-            n: AFPoly.a(K) * (-2),
-            0: AFPoly.F(K, n)}
 
 
 def eigensheaf_decomposition(n, m):

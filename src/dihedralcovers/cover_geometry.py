@@ -28,8 +28,8 @@ evaluate the charts on ints.  Verdicts are "pass",
 "fail" or "inconclusive"; a pass or a fail always rests on an exact
 computation, never on sampling.
 
-Invariants for surfaces (the projective plane or abstract intersection
-data) are computed twice, from the closed formulas
+Invariants of a cover of the plane (Y = P^2, L = O(m)) are computed
+twice, from the closed formulas
 
     K_X^2    = 2n (K_Y + nL)^2
     chi(O_X) = 2n chi(O_Y) + n(2n^2+1)/6 L.L + n^2/2 L.K_Y
@@ -57,30 +57,16 @@ from .deformations import pushforward_twists
 
 
 class ProjectiveSpace:
-    """Projective d-space polarized by O(m)."""
+    """The projective plane polarized by O(m); d = 2 is the only
+    dimension with checks and invariants."""
 
     def __init__(self, d, m):
-        if d < 1 or m < 1:
-            raise ValueError("need d >= 1 and m >= 1")
-        self.d = d
+        if d != 2 or m < 1:
+            raise ValueError("need d = 2 (the plane) and m >= 1")
         self.m = m
 
     def __repr__(self):
-        return "ProjectiveSpace(d=%d, m=%d)" % (self.d, self.m)
-
-
-class AbstractSurface:
-    """A polarized surface given by its intersection numbers."""
-
-    def __init__(self, chi, K2, KL, L2):
-        self.chi = chi
-        self.K2 = K2
-        self.KL = KL
-        self.L2 = L2
-
-    def __repr__(self):
-        return ("AbstractSurface(chi=%d, K2=%d, KL=%d, L2=%d)"
-                % (self.chi, self.K2, self.KL, self.L2))
+        return "ProjectiveSpace(d=2, m=%d)" % self.m
 
 
 class SimpleCoverSpec:
@@ -94,15 +80,12 @@ class SimpleCoverSpec:
         self.base = base
         self.a = a
         self.F = F
-        if a is not None or F is not None:
-            if not isinstance(base, ProjectiveSpace) or base.d != 2:
-                raise ValueError("concrete sections need the projective plane")
-            if a.nvars != 3 or F.nvars != 3:
-                raise ValueError("sections must be ternary forms")
-            if a.deg != n * base.m:
-                raise ValueError("deg a = %d, expected %d" % (a.deg, n * base.m))
-            if F.deg != 2 * base.m:
-                raise ValueError("deg F = %d, expected %d" % (F.deg, 2 * base.m))
+        if a.nvars != 3 or F.nvars != 3:
+            raise ValueError("sections must be ternary forms")
+        if a.deg != n * base.m:
+            raise ValueError("deg a = %d, expected %d" % (a.deg, n * base.m))
+        if F.deg != 2 * base.m:
+            raise ValueError("deg F = %d, expected %d" % (F.deg, 2 * base.m))
 
 
 class AlmostSimpleSpec:
@@ -119,8 +102,6 @@ class AlmostSimpleSpec:
         self.ainf = ainf
         if not ainf:
             raise ValueError("a_inf must be nonzero")
-        if not isinstance(base, ProjectiveSpace) or base.d != 2:
-            raise ValueError("concrete sections need the projective plane")
         if F.deg != 2 * base.m:
             raise ValueError("deg F = %d, expected %d" % (F.deg, 2 * base.m))
         self.e = ainf.deg
@@ -220,9 +201,6 @@ class CheckReport:
         self.details = details
         self.seed = seed
 
-    def passed(self):
-        return self.condition_i == "pass" and self.condition_ii == "pass"
-
     def to_json(self):
         return {"conditionI": self.condition_i,
                 "conditionII": self.condition_ii,
@@ -251,8 +229,6 @@ def check_simple(spec, seed=0):
     has certifies nothing; ATTEMPTS of them without a certificate yield
     "inconclusive".
     """
-    if spec.a is None or spec.F is None:
-        raise ValueError("geometric checks need concrete sections")
     field = spec.a.field
     rng = random.Random(seed)
     n, m = spec.n, spec.base.m
@@ -403,14 +379,12 @@ def branch_divisor(spec):
         return {"factors": [spec.ainf, inner], "polynomial": poly,
                 "degree": poly.deg}
     n, m = spec.n, spec.base.m
-    out = {"degree": 2 * n * m, "pointCount": 2 * n * m * m}
-    if spec.a is not None:
-        out["polynomial"] = spec.F ** n - spec.a * spec.a
-    return out
+    return {"degree": 2 * n * m, "pointCount": 2 * n * m * m,
+            "polynomial": spec.F ** n - spec.a * spec.a}
 
 
 class InvariantReport:
-    """Numerical invariants of a simple cover over a surface."""
+    """Numerical invariants of a simple cover of the plane."""
 
     def __init__(self, n, omega_degree, K2, chi, pushforward_degrees,
                  branch_degree, cusp_count, label):
@@ -436,44 +410,26 @@ class InvariantReport:
 
 
 def invariants(n, base):
-    """Closed-formula invariants, cross-checked by the Riemann-Roch sum
-    over the pushforward summands when the base is a surface."""
+    """Closed-formula invariants of a simple cover of the plane,
+    cross-checked by the Riemann-Roch sum over the pushforward summands."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if isinstance(base, ProjectiveSpace):
-        m = base.m
-        degs = pushforward_twists(n, m)
-        omega = n * m - (base.d + 1)
-        if base.d != 2:
-            report = InvariantReport(n, omega, None, None, degs,
-                                     2 * n * m, None, None)
-            report.label = classify(report)
-            return report
-        chi_y, K2_y, KL, L2 = 1, 9, -3 * m, m * m
-        cusps = 2 * n * m * m
-    else:
-        chi_y, K2_y, KL, L2 = base.chi, base.K2, base.KL, base.L2
-        m = None
-        degs = pushforward_twists(n, 1)
-        omega = None
-        cusps = None
-    K2 = 2 * n * (K2_y + 2 * n * KL + n * n * L2)
-    chi = (Fraction(2 * n) * chi_y + Fraction(n * (2 * n * n + 1), 6) * L2
-           + Fraction(n * n, 2) * KL)
+    m = base.m
+    degs = pushforward_twists(n, m)
+    # on the plane: chi(O_Y) = 1, K_Y^2 = 9, L.K_Y = -3m, L.L = m^2
+    KL, L2 = -3 * m, m * m
+    K2 = 2 * n * (9 + 2 * n * KL + n * n * L2)
+    chi = 2 * n + Fraction(n * (2 * n * n + 1), 6) * L2 + Fraction(n * n, 2) * KL
     if chi.denominator != 1:
         raise ArithmeticError("non-integral Euler characteristic")
     chi = int(chi)
-    # Riemann-Roch cross-check over the pushforward summands
-    if isinstance(base, ProjectiveSpace):
-        rr = sum(1 + Fraction(t * (t + 3), 2) for t in degs)
-    else:
-        rr = sum(chi_y + Fraction(t * t, 2) * L2 - Fraction(t, 2) * KL
-                 for t in degs)
+    # Riemann-Roch cross-check: chi(O(t)) = 1 + t(t + 3)/2 on the plane
+    rr = sum(1 + Fraction(t * (t + 3), 2) for t in degs)
     if rr != chi:
         raise ArithmeticError("Euler characteristic mismatch: %s vs %s"
                               % (chi, rr))
-    branch = 2 * n * m if m is not None else None
-    report = InvariantReport(n, omega, K2, chi, degs, branch, cusps, None)
+    report = InvariantReport(n, n * m - 3, K2, chi, degs, 2 * n * m,
+                             2 * n * m * m, None)
     report.label = classify(report)
     return report
 
@@ -481,12 +437,8 @@ def invariants(n, base):
 def classify(report):
     """Coarse classification from the sign of the canonical pullback."""
     w = report.omega_degree
-    if w is None:
-        return "other"
     if w == 0:
-        if report.chi is not None and report.chi != 2:
-            return "other"
-        return "K3"
+        return "K3" if report.chi == 2 else "other"
     if w < 0:
         return "del-Pezzo-like"
     return "general-type-minimal"
@@ -531,25 +483,3 @@ def normality_criterion(n, pair, components):
     # order exactly kappa: kappa * c vanishes, no proper divisor's multiple does
     return (kappa * c).is_zero() and all(
         not (d * c).is_zero() for d in range(1, kappa) if kappa % d == 0)
-
-
-def dn_epimorphism_criterion(spec, seed=0):
-    """When the simple-cover hypotheses hold, the complement of the
-    branch curve has a dihedral quotient of its fundamental group.
-
-    Returns (verdict, explanation dict); no group computation is done,
-    only the certified hypotheses plus the nonemptiness of a = F = 0,
-    automatic on the plane.
-    """
-    report = check_simple(spec, seed=seed)
-    ok = report.passed() and report.irreducible
-    explanation = {
-        "check": report.to_json(),
-        "branchDegree": 2 * spec.n * spec.base.m,
-        "conclusion": ("the complement of the branch curve has a "
-                       "fundamental group with a dihedral quotient of "
-                       "order %d" % (2 * spec.n)) if ok else None,
-    }
-    return ("pass" if ok else report.condition_ii
-            if report.condition_ii != "pass" else report.condition_i,
-            explanation)

@@ -1,8 +1,9 @@
 """Dihedral groups, their character tables, and isotypic projectors.
 
 The group D_n = <sigma, tau | sigma^n = tau^2 = 1, tau sigma tau =
-sigma^(-1)> is stored as pairs (k, t) meaning sigma^k tau^t.  Its
-irreducible characters over Q(zeta_n):
+sigma^(-1)> is stored as pairs (k, t) meaning sigma^k tau^t; the
+character table only sums over the elements, so the group law is not
+needed.  Its irreducible characters over Q(zeta_n):
 
 * two linear characters for odd n, four for even n;
 * two-dimensional characters rho_l for 0 < l < n/2 with
@@ -28,14 +29,8 @@ mod p.  The dense matrices of group elements, built from products of
 sigma and tau, are not needed here and live in the tests, which sum
 them as the reference for ``projector`` and take their rank by
 elimination as the reference for ``projector_rank``.
-
-``epsilon`` is the cocycle exponent table: for the subgroup generated
-by sigma^k, the product of the restrictions of the characters indexed
-i and j contains the trivial character with a shift exactly when the
-normalized exponents add up past the subgroup order.
 """
 
-import math
 from fractions import Fraction
 
 from .cyclotomic import CycloElem, CyclotomicField
@@ -51,21 +46,6 @@ class DihedralGroup:
 
     def elements(self):
         return [(k, t) for t in (0, 1) for k in range(self.n)]
-
-    def multiply(self, g, h):
-        k1, t1 = g
-        k2, t2 = h
-        k = (k1 + (k2 if t1 == 0 else -k2)) % self.n
-        return (k, (t1 + t2) % 2)
-
-    def inverse(self, g):
-        k, t = g
-        if t == 0:
-            return ((-k) % self.n, 0)
-        return (k, 1)
-
-    def order(self):
-        return 2 * self.n
 
 
 def irreducible_labels(n):
@@ -187,21 +167,3 @@ def _entry(x):
     if isinstance(x, (int, Fraction)):
         return x
     raise ValueError("projector_rank needs entries of characteristic 0, not %r" % (x,))
-
-
-def epsilon(n, k, i, j):
-    """The cocycle exponent for the cyclic subgroup generated by sigma^k.
-
-    The subgroup has order d = n/gcd(n, k); the character indexed by i
-    restricts to the d-th root of unity raised to
-    i*k/gcd(n, k) mod d.  The value is 1 when the normalized exponents
-    of i and j add to at least d, and 0 otherwise.
-    """
-    k %= n
-    if k == 0:
-        return 0
-    g = math.gcd(n, k)
-    d = n // g
-    ii = (i * (k // g)) % d
-    jj = (j * (k // g)) % d
-    return 1 if ii + jj >= d else 0

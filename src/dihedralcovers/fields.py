@@ -186,9 +186,6 @@ class GF:
             return x % self.p
         raise TypeError("cannot embed %r in GF(%d)" % (x, self.p))
 
-    def elements(self):
-        return [FpElem(v, self.p) for v in range(self.p)]
-
     def random(self, rng):
         return FpElem(rng.randrange(self.p), self.p)
 

@@ -68,10 +68,6 @@ class HForm:
     def const(cls, field, nvars, a):
         return cls(field, nvars, 0, {(0,) * nvars: a})
 
-    @classmethod
-    def monomial(cls, field, exp, a=1):
-        return cls(field, len(exp), sum(exp), {tuple(exp): a})
-
     def is_zero(self):
         return not self.terms
 

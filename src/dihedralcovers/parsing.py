@@ -3,7 +3,8 @@
 Accepted inputs are sums of terms like ``3*x0^2*x1 - 1/2*x1^3 + x0``:
 
 * coefficients are integers or rationals ``p/q`` (mapped into the
-  active field);
+  active field; a zero denominator, or over GF(p) a denominator
+  divisible by p, raises ``ValueError``);
 * variable powers are ``name`` or ``name^k`` joined by ``*``;
 * recognised variable names: x, x0, x1, x2, u, v, w, z.
 
@@ -78,7 +79,11 @@ def _terms(s):
             if not expect_factor:
                 raise ValueError("missing operator near %r in %r" % (val, s))
             if kind == "num":
-                coeff *= Fraction(val)
+                try:
+                    coeff *= Fraction(val)
+                except ZeroDivisionError:
+                    raise ValueError("zero denominator in coefficient %s of %r"
+                                     % (val, s)) from None
                 i += 1
             elif kind == "var":
                 name = val
@@ -120,6 +125,10 @@ def parse_form(s, field, nvars):
     acc = {}
     for c, e in terms:
         acc[e] = acc.get(e, Fraction(0)) + c
+    p = field.characteristic
+    for c in acc.values():
+        if p and c.denominator % p == 0:
+            raise ValueError("coefficient %s of %r has no value in GF(%d)" % (c, s, p))
     return HForm(field, nvars, deg, acc)
 
 

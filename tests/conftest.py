@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from dihedralcovers.fields import GF
+from dihedralcovers.fields import GF, QQ
+from dihedralcovers.cover_algebra import AFPoly, SimpleCoverAlgebra
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
 from dihedralcovers.hyperelliptic import HECurve
@@ -125,9 +127,63 @@ def euler_characteristic_form(d, p, k):
     return int(val)
 
 
+def afpoly_a(K, i=1):
+    """The formal symbol a^i as an AFPoly."""
+    return AFPoly(K, {(i, 0): K.one})
+
+
+def afpoly_F(K, j=1):
+    """The formal symbol F^j as an AFPoly."""
+    return AFPoly(K, {(0, j): K.one})
+
+
+def phi_tensor(n, K=QQ):
+    """The values of the degree-n form on tuples from the eigenspace
+    basis (u, v^(n-1)).
+
+    Returns a dict mapping each tuple of 0/1 choices (0 = u,
+    1 = v^(n-1)) to the AFPoly coefficient of u wedge v^(n-1).
+    """
+    if n < 3:
+        raise ValueError("the tensor form needs n >= 3")
+    A = SimpleCoverAlgebra(n, K)
+    gens = [A.u(1), A.v(n - 1)]
+    out = {}
+    for choice in itertools.product((0, 1), repeat=n):
+        prod = A.one()
+        for c in choice[:-1]:
+            prod = A.mul(prod, gens[c])
+        w = A.tau(prod)
+        # w lies in the eigenspace spanned by u and v^(n-1)
+        alpha = w.get(("u", 1), AFPoly(A.K))
+        beta = w.get(("v", n - 1), AFPoly(A.K))
+        rest = {k: c for k, c in w.items() if k not in (("u", 1), ("v", n - 1))}
+        if rest:
+            raise AssertionError("product left the expected eigenspace: %r" % rest)
+        if choice[-1] == 0:       # wedge with u
+            val = -beta
+        else:                     # wedge with v^(n-1)
+            val = alpha
+        out[choice] = val
+    return out
+
+
+def d3_resolvent(K=QQ):
+    """Check the resolvent cubic w^3 = 2a + 3F w for w = u + v at n = 3
+    and return the discriminant 108(F^3 - a^2)."""
+    A = SimpleCoverAlgebra(3, K)
+    w = A.add(A.u(1), A.v(1))
+    w3 = A.mul(A.mul(w, w), w)
+    rhs = A.add(A.scale(afpoly_a(K) * 2, A.one()),
+                A.scale(afpoly_F(K) * 3, w))
+    if not A.equal(w3, rhs):
+        raise AssertionError("resolvent identity w^3 = 2a + 3Fw failed")
+    return (afpoly_F(K, 3) - afpoly_a(K, 2)) * 108
+
+
 def phi_is_symmetric(table):
-    """True when the values of ``cover_algebra.phi_tensor`` depend only on
-    the multiset of arguments."""
+    """True when the values of ``phi_tensor`` depend only on the
+    multiset of arguments."""
     by_count = {}
     for choice, val in table.items():
         c = sum(choice)

@@ -54,21 +54,13 @@ INPUT_TIMEOUT = 120
 
 WORKLOADS = ("torsion", "grouplaw", "dihedral", "plane")
 
-# reasons, one per kind of entry; the summary counts entries per reason
+# reasons shared by several entries; the summary counts entries per reason
 BENCH = ("bench-bound until ROADMAP item 1: bench/tracer.py binds the name, "
          "so it stays until the tracer's list changes")
-PROTOCOL = "field protocol or public-type method that the tests run"
-ORACLE = ("oracle fallback: the intertwining nullspace for a = b with "
-          "F(1, 0) not a square (ROADMAP item 12)")
 DUNDER = "kept for interactive use (dunder method of a public class)"
-
-
-def paper(part):
-    return "paper result kept as library API: " + part
-
-
-BUILDING_DATA = paper("the building data of a simple dihedral cover")
-D_N = paper("the dihedral group D_n")
+TO_INTS = ("field protocol of SimpleCoverAlgebra.mul over GF(p), which "
+           "tests/test_cover_algebra.py runs; every user path multiplies over "
+           "QQ or Q(zeta_n)")
 
 ALLOWED = {
     "linalg.rref": BENCH,
@@ -82,40 +74,44 @@ ALLOWED = {
     "double_cover.divisor_of_section": BENCH,
 
     "cover_geometry.normality_criterion":
-        paper("divisorial sheaves on normal double covers, the normality criterion"),
-    "cover_geometry.dn_epimorphism_criterion":
-        paper("the application to fundamental groups"),
-    "cover_geometry.AbstractSurface.__init__": paper("invariants over any base"),
-    "cover_algebra.field_polynomial": BUILDING_DATA,
-    "cover_algebra.d3_resolvent": BUILDING_DATA,
-    "cover_algebra.phi_tensor": BUILDING_DATA,
-    "cover_algebra.SimpleCoverAlgebra.m_plus": BUILDING_DATA,
-    "cover_algebra.SimpleCoverAlgebra.m_minus": BUILDING_DATA,
-    "cover_algebra.AFPoly.a": BUILDING_DATA,
-    "cover_algebra.AFPoly.F": BUILDING_DATA,
-    "dihedral.epsilon": BUILDING_DATA,
-    "dihedral.DihedralGroup.multiply": D_N,
-    "dihedral.DihedralGroup.inverse": D_N,
-    "dihedral.DihedralGroup.order": D_N,
+        ("paper result (normality of a dihedral cover over a hyperelliptic "
+         "curve) with no command: a CLI home needs a certificate record "
+         "(ROADMAP item 5), which would be a new option"),
 
-    "fields.GF.to_ints": PROTOCOL,
-    "fields.GF.from_ints": PROTOCOL,
-    "fields.GF.elements": PROTOCOL,
-    "fields.GF.random_nonzero": PROTOCOL,
-    "fields._QQ.random": PROTOCOL,
-    "fields._QQ.random_nonzero": PROTOCOL,
-    "fields._QQ.__hash__": PROTOCOL,
-    "fields._QQ.__repr__": PROTOCOL,
-    "cyclotomic.CycloElem.conjugate": PROTOCOL,
-    "cyclotomic.CyclotomicField._mul": PROTOCOL,
-    "poly.Poly.coeff": PROTOCOL,
-    "poly.Poly.compose": PROTOCOL,
-    "homog.HForm.monomial": PROTOCOL,
-    "double_cover.BundlePair.c1": PROTOCOL,
-    "double_cover.BundlePair.splitting": PROTOCOL,
-    "cover_geometry.CheckReport.passed": PROTOCOL,
+    "fields.GF.to_ints": TO_INTS,
+    "fields.GF.from_ints": TO_INTS,
+    "fields.GF.random_nonzero":
+        "the random graded automorphisms of tests/test_normal_form.py over GF(p)",
+    "fields._QQ.random":
+        "the random charts and automorphisms of tests/test_normal_form.py over QQ",
+    "fields._QQ.random_nonzero":
+        "the random graded automorphisms of tests/test_normal_form.py over QQ",
+    "fields._QQ.__hash__":
+        ("QQ defines __eq__, so it needs __hash__ to stay hashable like GF(p); "
+         "the hypothesis strategies of tests/test_homog.py check it"),
+    "fields._QQ.__repr__":
+        ("names QQ in the mixed-field refusal of SimpleCoverAlgebra.mul, "
+         "which tests/test_cover_algebra.py raises"),
+    "cyclotomic.CycloElem.conjugate":
+        "the oracle of character orthogonality in tests/test_dihedral.py",
+    "cyclotomic.CyclotomicField._mul":
+        ("CycloElem.__mul__ of two irrational elements: the tests' dense "
+         "projector sums and reference products; the user paths' cyclotomic "
+         "products are packed or rational"),
+    "poly.Poly.coeff":
+        ("the coefficient-bits counter of bench/tracer.py (run with --trace 1; "
+         "the gate runs --trace 0) and the tests' determinant oracles"),
+    "poly.Poly.compose":
+        "the oracle of CycloElem.conjugate in tests/test_dihedral.py (z -> z^-1)",
+    "double_cover.BundlePair.c1":
+        ("the first Chern class that tests/test_hyperelliptic.py checks "
+         "tensor against (c1 of a square is 2 c1 + l)"),
+    "double_cover.BundlePair.splitting":
+        "the splitting type that tests/test_double_cover.py and test_hyperelliptic.py check",
 
-    "double_cover.is_isomorphic.<locals>.det_of": ORACLE,
+    "double_cover.is_isomorphic.<locals>.det_of":
+        ("oracle fallback: the intertwining nullspace for a = b with "
+         "F(1, 0) not a square (ROADMAP item 12)"),
 }
 
 

@@ -21,8 +21,7 @@ from dihedralcovers import cover_geometry as cg
 from dihedralcovers import deformations as df
 from dihedralcovers import dihedral
 from dihedralcovers.cyclotomic import CyclotomicField
-from dihedralcovers.cover_algebra import (SimpleCoverAlgebra, AFPoly,
-                                          phi_tensor, d3_resolvent)
+from dihedralcovers.cover_algebra import SimpleCoverAlgebra
 from dihedralcovers.double_cover import tensor, inverse
 from dihedralcovers.hyperelliptic import (class_from_matrix, matrix_from_class,
                                           class_order, is_n_torsion,
@@ -30,7 +29,8 @@ from dihedralcovers.hyperelliptic import (class_from_matrix, matrix_from_class,
                                           enumerate_two_torsion)
 
 from conftest import (identity, matmul, split_curve, random_class,
-                      euler_characteristic_form, phi_is_symmetric)
+                      euler_characteristic_form, phi_is_symmetric,
+                      phi_tensor, d3_resolvent, afpoly_a, afpoly_F)
 
 
 def test_1_invariant_regression():
@@ -139,7 +139,7 @@ def test_5_dihedral_algebra():
         assert phi_is_symmetric(phi_tensor(n))
     # triple-cover resolvent and discriminant
     disc = d3_resolvent()
-    assert disc == (AFPoly.F(QQ, 3) - AFPoly.a(QQ, 2)) * 108
+    assert disc == (afpoly_F(QQ, 3) - afpoly_a(QQ, 2)) * 108
 
 
 def test_6_smoothness_checks():

@@ -153,6 +153,15 @@ NEGATIVE_GENUS = ["--field", "Fp:7", "--curve", '{"g":-1,"F":"1"}']
      + NEGATIVE_GENUS, "need l >= 1, that is genus g = l - 1 >= 0"),
     (["dn-table", "--n", "3", "--m", "0"], "need m >= 1"),
     (["dn-table", "--n", "3", "--m", "-2"], "need m >= 1"),
+    (["check", "--n", "3", "--m", "1", "--a", "1/0*x0^3", "--F", "x0*x1 + x2^2"],
+     "zero denominator in coefficient 1/0 of '1/0*x0^3'"),
+    (["check", "--field", "Fp:7", "--n", "3", "--m", "1", "--a", "1/7*x0^3 + x1^3 + x2^3",
+      "--F", "x0*x1 + x2^2"],
+     "coefficient 1/7 of '1/7*x0^3 + x1^3 + x2^3' has no value in GF(7)"),
+    (["pic", "--field", "Fp:7", "--curve", '{"g":1,"F":"x0^4 - 5*x0^2*x1^2 + 4*x1^4"}',
+      "--pair", '{"a":1,"b":1,"P":"1/7*x0^2 + 2*x0*x1 + 6*x1^2","f":"4*x0^2 + 4*x1^2",'
+      '"q":"x0*x1 + 6*x1^2"}'],
+     "coefficient 1/7 of '1/7*x0^2 + 2*x0*x1 + 6*x1^2' has no value in GF(7)"),
 ])
 def test_out_of_domain_input_exits_2(capsys, argv, message):
     # refused as bad input, not an internal error (3) and not a report (0)

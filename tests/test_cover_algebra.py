@@ -8,16 +8,14 @@ from dihedralcovers.fields import GF, QQ
 from dihedralcovers.cyclotomic import CyclotomicField
 from dihedralcovers.poly import Poly
 from dihedralcovers.cover_algebra import (AFPoly, SimpleCoverAlgebra,
-                                          phi_tensor, d3_resolvent,
-                                          field_polynomial,
                                           eigensheaf_decomposition)
 
-from conftest import phi_is_symmetric
+from conftest import afpoly_a, afpoly_F, phi_tensor, d3_resolvent, phi_is_symmetric
 
 
 def test_afpoly_ring():
-    a = AFPoly.a(QQ)
-    F = AFPoly.F(QQ)
+    a = afpoly_a(QQ)
+    F = afpoly_F(QQ)
     assert (a + F) * (a - F) == a * a - F * F
     assert (a * F) * 0 == AFPoly(QQ)
     assert a * 3 + a * (-3) == AFPoly(QQ)
@@ -25,15 +23,15 @@ def test_afpoly_ring():
 
 def test_basis_reduction_rules():
     A = SimpleCoverAlgebra(5)
-    a = AFPoly.a(QQ)
+    a = afpoly_a(QQ)
     # u^2 * u^3 = u^5 = a + s/2
     prod = A.mul(A.u(2), A.u(3))
     assert A.equal(prod, A.add(A.scale(a, A.one()), A.scale(A.half, A.s())))
     # u^2 * v^3 = F^2 v
-    assert A.mul(A.u(2), A.v(3)) == {("v", 1): AFPoly.F(QQ, 2)}
+    assert A.mul(A.u(2), A.v(3)) == {("v", 1): afpoly_F(QQ, 2)}
     # s^2 = 4a^2 - 4F^5
     s2 = A.mul(A.s(), A.s())
-    assert s2 == {"1": a * a * 4 - AFPoly.F(QQ, 5) * 4}
+    assert s2 == {"1": a * a * 4 - afpoly_F(QQ, 5) * 4}
 
 
 def test_commutativity_and_associativity():
@@ -61,7 +59,7 @@ def _reference_mul(A, x, y):
     as a polynomial in u and v (s = u^n - v^n), multiply, then rewrite
     with u v = F, u^(n+k) = u^k (2a - v^n) and u^n, v^n = a +- s/2."""
     K, n = A.K, A.n
-    a, half = AFPoly.a(K), A.half
+    a, half = afpoly_a(K), A.half
 
     def uv(z):
         out = {}
@@ -86,11 +84,11 @@ def _reference_mul(A, x, y):
         (i, j), c = todo.popitem()
         if i and j:                             # u v = F
             m = min(i, j)
-            new = [((i - m, j - m), c * AFPoly.F(K, m))]
+            new = [((i - m, j - m), c * afpoly_F(K, m))]
         elif max(i, j) > n:                     # u^(n+k) = 2a u^k - F^k v^(n-k)
             k = max(i, j) - n
             new = [((k, 0) if i else (0, k), c * a * 2),
-                   ((0, n - k) if i else (n - k, 0), -(c * AFPoly.F(K, k)))]
+                   ((0, n - k) if i else (n - k, 0), -(c * afpoly_F(K, k)))]
         else:
             done[i, j] = done.get((i, j), AFPoly(K)) + c
             continue
@@ -258,7 +256,7 @@ def test_mixed_fields_are_refused():
         AFPoly(GF(7), {(1, 0): GF(11).of(2)})
     for K, L in ((K3, K6), (GF(7), GF(11)), (QQ, GF(7))):
         A = SimpleCoverAlgebra(3, K)
-        x = A.scale(AFPoly.a(L), {"s": AFPoly.const(L, L.one)})
+        x = A.scale(afpoly_a(L), {"s": AFPoly.const(L, L.one)})
         with pytest.raises(ValueError):
             A.mul(x, A.u(1))
         with pytest.raises(ValueError):
@@ -311,30 +309,40 @@ def test_sigma_needs_roots_of_unity():
         A.sigma(A.u(1))
 
 
+def m_plus(A, x, y):
+    """The symmetrized pairing (x tau(y) + tau(x) y)/2."""
+    return A.scale(A.half, A.add(A.mul(x, A.tau(y)), A.mul(A.tau(x), y)))
+
+
+def m_minus(A, x, y):
+    """The antisymmetrized pairing (x tau(y) - tau(x) y)/2."""
+    return A.scale(A.half, A.sub(A.mul(x, A.tau(y)), A.mul(A.tau(x), y)))
+
+
 def test_pairing_identities():
     # for a tau-odd element r:  m+(r x, y) = r m-(x, y) and vice versa
     for n in (3, 4, 5):
         A = SimpleCoverAlgebra(n)
         r = A.s()
         for x, y in itertools.product(A.basis(), repeat=2):
-            assert A.equal(A.m_plus(A.mul(r, x), y),
-                           A.mul(r, A.m_minus(x, y)))
-            assert A.equal(A.m_minus(A.mul(r, x), y),
-                           A.mul(r, A.m_plus(x, y)))
+            assert A.equal(m_plus(A, A.mul(r, x), y),
+                           A.mul(r, m_minus(A, x, y)))
+            assert A.equal(m_minus(A, A.mul(r, x), y),
+                           A.mul(r, m_plus(A, x, y)))
 
 
 def test_pairing_symmetry():
     A = SimpleCoverAlgebra(4)
     for x, y in itertools.product(A.basis(), repeat=2):
-        assert A.equal(A.m_plus(x, y), A.m_plus(y, x))
-        assert A.equal(A.m_minus(x, y), A.neg(A.m_minus(y, x)))
+        assert A.equal(m_plus(A, x, y), m_plus(A, y, x))
+        assert A.equal(m_minus(A, x, y), A.neg(m_minus(A, y, x)))
 
 
 def test_antisymmetric_pairing_of_the_eigenbasis():
     # m-(u, v^(n-1)) = s/2 for every n
     for n in (3, 4, 5, 6):
         A = SimpleCoverAlgebra(n)
-        got = A.m_minus(A.u(1), A.v(n - 1))
+        got = m_minus(A, A.u(1), A.v(n - 1))
         assert A.equal(got, A.scale(A.half, A.s())), n
 
 
@@ -349,13 +357,20 @@ def test_tensor_form_values_for_triple_cover():
     K = QQ
     assert by_count[0] == -AFPoly.const(K, K.one)
     assert by_count[1] == AFPoly(K)
-    assert by_count[2] == AFPoly.F(K)
-    assert by_count[3] == AFPoly.a(K) * 2
+    assert by_count[2] == afpoly_F(K)
+    assert by_count[3] == afpoly_a(K) * 2
 
 
 def test_d3_resolvent():
     disc = d3_resolvent()
-    assert disc == (AFPoly.F(QQ, 3) - AFPoly.a(QQ, 2)) * 108
+    assert disc == (afpoly_F(QQ, 3) - afpoly_a(QQ, 2)) * 108
+
+
+def field_polynomial(n, K=QQ):
+    """Coefficients {degree: AFPoly} of X^(2n) - 2a X^n + F^n."""
+    return {2 * n: AFPoly.const(K, K.one),
+            n: afpoly_a(K) * (-2),
+            0: afpoly_F(K, n)}
 
 
 def verify_field_polynomial(n):
@@ -388,8 +403,8 @@ def verify_field_polynomial(n):
 def test_field_polynomial():
     fp = field_polynomial(3)
     assert fp[6] == AFPoly.const(QQ, QQ.one)
-    assert fp[3] == AFPoly.a(QQ) * (-2)
-    assert fp[0] == AFPoly.F(QQ, 3)
+    assert fp[3] == afpoly_a(QQ) * (-2)
+    assert fp[0] == afpoly_F(QQ, 3)
     for n in (2, 3, 4, 5):
         assert verify_field_polynomial(n), n
 

@@ -28,6 +28,9 @@ def test_spec_degree_validation():
     F = parse_form("x0^2", QQ, 3)
     with pytest.raises(ValueError):
         cg.SimpleCoverSpec(3, P2, a, F)     # deg a should be 3
+    for d, m in ((1, 1), (3, 1), (2, 0)):
+        with pytest.raises(ValueError):
+            cg.ProjectiveSpace(d, m)        # the plane only, m >= 1
 
 
 def test_resultant_wrt_last():
@@ -83,12 +86,6 @@ def test_invariants_chi_consistency_sweep():
             r = cg.invariants(n, cg.ProjectiveSpace(2, m))
             assert len(r.pushforward_degrees) == 2 * n
             assert sum(r.pushforward_degrees) == -n * n * m
-
-
-def test_invariants_abstract_surface():
-    r = cg.invariants(3, cg.AbstractSurface(1, 9, -3, 1))
-    assert (r.chi, r.K2) == (2, 0)
-    assert r.label == "other"
 
 
 def test_omega_degree():
@@ -182,17 +179,6 @@ def test_check_almost_simple():
     assert rep1.condition_i == "fail"
     bd = cg.branch_divisor(asp1)
     assert bd["degree"] == 1 + 2 * 4
-
-
-def test_epimorphism_criterion():
-    verdict, expl = cg.dn_epimorphism_criterion(fermat_spec(), seed=7)
-    assert verdict == "pass"
-    assert expl["branchDegree"] == 6
-    assert "dihedral" in expl["conclusion"]
-    bad = cg.SimpleCoverSpec(3, P2, parse_form("x0^3", QQ, 3),
-                             parse_form("x0^2", QQ, 3))
-    verdict2, _ = cg.dn_epimorphism_criterion(bad, seed=1)
-    assert verdict2 == "fail"
 
 
 def test_normality_criterion():

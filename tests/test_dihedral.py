@@ -177,17 +177,6 @@ def test_cyclotomic_results_pass_through_the_constructor(monkeypatch):
         assert id(r) in made and _in_lowest_terms(r), r
 
 
-def test_group_law():
-    G = dihedral.DihedralGroup(5)
-    els = G.elements()
-    assert len(els) == G.order() == 10
-    for g in els:
-        assert G.multiply(g, G.inverse(g)) == (0, 0)
-    # tau sigma tau = sigma^(-1)
-    s, t = (1, 0), (0, 1)
-    assert G.multiply(G.multiply(t, s), t) == (4, 0)
-
-
 def test_character_tables():
     for n in range(2, 9):
         table = dihedral.character_table(n)
@@ -403,18 +392,6 @@ def test_monomial_representation_is_regular():
             m = representation_matrix(n, g, K)
             tr = sum((m[i][i] for i in range(2 * n)), K.zero)
             assert tr == (2 * n if g == (0, 0) else 0), (n, g)
-
-
-def test_epsilon_exponents():
-    assert dihedral.epsilon(3, 0, 1, 1) == 0
-    assert dihedral.epsilon(3, 1, 1, 1) == 0
-    assert dihedral.epsilon(3, 1, 1, 2) == 1
-    assert dihedral.epsilon(3, 1, 2, 2) == 1
-    assert dihedral.epsilon(4, 2, 1, 1) == 1
-    assert dihedral.epsilon(4, 2, 2, 2) == 0
-    # indices reduce modulo the subgroup order
-    assert dihedral.epsilon(6, 2, 3, 3) == 0
-    assert dihedral.epsilon(6, 3, 1, 1) == 1
 
 
 def test_rho_index_range():

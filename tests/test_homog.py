@@ -65,7 +65,7 @@ def test_squarefree():
 def test_partial_and_euler_relation():
     f = form("x0^3 + x1^3 + x2^3 - 3*x0*x1*x2", nvars=3)
     parts = [f.partial(i) for i in range(3)]
-    x = [HForm.monomial(QQ, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    x = [form(name, nvars=3) for name in ("x0", "x1", "x2")]
     euler = parts[0] * x[0] + parts[1] * x[1] + parts[2] * x[2]
     assert euler == f * 3
 

@@ -275,7 +275,7 @@ def test_mumford_validation():
     model = c.odd_model()
     u = parse_univar("x", K7)
     f0 = model.fodd(K7.zero)
-    bad = next(c for c in K7.elements() if c * c != f0)
+    bad = next(c for c in map(K7.of, range(7)) if c * c != f0)
     with pytest.raises(ValueError):
         MumfordClass(model, u, Poly.const(K7, bad))
 
