@@ -23,10 +23,10 @@ reduction that keeps the degrees and has gcd 1 proves gcd 1 over Q
 the exact gcd, a subresultant sequence on integers.  Over Q a form's
 coefficients are ints wherever integral (see :mod:`poly`), so on
 integer input the coordinate change, a^2 - F^n and its partials run on
-ints; the resultants clear any remaining denominators once and
-evaluate the charts on ints.  Verdicts are "pass",
-"fail" or "inconclusive"; a pass or a fail always rests on an exact
-computation, never on sampling.
+ints; a resultant clears any remaining denominators once, and runs one
+remainder sequence for all its interpolation nodes.  Verdicts are
+"pass", "fail" or "inconclusive"; a pass or a fail always rests on an
+exact computation, never on sampling.
 
 Invariants of a cover of the plane (Y = P^2, L = O(m)) are computed
 twice, from the closed formulas
@@ -49,8 +49,7 @@ import random
 from fractions import Fraction
 
 from .fields import QQ, GF
-from .poly import (plain_poly, trim_c, eval_c, powmod_c, poly_gcd, resultant_c,
-                   interpolate_c)
+from .poly import plain_poly, powmod_c, poly_gcd, resultant_lanes_c, interpolate_c
 from .homog import HForm, form_gcd
 from .hyperelliptic import class_from_matrix
 from .deformations import pushforward_twists
@@ -121,7 +120,9 @@ def resultant_wrt_last(f, g):
     coefficients are nonzero scalars), which a generic linear change of
     coordinates guarantees; computed by specializing x1 = 1 at the
     deg(f)*deg(g) + 1 values x0 = 0, 1, 2, ... and interpolating, so a
-    prime field with fewer elements raises ValueError.
+    prime field with fewer elements raises ValueError.  Each x2-chart is
+    evaluated at all nodes in one Horner pass, and the nodes share one
+    remainder sequence (``poly.resultant_lanes_c``).
     """
     cf = [c.to_univar().c for c in f.coeffs_in(2)]
     cg = [c.to_univar().c for c in g.coeffs_in(2)]
@@ -139,11 +140,15 @@ def resultant_wrt_last(f, g):
         lam, cf = _clear_denominators(cf)
         mu, cg = _clear_denominators(cg)
         scale = lam ** g.deg * mu ** f.deg
-    # each point's resultant goes to the interpolation as a plain value, unboxed
     xs = range(D + 1)
+    lanes = []
+    for c in cf + cg:
+        v = [0] * (D + 1)
+        for a in reversed(c):
+            v = [y * x + a for y, x in zip(v, xs)]
+        lanes.append([y % p for y in v] if p else v)
     R = plain_poly(field, interpolate_c(
-        xs, [resultant_c(trim_c([eval_c(c, x, p) for c in cf]),
-                         trim_c([eval_c(c, x, p) for c in cg]), p) for x in xs], p))
+        xs, resultant_lanes_c(lanes[:len(cf)], lanes[len(cf):], p), p))
     if scale != 1:
         R = R * Fraction(1, scale)
     return HForm.from_univar(R, D)
@@ -227,14 +232,17 @@ def check_simple(spec, seed=0):
     a^2 - F^n project into the roots of R (see _singular_containment).
     An attempt whose resultant needs more points than a small prime field
     has certifies nothing; ATTEMPTS of them without a certificate yield
-    "inconclusive".
+    "inconclusive".  The resultants behind (i) need (2nm - 1)^2 + 1 points:
+    over a smaller prime field (i) is not tried, and (ii) ends the attempts.
     """
     field = spec.a.field
     rng = random.Random(seed)
     n, m = spec.n, spec.base.m
+    p = field.characteristic
     details = {}
     cond_ii = "inconclusive"
     cond_i = "inconclusive"
+    decide_i = not p or (2 * n * m - 1) ** 2 < p
     for _ in range(ATTEMPTS):
         images = random_coordinate_change(field, rng)
         a = spec.a.substitute(images)
@@ -251,11 +259,11 @@ def check_simple(spec, seed=0):
                                   or R.is_squarefree()):
             cond_ii = "pass"
             details["resultantDegree"] = R.deg
-        if cond_i != "pass":
+        if decide_i and cond_i != "pass":
             verdict = _singular_containment(a, F, R, n)
             if verdict is not None:
                 cond_i = verdict
-        if cond_i == "pass" and cond_ii == "pass":
+        if cond_ii == "pass" and (cond_i == "pass" or not decide_i):
             break
     irreducible = None
     if cond_ii == "pass":

@@ -20,7 +20,7 @@ The constructor accepts field elements, ints and Fractions (a float
 raises TypeError); ``coeff`` and evaluation return field elements.
 """
 
-from .poly import plain_poly, trim_c, mul_c, poly_gcd, is_squarefree, NEG_INF
+from .poly import plain_poly, trim_c, add_c, scale_c, mul_c, poly_gcd, is_squarefree, NEG_INF
 
 
 def plain_form(field, nvars, deg, terms):
@@ -187,30 +187,46 @@ class HForm:
                           _nonzero(t, self.field.characteristic))
 
     def substitute(self, images):
-        """Linear change of variables: x_i -> images[i], a list of
-        degree-1 forms (or forms of a common degree).  The powers of
-        each image are computed once."""
+        """Linear change of variables: x_i -> images[i], forms of degree 1
+        (or of a common degree), by nested Horner's rule: outermost in the
+        last variable, then in x1, with the powers of the x0 image computed
+        once.  On coefficient lists: x0^i x1^j of the images is y^i (binary)
+        or y^(i (D + 1) + j) (ternary), D = the result's degree, so products
+        of degree <= D add exponents without carries."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        field = self.field
-        nv = images[0].nvars
-        one = HForm.const(field, nv, field.one)
-        powers = []
-        for j, img in enumerate(images):
-            pw = [one]
-            for _ in range(max((e[j] for e in self.terms), default=0)):
-                pw.append(pw[-1] * img)
-            powers.append(pw)
-        t = {}
+        field, d, ternary = self.field, self.deg, self.nvars == 3
+        p, nv, D = field.characteristic, images[0].nvars, d * images[0].deg
+        base = 1 if nv == 2 else D + 1
+        lin = []
+        for img in images:
+            c = [0] * (img.deg * base + 1)
+            for e, v in img.terms.items():
+                c[e[0] * base + (e[1] if nv == 3 else 0)] = v
+            lin.append(trim_c(c))
+        pw = [[1]]
+        for _ in range(d):
+            pw.append(mul_c(pw[-1], lin[0], p))
+
+        def horner(cs, img):
+            """sum_j cs[j] img^j"""
+            out = []
+            for c in reversed(cs):
+                out = add_c(mul_c(out, img, p), c, p)
+            return out
+
+        # rows[k][j] is the coefficient of x2^k x1^j (binary: one row, of x1^j)
+        rows = [[0] * (d + 1 - k) for k in range(d + 1 if ternary else 1)]
         for e, c in self.terms.items():
-            term = None
-            for pw, k in zip(powers, e):
-                if k:
-                    term = pw[k] if term is None else term * pw[k]
-            for e2, v in (one if term is None else term).terms.items():
-                t[e2] = t.get(e2, 0) + c * v
-        return plain_form(field, nv, self.deg * images[0].deg,
-                          _nonzero(t, field.characteristic))
+            rows[e[2] if ternary else 0][e[1]] = c
+        # each row, sum_j c_j x0^(k - j) x1^j with k = len(row) - 1, at the images
+        out = [horner([scale_c(pw[len(r) - 1 - j], c, p) for j, c in enumerate(r)], lin[1])
+               for r in rows]
+        out = horner(out, lin[2]) if ternary else out[0]
+        if nv == 2:
+            return plain_form(field, 2, D, {(i, D - i): v for i, v in enumerate(out) if v})
+        return plain_form(field, 3, D, {(i // base, i % base, D - i // base - i % base): v
+                                        for i, v in enumerate(out) if v})
 
     # -- binary form <-> univariate -------------------------------------
 

@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 
 from .homog import HForm
+from .poly import _ratio
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x0|x1|x2|[xuvwz])|(\^)|(\*)|(\+)|(-))")
 
@@ -102,12 +103,38 @@ def _terms(s):
         yield sign * coeff, exps
 
 
+# a term as ``format_form`` writes it: sign, coefficient, x0, x1, x2
+_END = r"(?:\s*\*\s*|(?=\s*(?:[-+]|\Z)))"
+_TERM = re.compile(r"\s*([-+]?)\s*(?:(\d+)(?:/(\d+))?{0})?(?:(x0)(?:\^(\d+))?{0})?"
+                   r"(?:(x1)(?:\^(\d+))?{0})?(?:(x2)(?:\^(\d+))?)?\s*(?=[-+]|\Z)".format(_END))
+
+
+def _fast_terms(s, nvars):
+    """[(coefficient, exponent tuple)] by one _TERM match per term, with
+    int coefficients where integral.  None when the string leaves that
+    grammar or has a zero denominator or a variable past nvars: the token
+    grammar then reads it, and alone raises the syntax errors."""
+    terms, pos = [], 0
+    while pos < len(s) or not terms:
+        m = _TERM.match(s, pos)
+        if not m:
+            return None
+        sign, num, den, v0, e0, v1, e1, v2, e2 = m.groups()
+        if not (num or v0 or v1 or v2) or den and not int(den) or v2 and nvars == 2:
+            return None
+        c = _ratio(int(num or 1), int(den or 1))
+        exp = tuple(int(e or 1) if v else 0 for v, e in ((v0, e0), (v1, e1), (v2, e2)))
+        terms.append((-c if sign == "-" else c, exp[:nvars]))
+        pos = m.end()
+    return terms
+
+
 def parse_form(s, field, nvars):
     """Parse a homogeneous form in x0,x1[,x2].  A bare ``x`` is taken
     as x0.  Raises on inhomogeneous input."""
     names = ("x0", "x1", "x2")[:nvars]
-    terms = []
-    for c, exps in _terms(s):
+    terms = _fast_terms(s, nvars) or []
+    for c, exps in [] if terms else _terms(s):     # what no term match reads
         exp = [0] * nvars
         for name, e in exps.items():
             if name == "x":
@@ -124,7 +151,7 @@ def parse_form(s, field, nvars):
     deg = degs.pop() if degs else 0
     acc = {}
     for c, e in terms:
-        acc[e] = acc.get(e, Fraction(0)) + c
+        acc[e] = acc.get(e, 0) + c
     p = field.characteristic
     for c in acc.values():
         if p and c.denominator % p == 0:

@@ -10,9 +10,10 @@ the explicit sentinel ``NEG_INF``, so degree arithmetic such as
 
 All arithmetic runs in one set of routines on such lists (the functions
 ending in ``_c`` below): sum, difference, product, division with
-remainder, gcd, extended gcd, resultant, Horner evaluation, Newton
-interpolation and powers modulo a polynomial (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 2-3).  Each takes the characteristic p
+remainder, gcd, extended gcd, resultant (of one pair, or of many pairs
+in one shared remainder sequence), Horner evaluation, Newton interpolation
+and powers modulo a polynomial (von zur Gathen & Gerhard, *Modern
+Computer Algebra*, ch. 2-3 and 6).  Each takes the characteristic p
 of the field: for p > 0 the values are ints and every result is reduced
 mod p, with inverses from ``pow(a, -1, p)``; for p = 0 they are ints and
 Fractions, sums and products of ints stay ints, and the one inverse,
@@ -191,6 +192,64 @@ def resultant_c(a, b, p):
         a, b = b, r
 
 
+def resultant_lanes_c(a, b, p):
+    """[Res(a_l, b_l) for each lane l]: a[i][l] is the x^i coefficient of
+    a_l, a[-1] and b[-1] have no zero, and over Q all values are ints.
+    The lanes share one remainder sequence, each step a comprehension over
+    them: Euclid with per-lane inverses over GF(p), the integer
+    subresultant sequence with per-lane exact divisions over Q.  A lane
+    stays while each remainder has degree one less than its divisor; its
+    steps are then those of a sequence of its own, so every division is
+    exact as in ``_subresultant_prs`` (also on the step where it leaves).
+    A lane leaves when its remainder loses its top coefficient: a zero
+    remainder means its divisor, of degree >= 1, divides, so Res = 0;
+    else ``resultant_c`` runs it alone."""
+    out, lanes, inputs = [0] * len(a[0]), list(range(len(a[0]))), (a, b)
+    da, db = len(a) - 1, len(b) - 1
+    s = -1 if da < db and da & db & 1 else 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+    g = h = [1] * len(lanes)    # over GF(p) g is the product of lc(b) powers
+    while db:
+        if da & db & 1:
+            s = -s
+        delta, lb, r = da - db, b[-1], list(a)
+        if p:
+            binv = [pow(v, -1, p) for v in lb]
+            for i in range(delta, -1, -1):
+                t = [x * y % p for x, y in zip(r[i + db], binv)]
+                r[i:i + db] = [[(x - u * y) % p for x, u, y in zip(r[i + j], t, b[j])]
+                               for j in range(db)]
+            g = [x * pow(y, delta + 1, p) % p for x, y in zip(g, lb)]
+            r = r[:db]
+        else:
+            # the pseudo-remainder lc(b)^(delta + 1) a mod b, exactly divided by g h^delta
+            for i in range(delta, -1, -1):
+                t = r[i + db]
+                r[:i + db] = ([[l * x for l, x in zip(lb, r[j])] for j in range(i)]
+                              + [[l * x - u * y for l, x, u, y in zip(lb, r[i + j], t, b[j])]
+                                 for j in range(db)])
+            den = [x * y ** delta for x, y in zip(g, h)]
+            r = [[v // d for v, d in zip(c, den)] for c in r[:db]]
+        if not all(r[-1]):
+            for k, lane in enumerate(lanes):
+                if not r[-1][k] and any(c[k] for c in r):
+                    out[lane] = resultant_c(*[trim_c([c[lane] for c in f]) for f in inputs], p)
+            keep = [k for k, top in enumerate(r[-1]) if top]
+            lanes = [lanes[k] for k in keep]
+            b, r, g, h = ([[[c[k] for k in keep] for c in f] for f in (b, r)]
+                          + [[v[k] for k in keep] for v in (g, h)])
+        a, b, da, db = b, r, db, db - 1
+        if not p:
+            g = a[-1]
+            if delta:
+                h = [x ** delta // y ** (delta - 1) for x, y in zip(g, h)]
+    # over Q the last subresultant, h^(1 - deg a) b^(deg a), lies in Z
+    for lane, x, y, z in zip(lanes, g, h, b[0]):
+        out[lane] = s * x * pow(z, da, p) % p if p else s * z ** da // y ** max(da - 1, 0)
+    return out
+
+
 # -- Q on integers ----------------------------------------------------------
 #
 # Over Q the gcd, the resultant and exact division run on integer lists:
@@ -319,20 +378,16 @@ def interpolate_c(xs, ys, p):
     Over Q on integers (see ``_interpolate_q``)."""
     if not p:
         return _interpolate_q(xs, ys)
-    n = len(xs)
     d = list(ys)
-    invs = {}       # one inverse per distinct node difference
     # d[i] becomes the divided difference y[x_0, ..., x_i]; level k
     # divides by x_i - x_{i-k}, so every pair of nodes is differenced once
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            dx = (xs[i] - xs[i - k]) % p
-            if not dx:
-                raise ValueError("repeated interpolation node %s" % (xs[i],))
-            inv = invs.get(dx)
-            if inv is None:
-                inv = invs[dx] = pow(dx, -1, p)
-            d[i] = (d[i] - d[i - 1]) * inv % p
+    for k in range(1, len(xs)):
+        dxs = [(xi - xj) % p for xi, xj in zip(xs[k:], xs)]
+        if not all(dxs):
+            raise ValueError("repeated interpolation node %s"
+                             % ([x for x, dx in zip(xs[k:], dxs) if not dx][-1],))
+        invs = {dx: pow(dx, -1, p) for dx in set(dxs)}     # one per distinct difference
+        d[k:] = [(hi - lo) * invs[dx] % p for hi, lo, dx in zip(d[k:], d[k - 1:], dxs)]
     c = []
     for xk, dk in zip(reversed(xs), reversed(d)):
         # c <- c * (x - x_k) + d_k
@@ -355,18 +410,10 @@ def _interpolate_q(xs, ys):
     if len(set(X)) < len(X):
         raise ValueError("repeated interpolation node %s"
                          % next(x for i, x in enumerate(xs) if X[i] in X[:i]))
-    W = 1
-    for xi in X:
-        w = 1
-        for xj in X:
-            if xj != xi:
-                w *= xi - xj
-        W = math.lcm(W, w)
+    W = math.lcm(*[math.prod(xi - xj for xj in X if xj != xi) for xi in X])
     d = [y.numerator * (M // y.denominator) * W for y in ys]
-    n = len(X)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            d[i] = (d[i] - d[i - 1]) // (X[i] - X[i - k])
+    for k in range(1, len(X)):
+        d[k:] = [(hi - lo) // (xi - xj) for hi, lo, xi, xj in zip(d[k:], d[k - 1:], X[k:], X)]
     c = []
     for xk, dk in zip(reversed(X), reversed(d)):
         c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [0])]

@@ -7,7 +7,8 @@ import pytest
 from dihedralcovers.fields import QQ, GF
 from dihedralcovers.homog import HForm
 from dihedralcovers.parsing import parse_form
-from dihedralcovers import cover_geometry as cg, cli, linalg
+from dihedralcovers import cover_geometry as cg, cli, linalg, poly
+from dihedralcovers.poly import plain_poly, trim_c, eval_c, resultant_c, interpolate_c
 from dihedralcovers.hyperelliptic import (class_from_matrix, class_order,
                                           matrix_from_class, enumerate_two_torsion)
 
@@ -360,12 +361,22 @@ def _check_job(field, n, m, seed):
 
 
 @pytest.mark.parametrize("field,n,m", [("Fp:101", 3, 2), ("Fp:31", 2, 2)])
-def test_small_field_leaves_condition_i_inconclusive(field, n, m):
+def test_small_field_leaves_condition_i_inconclusive(field, n, m, monkeypatch):
     # Res(a, F) needs 2nm^2 + 1 points, which fit; the resultants of the
-    # partials of a^2 - F^n need (2nm - 1)^2 + 1 > p
+    # partials of a^2 - F^n need (2nm - 1)^2 + 1 > p, so none is tried,
+    # and the first attempt that passes (ii) is the last
+    shapes = []
+    resultant = cg.resultant_wrt_last
+
+    def spy(f, g):
+        shapes.append((f.deg, g.deg))
+        return resultant(f, g)
+
+    monkeypatch.setattr(cg, "resultant_wrt_last", spy)
     report, code = cli.run_job(_check_job(field, n, m, seed=3))
     assert (report["conditionI"], report["conditionII"], code) == ("inconclusive", "pass", 0)
     assert report["details"]["resultantDegree"] == 2 * n * m * m
+    assert shapes == [(n * m, 2 * m)]
 
 
 def test_field_smaller_than_the_resultant_degree():
@@ -393,3 +404,91 @@ def test_coordinate_change_is_invertible_over_the_field():
         images = cg.random_coordinate_change(K, rng)
         rows = [[img.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for img in images]
         assert linalg.rank(rows) == 3
+
+
+# -- the lane route against one remainder sequence per node -------------
+
+
+def per_node_resultant_wrt_last(f, g):
+    """Res_x2(f, g) as ``resultant_wrt_last`` computed it before its nodes
+    shared a remainder sequence: ``resultant_c`` at each node x0 = 0, 1,
+    ..., on the charts evaluated there (Fractions over Q), then Newton
+    interpolation."""
+    cf = [c.to_univar().c for c in f.coeffs_in(2)]
+    cg = [c.to_univar().c for c in g.coeffs_in(2)]
+    p = f.field.characteristic
+    xs = range(f.deg * g.deg + 1)
+    ys = [resultant_c(trim_c([eval_c(c, x, p) for c in cf]),
+                      trim_c([eval_c(c, x, p) for c in cg]), p) for x in xs]
+    return HForm.from_univar(plain_poly(f.field, interpolate_c(xs, ys, p)), f.deg * g.deg)
+
+
+LANE_FIELDS = [QQ, GF(101), GF(1009), GF(cg.CERTIFICATE_PRIME)]
+LANE_IDS = ["Q", "Fp101", "Fp1009", "Fp2^61-1"]
+
+
+def _lane_form(K, rng, deg):
+    """A dense ternary form with a nonzero x2^deg coefficient; over Q
+    with denominators."""
+    def value():
+        if K.characteristic:
+            return rng.randrange(K.characteristic)
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+    terms = {(i, j, deg - i - j): value() for i in range(deg + 1) for j in range(deg + 1 - i)}
+    terms[(0, 0, deg)] = 1 + rng.randrange(5)
+    return HForm(K, 3, deg, terms)
+
+
+def _count_per_node_runs(monkeypatch):
+    """Record the lanes that ``resultant_lanes_c`` hands to ``resultant_c``."""
+    runs = []
+    resultant = poly.resultant_c
+
+    def spy(a, b, p):
+        runs.append((a, b))
+        return resultant(a, b, p)
+    monkeypatch.setattr(poly, "resultant_c", spy)
+    return runs
+
+
+@pytest.mark.parametrize("K", LANE_FIELDS, ids=LANE_IDS)
+def test_lanes_match_the_per_node_resultants(K):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    # forms of equal and of unequal x2-degree, in either order
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32))
+    def run(df, dg, seed):
+        rng = random.Random(seed)
+        f, g = _lane_form(K, rng, df), _lane_form(K, rng, dg)
+        assert cg.resultant_wrt_last(f, g) == per_node_resultant_wrt_last(f, g)
+
+    run()
+
+
+@pytest.mark.parametrize("K", LANE_FIELDS, ids=LANE_IDS)
+def test_a_shared_component_takes_every_lane_out(K, monkeypatch):
+    rng = random.Random(5)
+    line = parse_form("x0 - 2*x1 + x2", K, 3)
+    f, g = line * _lane_form(K, rng, 3), line * _lane_form(K, rng, 1)
+    runs = _count_per_node_runs(monkeypatch)
+    R = cg.resultant_wrt_last(f, g)
+    # every lane ends on a zero remainder, which proves Res = 0 there
+    assert R.is_zero() and R.deg == 8 and not runs
+    assert per_node_resultant_wrt_last(f, g).is_zero()
+
+
+@pytest.mark.parametrize("K", LANE_FIELDS, ids=LANE_IDS)
+def test_a_lane_whose_remainder_drops_two_degrees(K, monkeypatch):
+    # at x0 = 2 (x1 = 1): f = x2^3 + x2 + 8 and g = x2^2 + 1, so f mod g
+    # is the constant 8; at x0 = t the x2-coefficient of f mod g is (t - 2)^2
+    f = parse_form("x2^3 + x1^2*x2 + x0^3", K, 3)
+    g = parse_form("x2^2 + x0*x2 - 2*x1*x2 + x1^2", K, 3)
+    runs = _count_per_node_runs(monkeypatch)
+    assert cg.resultant_wrt_last(f, g) == per_node_resultant_wrt_last(f, g)
+    assert len(runs) == 1 and [len(c) for c in runs[0]] == [4, 3]
+    assert runs[0][1] == [1, 0, 1]                  # the lane of x0 = 2
+    runs.clear()
+    assert cg.resultant_wrt_last(g, f) == per_node_resultant_wrt_last(g, f)
+    assert len(runs) == 1

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dihedralcovers.fields import QQ, GF
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
-from dihedralcovers.parsing import parse_form, format_univar, format_form
+from dihedralcovers.parsing import parse_form, format_univar, format_form, _fast_terms, _terms
 
 from conftest import parse_univar
 
@@ -90,6 +91,58 @@ def test_substitute_onto_a_line_and_a_zero_image():
     assert g.substitute(line) == form("x0^2 + x0*x1 - x1^2")
 
 
+def power_substitute(f, images):
+    """f at the images as a sum over its terms of products of the images'
+    powers: the route ``HForm.substitute`` took before Horner's rule."""
+    field = f.field
+    one = HForm.const(field, images[0].nvars, field.one)
+    powers = []
+    for j, img in enumerate(images):
+        pw = [one]
+        for _ in range(max((e[j] for e in f.terms), default=0)):
+            pw.append(pw[-1] * img)
+        powers.append(pw)
+    out = HForm.zero(field, images[0].nvars, f.deg * images[0].deg)
+    for e, c in f.terms.items():
+        term = one
+        for pw, k in zip(powers, e):
+            term = term * pw[k]
+        out = out + term * c
+    return out
+
+
+def test_substitute_matches_the_power_route():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    from dihedralcovers.cover_geometry import random_coordinate_change
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(st.sampled_from((QQ, GF(7), GF(1009), GF(2 ** 61 - 1))), st.integers(2, 3),
+               st.integers(0, 7), st.booleans(), st.integers(0, 2 ** 32))
+    def run(K, nvars, deg, onto_a_line, seed):
+        rng = random.Random(seed)
+        def value():
+            if K.characteristic:
+                return K.of(rng.choice([0, 1, -1, rng.randrange(K.characteristic)]))
+            return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+        exps = [e for e in itertools.product(range(deg + 1), repeat=nvars) if sum(e) == deg]
+        f = HForm(K, nvars, deg, {e: value() for e in exps})
+        if onto_a_line:     # images in fewer variables, possibly zero
+            images = [HForm(K, 2, 1, {(1, 0): value(), (0, 1): value()}) for _ in range(nvars)]
+        elif nvars == 3:
+            images = random_coordinate_change(K, rng)
+        else:
+            while True:
+                m = [[value() for _ in range(2)] for _ in range(2)]
+                if m[0][0] * m[1][1] - m[0][1] * m[1][0]:
+                    break
+            images = [HForm(K, 2, 1, {(1, 0): r[0], (0, 1): r[1]}) for r in m]
+        got, want = f.substitute(images), power_substitute(f, images)
+        assert got == want and repr(got) == repr(want)
+
+    run()
+
+
 def test_coeffs_in():
     f = form("x0^2*x2 + x1*x2^2 + x0^3", nvars=3)
     cs = f.coeffs_in(2)
@@ -144,9 +197,33 @@ def test_parse_inverts_format():
         exps = [e for e in itertools.product(range(deg + 1), repeat=nvars) if sum(e) == deg]
         f = HForm(K, nvars, deg, {e: K.of(Fraction(a, b)) for e, (a, b) in zip(exps, fcs)})
         s = format_form(f)
+        # what format_form writes is read one term at a time
+        assert _fast_terms(s, nvars) is not None
         if f.is_zero():
             assert s == "0" and parse_form(s, K, nvars).is_zero()
         else:
             assert parse_form(s, K, nvars) == f and format_form(parse_form(s, K, nvars)) == s
+
+    run()
+
+
+def test_term_matches_agree_with_the_token_grammar():
+    # a string read one term at a time gives the terms, with int
+    # coefficients where integral, that the token grammar gives; any
+    # other string goes to the token grammar, which alone raises
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    pieces = ["x0", "x1", "x2", "x", "u", "^", "*", "+", "-", " ", "\n",
+              "0", "2", "12", "1/2", "6/3", "7/0", "/", "**"]
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(st.lists(st.sampled_from(pieces), max_size=10), st.integers(2, 3))
+    def run(parts, nvars):
+        s = "".join(parts)
+        fast = _fast_terms(s, nvars)
+        if fast is not None:
+            names = ("x0", "x1", "x2")[:nvars]
+            assert fast == [(c, tuple(exps.get(v, 0) for v in names)) for c, exps in _terms(s)]
+            assert all(type(c) is int for c, _ in fast if c == int(c))
 
     run()
