@@ -232,8 +232,9 @@ def check_simple(spec, seed=0):
     a^2 - F^n project into the roots of R (see _singular_containment).
     An attempt whose resultant needs more points than a small prime field
     has certifies nothing; ATTEMPTS of them without a certificate yield
-    "inconclusive".  The resultants behind (i) need (2nm - 1)^2 + 1 points:
-    over a smaller prime field (i) is not tried, and (ii) ends the attempts.
+    "inconclusive".  R needs 2nm^2 + 1 points: a smaller field gets no
+    attempt.  The resultants behind (i) need (2nm - 1)^2 + 1 points: over
+    a smaller prime field (i) is not tried, and (ii) ends the attempts.
     """
     field = spec.a.field
     rng = random.Random(seed)
@@ -243,7 +244,7 @@ def check_simple(spec, seed=0):
     cond_ii = "inconclusive"
     cond_i = "inconclusive"
     decide_i = not p or (2 * n * m - 1) ** 2 < p
-    for _ in range(ATTEMPTS):
+    for _ in range(ATTEMPTS if not p or spec.a.deg * spec.F.deg < p else 0):
         images = random_coordinate_change(field, rng)
         a = spec.a.substitute(images)
         F = spec.F.substitute(images)

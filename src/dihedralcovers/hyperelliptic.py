@@ -10,7 +10,9 @@ infinity, built once per curve (``odd_model``; its Mobius maps of forms
 run Horner's rule on charts, ``_substitute_matrix``), which is where divisor
 class arithmetic happens: classes are reduced Mumford pairs (u, v) and
 the group law is composition and reduction (Cantor, Math. Comp. 48,
-1987).
+1987), run on ``poly``'s coefficient lists: coprime u's compose by the
+Chinese remainder theorem with one inverse, other pairs by Cantor's two
+extended gcds, and only the reduced result is boxed as ``Poly``s.
 
 The two directions of the dictionary between divisor classes and
 trace-free matrix pairs:
@@ -37,7 +39,8 @@ straight from the three charts and never builds it as lists.
 
 import itertools
 
-from .poly import Poly, plain_poly, poly_xgcd, base_field_roots, reduce_c
+from .poly import (Poly, plain_poly, base_field_roots, reduce_c, add_c, neg_c, sub_c,
+                   mul_c, divmod_c, monic_c, scale_c, inv_c, xgcd_c, exact_div_c)
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair
 from . import linalg, parsing
@@ -106,9 +109,12 @@ class OddModel:
 
     def semireduced(self, u, v):
         """A (possibly unreduced) Mumford pair, validated then reduced."""
-        u = u.monic()
-        v = v % u if u.degree > 0 else Poly.zero(self.field)
-        if not ((v * v - self.fodd) % u).is_zero():
+        p = self.field.characteristic
+        if not u.c:
+            raise ZeroDivisionError("polynomial division by zero")
+        u = monic_c(u.c, p)
+        v = divmod_c(v.c, u, p)[1]
+        if divmod_c(sub_c(mul_c(v, v, p), self.fodd.c, p), u, p)[1]:
             raise ValueError("pair is not semireduced: u does not divide v^2 - f")
         return _reduce(self, u, v)
 
@@ -146,16 +152,17 @@ class MumfordClass:
     __slots__ = ("model", "u", "v")
 
     def __init__(self, model, u, v):
-        if u.is_zero() or u.lead() != model.field.one:
+        uc, vc, p = u.c, v.c, model.field.characteristic
+        if not uc or uc[-1] != 1:
             raise ValueError("u must be monic")
-        if u.degree > model.g:
+        if len(uc) > model.g + 1:
             raise ValueError("not reduced: deg u > g")
-        if u.degree == 0:
-            if not v.is_zero():
+        if len(uc) == 1:
+            if vc:
                 raise ValueError("v must vanish when u is constant")
-        elif not v.is_zero() and v.degree >= u.degree:
+        elif len(vc) >= len(uc):
             raise ValueError("v must be reduced mod u")
-        if not ((v * v - model.fodd) % u).is_zero():
+        elif divmod_c(sub_c(mul_c(vc, vc, p), model.fodd.c, p), uc, p)[1]:
             raise ValueError("u does not divide v^2 - f")
         self.model = model
         self.u = u
@@ -168,8 +175,9 @@ class MumfordClass:
         return cantor_add(self, other)
 
     def __neg__(self):
-        u = self.u
-        return MumfordClass(self.model, u, (-self.v) % u if u.degree else self.v)
+        field = self.model.field
+        return MumfordClass(self.model, self.u,
+                            plain_poly(field, neg_c(self.v.c, field.characteristic)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -206,33 +214,63 @@ class MumfordClass:
 
 
 def cantor_add(c1, c2):
-    """Composition and reduction of two reduced Mumford pairs."""
+    """Composition and reduction of two reduced Mumford pairs, on lists.
+    When gcd(u1, u2) = 1 (a zero operand included) the composition is
+    u1 u2 with v = v1 + u1 ((v2 - v1) e mod u2), e = u1^-1 mod u2, by the
+    Chinese remainder theorem (Cohen & Frey, eds., Handbook of Elliptic
+    and Hyperelliptic Curve Cryptography, 2006, 14.3); other pairs take
+    Cantor's two extended gcds, ``_compose``.  Either route gives the one
+    semireduced pair of the composed divisor, so the result is the same."""
     if c1.model is not c2.model and c1.model.fodd != c2.model.fodd:
         raise ValueError("classes live on different curves")
     model = c1.model
-    f = model.fodd
-    u1, v1, u2, v2 = c1.u, c1.v, c2.u, c2.v
-    d0, e1, e2 = poly_xgcd(u1, u2)
-    if d0.is_zero():
+    p = model.field.characteristic
+    u1, v1, u2, v2 = c1.u.c, c1.v.c, c2.u.c, c2.v.c
+    e = _inverse_mod(u1, u2, p)
+    if e is None:
+        u, v = _compose(u1, v1, u2, v2, model.fodd.c, p)
+    else:
+        u = mul_c(u1, u2, p)
+        w = divmod_c(mul_c(sub_c(v2, v1, p), e, p), u2, p)[1]
+        v = add_c(v1, mul_c(u1, w, p), p)
+    return _reduce(model, u, v)
+
+
+def _inverse_mod(a, m, p):
+    """a^-1 mod the monic m, or None when gcd(a, m) != 1: Euclid on
+    (m, a mod m), which keeps t_i a = r_i mod m and so tracks a's
+    cofactor only."""
+    r0, r1 = m, divmod_c(a, m, p)[1]
+    t0, t1 = [], [1]
+    while r1:
+        q, r = divmod_c(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, sub_c(t0, mul_c(q, t1, p), p)
+    return scale_c(t0, inv_c(r0[0], p), p) if len(r0) == 1 else None
+
+
+def _compose(u1, v1, u2, v2, f, p):
+    """Cantor's composition of (u1, v1) and (u2, v2) with a common root
+    (u1 = u2 included): d = gcd(u1, u2, v1 + v2) = s1 u1 + s2 u2 + s3 (v1 + v2),
+    u = u1 u2 / d^2 and v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u."""
+    d0, e1, e2 = xgcd_c(u1, u2, p)
+    if not d0:
         raise ValueError("invalid Mumford pairs")
-    d, c1_, c2_ = poly_xgcd(d0, v1 + v2)
-    s1 = c1_ * e1
-    s2 = c1_ * e2
-    s3 = c2_
-    u = (u1 * u2).exact_div(d * d)
-    num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + f)
-    v = num.exact_div(d) % u
-    return _reduce(model, u.monic(), v)
+    d, c1, s3 = xgcd_c(d0, add_c(v1, v2, p), p)
+    s1, s2 = mul_c(c1, e1, p), mul_c(c1, e2, p)
+    u = exact_div_c(mul_c(u1, u2, p), mul_c(d, d, p), p)
+    num = add_c(add_c(mul_c(s1, mul_c(u1, v2, p), p), mul_c(s2, mul_c(u2, v1, p), p), p),
+                mul_c(s3, add_c(mul_c(v1, v2, p), f, p), p), p)
+    return u, divmod_c(exact_div_c(num, d, p), u, p)[1]
 
 
 def _reduce(model, u, v):
-    f = model.fodd
-    g = model.g
-    while u.degree > g:
-        u = (f - v * v).exact_div(u)
-        u = u.monic()
-        v = (-v) % u if u.degree else Poly.zero(model.field)
-    return MumfordClass(model, u.monic(), v)
+    """The class of the semireduced list pair (u, v), u monic, reduced."""
+    f, p = model.fodd.c, model.field.characteristic
+    while len(u) > model.g + 1:
+        u = monic_c(exact_div_c(sub_c(f, mul_c(v, v, p), p), u, p), p)
+        v = divmod_c(neg_c(v, p), u, p)[1]
+    return MumfordClass(model, plain_poly(model.field, u), plain_poly(model.field, v))
 
 
 def class_order(c, bound=512):
@@ -333,7 +371,9 @@ def matrix_from_class(curve, c):
     b = g + 1 - a
     P = HForm.from_univar(-v, g + 1)
     q = HForm.from_univar(u, 2 * a)
-    f = HForm.from_univar((model.fodd - v * v).exact_div(u), 2 * b)
+    p = curve.field.characteristic
+    f = HForm.from_univar(plain_poly(curve.field, exact_div_c(
+        sub_c(model.fodd.c, mul_c(v.c, v.c, p), p), u.c, p)), 2 * b)
     return BundlePair(curve, a, b, model.untransform_form(P),
                       model.untransform_form(f), model.untransform_form(q))
 

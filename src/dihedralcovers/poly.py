@@ -137,6 +137,19 @@ def monic_c(a, p):
     return scale_c(a, inv_c(a[-1], p), p) if a else a
 
 
+def exact_div_c(a, b, p):
+    """a / b for b dividing a; ValueError when it does not (over Q on
+    integers, ``_exact_div_q``)."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not p and a:
+        return _exact_div_q(a, b)
+    q, r = divmod_c(a, b, p)
+    if r:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
 def gcd_c(a, b, p):
     """The monic gcd (empty when both are zero).  Over Q it comes from
     the integer subresultant sequence of the primitive parts."""
@@ -496,9 +509,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.field.box(self.c[-1])
 
-    def monic(self):
-        return plain_poly(self.field, monic_c(self.c, self.field.characteristic))
-
     def _plain(self, other):
         """other's coefficient list: a Poly over the same field, or a scalar."""
         if isinstance(other, Poly):
@@ -546,15 +556,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        if self.field.characteristic == 0 and self.c:
-            b = self._plain(other)
-            if not b:
-                raise ZeroDivisionError("polynomial division by zero")
-            return plain_poly(self.field, _exact_div_q(self.c, b))
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
+        return plain_poly(self.field, exact_div_c(self.c, self._plain(other),
+                                                  self.field.characteristic))
 
     def __eq__(self, other):
         if isinstance(other, Poly):

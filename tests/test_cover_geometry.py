@@ -379,15 +379,32 @@ def test_small_field_leaves_condition_i_inconclusive(field, n, m, monkeypatch):
     assert shapes == [(n * m, 2 * m)]
 
 
-def test_field_smaller_than_the_resultant_degree():
+def test_field_smaller_than_the_resultant_degree(monkeypatch):
+    """Over GF(3) R = Res(a, F) needs 2nm^2 + 1 = 5 points, so no attempt
+    can decide anything: none is made, and the report is the one five
+    failed attempts gave."""
     K = GF(3)
     f = parse_form("x0^2 + x1^2 + x2^2", K, 3)
     g = parse_form("x0*x1 + x2^2", K, 3)
     with pytest.raises(ValueError, match="needs 5 distinct points"):
         cg.resultant_wrt_last(f, g)
+    calls = []
+
+    def refuse(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(name)
+        return call
+
+    monkeypatch.setattr(cg, "resultant_wrt_last", refuse("resultant_wrt_last"))
+    monkeypatch.setattr(HForm, "substitute", refuse("substitute"))
     report, code = cli.run_job({"command": "check", "field": "Fp:3", "n": 2, "m": 1,
                                 "a": "x0^2 + x1^2 + x2^2", "F": "x0*x1 + x2^2"})
-    assert (report["conditionII"], code) == ("inconclusive", 0)
+    assert calls == []
+    assert code == 0
+    assert report == {"command": "check", "seed": 0, "conditionI": "inconclusive",
+                      "conditionII": "inconclusive", "irreducible": None,
+                      "details": {"branchDegree": 4, "cuspCount": None}}
 
 
 def test_coordinate_change_is_invertible_over_the_field():
