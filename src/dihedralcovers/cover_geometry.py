@@ -121,8 +121,9 @@ def resultant_wrt_last(f, g):
     coordinates guarantees; computed by specializing x1 = 1 at the
     deg(f)*deg(g) + 1 values x0 = 0, 1, 2, ... and interpolating, so a
     prime field with fewer elements raises ValueError.  Each x2-chart is
-    evaluated at all nodes in one Horner pass, and the nodes share one
-    remainder sequence (``poly.resultant_lanes_c``).
+    evaluated at all nodes in one Horner pass, and the nodes are the
+    lanes of one remainder sequence (``poly.resultant_lanes_c``), which
+    regroups them where their remainders fall to different degrees.
     """
     cf = [c.to_univar().c for c in f.coeffs_in(2)]
     cg = [c.to_univar().c for c in g.coeffs_in(2)]
@@ -148,7 +149,7 @@ def resultant_wrt_last(f, g):
             v = [y * x + a for y, x in zip(v, xs)]
         lanes.append([y % p for y in v] if p else v)
     R = plain_poly(field, interpolate_c(
-        xs, resultant_lanes_c(lanes[:len(cf)], lanes[len(cf):], p), p))
+        xs, resultant_lanes_c(lanes[:len(cf)], lanes[len(cf):], p)[0], p))
     if scale != 1:
         R = R * Fraction(1, scale)
     return HForm.from_univar(R, D)

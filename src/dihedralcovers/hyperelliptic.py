@@ -10,9 +10,10 @@ infinity, built once per curve (``odd_model``; its Mobius maps of forms
 run Horner's rule on charts, ``_substitute_matrix``), which is where divisor
 class arithmetic happens: classes are reduced Mumford pairs (u, v) and
 the group law is composition and reduction (Cantor, Math. Comp. 48,
-1987), run on ``poly``'s coefficient lists: coprime u's compose by the
-Chinese remainder theorem with one inverse, other pairs by Cantor's two
-extended gcds, and only the reduced result is boxed as ``Poly``s.
+1987), run on ``poly``'s coefficient lists: one extended gcd of the u's
+picks the route, coprime u's compose by the Chinese remainder theorem
+with its cofactor, other pairs go on to Cantor's second extended gcd,
+and only the reduced result is boxed as ``Poly``s.
 
 The two directions of the dictionary between divisor classes and
 trace-free matrix pairs:
@@ -40,7 +41,7 @@ straight from the three charts and never builds it as lists.
 import itertools
 
 from .poly import (Poly, plain_poly, base_field_roots, reduce_c, add_c, neg_c, sub_c,
-                   mul_c, divmod_c, monic_c, scale_c, inv_c, xgcd_c, exact_div_c)
+                   mul_c, divmod_c, monic_c, xgcd_c, cofactor_c, exact_div_c)
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair
 from . import linalg, parsing
@@ -215,49 +216,39 @@ class MumfordClass:
 
 def cantor_add(c1, c2):
     """Composition and reduction of two reduced Mumford pairs, on lists.
-    When gcd(u1, u2) = 1 (a zero operand included) the composition is
-    u1 u2 with v = v1 + u1 ((v2 - v1) e mod u2), e = u1^-1 mod u2, by the
-    Chinese remainder theorem (Cohen & Frey, eds., Handbook of Elliptic
-    and Hyperelliptic Curve Cryptography, 2006, 14.3); other pairs take
-    Cantor's two extended gcds, ``_compose``.  Either route gives the one
+    One extended gcd, d0 = gcd(u1, u2) = e u1 mod u2, picks the route.
+    When d0 = 1 (a zero operand included) the composition is u1 u2 with
+    v = v1 + u1 ((v2 - v1) e mod u2), by the Chinese remainder theorem
+    (Cohen & Frey, eds., Handbook of Elliptic and Hyperelliptic Curve
+    Cryptography, 2006, 14.3); other pairs take Cantor's composition,
+    ``_compose``, which goes on from (d0, e).  Either route gives the one
     semireduced pair of the composed divisor, so the result is the same."""
     if c1.model is not c2.model and c1.model.fodd != c2.model.fodd:
         raise ValueError("classes live on different curves")
     model = c1.model
     p = model.field.characteristic
     u1, v1, u2, v2 = c1.u.c, c1.v.c, c2.u.c, c2.v.c
-    e = _inverse_mod(u1, u2, p)
-    if e is None:
-        u, v = _compose(u1, v1, u2, v2, model.fodd.c, p)
-    else:
+    d0, e = xgcd_c(u1, u2, p)
+    if len(d0) == 1:
         u = mul_c(u1, u2, p)
         w = divmod_c(mul_c(sub_c(v2, v1, p), e, p), u2, p)[1]
         v = add_c(v1, mul_c(u1, w, p), p)
+    else:
+        u, v = _compose(u1, v1, u2, v2, d0, e, model.fodd.c, p)
     return _reduce(model, u, v)
 
 
-def _inverse_mod(a, m, p):
-    """a^-1 mod the monic m, or None when gcd(a, m) != 1: Euclid on
-    (m, a mod m), which keeps t_i a = r_i mod m and so tracks a's
-    cofactor only."""
-    r0, r1 = m, divmod_c(a, m, p)[1]
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_c(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, sub_c(t0, mul_c(q, t1, p), p)
-    return scale_c(t0, inv_c(r0[0], p), p) if len(r0) == 1 else None
-
-
-def _compose(u1, v1, u2, v2, f, p):
+def _compose(u1, v1, u2, v2, d0, e1, f, p):
     """Cantor's composition of (u1, v1) and (u2, v2) with a common root
-    (u1 = u2 included): d = gcd(u1, u2, v1 + v2) = s1 u1 + s2 u2 + s3 (v1 + v2),
-    u = u1 u2 / d^2 and v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u."""
-    d0, e1, e2 = xgcd_c(u1, u2, p)
-    if not d0:
-        raise ValueError("invalid Mumford pairs")
-    d, c1, s3 = xgcd_c(d0, add_c(v1, v2, p), p)
-    s1, s2 = mul_c(c1, e1, p), mul_c(c1, e2, p)
+    (u1 = u2 included), from d0 = gcd(u1, u2) = e1 u1 + e2 u2 and e1:
+    d = gcd(d0, v1 + v2) = s1 u1 + s2 u2 + s3 (v1 + v2) by one more
+    extended gcd, u = u1 u2 / d^2 and
+    v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u.  The cofactors
+    of u2 and of v1 + v2 are ``cofactor_c``'s exact divisions."""
+    w = add_c(v1, v2, p)
+    d, c1 = xgcd_c(d0, w, p)
+    s1, s2 = mul_c(c1, e1, p), mul_c(c1, cofactor_c(u1, u2, d0, e1, p), p)
+    s3 = cofactor_c(d0, w, d, c1, p)
     u = exact_div_c(mul_c(u1, u2, p), mul_c(d, d, p), p)
     num = add_c(add_c(mul_c(s1, mul_c(u1, v2, p), p), mul_c(s2, mul_c(u2, v1, p), p), p),
                 mul_c(s3, add_c(mul_c(v1, v2, p), f, p), p), p)

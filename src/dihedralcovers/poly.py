@@ -10,22 +10,25 @@ the explicit sentinel ``NEG_INF``, so degree arithmetic such as
 
 All arithmetic runs in one set of routines on such lists (the functions
 ending in ``_c`` below): sum, difference, product, division with
-remainder, gcd, extended gcd, resultant (of one pair, or of many pairs
-in one shared remainder sequence), Horner evaluation, Newton interpolation
-and powers modulo a polynomial (von zur Gathen & Gerhard, *Modern
-Computer Algebra*, ch. 2-3 and 6).  Each takes the characteristic p
-of the field: for p > 0 the values are ints and every result is reduced
-mod p, with inverses from ``pow(a, -1, p)``; for p = 0 they are ints and
-Fractions, sums and products of ints stay ints, and the one inverse,
-``inv_c``, is a Fraction, so that no division is a float division;
-``reduce_c`` and the quotient of ``divmod_c`` turn an integral Fraction
-back into an int.
+remainder, gcd, extended gcd, resultant, Horner evaluation, Newton
+interpolation and powers modulo a polynomial (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 2-3 and 6).  Each takes the
+characteristic p of the field: for p > 0 the values are ints and every
+result is reduced mod p, with inverses from ``pow(a, -1, p)``; for p = 0
+they are ints and Fractions, sums and products of ints stay ints, and
+the one inverse, ``inv_c``, is a Fraction, so that no division is a
+float division; ``reduce_c`` and the quotient of ``divmod_c`` turn an
+integral Fraction back into an int.
+Every resultant, and the gcd over Q, is read off one remainder
+sequence, ``resultant_lanes_c``, which runs many pairs (lanes) at once;
+a single pair is one lane.  The extended gcd is one Euclid that tracks
+a's cofactor, and ``cofactor_c`` gives b's by one exact division.
 Over Q the gcd, the resultant, exact division and interpolation clear
 denominators once and work on ints, so that no coefficient operation
-pays for a Fraction gcd: the gcd and the resultant share one
-subresultant remainder sequence, and interpolation runs Newton's table
-on ints scaled by a common denominator.  Each result coefficient is an
-int where the denominator divides it.  Field elements are boxed
+pays for a Fraction gcd: the remainder sequence is the fraction-free
+subresultant sequence, and interpolation runs Newton's table on ints
+scaled by a common denominator.  Each result coefficient is an int
+where the denominator divides it.  Field elements are boxed
 (``FpElem``, ``Fraction``) only at the public accessors: ``coeff``,
 ``lead`` and evaluation return field elements; the constructor accepts
 field elements, ints and Fractions, and refuses floats.
@@ -151,15 +154,11 @@ def exact_div_c(a, b, p):
 
 
 def gcd_c(a, b, p):
-    """The monic gcd (empty when both are zero).  Over Q it comes from
-    the integer subresultant sequence of the primitive parts."""
+    """The monic gcd (empty when both are zero).  Over Q the last nonzero
+    remainder of the primitive parts' sequence, run as one lane of
+    ``resultant_lanes_c``."""
     if not p and a and b:
-        a, b = _primitive(a)[2], _primitive(b)[2]
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) > 1:
-            a, b = _subresultant_prs(a, b)[1:3]
-        g = a if not b else [1]
+        g = _one_lane(_primitive(a)[2], _primitive(b)[2], 0)[1]
         return [_ratio(v, g[-1]) for v in g]
     while b:
         a, b = b, divmod_c(a, b, p)[1]
@@ -167,100 +166,112 @@ def gcd_c(a, b, p):
 
 
 def xgcd_c(a, b, p):
-    """(g, s, t) with s*a + t*b = g, g monic (all empty when a = b = 0)."""
+    """(g, s) with g = gcd(a, b) monic and s a = g mod b, by Euclid
+    tracking a's cofactor only (g empty and s = [1] when a = b = 0);
+    ``cofactor_c`` gives b's."""
     r0, r1 = a, b
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while r1:
         q, r = divmod_c(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, sub_c(s0, mul_c(q, s1, p), p)
-        t0, t1 = t1, sub_c(t0, mul_c(q, t1, p), p)
     if not r0:
-        return r0, s0, t0
+        return r0, s0
     inv = inv_c(r0[-1], p)
-    return scale_c(r0, inv, p), scale_c(s0, inv, p), scale_c(t0, inv, p)
+    return scale_c(r0, inv, p), scale_c(s0, inv, p)
 
 
-def resultant_c(a, b, p):
-    """Res(a, b).  Over GF(p) by the Euclidean remainder sequence: with
-    r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r).
-    Over Q by the integer subresultant sequence of the primitive parts:
-    with a = c A and b = d B, Res(a, b) = c^(deg b) d^(deg a) Res(A, B)."""
-    if not a or not b:
-        return 0
-    if not p:
-        return _resultant_q(a, b)
-    res = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return res * pow(b[0], da, p) % p
-        r = divmod_c(a, b, p)[1]
-        if not r:
-            return 0
-        res = res * pow(b[-1], da - len(r) + 1, p)
-        if da & db & 1:
-            res = -res
-        a, b = b, r
+def cofactor_c(a, b, g, s, p):
+    """t = (g - s a) / b, so that s a + t b = g for (g, s) = xgcd_c(a, b, p);
+    empty when b = 0."""
+    return exact_div_c(sub_c(g, mul_c(s, a, p), p), b, p) if b else []
 
 
 def resultant_lanes_c(a, b, p):
-    """[Res(a_l, b_l) for each lane l]: a[i][l] is the x^i coefficient of
-    a_l, a[-1] and b[-1] have no zero, and over Q all values are ints.
-    The lanes share one remainder sequence, each step a comprehension over
-    them: Euclid with per-lane inverses over GF(p), the integer
-    subresultant sequence with per-lane exact divisions over Q.  A lane
-    stays while each remainder has degree one less than its divisor; its
-    steps are then those of a sequence of its own, so every division is
-    exact as in ``_subresultant_prs`` (also on the step where it leaves).
-    A lane leaves when its remainder loses its top coefficient: a zero
-    remainder means its divisor, of degree >= 1, divides, so Res = 0;
-    else ``resultant_c`` runs it alone."""
-    out, lanes, inputs = [0] * len(a[0]), list(range(len(a[0]))), (a, b)
+    """(resultants, remainders): for each lane l, Res(a_l, b_l) and the
+    last nonzero remainder of the sequence of (a_l, b_l), low degree
+    first, where a[i][l] is the x^i coefficient of a_l, a[-1] and b[-1]
+    have no zero, and over Q all values are ints.
+
+    The lanes run one remainder sequence, each step a comprehension over
+    them.  Over GF(p) it is Euclid with per-lane inverses, and with
+    r = a mod b, Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r).
+    Over Q it is the fraction-free subresultant sequence (Collins, J. ACM
+    14, 1967; Brown & Traub, J. ACM 18, 1971; Cohen, GTM 138, Alg. 3.3.7):
+    the pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b divides exactly
+    by g h^(deg a - deg b), since by the fundamental theorem of
+    subresultants the quotient is the next subresultant, whose
+    coefficients are minors of the Sylvester matrix; and h^(delta - 1)
+    divides g^delta for the same reason.  Lanes whose remainders fall to
+    the same degree go on as a group of their own, with their own sign,
+    g and h, so each lane's steps are those of its own sequence.  A lane
+    whose remainder is zero has Res = 0, and its divisor, the last
+    nonzero remainder, is a gcd of its pair; every other lane ends on a
+    nonzero constant."""
+    n = len(a[0])
+    res, rems = [0] * n, [None] * n
     da, db = len(a) - 1, len(b) - 1
     s = -1 if da < db and da & db & 1 else 1
     if da < db:
-        a, b, da, db = b, a, db, da
-    g = h = [1] * len(lanes)    # over GF(p) g is the product of lc(b) powers
-    while db:
-        if da & db & 1:
-            s = -s
-        delta, lb, r = da - db, b[-1], list(a)
-        if p:
-            binv = [pow(v, -1, p) for v in lb]
-            for i in range(delta, -1, -1):
-                t = [x * y % p for x, y in zip(r[i + db], binv)]
-                r[i:i + db] = [[(x - u * y) % p for x, u, y in zip(r[i + j], t, b[j])]
-                               for j in range(db)]
-            g = [x * pow(y, delta + 1, p) % p for x, y in zip(g, lb)]
-            r = r[:db]
+        a, b = b, a
+    # (lanes, a, b, s, g, h); over GF(p) g is the product of the lc(b) powers
+    groups = [(list(range(n)), a, b, s, [1] * n, [1] * n)]
+    while groups:
+        lanes, a, b, s, g, h = groups.pop()
+        da, db = len(a) - 1, len(b) - 1
+        while db:
+            if da & db & 1:
+                s = -s
+            delta, lb, r = da - db, b[-1], list(a)
+            if p:
+                binv = [pow(v, -1, p) for v in lb]
+                for i in range(delta, -1, -1):
+                    t = [x * y % p for x, y in zip(r[i + db], binv)]
+                    r[i:i + db] = [[(x - u * y) % p for x, u, y in zip(r[i + j], t, b[j])]
+                                   for j in range(db)]
+                g = [x * pow(y, delta + 1, p) % p for x, y in zip(g, lb)]
+                r = r[:db]
+            else:
+                # the pseudo-remainder, r <- lc(b) r - lc(r) x^i b at each i
+                for i in range(delta, -1, -1):
+                    t = r[i + db]
+                    r[:i + db] = ([[l * x for l, x in zip(lb, r[j])] for j in range(i)]
+                                  + [[l * x - u * y for l, x, u, y in zip(lb, r[i + j], t, b[j])]
+                                     for j in range(db)])
+                den = [x * y ** delta for x, y in zip(g, h)]
+                r = [[v // d for v, d in zip(c, den)] for c in r[:db]]
+                if delta:
+                    h = [x ** delta // y ** (delta - 1) for x, y in zip(lb, h)]
+                g = lb
+            if not all(r[-1]):
+                degs = [max((j for j in range(db) if r[j][k]), default=-1)
+                        for k in range(len(lanes))]
+                for d in set(degs):
+                    keep = [k for k, e in enumerate(degs) if e == d]
+                    if d < 0:
+                        for k in keep:
+                            rems[lanes[k]] = [c[k] for c in b]
+                        continue
+                    # over GF(p) lc(b) has the power deg a - d, not delta + 1
+                    gd = [g[k] * pow(lb[k], db - 1 - d, p) % p if p else g[k] for k in keep]
+                    groups.append(([lanes[k] for k in keep],
+                                   *[[[c[k] for k in keep] for c in f] for f in (b, r[:d + 1])],
+                                   s, gd, [h[k] for k in keep]))
+                break
+            a, b, da, db = b, r, db, db - 1
         else:
-            # the pseudo-remainder lc(b)^(delta + 1) a mod b, exactly divided by g h^delta
-            for i in range(delta, -1, -1):
-                t = r[i + db]
-                r[:i + db] = ([[l * x for l, x in zip(lb, r[j])] for j in range(i)]
-                              + [[l * x - u * y for l, x, u, y in zip(lb, r[i + j], t, b[j])]
-                                 for j in range(db)])
-            den = [x * y ** delta for x, y in zip(g, h)]
-            r = [[v // d for v, d in zip(c, den)] for c in r[:db]]
-        if not all(r[-1]):
-            for k, lane in enumerate(lanes):
-                if not r[-1][k] and any(c[k] for c in r):
-                    out[lane] = resultant_c(*[trim_c([c[lane] for c in f]) for f in inputs], p)
-            keep = [k for k, top in enumerate(r[-1]) if top]
-            lanes = [lanes[k] for k in keep]
-            b, r, g, h = ([[[c[k] for k in keep] for c in f] for f in (b, r)]
-                          + [[v[k] for k in keep] for v in (g, h)])
-        a, b, da, db = b, r, db, db - 1
-        if not p:
-            g = a[-1]
-            if delta:
-                h = [x ** delta // y ** (delta - 1) for x, y in zip(g, h)]
-    # over Q the last subresultant, h^(1 - deg a) b^(deg a), lies in Z
-    for lane, x, y, z in zip(lanes, g, h, b[0]):
-        out[lane] = s * x * pow(z, da, p) % p if p else s * z ** da // y ** max(da - 1, 0)
-    return out
+            # over Q the last subresultant, h^(1 - deg a) b^(deg a), lies in Z
+            for lane, x, y, z in zip(lanes, g, h, b[0]):
+                res[lane] = s * x * pow(z, da, p) % p if p else s * z ** da // y ** max(da - 1, 0)
+                rems[lane] = [z]
+    return res, rems
+
+
+def _one_lane(a, b, p):
+    """(Res(a, b), last nonzero remainder) of the nonzero lists a and b,
+    as one lane of ``resultant_lanes_c``."""
+    res, rems = resultant_lanes_c([[v] for v in a], [[v] for v in b], p)
+    return res[0], rems[0]
 
 
 # -- Q on integers ----------------------------------------------------------
@@ -269,8 +280,7 @@ def resultant_lanes_c(a, b, p):
 # a nonzero list of rationals (Fractions, or ints) is c times a primitive
 # integer list, and the subresultant sequence of two integer lists keeps
 # its coefficients integral and about as long as the Sylvester minors
-# they are (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971),
-# where Euclid on Fractions pays a gcd per coefficient operation.
+# they are, where Euclid on Fractions pays a gcd per coefficient operation.
 
 
 def _ratio(num, den):
@@ -286,69 +296,6 @@ def _primitive(c):
     ints = [v.numerator * (den // v.denominator) for v in c]
     g = math.gcd(*ints)
     return g, den, [v // g for v in ints]
-
-
-def _prem(a, b):
-    """The pseudo-remainder of the integer lists a and b, deg a >= deg b:
-    lc(b)^(deg a - deg b + 1) a mod b, computed without a division."""
-    db = len(b) - 1
-    lb, low = b[-1], b[:-1]
-    r = list(a)
-    for i in range(len(a) - 1 - db, -1, -1):
-        # r <- lc(b) r - lc(r) x^i b; the top term cancels
-        t = r[i + db]
-        r[:i + db] = ([lb * x for x in r[:i]]
-                      + [lb * x - t * y for x, y in zip(r[i:i + db], low)])
-    return trim_c(r[:db])
-
-
-def _subresultant_prs(a, b):
-    """The subresultant sequence of the integer lists a and b,
-    deg a >= deg b >= 1 (Cohen, GTM 138, Alg. 3.3.7), run until its last
-    member is a constant or zero.  Returns (s, a, b, h): the last two
-    members, h = lc of the last subresultant of degree deg a, and the
-    sign s = +-1 of Res(a, b) = s h^(1 - deg a) b^(deg a) when b is a
-    constant.  When b is zero, a is a gcd of the inputs."""
-    s, g, h = 1, 1, 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da & db & 1:
-            s = -s
-        r = _prem(a, b)
-        # Both divisions are exact.  By the fundamental theorem of
-        # subresultants the pseudo-remainder is g h^delta times the next
-        # subresultant, a polynomial in Z[x] (its coefficients are
-        # minors of the Sylvester matrix); and h^(1 - delta) g^delta is
-        # the leading coefficient of the subresultant of degree deg b,
-        # again a minor, so h^(delta - 1) divides g^delta.
-        den = g * h ** delta
-        a, b = b, [v // den for v in r]
-        g = a[-1]
-        if delta:
-            h = g ** delta // h ** (delta - 1)
-        if len(b) <= 1:
-            return s, a, b, h
-
-
-def _resultant_q(a, b):
-    """Res(a, b) of nonzero rational lists, as a plain value."""
-    da, db = len(a) - 1, len(b) - 1
-    na, ma, a = _primitive(a)
-    nb, mb, b = _primitive(b)
-    num, den = na ** db * nb ** da, ma ** db * mb ** da
-    if da < db:
-        a, b, da, db = b, a, db, da
-        if da & db & 1:
-            num = -num
-    if db == 0:
-        return _ratio(num * b[0] ** da, den)
-    s, a, b, h = _subresultant_prs(a, b)
-    if not b:
-        return 0
-    # the last subresultant, h^(1 - deg a) b^(deg a), lies in Z
-    da = len(a) - 1
-    return _ratio(num * (s * b[0] ** da // h ** (da - 1)), den)
 
 
 def _exact_div_q(a, b):
@@ -615,13 +562,23 @@ def poly_gcd(a, b):
 
 def poly_xgcd(a, b):
     """Extended gcd: returns (g, s, t) with s*a + t*b = g, g monic."""
-    g, s, t = xgcd_c(a.c, b.c, a.field.characteristic)
-    return plain_poly(a.field, g), plain_poly(a.field, s), plain_poly(a.field, t)
+    p = a.field.characteristic
+    g, s = xgcd_c(a.c, b.c, p)
+    return tuple(plain_poly(a.field, c) for c in (g, s, cofactor_c(a.c, b.c, g, s, p)))
 
 
 def resultant(a, b):
-    """Resultant of a and b via the Euclidean remainder sequence."""
-    return a.field.box(resultant_c(a.c, b.c, a.field.characteristic))
+    """Res(a, b), as one lane of ``resultant_lanes_c``.  Over Q on the
+    primitive parts: with a = c A and b = d B,
+    Res(a, b) = c^(deg b) d^(deg a) Res(A, B)."""
+    field, p, A, B = a.field, a.field.characteristic, a.c, b.c
+    if not A or not B:
+        return field.zero
+    if p:
+        return field.box(_one_lane(A, B, p)[0])
+    (na, ma, A), (nb, mb, B) = _primitive(A), _primitive(B)
+    da, db = len(A) - 1, len(B) - 1
+    return field.box(_ratio(na ** db * nb ** da * _one_lane(A, B, 0)[0], ma ** db * mb ** da))
 
 
 def is_squarefree(a):

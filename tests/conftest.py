@@ -75,6 +75,55 @@ def watch_plain_values(monkeypatch, check):
     return built
 
 
+# -- boxed references: loops on lists of field elements -----------------
+
+
+def ref_trim(c):
+    """A copy of c without trailing zeros."""
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def ref_divmod(K, a, b):
+    """(quotient, remainder) of a by the nonzero b, one field operation
+    at a time."""
+    q = [K.zero] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    dinv = K.inv(b[-1])
+    db = len(b) - 1
+    for i in range(len(r) - 1 - db, -1, -1):
+        t = r[i + db] * dinv
+        if not t:
+            continue
+        q[i] = t
+        for j, y in enumerate(b):
+            r[i + j] = r[i + j] - t * y
+    return ref_trim(q), ref_trim(r)
+
+
+def ref_resultant(K, a, b):
+    """Res(a, b) by Euclid on field elements: with r = a mod b,
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r).  The
+    oracle of every resultant of the package, whose code it shares
+    with no routine there."""
+    if not a or not b:
+        return K.zero
+    res = K.one
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * b[0] ** da
+        r = ref_divmod(K, a, b)[1]
+        if not r:
+            return K.zero
+        res = res * b[-1] ** (da - len(r) + 1)
+        if da % 2 and db % 2:
+            res = -res
+        a, b = b, r
+
+
 def identity(dim, K):
     """The dim x dim identity matrix over K."""
     return [[K.one if i == j else K.zero for j in range(dim)] for i in range(dim)]

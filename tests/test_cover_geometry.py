@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 from fractions import Fraction
@@ -8,11 +9,12 @@ from dihedralcovers.fields import QQ, GF
 from dihedralcovers.homog import HForm
 from dihedralcovers.parsing import parse_form
 from dihedralcovers import cover_geometry as cg, cli, linalg, poly
-from dihedralcovers.poly import plain_poly, trim_c, eval_c, resultant_c, interpolate_c
+from dihedralcovers.poly import lagrange_interpolate
 from dihedralcovers.hyperelliptic import (class_from_matrix, class_order,
                                           matrix_from_class, enumerate_two_torsion)
 
-from conftest import split_curve, random_class, watch_plain_values
+from conftest import (split_curve, random_class, watch_plain_values, ref_trim, ref_divmod,
+                      ref_resultant)
 
 
 P2 = cg.ProjectiveSpace(2, 1)
@@ -423,21 +425,66 @@ def test_coordinate_change_is_invertible_over_the_field():
         assert linalg.rank(rows) == 3
 
 
-# -- the lane route against one remainder sequence per node -------------
+# -- the lane route against one boxed remainder sequence per node --------
+
+
+def node_pairs(f, g):
+    """(nodes, pairs): the nodes x0 = 0, 1, ..., deg f deg g of
+    ``resultant_wrt_last`` (x1 = 1), and at each the x2-charts of f and g
+    evaluated there, as lists of field elements."""
+    K = f.field
+    xs = [K.of(x) for x in range(f.deg * g.deg + 1)]
+    charts = [[c.to_univar() for c in h.coeffs_in(2)] for h in (f, g)]
+    return xs, [[ref_trim([c(x) for c in cs]) for cs in charts] for x in xs]
 
 
 def per_node_resultant_wrt_last(f, g):
-    """Res_x2(f, g) as ``resultant_wrt_last`` computed it before its nodes
-    shared a remainder sequence: ``resultant_c`` at each node x0 = 0, 1,
-    ..., on the charts evaluated there (Fractions over Q), then Newton
-    interpolation."""
-    cf = [c.to_univar().c for c in f.coeffs_in(2)]
-    cg = [c.to_univar().c for c in g.coeffs_in(2)]
-    p = f.field.characteristic
-    xs = range(f.deg * g.deg + 1)
-    ys = [resultant_c(trim_c([eval_c(c, x, p) for c in cf]),
-                      trim_c([eval_c(c, x, p) for c in cg]), p) for x in xs]
-    return HForm.from_univar(plain_poly(f.field, interpolate_c(xs, ys, p)), f.deg * g.deg)
+    """Res_x2(f, g) from the boxed Euclid of ``ref_resultant`` at each
+    node, then interpolation: code the lanes do not share."""
+    xs, pairs = node_pairs(f, g)
+    ys = [ref_resultant(f.field, a, b) for a, b in pairs]
+    return HForm.from_univar(lagrange_interpolate(f.field, list(zip(xs, ys))), f.deg * g.deg)
+
+
+def ref_remainders(K, a, b):
+    """The boxed Euclidean remainder sequence b, a mod b, ... down to its
+    last nonzero member."""
+    seq = [b]
+    while True:
+        r = ref_divmod(K, a, seq[-1])[1]
+        if not r:
+            return seq
+        a = seq[-1]
+        seq.append(r)
+
+
+def check_lanes(K, pairs):
+    """``resultant_lanes_c`` on the pairs of element lists, over Q on
+    ints, against the boxed sequences: each lane's resultant, and its last
+    remainder, a gcd of its pair, up to a scalar.  Returns the remainder
+    degrees of each lane's sequence."""
+    def plain(x):
+        v = K.unbox(x)
+        assert Fraction(v).denominator == 1
+        return int(v)
+
+    lanes = [[[plain(c[i]) for c in col] for i in range(len(col[0]))] for col in zip(*pairs)]
+    res, rems = poly.resultant_lanes_c(*lanes, K.characteristic)
+    degrees = []
+    for (a, b), got, rem in zip(pairs, res, rems):
+        assert K.of(got) == ref_resultant(K, a, b)
+        seq = ref_remainders(K, a, b) if len(a) >= len(b) else ref_remainders(K, b, a)
+        last = seq[-1]
+        assert [K.of(v) / K.of(rem[-1]) for v in rem] == [v / last[-1] for v in last]
+        degrees.append([len(r) - 1 for r in seq])
+    return degrees
+
+
+def integral(h):
+    """h times the lcm of its denominators (h itself over GF(p))."""
+    if h.field.characteristic:
+        return h
+    return h * math.lcm(*[Fraction(v).denominator for v in h.terms.values()])
 
 
 LANE_FIELDS = [QQ, GF(101), GF(1009), GF(cg.CERTIFICATE_PRIME)]
@@ -454,18 +501,6 @@ def _lane_form(K, rng, deg):
     terms = {(i, j, deg - i - j): value() for i in range(deg + 1) for j in range(deg + 1 - i)}
     terms[(0, 0, deg)] = 1 + rng.randrange(5)
     return HForm(K, 3, deg, terms)
-
-
-def _count_per_node_runs(monkeypatch):
-    """Record the lanes that ``resultant_lanes_c`` hands to ``resultant_c``."""
-    runs = []
-    resultant = poly.resultant_c
-
-    def spy(a, b, p):
-        runs.append((a, b))
-        return resultant(a, b, p)
-    monkeypatch.setattr(poly, "resultant_c", spy)
-    return runs
 
 
 @pytest.mark.parametrize("K", LANE_FIELDS, ids=LANE_IDS)
@@ -485,27 +520,50 @@ def test_lanes_match_the_per_node_resultants(K):
 
 
 @pytest.mark.parametrize("K", LANE_FIELDS, ids=LANE_IDS)
-def test_a_shared_component_takes_every_lane_out(K, monkeypatch):
+def test_a_shared_component_takes_every_lane_out(K):
     rng = random.Random(5)
     line = parse_form("x0 - 2*x1 + x2", K, 3)
-    f, g = line * _lane_form(K, rng, 3), line * _lane_form(K, rng, 1)
-    runs = _count_per_node_runs(monkeypatch)
+    f, g = integral(line * _lane_form(K, rng, 3)), integral(line * _lane_form(K, rng, 1))
     R = cg.resultant_wrt_last(f, g)
-    # every lane ends on a zero remainder, which proves Res = 0 there
-    assert R.is_zero() and R.deg == 8 and not runs
+    assert R.is_zero() and R.deg == 8
     assert per_node_resultant_wrt_last(f, g).is_zero()
+    # every lane ends on a zero remainder: its divisor, the line's chart
+    # x2 + x0 - 2, is the last remainder
+    assert all(d[-1] == 1 for d in check_lanes(K, node_pairs(f, g)[1]))
 
 
 @pytest.mark.parametrize("K", LANE_FIELDS, ids=LANE_IDS)
-def test_a_lane_whose_remainder_drops_two_degrees(K, monkeypatch):
+def test_a_lane_whose_remainder_drops_two_degrees(K):
     # at x0 = 2 (x1 = 1): f = x2^3 + x2 + 8 and g = x2^2 + 1, so f mod g
     # is the constant 8; at x0 = t the x2-coefficient of f mod g is (t - 2)^2
     f = parse_form("x2^3 + x1^2*x2 + x0^3", K, 3)
     g = parse_form("x2^2 + x0*x2 - 2*x1*x2 + x1^2", K, 3)
-    runs = _count_per_node_runs(monkeypatch)
-    assert cg.resultant_wrt_last(f, g) == per_node_resultant_wrt_last(f, g)
-    assert len(runs) == 1 and [len(c) for c in runs[0]] == [4, 3]
-    assert runs[0][1] == [1, 0, 1]                  # the lane of x0 = 2
-    runs.clear()
-    assert cg.resultant_wrt_last(g, f) == per_node_resultant_wrt_last(g, f)
-    assert len(runs) == 1
+    for f, g in ((f, g), (g, f)):
+        assert cg.resultant_wrt_last(f, g) == per_node_resultant_wrt_last(f, g)
+        degrees = check_lanes(K, node_pairs(f, g)[1])
+        assert degrees[2] == [2, 0]
+        assert all(d[:2] == [2, 1] for x, d in enumerate(degrees) if x != 2)
+
+
+@pytest.mark.parametrize("K", [QQ, GF(101)], ids=["Q", "Fp101"])
+def test_lanes_regroup_when_remainders_fall_to_lower_degrees(K):
+    """Sparse small coefficients make remainders fall by more than one
+    degree, in different lanes to different degrees.  In this seeded set
+    one step of a group sends its lanes to two different degrees, both
+    below the next one down, and one lane falls short twice; each lane
+    still gets its own resultant and gcd."""
+    rng = random.Random(41)
+
+    def lane_poly(deg):
+        return [K.of(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(deg)] + [K.of(1 + rng.randrange(3))]
+
+    degrees = check_lanes(K, [(lane_poly(6), lane_poly(5)) for _ in range(60)])
+    # by the degree sequence so far (the group), the degrees of the next
+    # remainder that fall short of the one below the divisor
+    short = {}
+    for d in degrees:
+        for i in range(1, len(d)):
+            if 0 <= d[i] < d[i - 1] - 1:
+                short.setdefault(tuple(d[:i]), set()).add(d[i])
+    assert any(len(v) > 1 for v in short.values())
+    assert any(sum(0 <= d[i] < d[i - 1] - 1 for i in range(1, len(d))) > 1 for d in degrees)

@@ -125,28 +125,38 @@ def _route_cases():
 def test_each_route_is_taken(monkeypatch):
     """Coprime pairs and zero operands take the CRT composition; the
     double, the sum with the negative and pairs sharing a root of u
-    (u1 != u2) take Cantor's two gcds, ``_compose``.  Each agrees with
-    the oracle."""
-    calls = []
-    compose = hyperelliptic._compose
+    (u1 != u2) take Cantor's composition, ``_compose``.  One Euclid,
+    ``xgcd_c(u1, u2)``, picks the route, and only ``_compose`` runs a
+    second.  Each agrees with the oracle."""
+    calls = {"_compose": [], "xgcd_c": []}
 
-    def recorded(*args):
-        calls.append(args)
-        return compose(*args)
+    def record(name):
+        run = getattr(hyperelliptic, name)
 
-    monkeypatch.setattr(hyperelliptic, "_compose", recorded)
+        def recorded(*args):
+            calls[name].append(args)
+            return run(*args)
+        monkeypatch.setattr(hyperelliptic, name, recorded)
+
+    record("_compose")
+    record("xgcd_c")
     cases = _route_cases()
     assert {name for name, _, _ in cases} == {"coprime", "zero operand", "c + c",
                                               "c + (-c)", "shared factor"}
     for name, a, b in cases:
-        del calls[:]
+        for c in calls.values():
+            del c[:]
         total = cantor_add(a, b)
         assert total == oracle_cantor_add(a, b), name
-        assert len(calls) == (name not in ("coprime", "zero operand")), name
+        composed = name not in ("coprime", "zero operand")
+        assert len(calls["_compose"]) == composed, name
+        assert len(calls["xgcd_c"]) == 1 + composed, name
+        assert calls["xgcd_c"][0][:2] == (a.u.c, b.u.c), name
         if name == "shared factor":
             assert a.u != b.u and poly_gcd(a.u, b.u).degree == 1
         if name == "c + (-c)":
-            assert total.is_zero()
+            # v1 + v2 = 0, so the second Euclid's b is zero
+            assert total.is_zero() and calls["xgcd_c"][1][1] == []
 
 
 def test_addition_tables_match_the_oracle():

@@ -1,33 +1,31 @@
 """The coefficient-list routines of ``poly`` against the boxed loops.
 
-The reference below is the arithmetic ``Poly`` ran before it stored
-plain values: schoolbook loops on lists of field elements (``FpElem``
-or ``Fraction``), one field operation at a time.  Every routine of the
-list kernel must give the same coefficients over GF(3), GF(5),
-GF(1009), GF(2^61 - 1) and Q.
+The reference below (with ``ref_trim``, ``ref_divmod`` and
+``ref_resultant`` of conftest.py) is the arithmetic ``Poly`` ran before
+it stored plain values: schoolbook loops on lists of field elements
+(``FpElem`` or ``Fraction``), one field operation at a time.  Every
+routine of the list kernel must give the same coefficients over GF(3),
+GF(5), GF(1009), GF(2^61 - 1) and Q.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from dihedralcovers.fields import GF, QQ
-from dihedralcovers.poly import (Poly, add_c, sub_c, mul_c, divmod_c, gcd_c, xgcd_c,
-                                 monic_c, scale_c, resultant_c, eval_c, interpolate_c, powmod_c,
-                                 poly_gcd, poly_xgcd, resultant, lagrange_interpolate)
+from dihedralcovers.poly import (Poly, plain_poly, add_c, sub_c, mul_c, divmod_c, gcd_c,
+                                 xgcd_c, cofactor_c, monic_c, scale_c, resultant_lanes_c,
+                                 eval_c, interpolate_c, powmod_c, poly_gcd, poly_xgcd,
+                                 resultant, lagrange_interpolate)
+
+from conftest import ref_trim, ref_divmod, ref_resultant
 
 FIELDS = [GF(3), GF(5), GF(1009), GF(2 ** 61 - 1), QQ]
 
 
 # -- the reference: boxed loops on lists of field elements ---------------
-
-
-def ref_trim(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c
 
 
 def ref_add(K, a, b):
@@ -50,21 +48,6 @@ def ref_mul(K, a, b):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return ref_trim(out)
-
-
-def ref_divmod(K, a, b):
-    q = [K.zero] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    dinv = K.inv(b[-1])
-    db = len(b) - 1
-    for i in range(len(r) - 1 - db, -1, -1):
-        t = r[i + db] * dinv
-        if not t:
-            continue
-        q[i] = t
-        for j, y in enumerate(b):
-            r[i + j] = r[i + j] - t * y
-    return ref_trim(q), ref_trim(r)
 
 
 def ref_monic(K, a):
@@ -93,23 +76,6 @@ def ref_xgcd(K, a, b):
         return r0, s0, t0
     inv = K.inv(r0[-1])
     return tuple(ref_trim([x * inv for x in c]) for c in (r0, s0, t0))
-
-
-def ref_resultant(K, a, b):
-    if not a or not b:
-        return K.zero
-    res = K.one
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            return res * b[0] ** da
-        r = ref_divmod(K, a, b)[1]
-        if not r:
-            return K.zero
-        res = res * b[-1] ** (da - len(r) + 1)
-        if da % 2 and db % 2:
-            res = -res
-        a, b = b, r
 
 
 def ref_eval(K, a, x):
@@ -227,7 +193,8 @@ def test_q_division_gives_ints_where_integral():
     assert (q, r) == ([Fraction(1, 2), 3], [Fraction(3, 2)])
     assert [type(v) for v in q] == [Fraction, int]
     results = [monic_c([2, 4], 0), scale_c([Fraction(1, 2), Fraction(3, 2)], 2, 0),
-               *xgcd_c([-1, 0, 1], [1, 1], 0), *divmod_c([Fraction(3, 2), 3], [3], 0)]
+               *xgcd_c([-1, 0, 1], [1, 1], 0), cofactor_c([-1, 0, 1], [1, 1], [1, 1], [], 0),
+               *divmod_c([Fraction(3, 2), 3], [3], 0)]
     assert results == [[Fraction(1, 2), 1], [1, 3], [1, 1], [], [1], [Fraction(1, 2), 1], []]
     for c in results:
         assert_plain(QQ, c)
@@ -251,23 +218,62 @@ def test_exact_division_matches_the_boxed_loop():
     run()
 
 
+def one_lane(K, a, b):
+    """(Res(a, b), last nonzero remainder) of the nonzero plain lists a and
+    b from one lane of ``resultant_lanes_c``, the resultant as a field
+    element.  Over Q the lists are scaled to ints first, and
+    Res(m a, n b) = m^(deg b) n^(deg a) Res(a, b)."""
+    p, scale = K.characteristic, 1
+    if not p:
+        m, n = (math.lcm(*[Fraction(v).denominator for v in c]) for c in (a, b))
+        scale = m ** (len(b) - 1) * n ** (len(a) - 1)
+        a, b = [int(v * m) for v in a], [int(v * n) for v in b]
+    res, rems = resultant_lanes_c([[v] for v in a], [[v] for v in b], p)
+    return K.of(res[0]) / K.of(scale), rems[0]
+
+
+def check_gcd_and_resultant(K, a, b):
+    """gcd_c, poly.resultant and one lane against the boxed loops."""
+    p = K.characteristic
+    A, B = plain(K, a), plain(K, b)
+    g = gcd_c(A, B, p)
+    assert_plain(K, g)
+    assert g == plain(K, ref_gcd(K, a, b)) == poly_gcd(Poly(K, a), Poly(K, b)).c
+    want = ref_resultant(K, a, b)
+    got = resultant(Poly(K, a), Poly(K, b))
+    assert got == want and type(got) is type(want)
+    if a and b:
+        res, rem = one_lane(K, A, B)
+        assert res == want
+        # the lane's last remainder is a gcd, a constant when Res != 0
+        assert monic_c(rem, p) == g if not want else len(rem) == 1
+
+
 def test_gcd_xgcd_resultant_match_the_boxed_loops():
     @with_polys(2)
     def run(K, a, b):
         p = K.characteristic
         A, B = plain(K, a), plain(K, b)
-        g = gcd_c(A, B, p)
-        assert_plain(K, g)
-        assert g == plain(K, ref_gcd(K, a, b)) == poly_gcd(Poly(K, a), Poly(K, b)).c
-        got = xgcd_c(A, B, p)
-        for c in got:
+        check_gcd_and_resultant(K, a, b)
+        want = [plain(K, c) for c in ref_xgcd(K, a, b)]
+        g, s = xgcd_c(A, B, p)
+        t = cofactor_c(A, B, g, s, p)
+        for c in (g, s, t):
             assert_plain(K, c)
-        assert list(got) == [plain(K, c) for c in ref_xgcd(K, a, b)]
-        assert [f.c for f in poly_xgcd(Poly(K, a), Poly(K, b))] == list(got)
-        res = resultant_c(A, B, p)
-        assert res == K.unbox(ref_resultant(K, a, b))
-        assert resultant(Poly(K, a), Poly(K, b)) == ref_resultant(K, a, b)
+        assert [g, s, t] == want
+        assert [f.c for f in poly_xgcd(Poly(K, a), Poly(K, b))] == want
     run()
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=str)
+def test_xgcd_of_zero_operands(K):
+    p, f = K.characteristic, [K.of(2), K.one]
+    for a, b in (([], []), (f, []), ([], f)):
+        want = [plain(K, c) for c in ref_xgcd(K, a, b)]
+        g, s = xgcd_c(plain(K, a), plain(K, b), p)
+        assert [g, s, cofactor_c(plain(K, a), plain(K, b), g, s, p)] == want
+        assert [c.c for c in poly_xgcd(Poly(K, a), Poly(K, b))] == want
+    assert xgcd_c([], [], p) == ([], [1]) and want[1:] == [[], [1]]
 
 
 def test_common_factor_gives_gcd_and_zero_resultant():
@@ -280,12 +286,16 @@ def test_common_factor_gives_gcd_and_zero_resultant():
         g = gcd_c(ah, bh, p)
         if ah or bh:
             assert not divmod_c(g, plain(K, ref_monic(K, h)), p)[1]
-        assert resultant_c(ah, bh, p) == (0 if p else Fraction(0))
+        assert resultant(plain_poly(K, ah), plain_poly(K, bh)) == K.zero
+        if ah and bh:
+            res, rem = one_lane(K, ah, bh)
+            assert res == K.zero and monic_c(rem, p) == g
     run()
 
 
 # over Q: (a, b) pairs for the cases the integer subresultant sequence
-# treats apart, as int or Fraction coefficients, low degree first
+# treats apart, as int or Fraction coefficients, low degree first; every
+# field of FIELDS runs them too (a Fraction keeps its numerator there)
 Q_CASES = [
     ([Fraction(3, 4)], [1, 2, 3]),                          # constant operand
     ([1, 2, 3], [Fraction(-5, 2)]),
@@ -302,24 +312,22 @@ Q_CASES = [
 
 @pytest.mark.parametrize("a,b", Q_CASES)
 def test_q_gcd_and_resultant_cases_match_the_boxed_loops(a, b):
-    a, b = [QQ.of(v) for v in a], [QQ.of(v) for v in b]
-    for x, y in ((a, b), (b, a)):
-        assert gcd_c(x, y, 0) == ref_gcd(QQ, x, y)
-        assert resultant_c(x, y, 0) == ref_resultant(QQ, x, y)
-        assert type(resultant_c(x, y, 0)) in (int, Fraction)
+    for K in FIELDS:
+        x, y = (ref_trim([embed(K, v) for v in c]) for c in (a, b))
+        check_gcd_and_resultant(K, x, y)
+        check_gcd_and_resultant(K, y, x)
 
 
 def test_q_gcd_and_resultant_through_degree_gaps():
     # small sparse coefficients make remainder degrees drop by two or
     # more, the steps where the subresultant sequence updates h by
-    # g^delta / h^(delta - 1)
+    # g^delta / h^(delta - 1); over Q and every GF(p) of FIELDS
     rng = random.Random(17)
     for _ in range(400):
-        a, b = ([QQ.of(rng.choice((0, 0, 1, -1, 2, -3, Fraction(1, 2))))
+        a, b = ([rng.choice((0, 0, 1, -1, 2, -3, Fraction(1, 2)))
                  for _ in range(rng.randint(1, 9))] for _ in range(2))
-        a, b = ref_trim(a), ref_trim(b)
-        assert gcd_c(a, b, 0) == ref_gcd(QQ, a, b)
-        assert resultant_c(a, b, 0) == ref_resultant(QQ, a, b)
+        for K in FIELDS:
+            check_gcd_and_resultant(K, *[ref_trim([embed(K, v) for v in c]) for c in (a, b)])
 
 
 @pytest.mark.parametrize("K,nodes", [(GF(1009), (5, 3, 5)),
