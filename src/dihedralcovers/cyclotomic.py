@@ -19,8 +19,9 @@ rows, then one gcd pass; a product with a rational factor is a scalar
 multiple, and one with zeta^k a rotation of the numerators
 (``times_zeta``).  Conjugation sends t^k to zeta^(-k); as an
 automorphism of Z[zeta_n], whose Z-basis the t^k are, it keeps the
-numerators' content.  Inversion runs the extended Euclidean algorithm against the
-modulus.  The field satisfies the descriptor protocol of
+numerators' content.  Inversion runs the extended Euclidean algorithm on
+the numerator list against the modulus, tracking only the numerator's
+cofactor.  The field satisfies the descriptor protocol of
 :mod:`dihedralcovers.fields` (zero, one, of, inv, to_ints, from_ints),
 so generic linear algebra and the cover algebra run over it unchanged.
 """
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .fields import QQ
-from .poly import Poly, poly_xgcd
+from .poly import Poly, plain_poly, trim_c, xgcd_c
 
 _cyclo_cache = {}
 
@@ -151,11 +152,12 @@ class CycloElem:
 
     def inverse(self):
         K = self.field
-        g, s, _ = poly_xgcd(Poly(QQ, list(self.num)), K.modulus)
-        if g.degree != 0:
+        # s num = g mod Phi_n; Phi_n's cofactor is not needed
+        g, s = xgcd_c(trim_c(list(self.num)), K.modulus.c, 0)
+        if len(g) != 1:
             raise ZeroDivisionError("non-invertible cyclotomic element")
         # g is monic, so s * num = 1 and (num / den)^(-1) = s * den
-        return K._reduce(s) * self.den
+        return K._reduce(plain_poly(QQ, s)) * self.den
 
     def conjugate(self):
         """Complex conjugation zeta -> zeta^(-1), so t^k -> zeta^(-k)."""

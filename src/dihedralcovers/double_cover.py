@@ -11,7 +11,8 @@ so P^2 + q f = F with deg P = l, deg f = l - a + b, deg q = l + a - b.
 A :class:`BundlePair` stores (a, b, P, f, q) over a
 :class:`DoubleCoverRing` and normalizes q (or f, when q vanishes) to be
 monic, which is the scaling freedom of the choice of basis; its
-``validate`` checks the degrees and P^2 + q f = F on construction.
+``validate`` checks the degrees and P^2 + q f = F on construction, and
+keeps the charts F(x, 1) of (P, f, q) it computed as ``charts``.
 
 A ring exists only for a squarefree F, that is for a normal cover; any
 other F raises :class:`NonNormalRingError`, a ``ValueError``.  The
@@ -26,25 +27,32 @@ Operations:
   cokernel of psi = N1 (x) Id - Id (x) N2 and reading the z-action off a
   kernel basis of the transpose, whose rank is always 2 and whose twist
   sum is known beforehand: l - (a1 + b1 + a2 + b2), the first Chern
-  class of the product;
+  class of the product.  The kernel {X : N1^T X = X N2} is cut out by
+  its column 0 alone, (N1^T - P2) X e0 = q2 X e1: q2 times column 1,
+  (N1^T + P2) X e1 = f2 X e0, is (N1^T + P2)(N1^T - P2) X e0 =
+  (F - P2^2) X e0 = q2 f2 X e0, and q2 != 0, since P2^2 + q2 f2 = F and
+  a squarefree F of positive degree is not a square.  So only the two
+  column-0 rows of psi^T are built;
 * ``inverse`` flips the sign of P, which realizes the dual module up to
   the standard twist;
 * ``is_isomorphic`` compares the twists and the normal forms
   (``BundlePair.normal_form``); where there is none (a = b, F(1, 0) not
-  a square) it solves the intertwining equation exactly and evaluates
-  the determinant quadratic form on a basis of the solutions and on
-  pairwise sums (valid in characteristic != 2);
+  a square) it solves the intertwining equation exactly, again on its
+  column 0 alone (here q1 != 0), and evaluates the determinant
+  quadratic form on a basis of the solutions and on pairwise sums
+  (valid in characteristic != 2);
 * ``divisor_of_section`` returns the vanishing divisor of a global
   section in (u, v) coordinates.
 
 ``tensor``, ``is_isomorphic`` and the checks of a pair work on the
-charts F(x, 1) of N's entries (``_charts``): the twists (a, b, l) fix
-every degree, and forms are made only for the result.  The linear
-equations (the graded kernel in at most three degrees, and the
-intertwining equation) come from ``linalg.convolution_matrix``; the
-z-action on the kernel is an exact division of charts by a nonzero
-2 x 2 minor of the kernel basis (its adjugate), checked on the other
-two rows, and needs no solve.
+charts F(x, 1) of N's entries, which a pair keeps (``BundlePair.charts``,
+``_charts``): the twists (a, b, l) fix every degree, and forms are made
+only for the result.  The linear equations (the graded kernel's
+nullspaces in at most two degrees, one when the product's twists differ
+by at most 1, and the intertwining equation) come from
+``linalg.convolution_matrix``; the z-action on the kernel is an exact
+division of charts by a nonzero 2 x 2 minor of the kernel basis (its
+adjugate), checked on the other two rows, and needs no solve.
 """
 
 import math
@@ -125,7 +133,7 @@ class BundlePair:
     """A trace-free matrix presentation (a, b, P, f, q) of a rank-one
     module on a double cover ring."""
 
-    __slots__ = ("ring", "a", "b", "P", "f", "q")
+    __slots__ = ("ring", "a", "b", "P", "f", "q", "charts")
 
     def __init__(self, ring, a, b, P, f, q):
         field = ring.field
@@ -149,15 +157,19 @@ class BundlePair:
         self._normalize()
 
     def _normalize(self):
-        lead = (self.q._chart() or self.f._chart() or [1])[-1]
+        P, f, q = self.charts
+        lead = (q or f or [1])[-1]
         if lead == 1:
             return
-        inv = inv_c(lead, self.ring.field.characteristic)
+        p = self.ring.field.characteristic
+        inv = inv_c(lead, p)
         # conjugating by diag(1, lead) scales q by 1/lead and f by lead
-        if self.q:
+        if q:
             self.q, self.f = self.q * inv, self.f * lead
+            self.charts = (P, scale_c(f, lead, p), scale_c(q, inv, p))
         else:
             self.f, self.q = self.f * inv, self.q * lead
+            self.charts = (P, scale_c(f, inv, p), q)
 
     @property
     def splitting(self):
@@ -165,7 +177,8 @@ class BundlePair:
 
     def validate(self):
         """Check the entries' degrees and the determinant constraint
-        P^2 + q f = F, which says N^2 = F * Id; raises ValueError."""
+        P^2 + q f = F, which says N^2 = F * Id, and keep the charts of
+        (P, f, q) as ``charts``; raises ValueError."""
         l = self.ring.l
         for name, e, d in (("P", self.P, l), ("f", self.f, l - self.a + self.b),
                            ("q", self.q, l + self.a - self.b)):
@@ -176,6 +189,7 @@ class BundlePair:
         P, f, q = self.P._chart(), self.f._chart(), self.q._chart()
         if add_c(mul_c(P, P, p), mul_c(q, f, p), p) != self.ring.F._chart():
             raise ValueError("determinant constraint P^2 + q*f = F violated")
+        self.charts = (P, f, q)
         return True
 
     def normal_form(self):
@@ -192,9 +206,9 @@ class BundlePair:
         makes the new P(1, 0) the field's square root of F(1, 0)."""
         ring = self.ring
         p, l = ring.field.characteristic, ring.l
-        P, q = self.P._chart(), self.q._chart()
+        P, f, q = self.charts
         if self.a == self.b:
-            f, F = self.f._chart(), ring.F._chart()
+            F = ring.F._chart()
             s = _square_root(ring.field, F[2 * l] if len(F) > 2 * l else 0)
             if s is None:
                 return None
@@ -218,7 +232,7 @@ class BundlePair:
         return self.a, self.b, tuple(reduce_c(P, p)), tuple(q)
 
     def is_trivial(self):
-        return self.a == 0 and self.P.is_zero() and self.q.deg == 0
+        return self.a == 0 and not self.charts[0] and self.q.deg == 0
 
     def c1(self):
         return -self.a - self.b
@@ -281,9 +295,8 @@ def _zero_or_raise(field, val):
 
 def _charts(pair):
     """N = [[P, f], [q, -P]] as the charts F(x, 1) of its entries."""
-    p = pair.ring.field.characteristic
-    P = pair.P._chart()
-    return [[P, pair.f._chart()], [pair.q._chart(), neg_c(P, p)]]
+    P, f, q = pair.charts
+    return [[P, f], [q, neg_c(P, pair.ring.field.characteristic)]]
 
 
 def tensor(p1, p2):
@@ -296,6 +309,15 @@ def tensor(p1, p2):
     (c1 = c1(p1) + c1(p2) - c1(O)), and certifies there.
     Everything runs on charts, with e_i (x) e_j at index 2i + j of
     O(-rows[2i + j]); forms are made only for the result.
+
+    The kernel of psi^T is {X : N1^T X = X N2}, and only its column 0,
+    (N1^T - P2) X e0 = q2 X e1 (the rows 2k + m of psi^T with m = 0), is
+    passed on.  Column 1 reads (N1^T + P2) X e1 = f2 X e0; times q2 it is
+    (N1^T + P2)(N1^T - P2) X e0 = (F - P2^2) X e0 = q2 f2 X e0, which
+    column 0 implies.  q2 != 0, because P2^2 + q2 f2 = F and a squarefree
+    F of positive degree is not a square, and the charts lie in a domain,
+    so the two rows have the kernel of all four in every degree: the
+    same row space, rref and nullspace basis.
 
     The z-action M on the kernel K (4 x 2) solves K(-l) M = (N1 (x) Id)^T K.
     Two rows j1, j2 of K with a nonzero determinant D give B M = C for
@@ -313,15 +335,16 @@ def tensor(p1, p2):
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
     cols = [r + l for r in rows]
     n1, n2 = _charts(p1), _charts(p2)
-    # psi^T: entry ((k, m), (i, j)) is N1[i][k] [j == m] - [i == k] N2[j][m]
-    psiT = [[sub_c(n1[i][k] if j == m else [], n2[j][m] if i == k else [], p)
+    # the column-0 rows (k, 0) of psi^T: entry (i, j) is
+    # N1[i][k] [j == 0] - [i == k] N2[j][0]; the column-1 rows follow from them
+    psiT = [[sub_c(n1[i][k] if j == 0 else [], n2[j][0] if i == k else [], p)
              for i in range(2) for j in range(2)]
-            for k in range(2) for m in range(2)]
+            for k in range(2)]
     # psi^T has a kernel of rank 2: each N_i is trace free, nonzero and
     # squares to F, so over the fraction field with z = sqrt(F) adjoined it
     # diagonalizes with eigenvalues z and -z (distinct, as F != 0 and the
     # characteristic is not 2), and psi has eigenvalues 0, 0, 2z, -2z
-    tw, gens, minor = kernel_basis(field, psiT, [-c for c in cols], [-r for r in rows], 2,
+    tw, gens, minor = kernel_basis(field, psiT, [-cols[0], -cols[2]], [-r for r in rows], 2,
                                    l - (p1.a + p1.b + p2.a + p2.b))
     return BundlePair(ring, -tw[0], -tw[1], *_z_action(field, l, n1, tw, gens, minor))
 
@@ -398,12 +421,15 @@ def is_isomorphic(p1, p2):
     degs = [src[b] - tgt[a] for a in range(2) for b in range(2)]
     n1, n2 = _charts(p1), _charts(p2)
     p = field.characteristic
-    coeffs = [[sub_c(n1[b][j] if a == i else [], n2[i][a] if b == j else [], p)
+    # only the column-0 equations (i, 0): q1 Psi e1 = (N2 - P1) Psi e0, and
+    # times q1 the column-1 equations (N2 + P1) Psi e1 = f1 Psi e0 become
+    # (F - P1^2) Psi e0 = q1 f1 Psi e0; q1 != 0, as F is not a square
+    coeffs = [[sub_c(n1[b][0] if a == i else [], n2[i][a] if b == 0 else [], p)
                for a in range(2) for b in range(2)]
-              for i in range(2) for j in range(2)]
-    # the diagonal equations have degree l >= 0, so there is always a row
-    rows_eq = linalg.convolution_matrix(
-        field, coeffs, degs, [src[j] + l - tgt[i] for i in range(2) for j in range(2)])
+              for i in range(2)]
+    # the diagonal equation (0, 0) has degree l >= 0, so there is always a row
+    rows_eq = linalg.convolution_matrix(field, coeffs, degs,
+                                        [src[0] + l - tgt[i] for i in range(2)])
     basis = linalg.nullspace(rows_eq, field)
     if not basis:
         return False

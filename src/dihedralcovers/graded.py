@@ -15,6 +15,12 @@ On a line the kernel of a map of split bundles is itself split
 and its sections in degree t, the kernel of ``linalg.convolution_matrix``
 in that degree, have dimension sum_k max(t - t_k + 1, 0).  So given the
 rank and the twist sum, one dimension names the twists (``kernel_basis``).
+
+A section of degree s is x1^k times one of degree s + k: on charts the
+same vectors, whose top k coefficients vanish in every block present in
+degree s + k.  So the sections of a lower degree are read off a basis of
+those of a higher one by a small elimination (``_read_off``), with no
+second convolution matrix.
 """
 
 from .poly import trim_c, sub_c, mul_c
@@ -35,6 +41,32 @@ def nonzero_minor(u, v, p):
 
 def _vector_charts(field, vec, degs):
     return [trim_c([field.unbox(x) for x in c]) for c in linalg.split_blocks(vec, degs)]
+
+
+def _read_off(sols, degs, k):
+    """The sections k degrees lower, from a basis ``sols`` of the
+    sections whose unknowns have degrees ``degs``: (basis, degrees), the
+    basis as ``linalg.nullspace`` returns it.
+
+    The lower sections are the vectors of the span whose top k
+    coefficients vanish in every present block, with those coefficients
+    dropped.  rref with the top coefficients as the first columns, and
+    the others after them from the last to the first, leaves the rows
+    that vanish there as the rows whose pivot is past the top columns.
+    Read back in the original order, each such row ends in its pivot 1
+    and is zero at the other rows' pivots, which is the one basis of
+    that shape: the one ``nullspace`` builds from its free columns."""
+    tops, rest, pos = [], [], 0
+    for d in degs:
+        n = max(d + 1, 0)
+        cut = pos + max(n - k, 0)
+        rest += range(pos, cut)
+        tops += range(cut, pos + n)
+        pos += n
+    order = tops + rest[::-1]
+    red, pivots = linalg.rref([[v[i] for i in order] for v in sols])
+    lower = [row[len(tops):][::-1] for row, c in zip(red, pivots) if c >= len(tops)]
+    return lower[::-1], [d - k for d in degs]
 
 
 def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
@@ -59,6 +91,12 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
     first generator g0, and the second is the first section in degree
     t1 outside the span of the shifts (x^s g0) of g0.
 
+    Only two degrees take a nullspace.  The first is ceil(S / 2); for an
+    odd S the sections in degree t are read off it (``_read_off``), so
+    twists t0 = t, t1 = t + 1 need no other.  The second is t1 when it
+    lies above ceil(S / 2), and the section in degree t0 is read off
+    degree t.
+
     The certificate: both generators lie in the kernel; they are
     independent over the fraction field (a nonzero minor, or g1 outside
     the shifts of g0, which hold every section proportional to g0 since
@@ -67,6 +105,11 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
     twist sum and the generators span the saturated kernel.  Any other
     dimension raises ``RuntimeError``.
     """
+    def check(sols, t, want):
+        if len(sols) != want:
+            raise RuntimeError("kernel of dimension %d in degree %d, not %d: no rank %d "
+                               "kernel of twist sum %d" % (len(sols), t, want, nullity, twist_sum))
+
     def sections(t, want=None):
         """A basis of the kernel's sections in degree t, as vectors laid
         out like the columns of ``convolution_matrix``, and the unknowns'
@@ -77,9 +120,8 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
         sols = (linalg.nullspace(rows, field) if rows else
                 [[field.one if idx == q else field.zero for idx in range(nunk)]
                  for q in range(nunk)])
-        if want is not None and len(sols) != want:
-            raise RuntimeError("kernel of dimension %d in degree %d, not %d: no rank %d "
-                               "kernel of twist sum %d" % (len(sols), t, want, nullity, twist_sum))
+        if want is not None:
+            check(sols, t, want)
         return sols, degs
 
     if nullity == 1:
@@ -88,9 +130,11 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
     if nullity != 2:
         raise ValueError("kernel rank must be 1 or 2, not %r" % (nullity,))
     t = twist_sum // 2
-    sols, degs = sections(t)
+    up = twist_sum - t
+    top, top_degs = sections(up)
+    sols, degs = (top, top_degs) if up == t else _read_off(top, top_degs, 1)
     tw0 = t - len(sols) + 1
-    if len(sols) == 2 and 2 * t == twist_sum:
+    if len(sols) == 2 and up == t:
         gens = [_vector_charts(field, v, degs) for v in sols]
         minor = nonzero_minor(*gens, field.characteristic)
         if minor:
@@ -101,10 +145,15 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
         raise RuntimeError("kernel of dimension %d in degree %d: no rank 2 kernel of "
                            "twist sum %d" % (len(sols), t, twist_sum))
     if tw0 != t:        # else d = 1 and the one section is g0
-        sols, degs = sections(tw0, 1)
+        sols, degs = _read_off(sols, degs, t - tw0)
+        check(sols, tw0, 1)
     g0 = _vector_charts(field, sols[0], degs)
     k = tw1 - tw0
-    sols, degs = sections(tw1, k + 2)
+    if tw1 == up:
+        sols, degs = top, top_degs
+        check(sols, tw1, k + 2)
+    else:
+        sols, degs = sections(tw1, k + 2)
     # quotient out the shifts of g0: the columns of x^s -> (x^s * g0_j)_j,
     # k + 1 independent vectors since g0 is nonzero
     shifts = linalg.convolution_matrix(field, [[c] for c in g0], [k], degs)

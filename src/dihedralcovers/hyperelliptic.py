@@ -41,7 +41,7 @@ straight from the three charts and never builds it as lists.
 import itertools
 
 from .poly import (Poly, plain_poly, base_field_roots, reduce_c, add_c, neg_c, sub_c,
-                   mul_c, divmod_c, monic_c, xgcd_c, cofactor_c, exact_div_c)
+                   scale_c, mul_c, divmod_c, monic_c, xgcd_c, cofactor_c, exact_div_c)
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair
 from . import linalg, parsing
@@ -395,8 +395,9 @@ def _torsion_blocks(pair, n):
     being f c_(k+2) - 2P c_(k+1) - q c_k."""
     if n < 2:
         raise ValueError("torsion index must be at least 2")
-    a, b = pair.a, pair.b
-    fc, pc, qc = (e.to_univar().c for e in (pair.f, -2 * pair.P, -pair.q))
+    a, b, p = pair.a, pair.b, pair.ring.field.characteristic
+    P, fc, q = pair.charts
+    pc, qc = scale_c(P, -2, p), neg_c(q, p)
     coeffs = []
     for k in range(n - 1):
         row = [[]] * (n + 1)

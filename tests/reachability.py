@@ -63,12 +63,12 @@ TO_INTS = ("field protocol of SimpleCoverAlgebra.mul over GF(p), which "
            "QQ or Q(zeta_n)")
 
 ALLOWED = {
-    "linalg.rref": BENCH,
     "linalg.solve": BENCH,
     "linalg.bareiss_rank": BENCH,
     "linalg._exact": BENCH,
     "linalg._clone": BENCH,
     "poly.resultant": BENCH,
+    "poly.poly_xgcd": BENCH,
     "poly.lagrange_interpolate": BENCH,
     "hyperelliptic.torsion_matrix": BENCH,
     "double_cover.divisor_of_section": BENCH,

@@ -9,7 +9,7 @@ from dihedralcovers import dihedral, linalg
 from dihedralcovers.cover_algebra import AFPoly, SimpleCoverAlgebra
 from dihedralcovers.cyclotomic import CycloElem, CyclotomicField, cyclotomic_polynomial
 from dihedralcovers.fields import GF, QQ
-from dihedralcovers.poly import Poly
+from dihedralcovers.poly import Poly, poly_xgcd
 
 from conftest import identity, matmul
 
@@ -39,6 +39,33 @@ def test_cyclotomic_field_arithmetic():
     assert a * a.inverse() == 1
     assert (z * z.conjugate()) == 1
     assert (z + z.conjugate()).conjugate() == z + z.conjugate()
+
+
+def _inverse_by_poly_xgcd(x):
+    """The earlier inversion: ``poly_xgcd`` on Polys, its t discarded."""
+    K = x.field
+    g, s, _ = poly_xgcd(Poly(QQ, list(x.num)), K.modulus)
+    assert g.degree == 0
+    return K._reduce(s) * x.den
+
+
+def test_inverse_matches_the_poly_xgcd_route():
+    """20 seeded nonzero elements per field: x * x.inverse() == 1, and the
+    inverse equals the one of the full extended gcd on Polys."""
+    rng = random.Random(42)
+    for n in (3, 5, 7, 12, 21):
+        K = CyclotomicField(n)
+        count = 0
+        while count < 20:
+            x = K.of(Poly(QQ, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                for _ in range(K.degree)]))
+            if x == 0:
+                continue
+            inv, want = x.inverse(), _inverse_by_poly_xgcd(x)
+            assert x * inv == 1 and (inv.num, inv.den) == (want.num, want.den), (n, x)
+            count += 1
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicField(5).zero.inverse()
 
 
 def test_cyclotomic_arithmetic_matches_poly_oracle():

@@ -31,20 +31,27 @@ from conftest import split_curve, random_point_class
 # -- the oracle: the intertwining nullspace ------------------------------
 
 
-def _isomorphic_by_nullspace(p1, p2):
+def _intertwining_nullspace(p1, p2, columns=(0, 1)):
+    """The nullspace of the equations (i, j), j in ``columns``, of
+    Psi N1 = N2 Psi(-l), and the unknowns' degrees."""
     field, l = p1.ring.field, p1.ring.l
-    if (p1.a, p1.b) != (p2.a, p2.b):
-        return False
     p = field.characteristic
     tw = [p1.a, p1.b]
     degs = [tw[b] - tw[a] for a in range(2) for b in range(2)]
     n1, n2 = _charts(p1), _charts(p2)
     coeffs = [[sub_c(n1[b][j] if a == i else [], n2[i][a] if b == j else [], p)
                for a in range(2) for b in range(2)]
-              for i in range(2) for j in range(2)]
+              for i in range(2) for j in columns]
     rows = linalg.convolution_matrix(
-        field, coeffs, degs, [tw[j] + l - tw[i] for i in range(2) for j in range(2)])
-    basis = linalg.nullspace(rows, field)
+        field, coeffs, degs, [tw[j] + l - tw[i] for i in range(2) for j in columns])
+    return linalg.nullspace(rows, field), degs
+
+
+def _isomorphic_by_nullspace(p1, p2):
+    field = p1.ring.field
+    if (p1.a, p1.b) != (p2.a, p2.b):
+        return False
+    basis, degs = _intertwining_nullspace(p1, p2)
 
     def det_of(vec):
         a, b, c, d = (Poly(field, c) for c in linalg.split_blocks(vec, degs))
@@ -263,3 +270,36 @@ def test_normal_form_of_conjugates_with_f_l_zero():
                 assert not top(z.f._chart()) and z.normal_form() == pair.normal_form()
                 signs.add(top(z.P._chart()) == K.unbox(K.sqrt(1)))
     assert signs == {True, False}
+
+
+def _p7_nonsquare_curve(g, rng):
+    """A seeded genus-g curve over GF(7) with F = x0 h and F(1, 0) = 3, a
+    non-square, so that no pair with a = b has a normal form."""
+    K = GF(7)
+    while True:
+        c = [0] + [rng.randrange(7) for _ in range(2 * g + 1)] + [3]
+        F = HForm.from_univar(Poly(K, c), 2 * g + 2)
+        if F.is_squarefree():
+            curve = HECurve(K, g, F)
+            return curve, _point_draw(curve.odd_model(), rng)
+
+
+def test_column0_intertwining_equations_have_the_nullspace_of_all_four():
+    """Where ``is_isomorphic`` solves the intertwining equation (a = b,
+    F(1, 0) not a square) it takes only the column-0 equations:
+    q1 Psi e1 = (N2 - P1) Psi e0, and q1 times column 1 follows from it.
+    q1 != 0, so the nullspace is that of all four equations."""
+    rng = random.Random(4201)
+    checked = set()
+    curves = [_p7_nonsquare_curve(g, rng) for g in (1, 2, 3)]
+    curves += [_curve(name, g, rng) for name in ("Q2", "Q-1") for g in (1, 2)]
+    for curve, draw in curves:
+        pool = [x for x in _pool(curve, draw, rng, 4) if x.a == x.b]
+        for x, y in itertools.product(pool, repeat=2):
+            assert x.normal_form() is None
+            half = _intertwining_nullspace(x, y, (0,))
+            assert half == _intertwining_nullspace(x, y), (curve, x, y)
+            checked.add((curve.field.characteristic, bool(half[0]), is_isomorphic(x, y)))
+    # over both fields isomorphic pairs and pairs with no intertwiner at all
+    assert {(p, i) for p, _, i in checked} == {(7, True), (7, False), (0, True), (0, False)}
+    assert {(s, i) for _, s, i in checked} >= {(True, True), (False, False)}

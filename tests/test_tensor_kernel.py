@@ -6,6 +6,10 @@ the earlier z-action, which solved K(-l) M = (N1 (x) Id)^T K with
 ``linalg.solve`` one column at a time.  The kernel at its known twist
 sum and the adjugate division must give the same twists, the same
 generators and the same pair, bit for bit.
+
+``tensor`` passes only the column-0 rows of psi^T, and ``kernel_basis``
+reads lower degrees off higher ones; both must leave every nullspace
+as it was, which the tests below check degree by degree.
 """
 
 import itertools
@@ -19,7 +23,7 @@ from dihedralcovers import linalg
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly, trim_c, sub_c, add_c, mul_c
-from dihedralcovers.graded import kernel_basis
+from dihedralcovers.graded import kernel_basis, _read_off
 from dihedralcovers.double_cover import (BundlePair, tensor, inverse, _charts,
                                          _z_action)
 from dihedralcovers.hyperelliptic import HECurve, matrix_from_class, class_from_matrix
@@ -68,7 +72,8 @@ def _degree_search_kernel(field, coeffs, row_twists, col_twists, nullity):
 
 
 def _psi_transpose(p1, p2):
-    """(psi^T charts, row twists, column twists) as ``tensor`` builds them."""
+    """(psi^T charts, row twists, column twists): all four rows, where
+    ``tensor`` builds only the column-0 rows (``_column0``)."""
     p, l = p1.ring.field.characteristic, p1.ring.l
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
     n1, n2 = _charts(p1), _charts(p2)
@@ -76,6 +81,23 @@ def _psi_transpose(p1, p2):
              for i in range(2) for j in range(2)]
             for k in range(2) for m in range(2)]
     return psiT, [-(r + l) for r in rows], [-r for r in rows]
+
+
+def _column0(psiT, row_tw):
+    """The rows (k, 0), index 2k, of psi^T and their twists."""
+    return psiT[0::2], row_tw[0::2]
+
+
+def _sections(field, coeffs, row_tw, col_tw, t):
+    """``linalg.nullspace`` of the convolution matrix in degree t (every
+    vector when it has no row), and the unknowns' degrees."""
+    degs = [t - c for c in col_tw]
+    rows = linalg.convolution_matrix(field, coeffs, degs, [t - r for r in row_tw])
+    nunk = sum(max(d + 1, 0) for d in degs)
+    if not rows:
+        return [[field.one if i == j else field.zero for i in range(nunk)]
+                for j in range(nunk)], degs
+    return linalg.nullspace(rows, field), degs
 
 
 def _tensor_by_solve(p1, p2, tw, gens):
@@ -200,6 +222,8 @@ def test_tensor_matches_the_degree_search_and_solve():
         want_tw, want_gens = _degree_search_kernel(field, psiT, row_tw, col_tw, 2)
         S = l - (p1.a + p1.b + p2.a + p2.b)
         assert kernel_basis(field, psiT, row_tw, col_tw, 2, S)[:2] == (want_tw, want_gens)
+        assert kernel_basis(field, *_column0(psiT, row_tw), col_tw, 2, S)[:2] == \
+            (want_tw, want_gens)
         want = _tensor_by_solve(p1, p2, want_tw, want_gens)
         got = tensor(p1, p2)
         assert got == want and repr(got) == repr(want), (name, g, p1, p2)
@@ -213,7 +237,8 @@ def test_tensor_matches_the_degree_search_and_solve():
 
 def test_p_tensor_inverse_is_the_most_unbalanced_kernel():
     """p (x) inverse(p) is the trivial class, split as O + O(-l): its
-    kernel has twists (-l, 0), and it takes the three nullspaces."""
+    kernel has twists (-l, 0), and it takes two nullspaces, in degrees
+    ceil(-l / 2) and 0; the section in degree -l is read off."""
     rng = random.Random(3)
     for curve in (split_curve(1009, 3), _q_curve(2)):
         l = curve.l
@@ -238,3 +263,93 @@ def test_z_action_checks_the_rows_the_division_skips():
     # with N1 = 0 the span is preserved and M = 0
     P, f, q = _z_action(K, 0, [[[], []], [[], []]], [0, 0], gens)
     assert not P and not f and not q
+
+
+# -- the column-0 rows and the sections read off a higher degree -----------
+
+
+def _sample():
+    """p (x) p, p (x) inverse(p) and every fifth other product of
+    ``_products``, with the kind of each."""
+    for k, (name, g, p1, p2) in enumerate(_products()):
+        kind = "p*p" if p1 is p2 else "p*inverse(p)" if p2 == inverse(p1) else None
+        if kind or k % 5 == 0:
+            yield name, g, p1, p2, kind
+
+
+def _plain(field, sols):
+    """The vectors as plain values with their types, so that equality is
+    bit for bit."""
+    return [[(type(u), u) for u in map(field.unbox, v)] for v in sols]
+
+
+def _twists(p1, p2):
+    """The kernel twists (t0, t1) and the column-0 system of the product."""
+    field, l = p1.ring.field, p1.ring.l
+    psiT, row_tw, col_tw = _psi_transpose(p1, p2)
+    S = l - (p1.a + p1.b + p2.a + p2.b)
+    tw = kernel_basis(field, psiT, row_tw, col_tw, 2, S)[0]
+    return tw, psiT, row_tw, col_tw
+
+
+def test_column0_rows_have_the_nullspace_of_all_four():
+    """Column 0 of N1^T X = X N2 reads (N1^T - P2) X e0 = q2 X e1, and q2
+    times column 1 follows from it; q2 != 0, so in every degree from
+    t0 - 1 to t1 + 1 the two rows give the nullspace of all four, bit for
+    bit."""
+    seen = set()
+    for name, g, p1, p2, kind in _sample():
+        field = p1.ring.field
+        tw, psiT, row_tw, col_tw = _twists(p1, p2)
+        for t in range(tw[0] - 1, tw[1] + 2):
+            half, degs = _sections(field, *_column0(psiT, row_tw), col_tw, t)
+            full, full_degs = _sections(field, psiT, row_tw, col_tw, t)
+            assert degs == full_degs and _plain(field, half) == _plain(field, full), \
+                (name, g, t)
+        seen.add((name, kind))
+    names = ("GF(5)", "GF(101)", "GF(1009)", "GF(2^61-1)", "Q")
+    assert seen == {(n, k) for n in names for k in ("p*p", "p*inverse(p)", None)}
+
+
+def test_sections_read_off_a_higher_degree():
+    """``_read_off`` of the sections in degree s + k gives ``nullspace``
+    in degree s, bit for bit, for every s < s + k in t0 - 1 .. t1 + 1."""
+    reads = 0
+    for name, g, p1, p2, kind in _sample():
+        field = p1.ring.field
+        tw, psiT, row_tw, col_tw = _twists(p1, p2)
+        psi = _column0(psiT, row_tw)
+        lo, hi = tw[0] - 1, tw[1] + 1
+        secs = {t: _sections(field, *psi, col_tw, t) for t in range(lo, hi + 1)}
+        for s in range(lo, hi):
+            want, want_degs = secs[s]
+            for t in range(s + 1, hi + 1):
+                got, degs = _read_off(*secs[t], t - s)
+                assert degs == want_degs and _plain(field, got) == _plain(field, want), \
+                    (name, g, s, t)
+                reads += 1
+    assert reads > 1000
+
+
+def test_tensor_builds_psi_once_for_twists_at_most_one_apart(monkeypatch):
+    """``tensor`` builds psi^T's convolution matrix once per product whose
+    kernel twists differ by at most 1, and twice otherwise; each build
+    has the two column-0 row blocks."""
+    builds = []
+    real = linalg.convolution_matrix
+
+    def counted(field, coeffs, in_degs, out_degs):
+        if len(coeffs[0]) == 4:
+            assert len(coeffs) == 2
+            builds.append(out_degs)
+        return real(field, coeffs, in_degs, out_degs)
+
+    monkeypatch.setattr(linalg, "convolution_matrix", counted)
+    spreads = set()
+    for name, g, p1, p2, kind in _sample():
+        builds.clear()
+        t = tensor(p1, p2)
+        spread = t.b - t.a
+        assert len(builds) == (1 if spread <= 1 else 2), (name, g, spread)
+        spreads.add(min(spread, 2))
+    assert spreads == {0, 1, 2}
