@@ -8,11 +8,16 @@ trace-free graded matrix
     N = [[P, f], [q, -P]],   N^2 = F * Id,
 
 so P^2 + q f = F with deg P = l, deg f = l - a + b, deg q = l + a - b.
-A :class:`BundlePair` stores (a, b, P, f, q) over a
-:class:`DoubleCoverRing` and normalizes q (or f, when q vanishes) to be
-monic, which is the scaling freedom of the choice of basis; its
-``validate`` checks the degrees and P^2 + q f = F on construction, and
-keeps the charts F(x, 1) of (P, f, q) it computed as ``charts``.
+A :class:`BundlePair` over a :class:`DoubleCoverRing` holds (a, b) and
+the charts F(x, 1) of (P, f, q) as plain coefficient lists: the twists
+fix every degree, so the charts are the whole pair, and the forms P, f
+and q are built only when read (for JSON, ``repr`` and
+``divisor_of_section``).  The constructor takes each entry as a form or
+as a chart and refuses one above its forced degree; ``validate`` checks
+P^2 + q f = F on the charts against the ring's chart of F, kept as
+``DoubleCoverRing.chart``.  q never vanishes, since P^2 = F would make
+the squarefree F a square, so q is normalized to be monic, which is the
+scaling freedom of the choice of basis.
 
 A ring exists only for a squarefree F, that is for a normal cover; any
 other F raises :class:`NonNormalRingError`, a ``ValueError``.  The
@@ -44,10 +49,9 @@ Operations:
 * ``divisor_of_section`` returns the vanishing divisor of a global
   section in (u, v) coordinates.
 
-``tensor``, ``is_isomorphic`` and the checks of a pair work on the
-charts F(x, 1) of N's entries, which a pair keeps (``BundlePair.charts``,
-``_charts``): the twists (a, b, l) fix every degree, and forms are made
-only for the result.  The linear equations (the graded kernel's
+``tensor``, ``inverse``, ``is_isomorphic`` and the checks of a pair
+work on the charts of N's entries (``_charts``) and build no form.  The
+linear equations (the graded kernel's
 nullspaces in at most two degrees, one when the product's twists differ
 by at most 1, and the intertwining equation) come from
 ``linalg.convolution_matrix``; the z-action on the kernel is an exact
@@ -58,8 +62,8 @@ adjugate), checked on the other two rows, and needs no solve.
 import math
 from fractions import Fraction
 
-from .homog import HForm
-from .poly import (Poly, plain_poly, base_field_roots, inv_c, reduce_c, neg_c, sub_c,
+from .homog import HForm, plain_form
+from .poly import (Poly, plain_poly, base_field_roots, trim_c, inv_c, reduce_c, neg_c, sub_c,
                    add_c, scale_c, mul_c, divmod_c, monic_c)
 from .graded import kernel_basis, nonzero_minor
 from . import linalg, parsing
@@ -93,14 +97,12 @@ class DoubleCoverRing:
         self.l = l
         self.g = l - 1
         self.F = F
+        self.chart = F._chart()
         self._odd = None
 
     def trivial_pair(self):
         """The structure sheaf as a module over itself: N = [[0, F], [1, 0]]."""
-        return BundlePair(self, 0, self.l,
-                          HForm.zero(self.field, 2, self.l),
-                          self.F,
-                          HForm.const(self.field, 2, self.field.one))
+        return BundlePair(self, 0, self.l, [], self.chart, [1])
 
     def rational_branch_root(self):
         """A root (r0 : r1) of F over the base field, or None."""
@@ -131,65 +133,67 @@ class DoubleCoverRing:
 
 class BundlePair:
     """A trace-free matrix presentation (a, b, P, f, q) of a rank-one
-    module on a double cover ring."""
+    module on a double cover ring, held as the charts F(x, 1) of
+    (P, f, q), ``charts``; the forms ``P``, ``f`` and ``q`` are built from
+    them on each read."""
 
-    __slots__ = ("ring", "a", "b", "P", "f", "q", "charts")
+    __slots__ = ("ring", "a", "b", "charts")
 
     def __init__(self, ring, a, b, P, f, q):
-        field = ring.field
         l = ring.l
-        if a > b:
+        swap = a > b
+        if swap:
             a, b = b, a
-            P = -P
             f, q = q, f
-        deg_f = l - a + b
-        deg_q = l + a - b
-        P = _as_form(field, P, l)
-        f = _as_form(field, f, deg_f)
-        q = _as_form(field, q, deg_q) if deg_q >= 0 else _zero_or_raise(field, q)
+        P, f, q = (_entry_chart(ring.field, name, e, d) for name, e, d in (
+            ("P", P, l), ("f", f, l - a + b), ("q", q, l + a - b)))
         self.ring = ring
         self.a = a
         self.b = b
-        self.P = P
-        self.f = f
-        self.q = q
+        self.charts = (neg_c(P, ring.field.characteristic) if swap else P, f, q)
         self.validate()
         self._normalize()
 
     def _normalize(self):
+        # validate refused q = 0, so q has a leading coefficient
         P, f, q = self.charts
-        lead = (q or f or [1])[-1]
-        if lead == 1:
-            return
-        p = self.ring.field.characteristic
-        inv = inv_c(lead, p)
-        # conjugating by diag(1, lead) scales q by 1/lead and f by lead
-        if q:
-            self.q, self.f = self.q * inv, self.f * lead
-            self.charts = (P, scale_c(f, lead, p), scale_c(q, inv, p))
-        else:
-            self.f, self.q = self.f * inv, self.q * lead
-            self.charts = (P, scale_c(f, inv, p), q)
+        lead = q[-1]
+        if lead != 1:
+            p = self.ring.field.characteristic
+            # conjugating by diag(1, lead) scales q by 1/lead and f by lead
+            self.charts = (P, scale_c(f, lead, p), scale_c(q, inv_c(lead, p), p))
 
     @property
     def splitting(self):
         return (-self.a, -self.b)
 
+    def _form(self, i, deg):
+        """Entry i of (P, f, q) as the binary form of degree deg; an entry
+        of negative forced degree is the zero form of degree 0."""
+        return plain_form(self.ring.field, 2, max(deg, 0),
+                          {(k, deg - k): v for k, v in enumerate(self.charts[i]) if v})
+
+    @property
+    def P(self):
+        return self._form(0, self.ring.l)
+
+    @property
+    def f(self):
+        return self._form(1, self.ring.l - self.a + self.b)
+
+    @property
+    def q(self):
+        return self._form(2, self.ring.l + self.a - self.b)
+
     def validate(self):
-        """Check the entries' degrees and the determinant constraint
-        P^2 + q f = F, which says N^2 = F * Id, and keep the charts of
-        (P, f, q) as ``charts``; raises ValueError."""
-        l = self.ring.l
-        for name, e, d in (("P", self.P, l), ("f", self.f, l - self.a + self.b),
-                           ("q", self.q, l + self.a - self.b)):
-            if e.deg != d and not e.is_zero():
-                raise ValueError("%s must have degree %d" % (name, d))
-        # every degree is fixed at 2l, so the charts decide the identity
+        """Check the determinant constraint P^2 + q f = F, which says
+        N^2 = F * Id, on the charts (every degree is fixed at 2l, so they
+        decide it); raises ValueError.  It refuses q = 0, as P^2 = F
+        contradicts a squarefree F of positive degree."""
         p = self.ring.field.characteristic
-        P, f, q = self.P._chart(), self.f._chart(), self.q._chart()
-        if add_c(mul_c(P, P, p), mul_c(q, f, p), p) != self.ring.F._chart():
+        P, f, q = self.charts
+        if add_c(mul_c(P, P, p), mul_c(q, f, p), p) != self.ring.chart:
             raise ValueError("determinant constraint P^2 + q*f = F violated")
-        self.charts = (P, f, q)
         return True
 
     def normal_form(self):
@@ -208,7 +212,7 @@ class BundlePair:
         p, l = ring.field.characteristic, ring.l
         P, f, q = self.charts
         if self.a == self.b:
-            F = ring.F._chart()
+            F = ring.chart
             s = _square_root(ring.field, F[2 * l] if len(F) > 2 * l else 0)
             if s is None:
                 return None
@@ -232,7 +236,7 @@ class BundlePair:
         return self.a, self.b, tuple(reduce_c(P, p)), tuple(q)
 
     def is_trivial(self):
-        return self.a == 0 and not self.charts[0] and self.q.deg == 0
+        return self.a == 0 and self.b == self.ring.l and not self.charts[0]
 
     def c1(self):
         return -self.a - self.b
@@ -241,7 +245,7 @@ class BundlePair:
         if not isinstance(other, BundlePair):
             return NotImplemented
         return (self.ring == other.ring and self.a == other.a and self.b == other.b
-                and self.P == other.P and self.f == other.f and self.q == other.q)
+                and self.charts == other.charts)
 
     def __repr__(self):
         return "BundlePair(a=%d, b=%d, P=%s, f=%s, q=%s)" % (
@@ -262,17 +266,25 @@ class BundlePair:
                    parsing.parse_form(data["q"], field, 2))
 
 
-def _as_form(field, val, deg):
+def _entry_chart(field, name, val, deg):
+    """The chart of the entry ``name`` of a pair, of forced degree deg,
+    from an HForm, 0, a nonzero int (deg = 0 only) or a chart: a list of
+    plain values, which is reduced and trimmed.  Only 0 fits a negative
+    deg."""
     if isinstance(val, HForm):
-        if val.is_zero() and val.deg != deg:
-            return HForm.zero(field, 2, deg)
-        return val
-    if isinstance(val, int):
-        if val == 0:
-            return HForm.zero(field, 2, deg)
-        if deg == 0:
-            return HForm.const(field, 2, val)
-    raise ValueError("expected a binary form of degree %d" % deg)
+        chart, fits = val._chart(), val.deg == deg
+    elif isinstance(val, list):
+        chart = reduce_c(val, field.characteristic)
+        fits = len(chart) <= deg + 1
+    elif isinstance(val, int) and (deg <= 0 or not val):
+        chart, fits = trim_c([field.unbox(val)]), deg == 0
+    else:
+        raise ValueError("expected a binary form of degree %d" % deg)
+    if chart and not fits:
+        if deg < 0:
+            raise ValueError("entry of negative forced degree must vanish")
+        raise ValueError("%s must have degree %d" % (name, deg))
+    return chart
 
 
 def _square_root(field, v):
@@ -284,13 +296,6 @@ def _square_root(field, v):
     v = Fraction(v)
     n, d = math.isqrt(max(v.numerator, 0)), math.isqrt(v.denominator)
     return Fraction(n, d) if n * n == v.numerator and d * d == v.denominator else None
-
-
-def _zero_or_raise(field, val):
-    f = val if isinstance(val, HForm) else HForm.zero(field, 2, 0)
-    if not f.is_zero():
-        raise ValueError("entry of negative forced degree must vanish")
-    return HForm.zero(field, 2, 0)
 
 
 def _charts(pair):
@@ -308,7 +313,8 @@ def tensor(p1, p2):
     sum l - (a1 + b1 + a2 + b2), the first Chern class of the product
     (c1 = c1(p1) + c1(p2) - c1(O)), and certifies there.
     Everything runs on charts, with e_i (x) e_j at index 2i + j of
-    O(-rows[2i + j]); forms are made only for the result.
+    O(-rows[2i + j]), and the product is built from the charts of its
+    entries.
 
     The kernel of psi^T is {X : N1^T X = X N2}, and only its column 0,
     (N1^T - P2) X e0 = q2 X e1 (the rows 2k + m of psi^T with m = 0), is
@@ -350,10 +356,10 @@ def tensor(p1, p2):
 
 
 def _z_action(field, l, n1, tw, gens, minor=None):
-    """(P3, f3, q3) of the product: the z-action M on the kernel with
-    generators ``gens`` of twists ``tw``, by the adjugate division in
-    ``tensor`` (through ``minor`` when ``kernel_basis`` found one);
-    raises ValueError when it does not factor."""
+    """The charts of (P3, f3, q3) of the product: the z-action M on the
+    kernel with generators ``gens`` of twists ``tw``, by the adjugate
+    division in ``tensor`` (through ``minor`` when ``kernel_basis`` found
+    one); raises ValueError when it does not factor."""
     p = field.characteristic
     g0, g1 = gens
     # (N1 (x) Id)^T K: entry ((k, m), g) is sum_i N1[i][k] K[(i, m)][g]
@@ -381,14 +387,13 @@ def _z_action(field, l, n1, tw, gens, minor=None):
     # N3 = M^T up to twists: O(-a3) + O(-b3) with (a3, b3) = (-tw0, -tw1)
     if add_c(M[0][0], M[1][1], p):
         raise AssertionError("tensor z-action is not trace free")
-    return [HForm.from_univar(plain_poly(field, M[h][g]), tw[g] - tw[h] + l)
-            if tw[g] - tw[h] + l >= 0 else HForm.zero(field, 2, 0)
-            for h, g in ((0, 0), (1, 0), (0, 1))]
+    return M[0][0], M[1][0], M[0][1]
 
 
 def inverse(pair):
     """The inverse module: same splitting with P negated."""
-    return BundlePair(pair.ring, pair.a, pair.b, -pair.P, pair.f, pair.q)
+    P, f, q = pair.charts
+    return BundlePair(pair.ring, pair.a, pair.b, neg_c(P, pair.ring.field.characteristic), f, q)
 
 
 def is_isomorphic(p1, p2):
@@ -451,7 +456,7 @@ def divisor_of_section(pair, m, alpha, beta):
     """Vanishing divisor of the section (alpha, beta) of the pair
     twisted by m, in (u, v) coordinates.
 
-    alpha must be a form of degree m - a and beta of degree m - b (zero
+    alpha and beta are forms, or charts, of degrees m - a and m - b (zero
     allowed).  Returns (u, v): u is the binary form det(s | Ns), the
     norm form of the section, and v is the univariate polynomial of
     degree < deg u(x, 1) with z = v(x) on the divisor, reduced in the
@@ -464,30 +469,23 @@ def divisor_of_section(pair, m, alpha, beta):
     reads its answer for the section (1, 0) in closed form, and the tests
     compare the two.
     """
-    ring = pair.ring
-    field = ring.field
-    da, db = m - pair.a, m - pair.b
-    alpha = _as_form(field, alpha, max(da, 0))
-    beta = _as_form(field, beta, max(db, 0))
-    if (not alpha.is_zero() and alpha.deg != da) or (not beta.is_zero() and beta.deg != db):
-        raise ValueError("section degrees must be (%d, %d)" % (da, db))
-    if alpha.is_zero() and beta.is_zero():
+    field = pair.ring.field
+    p = field.characteristic
+    al = _entry_chart(field, "alpha", alpha, m - pair.a)
+    be = _entry_chart(field, "beta", beta, m - pair.b)
+    if not al and not be:
         raise ValueError("zero section has no divisor")
-    udeg = 2 * m + ring.l - pair.a - pair.b
-    u = HForm.zero(field, 2, udeg)
-    for term in (pair.q * alpha * alpha,
-                 -2 * (pair.P * alpha * beta),
-                 -(pair.f * beta * beta)):
-        if not term.is_zero():
-            u = u + term
-    if u.is_zero():
+    P, f, q = pair.charts
+    # u = q alpha^2 - 2 P alpha beta - f beta^2, of degree 2m + l - a - b
+    u = sub_c(mul_c(q, mul_c(al, al, p), p), add_c(scale_c(mul_c(P, mul_c(al, be, p), p), 2, p),
+                                                     mul_c(f, mul_c(be, be, p), p), p), p)
+    if not u:
         raise DegenerateSectionError("section lies in a z-eigenline")
-    ua = u.to_univar()
-    d = ua.degree
-    Pa, fa, qa = (pair.P.to_univar(), pair.f.to_univar(), pair.q.to_univar())
-    aa, ba = alpha.to_univar(), beta.to_univar()
+    ua, d = plain_poly(field, u), len(u) - 1
+    u = HForm.from_univar(ua, 2 * m + pair.ring.l - pair.a - pair.b)
     if d == 0:
         return u, Poly.zero(field)
+    Pa, fa, qa, aa, ba = (plain_poly(field, c) for c in (P, f, q, al, be))
     # solve (P - v) alpha + f beta = 0 and q alpha - (P + v) beta = 0 mod u
     rows_eq = []
     rhs = []

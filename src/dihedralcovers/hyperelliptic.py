@@ -6,9 +6,10 @@ of ``double_cover`` with l = g + 1, built from (field, g, F): the pairs
 on a curve live over the curve itself.  When F has a rational root the
 coordinate change sending that root to (1:0) produces an odd model
 y^2 = fodd(x) with deg fodd = 2g + 1 and a single rational point at
-infinity, built once per curve (``odd_model``; its Mobius maps of forms
-run Horner's rule on charts, ``_substitute_matrix``), which is where divisor
-class arithmetic happens: classes are reduced Mumford pairs (u, v) and
+infinity, built once per curve (``odd_model``; its Mobius maps take
+and return the charts F(x, 1) of forms of a given degree, by Horner's
+rule, ``_substitute_matrix``), which is where divisor class arithmetic
+happens: classes are reduced Mumford pairs (u, v) and
 the group law is composition and reduction (Cantor, Math. Comp. 48,
 1987), run on ``poly``'s coefficient lists: one extended gcd of the u's
 picks the route, coprime u's compose by the Chinese remainder theorem
@@ -86,17 +87,10 @@ class OddModel:
         det = r0 * s1 - r1 * s0
         dinv = field.inv(det)
         self.Tinv = ((s1 * dinv, -s0 * dinv), (-r1 * dinv, r0 * dinv))
-        FT = _substitute_matrix(curve.F, self.T)
-        fodd = FT.to_univar()
+        fodd = plain_poly(field, _substitute_matrix(field, curve.chart, 2 * curve.l, self.T))
         if fodd.degree != 2 * curve.g + 1:
             raise ValueError("chosen branch root does not give an odd model")
         self.fodd = fodd
-
-    def transform_form(self, form):
-        return _substitute_matrix(form, self.T)
-
-    def untransform_form(self, form):
-        return _substitute_matrix(form, self.Tinv)
 
     def zero_class(self):
         return MumfordClass(self, Poly.one(self.field), Poly.zero(self.field))
@@ -120,19 +114,17 @@ class OddModel:
         return _reduce(self, u, v)
 
 
-def _substitute_matrix(form, m):
-    """The binary form F(m00 x0 + m01 x1, m10 x0 + m11 x1), by Horner's
-    rule on charts: with A = m00 x + m01, B = m10 x + m11 and F's chart
-    coefficients f_i, the image's chart is sum_i f_i A^i B^(d - i), built
-    as r <- r A + f_i B^(d - i) from i = d down, with the powers of B
+def _substitute_matrix(field, chart, d, m):
+    """The chart of F(m00 x0 + m01 x1, m10 x0 + m11 x1) for the binary
+    form F of degree d with the chart ``chart``, by Horner's rule: with
+    A = m00 x + m01, B = m10 x + m11 and the chart's coefficients f_i, the
+    image's chart is sum_i f_i A^i B^(d - i), built as
+    r <- r A + f_i B^(d - i) from i = d down, with the powers of B
     computed once.  A and B are linear, so each step is one pass over
     untrimmed lists (B^j has j + 1 entries): O(d^2) field operations."""
-    field = form.field
     p = field.characteristic
-    d = form.deg
     (m00, m01), (m10, m11) = ([field.unbox(x) for x in row] for row in m)
-    f = form._chart()
-    f += [0] * (d + 1 - len(f))
+    f = chart + [0] * (d + 1 - len(chart))
     powers = [[1]]
     for _ in range(d):
         pw = powers[-1]
@@ -144,7 +136,7 @@ def _substitute_matrix(form, m):
         r = [m01 * x + m00 * y + c * z for x, y, z in zip(r + [0], [0] + r, powers[d - i])]
         if p:
             r = [v % p for v in r]
-    return HForm.from_univar(plain_poly(field, reduce_c(r, p)), d)
+    return reduce_c(r, p)
 
 
 class MumfordClass:
@@ -327,8 +319,10 @@ def class_from_matrix(pair):
         return model.zero_class()
     if pair.a + pair.b != model.g + 1:
         raise ValueError("class extraction needs a degree-zero pair")
-    return model.semireduced(model.transform_form(pair.q).to_univar(),
-                             -model.transform_form(pair.P).to_univar())
+    field, (P, _, q) = model.field, pair.charts
+    u = _substitute_matrix(field, q, 2 * pair.a, model.T)
+    v = neg_c(_substitute_matrix(field, P, pair.a + pair.b, model.T), field.characteristic)
+    return model.semireduced(plain_poly(field, u), plain_poly(field, v))
 
 
 def stratum(pair):
@@ -360,13 +354,12 @@ def matrix_from_class(curve, c):
     u, v = c.u, c.v
     a = (u.degree + 1) // 2
     b = g + 1 - a
-    P = HForm.from_univar(-v, g + 1)
-    q = HForm.from_univar(u, 2 * a)
     p = curve.field.characteristic
-    f = HForm.from_univar(plain_poly(curve.field, exact_div_c(
-        sub_c(model.fodd.c, mul_c(v.c, v.c, p), p), u.c, p)), 2 * b)
-    return BundlePair(curve, a, b, model.untransform_form(P),
-                      model.untransform_form(f), model.untransform_form(q))
+    f = exact_div_c(sub_c(model.fodd.c, mul_c(v.c, v.c, p), p), u.c, p)
+    # the charts of P, f and q at their degrees, moved back to the curve's coordinates
+    entries = ((neg_c(v.c, p), g + 1), (f, 2 * b), (u.c, 2 * a))
+    return BundlePair(curve, a, b, *(_substitute_matrix(curve.field, e, d, model.Tinv)
+                                     for e, d in entries))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +423,7 @@ def enumerate_two_torsion(curve):
     factors; complementary factor sets give the same pair and are
     deduplicated.  The count is 2^(2g) - 1.
     """
-    field = curve.field
+    p = curve.field.characteristic
     g = curve.g
     factors = _split_linear_factors(curve.F)
     if factors is None:
@@ -445,29 +438,30 @@ def enumerate_two_torsion(curve):
             if 2 * a == g + 1 and comp in seen:
                 continue
             seen.add(key)
-            q = HForm.const(field, 2, field.one)
-            f = HForm.const(field, 2, field.one)
+            q, f = [1], [1]
             for i in range(n):
                 if i in S:
-                    q = q * factors[i]
+                    q = mul_c(q, factors[i], p)
                 else:
-                    f = f * factors[i]
-            out.append(BundlePair(curve, a, g + 1 - a, HForm.zero(field, 2, g + 1), f, q))
+                    f = mul_c(f, factors[i], p)
+            out.append(BundlePair(curve, a, g + 1 - a, [], f, q))
     return out
 
 
 def _split_linear_factors(F):
-    """Linear factors of a squarefree binary form, or None if it does not
-    split over the base field."""
+    """The charts of the linear factors of a squarefree binary form, or
+    None if it does not split over the base field."""
     field = F.field
+    p = field.characteristic
     u = F.to_univar()
     roots = list(base_field_roots(u))
     if len(roots) < u.degree:
         return None
-    factors = [HForm(field, 2, 1, {(0, 1): field.one})] * F.x1_multiplicity()
-    factors += [HForm(field, 2, 1, {(1, 0): field.one, (0, 1): -r}) for r in roots]
+    # x1 has the chart 1, and x0 - r x1 the chart x - r
+    factors = [[1]] * F.x1_multiplicity()
+    factors += [[field.unbox(-r), 1] for r in roots]
     # fold the leading unit into the first factor
-    factors[0] = factors[0] * u.lead()
+    factors[0] = scale_c(factors[0], u.c[-1], p)
     return factors
 
 

@@ -451,11 +451,6 @@ class Poly:
     def coeff(self, i):
         return self.field.box(self.c[i]) if 0 <= i < len(self.c) else self.field.zero
 
-    def lead(self):
-        if not self.c:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.field.box(self.c[-1])
-
     def _plain(self, other):
         """other's coefficient list: a Poly over the same field, or a scalar."""
         if isinstance(other, Poly):

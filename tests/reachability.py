@@ -101,6 +101,10 @@ ALLOWED = {
     "poly.Poly.coeff":
         ("the coefficient-bits counter of bench/tracer.py (run with --trace 1; "
          "the gate runs --trace 0) and the tests' determinant oracles"),
+    "homog.HForm.zero":
+        ("the zero form of a given degree, which tests/test_homog.py checks and "
+         "tests/test_double_cover.py and test_tensor_kernel.py build pair entries "
+         "from; user paths give a pair its entries as parsed forms or as charts"),
     "poly.Poly.compose":
         "the oracle of CycloElem.conjugate in tests/test_dihedral.py (z -> z^-1)",
     "double_cover.BundlePair.c1":

@@ -276,7 +276,7 @@ def test_inconclusive_reduction_falls_back_to_the_exact_gcd(monkeypatch):
     assert cg.check_simple(spec, seed=40).to_json() == want
     assert coprime_tries[-1][2] and QQ not in gcd_fields    # the reduction decided
     # a prime dividing the leading coefficient of r1 / R^k drops its degree
-    lead = coprime_tries[-1][0].to_univar().lead().numerator
+    lead = coprime_tries[-1][0].to_univar().c[-1].numerator
     prime = next(q for q in range(3, 10 ** 4, 2)
                  if lead % q == 0 and all(q % d for d in range(3, q, 2)))
     monkeypatch.setattr(cg, "CERTIFICATE_PRIME", prime)

@@ -48,6 +48,82 @@ def test_determinant_constraint_enforced():
         BundlePair(r, 1, 1, HForm.zero(K, 2, 2), f, F4.exact_div(f))
 
 
+def _split_pair_entries():
+    """(P, f, q) of a pair with (a, b) = (1, 0) on ring(): q = x0 - x1
+    divides F4 and P = q (x0 + 3 x1), so q | F - P^2 and f = (F - P^2)/q
+    has degree l + a - b = 3."""
+    q = parse_form("x0 - x1", K, 2)
+    P = q * parse_form("x0 + 3*x1", K, 2)
+    return P, (F4 - P * P).exact_div(q), q
+
+
+def test_constructor_conversions_and_refusals():
+    r = ring()
+    zero2 = HForm.zero(K, 2, 2)
+    one = HForm.const(K, 2, 1)
+    # an entry of the wrong degree is refused with its name
+    with pytest.raises(ValueError, match="P must have degree 2"):
+        BundlePair(r, 0, 2, parse_form("x0", K, 2), F4, one)
+    with pytest.raises(ValueError, match="q must have degree 0"):
+        BundlePair(r, 0, 2, zero2, F4, parse_form("x0", K, 2))
+    # (a, b) = (0, 3): q has forced degree l + a - b = -1 and must vanish
+    f5 = F4 * parse_form("x0", K, 2)
+    with pytest.raises(ValueError, match="entry of negative forced degree must vanish"):
+        BundlePair(r, 0, 3, zero2, f5, one)
+    # an int is a form only when it is 0, or a constant of a degree-0 entry
+    with pytest.raises(ValueError, match="expected a binary form of degree 2"):
+        BundlePair(r, 0, 2, 3, F4, one)
+    with pytest.raises(ValueError, match="expected a binary form of degree 4"):
+        BundlePair(r, 0, 2, zero2, 1, one)
+    # a nonzero int is the constant of a degree-0 entry, and 0 is any zero entry
+    assert BundlePair(r, 0, 2, 0, F4, 1) == r.trivial_pair()
+    assert BundlePair(r, 0, 2, zero2, F4, one) == r.trivial_pair()
+    assert BundlePair(r, 0, 2, 0, F4 * K.inv(K.of(5)), 5) == r.trivial_pair()
+    # a > b swaps the summands: (a, b, P, f, q) is the pair (b, a, -P, q, f)
+    P, f, q = _split_pair_entries()
+    swapped = BundlePair(r, 1, 0, P, q, f)
+    assert (swapped.a, swapped.b) == (0, 1)
+    assert swapped == BundlePair(r, 0, 1, -P, f, q)
+    assert swapped.to_json() == BundlePair(r, 0, 1, -P, f, q).to_json()
+
+
+def test_chart_input_is_the_form_input():
+    """Each entry may be given as its chart F(x, 1), a list of plain
+    values: the pair equals the one built from the forms, the chart is
+    reduced and trimmed first, and a chart above the forced degree is
+    refused like a form."""
+    r = ring()
+    P, f, q = _split_pair_entries()
+    t = two_torsion_pair(r)
+    for a, b, forms in ((0, 1, (P, f, q)), (1, 0, (P, q, f)), (1, 1, (t.P, t.f, t.q))):
+        want = BundlePair(r, a, b, *forms)
+        got = BundlePair(r, a, b, *(e._chart() for e in forms))
+        assert got == want and got.to_json() == want.to_json()
+    assert BundlePair(r, 0, 2, [], F4._chart(), [1]) == r.trivial_pair()
+    assert BundlePair(r, 0, 2, [0, 101], [v + 101 for v in F4._chart()],
+                      [102, 0]) == r.trivial_pair()
+    with pytest.raises(ValueError, match="q must have degree 0"):
+        BundlePair(r, 0, 2, [], F4._chart(), [0, 1])
+    with pytest.raises(ValueError, match="entry of negative forced degree must vanish"):
+        BundlePair(r, 0, 3, [], (F4 * parse_form("x0", K, 2))._chart(), [1])
+
+
+def test_a_pair_with_q_zero_is_refused():
+    """q = 0 would make P^2 = F, and F is squarefree of positive degree:
+    refused where q has a forced degree >= 0 and where it has none."""
+    r = ring()
+    with pytest.raises(ValueError):
+        BundlePair(r, 1, 1, HForm.zero(K, 2, 2), F4, 0)
+    with pytest.raises(ValueError):
+        BundlePair(r, 1, 1, HForm.zero(K, 2, 2), F4, HForm.zero(K, 2, 2))
+    # (a, b) = (0, 3): b - a > l, so q has forced degree -1
+    with pytest.raises(ValueError):
+        BundlePair(r, 0, 3, HForm.zero(K, 2, 2), F4 * parse_form("x0", K, 2), 0)
+    P = parse_form("x0^2 + x1^2", K, 2)
+    with pytest.raises(ValueError):
+        BundlePair(r, 0, 3, P, F4 * parse_form("x0", K, 2), HForm.zero(K, 2, 0))
+
+
 def test_local_freeness():
     # a shared zero of P, q and f forces a double root of the branch
     # form, and no ring is built over such a form

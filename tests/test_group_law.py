@@ -40,7 +40,7 @@ def oracle_reduce(model, u, v):
 
 
 def _monic(u):
-    return u * u.field.inv(u.lead())
+    return u * u.field.inv(u.coeff(u.degree))
 
 
 FIELDS = {"GF(5)": GF(5), "GF(7)": GF(7), "GF(101)": GF(101), "GF(1009)": GF(1009),

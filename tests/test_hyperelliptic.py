@@ -17,7 +17,7 @@ from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
                                           class_from_matrix, matrix_from_class,
                                           stratum, torsion_matrix, is_n_torsion,
                                           enumerate_two_torsion,
-                                          enumerate_jacobian)
+                                          enumerate_jacobian, _substitute_matrix)
 from dihedralcovers.double_cover import (DoubleCoverRing, BundlePair, tensor, inverse,
                                          is_isomorphic, divisor_of_section)
 
@@ -99,6 +99,15 @@ def test_tensor_matches_cantor_addition():
         assert class_from_matrix(inverse(pa)) == -a
 
 
+def _odd_model_charts(pair):
+    """The charts of the pair's (P, f, q) moved to the odd model of its
+    ring, at their forced degrees."""
+    l, a, b = pair.ring.l, pair.a, pair.b
+    model = pair.ring.odd_model()
+    return [_substitute_matrix(model.field, c, d, model.T)
+            for c, d in zip(pair.charts, (l, l - a + b, l + a - b))]
+
+
 def _quintic_curve(p):
     # y^2 = x^5 - x + 1, with no roots in GF(3) or GF(5)
     K = GF(p)
@@ -113,9 +122,8 @@ def test_matrix_from_class_is_mumfords_matrix():
         model = curve.odd_model()
         for c in enumerate_jacobian(model):
             pair = matrix_from_class(curve, c)
-            P, f, q = (model.transform_form(e).to_univar()
-                       for e in (pair.P, pair.f, pair.q))
-            lam = q.lead()
+            P, f, q = (Poly(curve.field, e) for e in _odd_model_charts(pair))
+            lam = q.coeff(q.degree)
             assert q == c.u * lam
             assert P == -c.v
             assert f * lam == (model.fodd - c.v * c.v).exact_div(c.u)
@@ -390,9 +398,9 @@ def _class_by_section(pair):
     model = ring.odd_model()
     if pair.is_trivial():
         return model.zero_class()
-    T = model.transform_form
-    pairT = BundlePair(DoubleCoverRing(field, ring.l, T(ring.F)),
-                       pair.a, pair.b, T(pair.P), T(pair.f), T(pair.q))
+    FT = _substitute_matrix(field, ring.chart, 2 * ring.l, model.T)
+    pairT = BundlePair(DoubleCoverRing(field, ring.l, HForm.from_univar(Poly(field, FT), 2 * ring.l)),
+                       pair.a, pair.b, *_odd_model_charts(pair))
     one = HForm.const(field, 2, field.one)
     u, v = divisor_of_section(pairT, pairT.a, one, 0)
     return model.semireduced(u.to_univar(), -v)
@@ -401,8 +409,7 @@ def _class_by_section(pair):
 def _q_vanishes_at_infinity(pair):
     """True when q, in odd-model coordinates, vanishes at the branch
     point at infinity."""
-    qT = pair.ring.odd_model().transform_form(pair.q)
-    return qT.to_univar().degree < qT.deg
+    return len(_odd_model_charts(pair)[2]) <= pair.ring.l + pair.a - pair.b
 
 
 def _oracle_pairs():
@@ -450,29 +457,46 @@ def test_class_from_matrix_matches_section_route():
 
 
 def test_gf_p_values_stay_reduced_ints(rng, monkeypatch):
-    """Every Poly and HForm built on plain values during a GF(p) group-law
-    round holds ints in range(p): never a float (an int / int would give
-    one), never an FpElem, never an unreduced int."""
-    from dihedralcovers.homog import HForm
-
+    """Every Poly built on plain values during a GF(p) group-law round,
+    and every chart of the pairs it returns, holds ints in range(p):
+    never a float (an int / int would give one), never an FpElem, never an
+    unreduced int; and the charts are trimmed."""
     p = 1009
     built = watch_plain_values(monkeypatch, lambda v: type(v) is int and 0 <= v < p)
     curve = split_curve(p, 2)
     model = curve.odd_model()
     a, b = random_class(model, 2, rng), random_class(model, 2, rng)
     pairs, classes = _group_law_round(curve, a, b)
-    # the patches intercepted: each constructor was called, and every form
-    # and class polynomial the round returns came out of one of them
+    # the patch intercepted: the class polynomials came out of plain_poly
     assert any(isinstance(obj, Poly) for obj in built)
-    assert any(isinstance(obj, HForm) for obj in built)
     made = set(map(id, built))     # ``built`` keeps its objects alive
     for pair in pairs:
-        for form in (pair.P, pair.f, pair.q):
-            assert isinstance(form, HForm) and id(form) in made
-            assert all(type(v) is int and 0 <= v < p for v in form.terms.values())
+        for chart in pair.charts:
+            assert all(type(v) is int and 0 <= v < p for v in chart)
+            assert not chart or chart[-1]
     for c in classes:
         assert id(c.u) in made and id(c.v) in made
         assert all(type(v) is int and 0 <= v < p for v in c.u.c + c.v.c)
+
+
+def test_group_law_round_builds_no_form(rng, monkeypatch):
+    """A pair holds no HForm: tensor, class_from_matrix, matrix_from_class,
+    inverse and is_isomorphic on GF(1009) genus-2 classes build none,
+    through ``plain_form`` (wherever the package imported it) or the
+    HForm constructor."""
+    curve = split_curve(1009, 2)
+    model = curve.odd_model()
+    classes = [random_class(model, 2, rng) for _ in range(4)]
+    built = watch_plain_values(monkeypatch, lambda v: True)
+
+    def no_form(*args):
+        raise AssertionError("an HForm was built")
+
+    monkeypatch.setattr(HForm, "__init__", no_form)
+    for a, b in zip(classes, classes[1:]):
+        _group_law_round(curve, a, b)
+    assert not [obj for obj in built if isinstance(obj, HForm)]
+    assert any(isinstance(obj, Poly) for obj in built)
 
 
 def test_group_law_round_builds_the_odd_model_once(rng, monkeypatch):
@@ -544,8 +568,6 @@ def test_substitute_matrix_matches_the_form_substitution(rng, field):
     random binary forms of degree 0-12 and random invertible matrices
     (zero entries, determinants other than +-1), with the odd model's
     round trip."""
-    from dihedralcovers.hyperelliptic import _substitute_matrix
-
     def value():
         if field.characteristic:
             return field.of(rng.choice([0, 1, -1, rng.randrange(field.characteristic)]))
@@ -559,8 +581,8 @@ def test_substitute_matrix_matches_the_form_substitution(rng, field):
         d = checked % 13
         F = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})
         images = [HForm(field, 2, 1, {(1, 0): row[0], (0, 1): row[1]}) for row in m]
-        want = F.substitute(images)
-        got = _substitute_matrix(F, m)
+        want = F.substitute(images)._chart()
+        got = _substitute_matrix(field, F._chart(), d, m)
         assert got == want and repr(got) == repr(want), (F, m)
         checked += 1
     p = field.characteristic
@@ -573,5 +595,6 @@ def test_substitute_matrix_matches_the_form_substitution(rng, field):
     model = curve.odd_model()
     assert model.T[1][0]
     for d in range(9):
-        F = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})
-        assert model.untransform_form(model.transform_form(F)) == F
+        c = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})._chart()
+        assert _substitute_matrix(field, _substitute_matrix(field, c, d, model.T),
+                                  d, model.Tinv) == c

@@ -120,8 +120,9 @@ def _point_draw(model, rng):
 
 def _curve(name, g, rng):
     """A seeded genus-g curve: ``"p5"`` y^2 = squarefree quintic-style odd
-    poly over GF(5) (F(1, 0) = 0); ``"p7"`` F = 3 x h over GF(7), F(1, 0)
-    a non-square; ``"p101"``, ``"p1009"``, ``"p61"`` split curves
+    poly over GF(5) (F(1, 0) = 0); ``"p7"`` F = x0 h over GF(7) with
+    F(1, 0) = 3, a non-square, so that no pair with a = b has a normal
+    form; ``"p101"``, ``"p1009"``, ``"p61"`` split curves
     (F(1, 0) = 1); ``"Q1"``, ``"Q4"``, ``"Q2"``, ``"Q-1"`` c times a split
     form over Q, F(1, 0) = c."""
     if name in ("p5", "p7"):
@@ -130,10 +131,9 @@ def _curve(name, g, rng):
         while True:
             if p == 5:
                 c = [rng.randrange(5) for _ in range(2 * g + 1)] + [1]
-                F = HForm.from_univar(Poly(K, c), 2 * g + 2)
             else:
-                c = [0] + [rng.randrange(7) for _ in range(2 * g)] + [3]
-                F = HForm.from_univar(Poly(K, c), 2 * g + 2)
+                c = [0] + [rng.randrange(7) for _ in range(2 * g + 1)] + [3]
+            F = HForm.from_univar(Poly(K, c), 2 * g + 2)
             if F.is_squarefree():
                 curve = HECurve(K, g, F)
                 draw = _point_draw(curve.odd_model(), rng)
@@ -173,7 +173,7 @@ CURVES = ([("p5", g) for g in (1, 2, 3, 4)] + [("p7", g) for g in (1, 2, 3)]
 
 def test_normal_form_matches_the_intertwining_nullspace():
     rng = random.Random(32)
-    seen = set()
+    seen, nullspace_fields = set(), set()
     for name, g in CURVES:
         curve, draw = _curve(name, g, rng)
         F = curve.F._chart()
@@ -188,6 +188,7 @@ def test_normal_form_matches_the_intertwining_nullspace():
                 # a = b and no square root of F(1, 0): the nullspace decides
                 assert ny is None and x.a == x.b and name in ("p7", "Q2", "Q-1")
                 seen.add(("none", want))
+                nullspace_fields.add(curve.field.characteristic)
                 continue
             assert (nx == ny) == want, (name, g, x, y)
             # the normal form is itself a pair of the class
@@ -211,6 +212,8 @@ def test_normal_form_matches_the_intertwining_nullspace():
                 seen.add(("x1|q", want))
     kinds = ("a<b", "a=b", "F(1,0)=0", "a=b, F(1,0)=0", "square", "x1|q", "none")
     assert seen == {(kind, w) for kind in kinds for w in (True, False)}, seen
+    # the intertwining nullspace decides pairs over GF(7) and over Q
+    assert nullspace_fields == {7, 0}
 
 
 def test_normal_form_property():
@@ -272,18 +275,6 @@ def test_normal_form_of_conjugates_with_f_l_zero():
     assert signs == {True, False}
 
 
-def _p7_nonsquare_curve(g, rng):
-    """A seeded genus-g curve over GF(7) with F = x0 h and F(1, 0) = 3, a
-    non-square, so that no pair with a = b has a normal form."""
-    K = GF(7)
-    while True:
-        c = [0] + [rng.randrange(7) for _ in range(2 * g + 1)] + [3]
-        F = HForm.from_univar(Poly(K, c), 2 * g + 2)
-        if F.is_squarefree():
-            curve = HECurve(K, g, F)
-            return curve, _point_draw(curve.odd_model(), rng)
-
-
 def test_column0_intertwining_equations_have_the_nullspace_of_all_four():
     """Where ``is_isomorphic`` solves the intertwining equation (a = b,
     F(1, 0) not a square) it takes only the column-0 equations:
@@ -291,7 +282,7 @@ def test_column0_intertwining_equations_have_the_nullspace_of_all_four():
     q1 != 0, so the nullspace is that of all four equations."""
     rng = random.Random(4201)
     checked = set()
-    curves = [_p7_nonsquare_curve(g, rng) for g in (1, 2, 3)]
+    curves = [_curve("p7", g, rng) for g in (1, 2, 3)]
     curves += [_curve(name, g, rng) for name in ("Q2", "Q-1") for g in (1, 2)]
     for curve, draw in curves:
         pool = [x for x in _pool(curve, draw, rng, 4) if x.a == x.b]
