@@ -183,12 +183,13 @@ def random_coordinate_change(field, rng):
     """A linear substitution with small integer entries, invertible over
     the field: a determinant divisible by p would collapse the plane
     onto a line and fake a common component."""
+    p = field.characteristic
     while True:
         rows = [[rng.randint(-10, 10) for _ in range(3)] for _ in range(3)]
         det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-        if field.of(det):
+        if (det % p if p else det):
             break
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return [HForm(field, 3, 1, dict(zip(units, row))) for row in rows]
@@ -278,6 +279,7 @@ def check_simple(spec, seed=0):
 
 
 CERTIFICATE_PRIME = 2 ** 61 - 1     # below the bound to which GF certifies primes
+CERTIFICATE_FIELD = GF(CERTIFICATE_PRIME)
 
 
 def _singular_containment(a, F, R, n):
@@ -325,11 +327,10 @@ def _trivial_gcd_mod_prime(test, *forms):
     it is far cheaper whenever it decides."""
     if forms[0].field != QQ:
         return False
-    K = GF(CERTIFICATE_PRIME)
     reduced = []
     for form in forms:
         try:
-            fp = HForm(K, 2, form.deg, form.terms)
+            fp = HForm(CERTIFICATE_FIELD, 2, form.deg, form.terms)
         except ZeroDivisionError:   # the prime divides a denominator
             return False
         if fp.x1_multiplicity() != form.x1_multiplicity():

@@ -62,6 +62,7 @@ adjugate), checked on the other two rows, and needs no solve.
 import math
 from fractions import Fraction
 
+from .fields import sqrt_mod
 from .homog import HForm, plain_form
 from .poly import (Poly, plain_poly, base_field_roots, trim_c, inv_c, reduce_c, neg_c, sub_c,
                    add_c, scale_c, mul_c, divmod_c, monic_c)
@@ -105,11 +106,12 @@ class DoubleCoverRing:
         return BundlePair(self, 0, self.l, [], self.chart, [1])
 
     def rational_branch_root(self):
-        """A root (r0 : r1) of F over the base field, or None."""
+        """A root (r0 : r1) of F over the base field, as plain values
+        (1, 0) or (x, 1), or None."""
         if self.F.x1_multiplicity() > 0:
-            return (self.field.one, self.field.zero)
+            return (1, 0)
         x = next(base_field_roots(self.F.to_univar()), None)
-        return None if x is None else (x, self.field.one)
+        return None if x is None else (x, 1)
 
     def odd_model(self):
         """The odd model y^2 = fodd(x) after moving a rational branch root
@@ -288,11 +290,12 @@ def _entry_chart(field, name, val, deg):
 
 
 def _square_root(field, v):
-    """A plain square root of the plain value v, or None: ``GF.sqrt``, and
-    over Q ``math.isqrt`` of the numerator and the denominator."""
-    if field.characteristic:
-        r = field.sqrt(v)
-        return None if r is None else field.unbox(r)
+    """A plain square root of the plain value v, or None: Tonelli-Shanks
+    on the residue (``fields.sqrt_mod``), and over Q ``math.isqrt`` of
+    the numerator and the denominator."""
+    p = field.characteristic
+    if p:
+        return sqrt_mod(v % p, p)
     v = Fraction(v)
     n, d = math.isqrt(max(v.numerator, 0)), math.isqrt(v.denominator)
     return Fraction(n, d) if n * n == v.numerator and d * d == v.denominator else None
@@ -440,8 +443,9 @@ def is_isomorphic(p1, p2):
         return False
 
     def det_of(vec):
-        a_, b_, c_, d_ = (Poly(field, c) for c in linalg.split_blocks(vec, degs))
-        return (a_ * d_ - b_ * c_).coeff(0)
+        # det Psi is a form of degree 0: its chart is empty or one constant
+        a_, b_, c_, d_ = linalg.split_blocks(vec, degs)
+        return sub_c(mul_c(a_, d_, p), mul_c(b_, c_, p), p)
 
     for i, v in enumerate(basis):
         if det_of(v):
@@ -481,26 +485,22 @@ def divisor_of_section(pair, m, alpha, beta):
                                                      mul_c(f, mul_c(be, be, p), p), p), p)
     if not u:
         raise DegenerateSectionError("section lies in a z-eigenline")
-    ua, d = plain_poly(field, u), len(u) - 1
-    u = HForm.from_univar(ua, 2 * m + pair.ring.l - pair.a - pair.b)
+    d = len(u) - 1
+    norm = HForm.from_univar(plain_poly(field, u), 2 * m + pair.ring.l - pair.a - pair.b)
     if d == 0:
-        return u, Poly.zero(field)
-    Pa, fa, qa, aa, ba = (plain_poly(field, c) for c in (P, f, q, al, be))
+        return norm, Poly.zero(field)
     # solve (P - v) alpha + f beta = 0 and q alpha - (P + v) beta = 0 mod u
     rows_eq = []
     rhs = []
-    c1 = (Pa * aa + fa * ba) % ua
-    c2 = (qa * aa - Pa * ba) % ua
-    for target, mult in ((c1, aa), (c2, -1 * ba)):
-        # v * mult = target (mod ua)
-        cols = []
-        for s in range(d):
-            cols.append(mult.shift(s) % ua)
+    c1 = divmod_c(add_c(mul_c(P, al, p), mul_c(f, be, p), p), u, p)[1]
+    c2 = divmod_c(sub_c(mul_c(q, al, p), mul_c(P, be, p), p), u, p)[1]
+    for target, mult in ((c1, al), (c2, neg_c(be, p))):
+        # v * mult = target (mod u): column s is x^s mult mod u
+        cols = [divmod_c([0] * s + mult, u, p)[1] for s in range(d)]
         for c in range(d):
-            rows_eq.append([col.coeff(c) for col in cols])
-            rhs.append(target.coeff(c))
+            rows_eq.append([col[c] if c < len(col) else 0 for col in cols])
+            rhs.append(target[c] if c < len(target) else 0)
     sol = linalg.solve(rows_eq, rhs, field)
     if sol is None:
         raise ValueError("no z-value polynomial exists along the divisor")
-    v = Poly(field, sol)
-    return u, v
+    return norm, plain_poly(field, reduce_c(sol, p))

@@ -13,15 +13,19 @@ Fields are lightweight descriptor objects exposing ``zero``, ``one``,
 ``of(n)`` for embedding integers, ``inv``, and ``characteristic``;
 ``to_ints`` gives an element as (integer vector, positive denominator)
 and ``from_ints`` builds it back.
-Field *elements* support the usual operator protocol so downstream code
-never needs to know which field it is working over.
+Field *elements* support the usual operator protocol, for the public
+edge: the accessors of ``Poly`` and ``HForm`` and a user's own
+arithmetic.
 
-Polynomials, forms and the matrices built from them keep the plain
-values instead of elements: the residue int over GF(p); over Q an int
-wherever the value is integral and a Fraction only where a denominator
-exists (``2 == Fraction(2)`` and the two hash alike, so the mix never
-shows).  ``unbox`` turns an element (or an int or Fraction) into that
-value and ``box`` turns it back into an element.
+Inside the package only plain values cross a module boundary: the
+residue int in range(p) over GF(p); over Q an int wherever the value
+is integral and a Fraction only where a denominator exists
+(``2 == Fraction(2)`` and the two hash alike, so the mix never shows).
+Code on plain values takes the field's characteristic p (0 for Q) to
+know how to reduce them.  ``unbox`` turns an element (or an int or
+Fraction) into that value and ``box`` turns it back into an element;
+an ``FpElem`` equals an int only when the int is its residue, and
+hashes as it.
 """
 
 import functools
@@ -93,14 +97,11 @@ class FpElem:
         if isinstance(other, FpElem):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
-        if isinstance(other, Fraction) and other.denominator % self.p:
-            # the residue GF.of gives the Fraction
-            return self.v * other.denominator % self.p == other.numerator % self.p
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -119,7 +120,8 @@ _MR_BOUND = 3317044064679887385961981
 @functools.lru_cache(maxsize=64)
 def _is_prime(n):
     """Deterministic Miller-Rabin for 1 < n < _MR_BOUND.  Cached, since
-    the plane checks over Q build GF(2^61 - 1) twice per attempt."""
+    the command line builds the field of every job afresh, and a batch
+    names the same few primes again and again."""
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -137,6 +139,34 @@ def _is_prime(n):
         else:
             return False
     return True
+
+
+def sqrt_mod(a, p):
+    """A square root in range(p) of the residue a modulo the odd prime p,
+    or None if a is a non-residue: Tonelli-Shanks, with the p % 4 == 3
+    shortcut that covers most test fields."""
+    if not a:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
 
 
 class GF:
@@ -194,31 +224,8 @@ class GF:
 
     def sqrt(self, a):
         """A square root of a in GF(p), or None if a is a non-residue."""
-        a = self.of(a)
-        if not a:
-            return self.zero
-        if pow(a.v, (self.p - 1) // 2, self.p) != 1:
-            return None
-        # Tonelli-Shanks; the p % 4 == 3 shortcut covers most test fields.
-        p = self.p
-        if p % 4 == 3:
-            return FpElem(pow(a.v, (p + 1) // 4, p), p)
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q, s = q // 2, s + 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(a.v, q, p), pow(a.v, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            r, t = r * b % p, t * c % p
-        return FpElem(r, p)
+        r = sqrt_mod(self.unbox(a), self.p)
+        return None if r is None else FpElem(r, self.p)
 
     def __eq__(self, other):
         return isinstance(other, GF) and other.p == self.p

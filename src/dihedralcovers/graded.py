@@ -23,7 +23,7 @@ those of a higher one by a small elimination (``_read_off``), with no
 second convolution matrix.
 """
 
-from .poly import trim_c, sub_c, mul_c
+from .poly import reduce_c, sub_c, mul_c
 from . import linalg
 
 
@@ -39,11 +39,11 @@ def nonzero_minor(u, v, p):
     return None
 
 
-def _vector_charts(field, vec, degs):
-    return [trim_c([field.unbox(x) for x in c]) for c in linalg.split_blocks(vec, degs)]
+def _vector_charts(p, vec, degs):
+    return [reduce_c(c, p) for c in linalg.split_blocks(vec, degs)]
 
 
-def _read_off(sols, degs, k):
+def _read_off(field, sols, degs, k):
     """The sections k degrees lower, from a basis ``sols`` of the
     sections whose unknowns have degrees ``degs``: (basis, degrees), the
     basis as ``linalg.nullspace`` returns it.
@@ -64,7 +64,7 @@ def _read_off(sols, degs, k):
         tops += range(cut, pos + n)
         pos += n
     order = tops + rest[::-1]
-    red, pivots = linalg.rref([[v[i] for i in order] for v in sols])
+    red, pivots = linalg.rref([[v[i] for i in order] for v in sols], field)
     lower = [row[len(tops):][::-1] for row, c in zip(red, pivots) if c >= len(tops)]
     return lower[::-1], [d - k for d in degs]
 
@@ -118,25 +118,25 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
         rows = linalg.convolution_matrix(field, coeffs, degs, [t - r for r in row_twists])
         nunk = sum(max(d + 1, 0) for d in degs)
         sols = (linalg.nullspace(rows, field) if rows else
-                [[field.one if idx == q else field.zero for idx in range(nunk)]
-                 for q in range(nunk)])
+                [[int(idx == q) for idx in range(nunk)] for q in range(nunk)])
         if want is not None:
             check(sols, t, want)
         return sols, degs
 
+    p = field.characteristic
     if nullity == 1:
         sols, degs = sections(twist_sum, 1)
-        return [twist_sum], [_vector_charts(field, sols[0], degs)], None
+        return [twist_sum], [_vector_charts(p, sols[0], degs)], None
     if nullity != 2:
         raise ValueError("kernel rank must be 1 or 2, not %r" % (nullity,))
     t = twist_sum // 2
     up = twist_sum - t
     top, top_degs = sections(up)
-    sols, degs = (top, top_degs) if up == t else _read_off(top, top_degs, 1)
+    sols, degs = (top, top_degs) if up == t else _read_off(field, top, top_degs, 1)
     tw0 = t - len(sols) + 1
     if len(sols) == 2 and up == t:
-        gens = [_vector_charts(field, v, degs) for v in sols]
-        minor = nonzero_minor(*gens, field.characteristic)
+        gens = [_vector_charts(p, v, degs) for v in sols]
+        minor = nonzero_minor(*gens, p)
         if minor:
             return [t, t], gens, minor
         tw0 = t - 1
@@ -145,9 +145,9 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
         raise RuntimeError("kernel of dimension %d in degree %d: no rank 2 kernel of "
                            "twist sum %d" % (len(sols), t, twist_sum))
     if tw0 != t:        # else d = 1 and the one section is g0
-        sols, degs = _read_off(sols, degs, t - tw0)
+        sols, degs = _read_off(field, sols, degs, t - tw0)
         check(sols, tw0, 1)
-    g0 = _vector_charts(field, sols[0], degs)
+    g0 = _vector_charts(p, sols[0], degs)
     k = tw1 - tw0
     if tw1 == up:
         sols, degs = top, top_degs
@@ -160,5 +160,5 @@ def kernel_basis(field, coeffs, row_twists, col_twists, nullity, twist_sum):
     basis = [list(v) for v in zip(*shifts)]
     for v in sols:
         if linalg.rank(basis + [v], field) > k + 1:
-            return [tw0, tw1], [g0, _vector_charts(field, v, degs)], None
+            return [tw0, tw1], [g0, _vector_charts(p, v, degs)], None
     raise RuntimeError("no second generator in degree %d" % tw1)

@@ -41,8 +41,8 @@ straight from the three charts and never builds it as lists.
 
 import itertools
 
-from .poly import (Poly, plain_poly, base_field_roots, reduce_c, add_c, neg_c, sub_c,
-                   scale_c, mul_c, divmod_c, monic_c, xgcd_c, cofactor_c, exact_div_c)
+from .poly import (Poly, plain_poly, base_field_roots, inv_c, reduce_c, add_c, neg_c, sub_c,
+                   scale_c, mul_c, divmod_c, monic_c, xgcd_c, cofactor_c, exact_div_c, eval_c)
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair
 from . import linalg, parsing
@@ -74,19 +74,17 @@ class OddModel:
 
     def __init__(self, curve, root):
         field = curve.field
-        r0, r1 = root
-        # complete (r0, r1) to an invertible matrix T, columns T(1,0)=(r0,r1)
-        if r1:
-            s0, s1 = field.one, field.zero
-        else:
-            s0, s1 = field.zero, field.one
+        r0, r1 = map(field.unbox, root)
+        # complete (r0, r1) to an invertible matrix T, columns T(1,0)=(r0,r1);
+        # T and Tinv hold plain values
+        s0, s1 = (1, 0) if r1 else (0, 1)
         self.curve = curve
         self.field = field
         self.g = curve.g
         self.T = ((r0, s0), (r1, s1))
-        det = r0 * s1 - r1 * s0
-        dinv = field.inv(det)
-        self.Tinv = ((s1 * dinv, -s0 * dinv), (-r1 * dinv, r0 * dinv))
+        dinv = inv_c(r0 * s1 - r1 * s0, field.characteristic)
+        self.Tinv = tuple(tuple(field.unbox(x * dinv) for x in row)
+                          for row in ((s1, -s0), (-r1, r0)))
         fodd = plain_poly(field, _substitute_matrix(field, curve.chart, 2 * curve.l, self.T))
         if fodd.degree != 2 * curve.g + 1:
             raise ValueError("chosen branch root does not give an odd model")
@@ -97,10 +95,13 @@ class OddModel:
 
     def point_class(self, x0, y0):
         """The class of (x0, y0) minus infinity."""
-        if self.fodd(x0) != y0 * y0:
+        field = self.field
+        p = field.characteristic
+        x, y = field.unbox(x0), field.unbox(y0)
+        if eval_c(self.fodd.c, x, p) != field.unbox(y * y):
             raise ValueError("point is not on the curve")
-        return MumfordClass(self, Poly(self.field, [-x0, self.field.one]),
-                            Poly.const(self.field, y0))
+        return MumfordClass(self, plain_poly(field, reduce_c([-x, 1], p)),
+                            plain_poly(field, reduce_c([y], p)))
 
     def semireduced(self, u, v):
         """A (possibly unreduced) Mumford pair, validated then reduced."""
@@ -123,7 +124,7 @@ def _substitute_matrix(field, chart, d, m):
     computed once.  A and B are linear, so each step is one pass over
     untrimmed lists (B^j has j + 1 entries): O(d^2) field operations."""
     p = field.characteristic
-    (m00, m01), (m10, m11) = ([field.unbox(x) for x in row] for row in m)
+    (m00, m01), (m10, m11) = m
     f = chart + [0] * (d + 1 - len(chart))
     powers = [[1]]
     for _ in range(d):
@@ -451,15 +452,14 @@ def enumerate_two_torsion(curve):
 def _split_linear_factors(F):
     """The charts of the linear factors of a squarefree binary form, or
     None if it does not split over the base field."""
-    field = F.field
-    p = field.characteristic
+    p = F.field.characteristic
     u = F.to_univar()
     roots = list(base_field_roots(u))
     if len(roots) < u.degree:
         return None
     # x1 has the chart 1, and x0 - r x1 the chart x - r
     factors = [[1]] * F.x1_multiplicity()
-    factors += [[field.unbox(-r), 1] for r in roots]
+    factors += [reduce_c([-r, 1], p) for r in roots]
     # fold the leading unit into the first factor
     factors[0] = scale_c(factors[0], u.c[-1], p)
     return factors

@@ -2,12 +2,11 @@
 
 Two tiers:
 
-* field matrices (lists of lists of field elements).  A matrix over
-  GF(p) (the field passed in, or the prime of an ``FpElem`` entry) is
-  read into plain ints (an ``FpElem`` gives its residue), eliminated on
-  ints with one modular inverse per pivot, and boxed as reduced
-  ``FpElem`` only at the result (the reduced rows, the kernel vectors,
-  the solution; a rank is an int).  Two loops serve it:
+* field matrices (lists of lists of plain values).  Every call takes its
+  field; entries and results are the field's plain values (see
+  ``fields``), and nothing here builds a field element.  Over GF(p) an
+  entry is any int, read modulo p, and every value returned is an int
+  in range(p) (a rank is an int).  Two loops serve it:
 
   - rank: forward elimination on packed rows
     (``_forward_mod``).  A row is a single int that holds its residues,
@@ -21,15 +20,17 @@ Two tiers:
     ``convolution_rank`` builds its rows packed, straight from the
     charts, so a torsion band is never built as lists.
   - rref, nullspace and solve: Gauss-Jordan elimination on lists of
-    ints reduced mod p only where they are read (``_eliminate_mod``).
+    ints reduced mod p only where they are read (``_eliminate_mod``),
+    and each caller reduces the values it returns.
     It stays on lists because a packed Gauss-Jordan loop was about 3x
     slower on the many small reduced eliminations of the group law
     (about 15 x 8 on average): 45 -> 128 ms per three rounds of the
     ``grouplaw`` benchmark.
 
-  Any other matrix (over Q or Q(zeta_n)) goes through the generic loop
-  ``_eliminate``, with its nonzero int entries as ``Fraction``, so no
-  division is ever a float division.
+  Over any other field (Q or Q(zeta_n)) the matrix goes through the
+  generic loop ``_eliminate``, with its nonzero int entries as
+  ``Fraction``, so no division is ever a float division; its values are
+  returned as that loop computes them.
 * integral-domain matrices (e.g. polynomial entries): rank by
   fraction-free Bareiss elimination, which only ever performs divisions
   that are exact in the domain; the tests use it as the oracle of
@@ -47,57 +48,26 @@ Matrices are plain nested lists; nothing here mutates its input.
 
 from fractions import Fraction
 
-from .fields import FpElem, GF
-
 
 def _clone(m):
     return [list(r) for r in m]
 
 
-def _prime(m, field):
-    """The characteristic of the matrix m: the field's when given, else
-    the prime of an ``FpElem`` entry, else 0 (the matrix is over Q)."""
-    if field is not None:
-        return field.characteristic
-    return next((x.p for row in m for x in row if type(x) is FpElem), 0)
+def _echelon(m, p):
+    """Gauss-Jordan elimination of a copy of the matrix m over the field
+    of characteristic p: each pivot row is scaled to 1 and its column
+    cleared above and below (rref, nullspace, solve).
 
-
-def _echelon(m, field=None):
-    """Gauss-Jordan elimination of a copy of the matrix m: each pivot
-    row is scaled to 1 and its column cleared above and below (rref,
-    nullspace, solve).
-
-    Returns (rows, pivot columns, box).  The matrix is over ``field``
-    when given, else over GF(p) when an entry is an ``FpElem`` of prime
-    p, else over Q.  ``box`` makes a field element of an entry of
-    ``rows``: the identity, or ``FpElem(., p)`` when the rows are the
-    plain ints of the GF(p) loop.
+    Returns (rows, pivot columns).  Over GF(p) the rows are those of
+    ``_eliminate_mod``, only congruent mod p to the reduced matrix, so a
+    caller reduces each value it returns; over any other field they are
+    those of the generic loop.
     """
     if not m or not m[0]:
-        return _clone(m), [], _identity
-    p = _prime(m, field)
-    if not p:
-        return _eliminate(_rationals(m), True) + (_identity,)
-    return _eliminate_mod(_residues(m, p), p) + (lambda v: FpElem(v, p),)
-
-
-def _residues(m, p):
-    """A copy of m on plain ints for ``_eliminate_mod``: a row of ints
-    (the rows of ``convolution_matrix`` over GF(p)) is copied as it is,
-    since the elimination reduces an entry when it reads it; any other
-    row is read entry by entry (an FpElem must be of prime p)."""
-    return [list(row) if {*map(type, row)} <= {int} else [_residue(x, p) for x in row]
-            for row in m]
-
-
-def _residue(x, p):
-    if type(x) is int:
-        return x % p
-    if type(x) is FpElem:
-        if x.p != p:
-            raise ValueError("mixed characteristics %d and %d" % (p, x.p))
-        return x.v
-    return GF(p).unbox(x)
+        return _clone(m), []
+    if p:
+        return _eliminate_mod(_clone(m), p)
+    return _eliminate(_rationals(m), True)
 
 
 def _rationals(m):
@@ -105,10 +75,6 @@ def _rationals(m):
     pivot divides exactly (an int zero is zero in any field and is never
     a pivot)."""
     return [[Fraction(x) if type(x) is int and x else x for x in row] for row in m]
-
-
-def _identity(x):
-    return x
 
 
 def _eliminate(m, reduced):
@@ -149,9 +115,9 @@ def _eliminate_mod(m, p):
     mod p to its value in the elimination over GF(p), every zero test
     reads a residue, and an int cannot overflow (an update makes it at
     most p^2 larger).  So the rows returned are only congruent mod p to
-    the reduced matrix, and the box of ``_echelon``, ``FpElem(., p)``,
-    reduces every value that rref, nullspace and solve return.  A target
-    row is updated only where the pivot row is nonzero.
+    the reduced matrix, and rref, nullspace and solve reduce every value
+    they return.  A target row is updated only where the pivot row is
+    nonzero.
     """
     rows, cols = len(m), len(m[0])
     pivots = []
@@ -244,13 +210,13 @@ def _forward_mod(buckets, p, W):
     return r
 
 
-def rank(m, field=None):
-    """Rank of a matrix over a field (see ``_echelon`` for the field):
-    over GF(p) on packed rows, all filed in bucket 0 (``_forward_mod``),
-    over any other field by ``_eliminate``."""
+def rank(m, field):
+    """Rank of a matrix over a field: over GF(p) on packed rows, all
+    filed in bucket 0 (``_forward_mod``), over any other field by
+    ``_eliminate``."""
     if not m or not m[0]:
         return 0
-    p = _prime(m, field)
+    p = field.characteristic
     if not p:
         return len(_eliminate(_rationals(m), False)[1])
     W = _slot_width(p, len(m[0]))
@@ -258,18 +224,18 @@ def rank(m, field=None):
     for row in m:
         v = 0
         for x in reversed(row):
-            if type(x) is FpElem and x.p == p:
-                x = x.v
-            v = v << W | (x % p if type(x) is int else _residue(x, p))
+            v = v << W | x % p
         first.append(v)
     return _forward_mod([first] + [[] for _ in m[0]], p, W)
 
 
-def rref(m):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    red, pivots, box = _echelon(m)
-    if box is not _identity:
-        red = [[box(x) for x in row] for row in red]
+def rref(m, field):
+    """Reduced row echelon form over a field; returns (matrix, pivot
+    column list)."""
+    p = field.characteristic
+    red, pivots = _echelon(m, p)
+    if p:
+        red = [[x % p for x in row] for row in red]
     return red, pivots
 
 
@@ -277,14 +243,15 @@ def nullspace(m, field):
     """Basis of the right kernel of m, as a list of column vectors."""
     if not m or not m[0]:
         return []
-    cols = len(m[0])
-    red, pivots, box = _echelon(m, field)
+    p, cols = field.characteristic, len(m[0])
+    red, pivots = _echelon(m, p)
+    zero, one = (0, 1) if p else (field.zero, field.one)
     basis = []
     for fc in [c for c in range(cols) if c not in pivots]:
-        v = [field.zero] * cols
-        v[fc] = field.one
+        v = [zero] * cols
+        v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = box(-red[r][fc])
+            v[pc] = -red[r][fc] % p if p else -red[r][fc]
         basis.append(v)
     return basis
 
@@ -293,14 +260,13 @@ def solve(m, b, field):
     """One solution x of m x = b over a field, or None if inconsistent."""
     if not m:
         return [] if all(not x for x in b) else None
-    cols = len(m[0])
-    aug = [list(r) + [bv] for r, bv in zip(m, b)]
-    red, pivots, box = _echelon(aug, field)
+    p, cols = field.characteristic, len(m[0])
+    red, pivots = _echelon([list(r) + [bv] for r, bv in zip(m, b)], p)
     if cols in pivots:
         return None
-    x = [field.zero] * cols
+    x = [0 if p else field.zero] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = box(red[r][cols])
+        x[pc] = red[r][cols] % p if p else red[r][cols]
     return x
 
 
@@ -329,16 +295,14 @@ def convolution_matrix(field, coeffs, in_degs, out_degs):
     degrees 0..in_degs[j]; a negative degree means the block is absent.
     Each cell is one (output, degree, unknown, degree) pair, so it is
     assigned once and never summed.  The cells are copied from
-    ``coeffs`` and the rest is the field's plain zero, so with the plain
-    lists of ``Poly.c`` the rows over GF(p) are ints reduced mod p, ready
-    for the elimination loop.
+    ``coeffs`` and the rest is the plain 0, so with the charts of
+    ``Poly.c`` the rows over GF(p) are ints reduced mod p.
     """
-    zero = field.unbox(field.zero)
     ncols, outputs = _convolution_blocks(coeffs, in_degs, out_degs)
     m = []
     for dout, blocks in outputs:
         for k in range(dout + 1):
-            row = [zero] * ncols
+            row = [0] * ncols
             for c, o, din in blocks:
                 # unknown degrees s with 0 <= k - s < len(c)
                 lo, hi = max(k - len(c) + 1, 0), min(k, din)
@@ -376,7 +340,7 @@ def convolution_rank(field, coeffs, in_degs, out_degs):
         for c, o, din in blocks:
             v = 0
             for x in c:
-                v = v << W | _residue(x, p)
+                v = v << W | x % p
             spans.append((v << W * (o - base - len(c) + 1),
                           ((1 << W * (din + 1)) - 1) << W * (o - base)))
         for k in range(dout + 1):

@@ -30,9 +30,10 @@ subresultant sequence, and interpolation runs Newton's table on ints
 scaled by a common denominator.  Each result coefficient is an int
 where the denominator divides it.  Field elements are boxed
 (``FpElem``, ``Fraction``) only at the public accessors: ``coeff``,
-``lead`` and evaluation return field elements; the constructor accepts
-field elements, ints and Fractions, and refuses floats.
-``base_field_roots`` is the one root finder: over GF(p) the roots of
+evaluation and ``resultant`` return field elements; the constructor
+accepts field elements, ints and Fractions, and refuses floats.
+``base_field_roots`` is the one root finder, and it yields plain
+values: over GF(p) the roots of
 gcd(x^p - x, f), split apart by seeded equal-degree splitting and
 given in ascending order, so that a prime of any size costs about
 log p polynomial products; over Q the rational-root-theorem
@@ -502,14 +503,19 @@ class Poly:
                                                   self.field.characteristic))
 
     def __eq__(self, other):
+        """Equal coefficient lists; an int is equal only to the constant
+        whose plain value it is (0 to the zero polynomial)."""
         if isinstance(other, Poly):
             return self.c == other.c
         if isinstance(other, int):
-            return self == Poly.const(self.field, other)
+            return self.c == ([other] if other else [])
         return NotImplemented
 
     def __hash__(self):
-        return hash(tuple(self.c))
+        if len(self.c) > 1:
+            return hash(tuple(self.c))
+        # a constant hashes as its plain value, the int it may equal
+        return hash(self.c[0] if self.c else 0)
 
     def __bool__(self):
         return bool(self.c)
@@ -584,7 +590,8 @@ def is_squarefree(a):
 
 def base_field_roots(f):
     """The distinct roots of the nonzero polynomial f in its base field,
-    in a fixed order.
+    in a fixed order, as plain values: over GF(p) ints in range(p), over
+    Q an int where the root is integral and else a Fraction.
 
     Over GF(p), p odd (``fields.GF`` refuses 2), in ascending order:
     g = gcd(x^p - x, f) is the product of the distinct linear factors of
@@ -602,8 +609,7 @@ def base_field_roots(f):
     Over Q, lazily, the rational-root-theorem candidates +-p/q, p
     dividing the lowest nonzero and q the leading integer coefficient.
     """
-    field = f.field
-    p = field.characteristic
+    p = f.field.characteristic
     if p:
         g = monic_c(f.c, p)
         if len(g) > 1:
@@ -612,7 +618,7 @@ def base_field_roots(f):
             if len(g) < 2:
                 return
             if not eval_c(g, x, p):
-                yield field.box(x)
+                yield x
                 g = divmod_c(g, [-x % p, 1], p)[0]
         rng = random.Random(0)
         roots, todo = [], [g]
@@ -627,8 +633,7 @@ def base_field_roots(f):
                     todo += [d, divmod_c(h, d, p)[0]]
                 else:
                     todo.append(h)
-        for v in sorted(roots):
-            yield field.box(v)
+        yield from sorted(roots)
         return
     den = math.lcm(*[Fraction(c).denominator for c in f.c])
     ic = [int(Fraction(c) * den) for c in f.c]
@@ -637,8 +642,8 @@ def base_field_roots(f):
     for p in _divisors(abs(lo)) | {0}:
         for q in _divisors(abs(ic[-1])):
             for s in (1, -1):
-                x = Fraction(s * p, q)
-                if x not in seen and not f(x):
+                x = _ratio(s * p, q)
+                if x not in seen and not eval_c(f.c, x, 0):
                     seen.add(x)
                     yield x
 

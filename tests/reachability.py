@@ -58,6 +58,9 @@ WORKLOADS = ("torsion", "grouplaw", "dihedral", "plane")
 BENCH = ("bench-bound until ROADMAP item 1: bench/tracer.py binds the name, "
          "so it stays until the tracer's list changes")
 DUNDER = "kept for interactive use (dunder method of a public class)"
+ELEMENTS = ("GF(p) element arithmetic at the public edge (operators kept for "
+            "interactive use): the package passes plain values, and "
+            "tests/test_fields.py and the tests' boxed oracles divide elements")
 TO_INTS = ("field protocol of SimpleCoverAlgebra.mul over GF(p), which "
            "tests/test_cover_algebra.py runs; every user path multiplies over "
            "QQ or Q(zeta_n)")
@@ -66,7 +69,6 @@ ALLOWED = {
     "linalg.solve": BENCH,
     "linalg.bareiss_rank": BENCH,
     "linalg._exact": BENCH,
-    "linalg._clone": BENCH,
     "poly.resultant": BENCH,
     "poly.poly_xgcd": BENCH,
     "poly.lagrange_interpolate": BENCH,
@@ -78,6 +80,9 @@ ALLOWED = {
          "curve) with no command: a CLI home needs a certificate record "
          "(ROADMAP item 5), which would be a new option"),
 
+    "fields.FpElem._val": ELEMENTS,
+    "fields.FpElem.inverse": ELEMENTS,
+    "fields.GF.inv": ELEMENTS,
     "fields.GF.to_ints": TO_INTS,
     "fields.GF.from_ints": TO_INTS,
     "fields.GF.random_nonzero":

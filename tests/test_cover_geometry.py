@@ -279,7 +279,7 @@ def test_inconclusive_reduction_falls_back_to_the_exact_gcd(monkeypatch):
     lead = coprime_tries[-1][0].to_univar().c[-1].numerator
     prime = next(q for q in range(3, 10 ** 4, 2)
                  if lead % q == 0 and all(q % d for d in range(3, q, 2)))
-    monkeypatch.setattr(cg, "CERTIFICATE_PRIME", prime)
+    monkeypatch.setattr(cg, "CERTIFICATE_FIELD", GF(prime))
     coprime_tries.clear()
     assert cg.check_simple(spec, seed=40).to_json() == want
     assert coprime_tries and not any(ok for _, _, ok in coprime_tries)
@@ -421,8 +421,9 @@ def test_coordinate_change_is_invertible_over_the_field():
     rng = random.Random(0)
     for _ in range(50):
         images = cg.random_coordinate_change(K, rng)
-        rows = [[img.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))] for img in images]
-        assert linalg.rank(rows) == 3
+        rows = [[img.terms.get(e, 0) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+                for img in images]
+        assert linalg.rank(rows, K) == 3
 
 
 # -- the lane route against one boxed remainder sequence per node --------

@@ -298,7 +298,7 @@ def test_projector_matches_dense_sum():
             want = [[scale * x for x in row] for row in want]
             p = dihedral.projector(n, lab, K)
             assert p == want, (n, lab)
-            assert linalg.rank(want) == dihedral.projector_rank(p), (n, lab)
+            assert linalg.rank(want, K) == dihedral.projector_rank(p), (n, lab)
             assert dihedral.projector_rank(want) == dihedral.char_degree(lab) ** 2
 
 
@@ -336,7 +336,7 @@ def test_closed_form_projectors_are_sparse_rational_and_complete():
             assert sum(x for (i, j), x in sp.items() if i == j) == rank, (n, lab)
             assert dihedral.projector_rank(p) == rank, (n, lab)
             if n == 40:
-                assert linalg.rank(p) == rank, (n, lab)
+                assert linalg.rank(p, K) == rank, (n, lab)
             projs[lab] = sp
         for l1, l2 in itertools.combinations(labels, 2):
             assert not _sparse_product(projs[l1], projs[l2]), (n, l1, l2)
@@ -347,10 +347,10 @@ def test_closed_form_projectors_are_sparse_rational_and_complete():
         assert {c: x for c, x in total.items() if x} == {(i, i): 1 for i in range(2 * n)}, n
 
 
-def _invertible(rng, dim, entry):
+def _invertible(rng, dim, entry, K):
     while True:
         a = [[entry() for _ in range(dim)] for _ in range(dim)]
-        if linalg.rank(a) == dim:
+        if linalg.rank(a, K) == dim:
             return a
 
 
@@ -358,7 +358,7 @@ def _inverse(a, K):
     dim = len(a)
     aug = [list(row) + [K.one if i == j else K.zero for j in range(dim)]
            for i, row in enumerate(a)]
-    red, _ = linalg.rref(aug)
+    red, _ = linalg.rref(aug, K)
     return [row[dim:] for row in red]
 
 
@@ -378,10 +378,10 @@ def test_trace_rank_of_dense_idempotents_matches_elimination(n):
             diag = [K.one] * r + [K.zero] * (dim - r)
             rng.shuffle(diag)
             e = [[diag[i] if i == j else K.zero for j in range(dim)] for i in range(dim)]
-            a = _invertible(rng, dim, entry)
+            a = _invertible(rng, dim, entry, K)
             p = matmul(matmul(a, e, K), _inverse(a, K), K)
             assert matmul(p, p, K) == p
-            assert dihedral.projector_rank(p) == linalg.rank(p) == r, (n, dim, r)
+            assert dihedral.projector_rank(p) == linalg.rank(p, K) == r, (n, dim, r)
 
 
 def test_trace_rank_refuses_what_it_cannot_certify():

@@ -162,13 +162,47 @@ def test_foreign_operand_gets_its_reflected_operator():
         a + 1.5
 
 
-def test_prime_field_element_equals_fraction_by_residue():
+def test_prime_field_element_equals_only_its_residue():
+    """An FpElem equals an int only when the int is its residue in
+    range(p), and hashes as that int; no Fraction equals it."""
     K = GF(7)
-    assert K.of(Fraction(1, 2)) == Fraction(1, 2)
-    assert Fraction(1, 2) == K.of(4)            # the reflected comparison
-    assert K.zero == Fraction(0)
-    assert K.of(3) == Fraction(-4)
-    assert K.of(3) != Fraction(1, 2)
-    # a denominator divisible by p has no residue, so nothing equals it
-    assert K.of(1) != Fraction(1, 7)
-    assert K.zero != Fraction(1, 7)
+    assert K.of(3) == 3 and 3 == K.of(3) and hash(K.of(3)) == hash(3)
+    assert K.of(3) != 10 and K.of(3) != -4 and K.of(Fraction(1, 2)) == 4
+    assert 3 in {K.of(3)} and K.of(10) in {3} and 10 not in {K.of(3)}
+    assert K.of(Fraction(1, 2)) != Fraction(1, 2) and K.zero != Fraction(0)
+    assert K.zero == 0 and not K.zero and {0: "zero"}[K.zero] == "zero"
+
+
+def test_equal_values_hash_alike():
+    """x == y implies hash(x) == hash(y) over FpElem, int and Poly
+    values mixed, so a dict keyed by any of them finds the others."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    fields = [GF(3), GF(7), GF(101), QQ]
+
+    def value(kind, field, n, length):
+        if kind == "int":
+            return n
+        if kind == "elem":
+            return field.of(n) if field.characteristic else n
+        return Poly(field, [n] + [n + 1] * length)
+
+    values = st.tuples(st.sampled_from(("int", "elem", "poly")), st.sampled_from(fields),
+                       st.integers(-12, 12), st.integers(0, 1))
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(st.lists(values, min_size=2, max_size=6))
+    def run(drawn):
+        xs = [value(*d) for d in drawn]
+        for x in xs:
+            for y in xs:
+                if x == y:
+                    assert hash(x) == hash(y), (x, y)
+                assert (y in {x: 0}) == (x == y), (x, y)
+
+    run()
+    K, x = GF(7), Poly.x(QQ)
+    assert Poly.const(QQ, 3) == 3 and 3 in {Poly.const(QQ, 3)}
+    assert Poly.zero(K) == 0 and 0 in {Poly.zero(K)} and Poly.zero(K) in {0: 1}
+    assert Poly.const(K, 3) != 10 and Poly.const(K, 10) == 3
+    assert x != 0 and x * 0 == 0 and {x: 1}[Poly.x(QQ)] == 1

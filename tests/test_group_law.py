@@ -11,9 +11,11 @@ from dihedralcovers import hyperelliptic
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.poly import Poly, poly_gcd, poly_xgcd
 from dihedralcovers.hyperelliptic import (HECurve, OddModel, MumfordClass, cantor_add,
-                                          enumerate_jacobian)
+                                          enumerate_jacobian, class_from_matrix,
+                                          matrix_from_class)
+from dihedralcovers.double_cover import tensor, is_isomorphic
 
-from conftest import split_curve
+from conftest import split_curve, random_class
 
 
 def oracle_cantor_add(c1, c2):
@@ -207,3 +209,31 @@ def test_malformed_pairs_are_refused():
         assert other.fodd != model.fodd
         with pytest.raises(ValueError, match="classes live on different curves"):
             cantor_add(P, other.zero_class())
+
+
+def test_tensor_is_the_group_law():
+    """The dictionary between classes and pairs turns Cantor's sum into
+    ``tensor``, on seeded classes of split curves over GF(7), GF(101),
+    GF(1009) and GF(2^61 - 1), g = 1..3 wherever the curve has 2g + 2
+    distinct branch roots: each class comes back from its pair, the
+    class of the product is the sum, and the product is isomorphic to
+    the pair of the sum."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    curves = [split_curve(p, g) for p in (7, 101, 1009, 2 ** 61 - 1) for g in (1, 2, 3)
+              if 2 * g + 2 <= p]
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(st.integers(0, len(curves) - 1), st.integers(0, 3), st.randoms())
+    def run(k, kind, rng):
+        curve = curves[k]
+        model = curve.odd_model()
+        a = random_class(model, rng.randint(0, curve.g), rng)
+        b = (random_class(model, rng.randint(0, curve.g), rng), a, -a, model.zero_class())[kind]
+        pa, pb = matrix_from_class(curve, a), matrix_from_class(curve, b)
+        assert class_from_matrix(pa) == a and class_from_matrix(pb) == b
+        t = tensor(pa, pb)
+        assert class_from_matrix(t) == a + b
+        assert is_isomorphic(t, matrix_from_class(curve, a + b))
+
+    run()

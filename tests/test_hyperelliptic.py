@@ -567,7 +567,7 @@ def test_substitute_matrix_matches_the_form_substitution(rng, field):
     """The Horner substitution on charts against ``HForm.substitute`` on
     random binary forms of degree 0-12 and random invertible matrices
     (zero entries, determinants other than +-1), with the odd model's
-    round trip."""
+    round trip.  The matrix entries are plain values."""
     def value():
         if field.characteristic:
             return field.of(rng.choice([0, 1, -1, rng.randrange(field.characteristic)]))
@@ -575,8 +575,8 @@ def test_substitute_matrix_matches_the_form_substitution(rng, field):
 
     checked = 0
     while checked < 60:
-        m = ((value(), value()), (value(), value()))
-        if not m[0][0] * m[1][1] - m[0][1] * m[1][0]:
+        m = tuple(tuple(field.unbox(value()) for _ in range(2)) for _ in range(2))
+        if not field.unbox(m[0][0] * m[1][1] - m[0][1] * m[1][0]):
             continue
         d = checked % 13
         F = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedralcovers.fields import QQ, GF, FpElem, _is_prime
+from dihedralcovers.fields import QQ, GF, _is_prime
 from dihedralcovers.poly import Poly, add_c, mul_c, neg_c
 from dihedralcovers import linalg
 from dihedralcovers.graded import kernel_basis
@@ -16,7 +16,7 @@ def test_rank_rref_nullspace():
     m = [[QQ.of(1), QQ.of(2), QQ.of(3)],
          [QQ.of(2), QQ.of(4), QQ.of(6)],
          [QQ.of(1), QQ.of(0), QQ.of(1)]]
-    assert linalg.rank(m) == 2
+    assert linalg.rank(m, QQ) == 2
     ns = linalg.nullspace(m, QQ)
     assert len(ns) == 1
     v = ns[0]
@@ -69,41 +69,30 @@ def test_kernel_degree_bound_raises():
 
 
 # -- the GF(p) elimination path against oracles --------------------------
+#
+# The matrices are plain ints, as the package passes them; the oracles
+# (``bareiss_rank`` and the generic loop) run on FpElem entries.
 
 SHAPES = ("dense", "sparse", "low-rank", "wide", "tall")
 
 
-class Wrapped:
-    """A GF(p) element that is not an FpElem, so a matrix of them takes
-    the generic elimination loop."""
+class Boxed:
+    """GF(p) presented to ``linalg`` as a field of characteristic 0, so
+    that a matrix of its FpElem entries takes the generic elimination
+    loop: the oracle of the GF(p) loops."""
 
-    __slots__ = ("e",)
+    characteristic = 0
 
-    def __init__(self, e):
-        self.e = e
+    def __init__(self, K):
+        self.zero, self.one = K.zero, K.one
 
-    def __add__(self, o):
-        return Wrapped(self.e + o.e)
 
-    def __sub__(self, o):
-        return Wrapped(self.e - o.e)
-
-    def __mul__(self, o):
-        return Wrapped(self.e * o.e)
-
-    def __truediv__(self, o):
-        return Wrapped(self.e / o.e)
-
-    def __neg__(self):
-        return Wrapped(-self.e)
-
-    def __bool__(self):
-        return bool(self.e)
+def box(m, K):
+    return [[K.of(x) for x in row] for row in m]
 
 
 def random_gf_matrix(rng, p, shape):
-    """A random matrix over GF(p) of the given shape family."""
-    K = GF(p)
+    """A random matrix of residues mod p of the given shape family."""
     rows, cols = rng.randint(1, 9), rng.randint(1, 9)
     if shape == "wide":
         rows, cols = rng.randint(1, 5), rng.randint(6, 14)
@@ -111,12 +100,12 @@ def random_gf_matrix(rng, p, shape):
         rows, cols = rng.randint(6, 14), rng.randint(1, 5)
     if shape == "low-rank":
         k = rng.randint(0, min(rows, cols) - 1)
-        a = [[K.random(rng) for _ in range(k)] for _ in range(rows)]
-        b = [[K.random(rng) for _ in range(cols)] for _ in range(k)]
-        return [[sum((a[i][t] * b[t][j] for t in range(k)), K.zero) for j in range(cols)]
+        a = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+        b = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+        return [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(cols)]
                 for i in range(rows)]
     density = 0.2 if shape == "sparse" else 1.0
-    return [[K.random(rng) if rng.random() < density else K.zero for _ in range(cols)]
+    return [[rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)]
             for _ in range(rows)]
 
 
@@ -134,8 +123,15 @@ def for_gf_matrices(check):
     run()
 
 
-def mat_vec(m, v, K):
-    return [sum((a * b for a, b in zip(row, v)), K.zero) for row in m]
+def mat_vec(m, v, p):
+    """m v on plain values, reduced mod p when p > 0."""
+    return [sum(a * b for a, b in zip(row, v)) % p if p else sum(a * b for a, b in zip(row, v))
+            for row in m]
+
+
+def reduced(values, p):
+    """True when every value is an int in range(p)."""
+    return all(type(x) is int and 0 <= x < p for x in values)
 
 
 def slot_boundary_primes():
@@ -153,11 +149,9 @@ def slot_boundary_primes():
 
 
 def disguise(x, p, rng):
-    """The residue x as one of the entries the GF(p) paths accept: an
-    FpElem, or an int congruent to it that is negative, at least p, or
-    about 2^200 p away."""
-    return rng.choice((lambda: FpElem(x, p), lambda: x - rng.randint(1, 9) * p,
-                       lambda: x + rng.randint(1, 9) * p,
+    """The residue x as another int congruent to it: negative, at least
+    p, or about 2^200 p away."""
+    return rng.choice((lambda: x - rng.randint(1, 9) * p, lambda: x + rng.randint(1, 9) * p,
                        lambda: x + rng.choice((1, -1)) * (2 ** 200 + rng.randint(0, 99)) * p))()
 
 
@@ -172,61 +166,63 @@ def slot_boundary_matrices(rng):
                  for _ in range(nrows)]
             if nrows > 1 and rng.random() < 0.5:
                 m[rng.randrange(nrows)] = [0] * ncols
-            yield K, [[K.of(x) for x in row] for row in m], [[disguise(x, p, rng) for x in row]
-                                                             for row in m]
+            yield K, m, [[disguise(x, p, rng) for x in row] for row in m]
 
 
 def test_gf_rank_matches_bareiss(rng):
     def check(K, m):
-        assert linalg.rank(m) == linalg.bareiss_rank(m, K.one)
+        assert linalg.rank(m, K) == linalg.bareiss_rank(box(m, K), K.one)
     for_gf_matrices(check)
     for K, m, disguised in slot_boundary_matrices(rng):
         check(K, m)
-        assert linalg.rank(disguised, K) == linalg.bareiss_rank(m, K.one)
+        assert linalg.rank(disguised, K) == linalg.bareiss_rank(box(m, K), K.one)
 
 
 def test_gf_rref_matches_generic_loop():
     def check(K, m):
-        red, pivots = linalg.rref(m)
-        wred, wpivots = linalg.rref([[Wrapped(x) for x in row] for row in m])
+        p = K.characteristic
+        red, pivots = linalg.rref(m, K)
+        wred, wpivots = linalg.rref(box(m, K), Boxed(K))
         assert pivots == wpivots
-        assert red == [[x.e for x in row] for row in wred]
-        assert all(type(x) is FpElem for row in red for x in row)
+        assert red == [[K.unbox(x) for x in row] for row in wred]
+        assert reduced((x for row in red for x in row), p)
         # a reduced echelon basis of the same row space
         r = len(pivots)
         assert all(not x for row in red[r:] for x in row)
         for i, pc in enumerate(pivots):
-            assert [red[k][pc] for k in range(len(red))] == [K.one if k == i else K.zero
-                                                              for k in range(len(red))]
+            assert [red[k][pc] for k in range(len(red))] == [int(k == i) for k in range(len(red))]
             assert all(not x for x in red[i][:pc])
-        assert linalg.bareiss_rank(m + red[:r], K.one) == r == linalg.rank(m)
+        assert linalg.bareiss_rank(box(m + red[:r], K), K.one) == r == linalg.rank(m, K)
     for_gf_matrices(check)
 
 
 def test_gf_nullspace_is_kernel():
     def check(K, m):
+        p = K.characteristic
         basis = linalg.nullspace(m, K)
-        assert len(basis) == len(m[0]) - linalg.bareiss_rank(m, K.one)
+        assert len(basis) == len(m[0]) - linalg.bareiss_rank(box(m, K), K.one)
         for v in basis:
-            assert all(type(x) is FpElem for x in v)
-            assert not any(mat_vec(m, v, K))
+            assert reduced(v, p)
+            assert not any(mat_vec(m, v, p))
         if basis:
-            assert linalg.bareiss_rank(basis, K.one) == len(basis)
+            assert linalg.bareiss_rank(box(basis, K), K.one) == len(basis)
     for_gf_matrices(check)
 
 
 def test_gf_solve_satisfies_system():
     def check(K, m):
+        p = K.characteristic
         rng = random.Random(len(m) * 31 + len(m[0]))
-        b = mat_vec(m, [K.random(rng) for _ in m[0]], K)
+        b = mat_vec(m, [rng.randrange(p) for _ in m[0]], p)
         x = linalg.solve(m, b, K)
-        assert x is not None and mat_vec(m, x, K) == b
-        b = [K.random(rng) for _ in m]
+        assert x is not None and reduced(x, p) and mat_vec(m, x, p) == b
+        b = [rng.randrange(p) for _ in m]
         aug = [row + [bv] for row, bv in zip(m, b)]
-        consistent = linalg.bareiss_rank(aug, K.one) == linalg.bareiss_rank(m, K.one)
+        consistent = (linalg.bareiss_rank(box(aug, K), K.one)
+                      == linalg.bareiss_rank(box(m, K), K.one))
         x = linalg.solve(m, b, K)
         if consistent:
-            assert mat_vec(m, x, K) == b
+            assert reduced(x, p) and mat_vec(m, x, p) == b
         else:
             assert x is None
     for_gf_matrices(check)
@@ -236,22 +232,21 @@ def test_gf_square_rank_matches_bareiss(rng):
     def check(K, m):
         n = min(len(m), len(m[0]))
         sq = [row[:n] for row in m[:n]]
-        assert linalg.rank(sq, K) == linalg.bareiss_rank(sq, K.one)
+        assert linalg.rank(sq, K) == linalg.bareiss_rank(box(sq, K), K.one)
     for_gf_matrices(check)
     for K, m, disguised in slot_boundary_matrices(rng):
         check(K, m)
         n = min(len(m), len(m[0]))
         assert linalg.rank([r[:n] for r in disguised[:n]], K) == linalg.bareiss_rank(
-            [r[:n] for r in m[:n]], K.one)
+            box([r[:n] for r in m[:n]], K), K.one)
 
 
 def test_rank_after_row_swaps(rng):
     K = GF(101)
-    one, zero = K.one, K.zero
-    swap = [[zero, one, zero], [one, zero, zero], [zero, zero, K.of(5)]]
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 5]]
     assert linalg.rank(swap, K) == 3
-    cycle = [[zero, one, zero], [zero, zero, one], [K.of(7), zero, zero]]
-    assert linalg.rank(cycle, K) == 3 == linalg.bareiss_rank(cycle, K.one)
+    cycle = [[0, 1, 0], [0, 0, 1], [7, 0, 0]]
+    assert linalg.rank(cycle, K) == 3 == linalg.bareiss_rank(box(cycle, K), K.one)
     # a row permutation P of an upper triangular U, some of its diagonal
     # entries zeroed so the rank varies, also after adding multiples of
     # rows to other rows, which moves the pivots away from the ends of
@@ -270,132 +265,129 @@ def test_rank_after_row_swaps(rng):
                     if rng.random() < 0.3:
                         f = rng.randrange(p)
                         m[j] = [(y + f * x) % p for x, y in zip(m[i], m[j])]
-                boxed = [[K.of(x) for x in row] for row in m]
-                want = linalg.bareiss_rank(boxed, K.one)
+                want = linalg.bareiss_rank(box(m, K), K.one)
                 if all(diag):
                     assert want == n
-                assert linalg.rank(boxed, K) == want
+                assert linalg.rank(m, K) == want
                 assert linalg.rank([[disguise(x, p, rng) for x in row] for row in m], K) == want
-
-
-def test_mixed_characteristics_still_raise():
-    m = [[FpElem(1, 7), FpElem(1, 11)], [FpElem(2, 7), FpElem(3, 11)]]
-    for call in (lambda: linalg.rank(m), lambda: linalg.rref(m),
-                 lambda: linalg.rank(m, GF(7)), lambda: linalg.nullspace(m, GF(7))):
-        with pytest.raises(ValueError, match="mixed characteristics"):
-            call()
-
-
-def test_fp_and_int_mix_gives_same_answer(rng):
-    K = GF(101)
-    for _ in range(20):
-        m = random_gf_matrix(rng, 101, rng.choice(SHAPES))
-        # ints as the zeros, and as a nonzero entry that never becomes a pivot
-        mixed = [[x if x else 0 for x in row] for row in m]
-        if m[0][0] and len(m[0]) > 1:
-            mixed[0][-1] = m[0][-1].v + 101
-        assert linalg.rank(mixed) == linalg.rank(m)
-        assert linalg.rref(mixed) == linalg.rref(m)
-        assert linalg.nullspace(mixed, K) == linalg.nullspace(m, K)
-        b = [K.random(rng) for _ in m]
-        assert linalg.solve(mixed, b, K) == linalg.solve(m, b, K)
-        n = min(len(m), len(m[0]))
-        assert linalg.rank([r[:n] for r in mixed[:n]], K) == linalg.rank([r[:n] for r in m[:n]], K)
 
 
 def test_lazy_reduction_matches_reduced_matrix(rng):
     """Int entries shifted by multiples of p (negative ones, and ones
-    near 2^200 p) give the same results as the reduced FpElem matrix,
-    and every returned value is a reduced FpElem."""
+    near 2^200 p) give the same results as the reduced matrix, and every
+    returned value is an int in range(p)."""
     shifts = (lambda: rng.randint(-5, 5), lambda: rng.randint(-2 ** 64, 2 ** 64),
               lambda: rng.choice((1, -1)) * (2 ** 200 + rng.randint(0, 2 ** 20)))
     for p in (101, 65521, 2 ** 31 - 1, 2 ** 61 - 1):
         K = GF(p)
         for shape in SHAPES * 4 + ("1xN", "Nx1", "zero rows"):
             if shape == "1xN":
-                m = [[K.random(rng) for _ in range(rng.randint(1, 9))]]
+                m = [[rng.randrange(p) for _ in range(rng.randint(1, 9))]]
             elif shape == "Nx1":
-                m = [[K.random(rng)] for _ in range(rng.randint(1, 9))]
+                m = [[rng.randrange(p)] for _ in range(rng.randint(1, 9))]
             else:
                 m = random_gf_matrix(rng, p, "dense" if shape == "zero rows" else shape)
             if shape == "zero rows":
-                m[::2] = [[K.zero] * len(m[0])] * len(m[::2])
-            lazy = [[x.v + rng.choice(shifts)() * p for x in row] for row in m]
-            assert linalg.rank(lazy, K) == linalg.rank(m)
-            # rref takes its field from an FpElem: a zero row of them,
-            # which leaves the int rows all-int
-            zero = [K.zero] * len(m[0])
-            red, pivots = linalg.rref(lazy + [zero])
-            assert (red, pivots) == linalg.rref(m + [zero])
+                m[::2] = [[0] * len(m[0])] * len(m[::2])
+            lazy = [[x + rng.choice(shifts)() * p for x in row] for row in m]
+            assert linalg.rank(lazy, K) == linalg.rank(m, K)
+            red, pivots = linalg.rref(lazy, K)
+            assert (red, pivots) == linalg.rref(m, K)
             basis = linalg.nullspace(lazy, K)
             assert basis == linalg.nullspace(m, K)
-            b = [K.random(rng) for _ in m]
+            b = [rng.randrange(p) for _ in m]
             x = linalg.solve(lazy, b, K)
             assert x == linalg.solve(m, b, K)
             n = min(len(m), len(m[0]))
-            assert linalg.rank([r[:n] for r in lazy[:n]], K) == linalg.rank([r[:n] for r in m[:n]])
-            for v in (x or []) + [v for row in red + basis for v in row]:
-                assert type(v) is FpElem and v.p == p and 0 <= v.v < p
+            assert (linalg.rank([r[:n] for r in lazy[:n]], K)
+                    == linalg.rank([r[:n] for r in m[:n]], K))
+            assert reduced((x or []) + [v for row in red + basis for v in row], p)
+
+
+def test_plain_value_contract():
+    """Every call takes its field.  Over GF(p) every value rref,
+    nullspace and solve return is an int in range(p), for unreduced and
+    negative int input, up to p = 2^61 - 1; over Q the values are the
+    generic loop's Fractions, pinned here."""
+    for p in (7, 101, 2 ** 61 - 1):
+        K = GF(p)
+        rng = random.Random(p)
+        for _ in range(20):
+            m = [[rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(1, 6))]]
+            m += [[rng.randint(-3 * p, 3 * p) for _ in m[0]] for _ in range(rng.randint(0, 5))]
+            b = [rng.randint(-3 * p, 3 * p) for _ in m]
+            red, _ = linalg.rref(m, K)
+            x = linalg.solve(m, b, K) or []
+            assert reduced([v for row in red + linalg.nullspace(m, K) for v in row] + x, p)
+    typed = lambda rows: [[(type(v), v) for v in row] for row in rows]
+    F = Fraction
+    m = [[2, 3, 1], [4, 1, 0], [6, 4, 1]]
+    assert typed(linalg.rref(m, QQ)[0]) == typed([[F(1), F(0), F(-1, 10)], [F(0), F(1), F(2, 5)],
+                                                   [F(0), F(0), F(0)]])
+    assert typed(linalg.nullspace(m, QQ)) == typed([[F(1, 10), F(-2, 5), F(1)]])
+    assert typed([linalg.solve(m, [1, 2, 3], QQ)]) == typed([[F(1, 2), F(0), F(0)]])
+    m = [[0, 2, 4], [3, 0, 1]]
+    assert typed(linalg.nullspace(m, QQ)) == typed([[F(-1, 3), F(-2), F(1)]])
+    assert typed([linalg.solve(m, [2, 1], QQ)]) == typed([[F(1, 3), F(1), F(0)]])
 
 
 def test_empty_and_zero_matrices():
     K = GF(7)
-    assert linalg.rank([]) == 0 and linalg.rank([[]]) == 0
-    assert linalg.rref([]) == ([], [])
-    assert linalg.rref([[], []]) == ([[], []], [])
+    assert linalg.rank([], K) == 0 and linalg.rank([[]], K) == 0
+    assert linalg.rref([], K) == ([], [])
+    assert linalg.rref([[], []], K) == ([[], []], [])
     assert linalg.nullspace([], K) == [] and linalg.nullspace([[]], K) == []
     assert linalg.solve([], [], K) == []
-    assert linalg.solve([], [K.one], K) is None
-    assert linalg.solve([[], []], [K.zero, K.one], K) is None
-    assert linalg.rank([], K) == 0 and linalg.rank([[]], K) == 0
-    zero = [[K.zero] * 3 for _ in range(2)]
-    assert linalg.rank(zero) == 0
-    assert linalg.rref(zero) == (zero, [])
-    assert linalg.nullspace(zero, K) == [[K.one if i == j else K.zero for i in range(3)]
-                                         for j in range(3)]
-    assert linalg.solve(zero, [K.zero, K.zero], K) == [K.zero] * 3
-    assert linalg.solve(zero, [K.zero, K.one], K) is None
-    assert linalg.rank([[K.zero] * 2 for _ in range(2)], K) == 0
+    assert linalg.solve([], [1], K) is None
+    assert linalg.solve([[], []], [0, 1], K) is None
+    zero = [[0] * 3 for _ in range(2)]
+    assert linalg.rank(zero, K) == 0 == linalg.rank(zero, QQ)
+    assert linalg.rref(zero, K) == (zero, [])
+    assert linalg.nullspace(zero, K) == [[int(i == j) for i in range(3)] for j in range(3)]
+    assert linalg.solve(zero, [0, 0], K) == [0] * 3
+    assert linalg.solve(zero, [0, 1], K) is None
+    assert linalg.rank([[-7, 14], [21, 0]], K) == 0
 
 
 def test_no_call_mutates_its_input(rng):
     K = GF(101)
-    for m in (random_gf_matrix(rng, 101, "dense"), random_gf_matrix(rng, 101, "tall"),
-              [[QQ.of(2), QQ.of(1)], [QQ.of(4), QQ.of(3)], [QQ.of(1), QQ.of(0)]],
-              [[K.of(3), 5], [0, K.of(2)]]):
-        field = QQ if isinstance(m[0][0], Fraction) else K
+    for m, field in ((random_gf_matrix(rng, 101, "dense"), K),
+                     (random_gf_matrix(rng, 101, "tall"), K),
+                     ([[QQ.of(2), QQ.of(1)], [QQ.of(4), QQ.of(3)], [QQ.of(1), QQ.of(0)]], QQ),
+                     ([[3, 5], [0, 2]], QQ),
+                     ([[104, -5], [0, 2 ** 70]], K)):
         before = [list(row) for row in m]
-        linalg.rref(m)
-        linalg.rank(m)
+        linalg.rref(m, field)
+        linalg.rank(m, field)
         linalg.nullspace(m, field)
-        linalg.solve(m, [field.one] * len(m), field)
+        linalg.solve(m, [1] * len(m), field)
         assert m == before
         assert all(a is b for row, old in zip(m, before) for a, b in zip(row, old))
 
 
 def test_int_pivot_in_fp_matrix_divides_exactly():
     K = GF(7)
-    red, pivots = linalg.rref([[2], [K.zero]])
-    assert red == [[K.one], [K.zero]] and type(red[0][0]) is FpElem
-    m = [[2, K.of(3)], [K.of(1), K.of(5)]]
-    boxed = [[K.of(2), K.of(3)], [K.of(1), K.of(5)]]
-    assert linalg._residues(m, 7) == [[2, 3], [1, 5]]
-    assert linalg.rref(m) == linalg.rref(boxed)
-    assert all(type(x) is FpElem for row in linalg.rref(m)[0] for x in row)
+    red, pivots = linalg.rref([[2], [0]], K)
+    assert red == [[1], [0]] and type(red[0][0]) is int
+    m = [[2, 3], [1, 5]]
+    assert linalg.rref(m, K) == linalg.rref([[9, -4], [-6, 12]], K)
+    assert reduced((x for row in linalg.rref(m, K)[0] for x in row), 7)
     # 2 * 5 - 3 * 1 = 7: singular mod 7
-    assert linalg.rank(m, K) == linalg.rank(m) == linalg.bareiss_rank(boxed, K.one) == 1
-    assert linalg.solve(m, [K.one, K.zero], K) == linalg.solve(boxed, [K.one, K.zero], K)
+    assert linalg.rank(m, K) == linalg.bareiss_rank(box(m, K), K.one) == 1
+    x = linalg.solve(m, [1, 4], K)
+    assert x == [4, 0] and mat_vec(m, x, 7) == [1, 4]
+    assert linalg.solve(m, [1, 0], K) is None
 
 
 def test_int_only_matrix_gives_no_floats():
-    # with no FpElem to take a prime from, ints are rationals
-    red, pivots = linalg.rref([[2], [0]])
+    # over Q the ints are rationals, so no division is a float division
+    red, pivots = linalg.rref([[2], [0]], QQ)
     assert red == [[1], [0]] and pivots == [0]
     m = [[2, 3, 1], [4, 1, 0], [6, 4, 1]]
-    results = [linalg.rref(m)[0], linalg.nullspace(m, QQ), [linalg.solve(m, [1, 2, 3], QQ)]]
+    results = [linalg.rref(m, QQ)[0], linalg.nullspace(m, QQ), [linalg.solve(m, [1, 2, 3], QQ)]]
     for rows in [red] + results:
         assert not any(type(x) is float for row in rows for x in row)
-    assert linalg.rank(m) == 2
+    assert linalg.rank(m, QQ) == 2
     # a float division would leave 125 - (25 / 3) * 15 = -1.4e-14, rank 2
     assert linalg.rank([[3, 15], [25, 125]], QQ) == 1
     assert linalg.rank([[2, 3], [4, 1]], QQ) == 2
@@ -418,9 +410,10 @@ def test_convolution_matrix_matches_poly_products():
                st.randoms())
     def run(fname, in_degs, out_degs, rng):
         K = QQ if fname == "Q" else GF(fname)
+        p = K.characteristic
 
         def elem():
-            return K.of(rng.randint(-9, 9)) if rng.random() < 0.7 else K.zero
+            return K.unbox(rng.randint(-9, 9)) if rng.random() < 0.7 else 0
 
         # known polynomials of random length, the empty list among them
         coeffs = [[[elem() for _ in range(rng.randint(0, 4))] for _ in in_degs]
@@ -435,10 +428,10 @@ def test_convolution_matrix_matches_poly_products():
         for row_coeffs, dout in zip(coeffs, out_degs):
             total = sum((Poly(K, c) * Poly(K, x) for c, x in zip(row_coeffs, xs)),
                         Poly.zero(K))
-            want += [total.coeff(k) for k in range(dout + 1)]
-        assert mat_vec(m, vec, K) == want
+            want += [total.c[k] if k < len(total.c) else 0 for k in range(dout + 1)]
+        assert mat_vec(m, vec, p) == want
         # the rank, over GF(p) from rows packed straight from the charts
         assert linalg.convolution_rank(K, coeffs, in_degs, out_degs) == linalg.bareiss_rank(
-            [[K.of(x) for x in row] for row in m], K.one)
+            box(m, K), K.one)
 
     run()

@@ -19,13 +19,13 @@ from fractions import Fraction
 import pytest
 
 from dihedralcovers import linalg
-from dihedralcovers.fields import GF, QQ
+from dihedralcovers.fields import GF, QQ, FpElem
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly, sub_c
-from dihedralcovers.double_cover import BundlePair, tensor, is_isomorphic, _charts
-from dihedralcovers.hyperelliptic import HECurve, matrix_from_class
+from dihedralcovers.double_cover import BundlePair, tensor, inverse, is_isomorphic, _charts
+from dihedralcovers.hyperelliptic import HECurve, matrix_from_class, class_from_matrix
 
-from conftest import split_curve, random_point_class
+from conftest import split_curve, random_point_class, random_class
 
 
 # -- the oracle: the intertwining nullspace ------------------------------
@@ -294,3 +294,36 @@ def test_column0_intertwining_equations_have_the_nullspace_of_all_four():
     # over both fields isomorphic pairs and pairs with no intertwiner at all
     assert {(p, i) for p, _, i in checked} == {(7, True), (7, False), (0, True), (0, False)}
     assert {(s, i) for _, s, i in checked} >= {(True, True), (False, False)}
+
+
+def test_pair_layer_builds_no_field_element(monkeypatch):
+    """Plain values cross every module boundary: no FpElem is built by
+    tensor, class_from_matrix, matrix_from_class, inverse and
+    is_isomorphic on GF(1009) genus-2 classes, nor by is_isomorphic's
+    intertwining nullspace on the GF(7) curves, where F(1, 0) is a
+    non-square."""
+    rng = random.Random(45)
+    curve = split_curve(1009, 2)
+    classes = [random_class(curve.odd_model(), 2, rng) for _ in range(4)]
+    pools = [[x for x in _pool(*_curve("p7", g, rng), rng, 3) if x.a == x.b] for g in (1, 2)]
+    built = []
+    real = FpElem.__init__
+
+    def spy(self, v, p):
+        built.append((v, p))
+        real(self, v, p)
+
+    monkeypatch.setattr(FpElem, "__init__", spy)
+    for a, b in zip(classes, classes[1:]):
+        pa = matrix_from_class(curve, a)
+        t = tensor(pa, matrix_from_class(curve, b))
+        assert class_from_matrix(t) == a + b
+        assert is_isomorphic(t, matrix_from_class(curve, a + b))
+        assert class_from_matrix(inverse(pa)) == -a
+    verdicts = set()
+    for pool in pools:
+        for x, y in itertools.product(pool, repeat=2):
+            assert x.normal_form() is None
+            verdicts.add(is_isomorphic(x, y))
+    assert verdicts == {True, False}
+    assert not built

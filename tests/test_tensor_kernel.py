@@ -324,7 +324,7 @@ def test_sections_read_off_a_higher_degree():
         for s in range(lo, hi):
             want, want_degs = secs[s]
             for t in range(s + 1, hi + 1):
-                got, degs = _read_off(*secs[t], t - s)
+                got, degs = _read_off(field, *secs[t], t - s)
                 assert degs == want_degs and _plain(field, got) == _plain(field, want), \
                     (name, g, s, t)
                 reads += 1
