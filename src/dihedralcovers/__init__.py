@@ -3,15 +3,16 @@
 The package is organised bottom up:
 
 * :mod:`dihedralcovers.fields`, :mod:`~dihedralcovers.poly`,
-  :mod:`~dihedralcovers.homog`, :mod:`~dihedralcovers.linalg`,
-  :mod:`~dihedralcovers.graded` -- exact arithmetic over Q and GF(p),
-  with graded maps on the line given by twists plus entry charts;
+  :mod:`~dihedralcovers.homog`, :mod:`~dihedralcovers.linalg` -- exact
+  arithmetic over Q and GF(p) (:mod:`~dihedralcovers.graded`: the
+  graded kernels of the tests' oracle of tensor);
 * :mod:`~dihedralcovers.double_cover` -- rank-two bundle pairs on a
   hyperelliptic double cover of the line, with tensor, inverse and
   isomorphism testing;
 * :mod:`~dihedralcovers.hyperelliptic` -- Mumford arithmetic on the
-  Jacobian, Riemann-Roch spaces, and conversions between divisor
-  classes and bundle pairs, including torsion certificates;
+  Jacobian, Riemann-Roch spaces, and the dictionary between line
+  bundles and bundle pairs (tensor is one Cantor addition in it),
+  including torsion certificates;
 * :mod:`~dihedralcovers.dihedral` and
   :mod:`~dihedralcovers.cover_algebra` -- dihedral character theory and
   the coordinate algebra of a simple dihedral cover;

@@ -28,35 +28,23 @@ call and keeps it.
 
 Operations:
 
-* ``tensor`` multiplies two modules by presenting the product as the
-  cokernel of psi = N1 (x) Id - Id (x) N2 and reading the z-action off a
-  kernel basis of the transpose, whose rank is always 2 and whose twist
-  sum is known beforehand: l - (a1 + b1 + a2 + b2), the first Chern
-  class of the product.  The kernel {X : N1^T X = X N2} is cut out by
-  its column 0 alone, (N1^T - P2) X e0 = q2 X e1: q2 times column 1,
-  (N1^T + P2) X e1 = f2 X e0, is (N1^T + P2)(N1^T - P2) X e0 =
-  (F - P2^2) X e0 = q2 f2 X e0, and q2 != 0, since P2^2 + q2 f2 = F and
-  a squarefree F of positive degree is not a square.  So only the two
-  column-0 rows of psi^T are built;
+* ``tensor`` multiplies two modules: it is the group law of line
+  bundles, one Cantor addition in ``hyperelliptic``'s dictionary, where
+  a pair is the bundle c + e * inf on the ring's odd model (c its class
+  and e = l - a - b its degree), so it needs a rational branch point;
 * ``inverse`` flips the sign of P, which realizes the dual module up to
   the standard twist;
 * ``is_isomorphic`` compares the twists and the normal forms
   (``BundlePair.normal_form``); where there is none (a = b, F(1, 0) not
-  a square) it solves the intertwining equation exactly, again on its
+  a square) it solves the intertwining equation exactly, on its
   column 0 alone (here q1 != 0), and evaluates the determinant
   quadratic form on a basis of the solutions and on pairwise sums
   (valid in characteristic != 2);
 * ``divisor_of_section`` returns the vanishing divisor of a global
   section in (u, v) coordinates.
 
-``tensor``, ``inverse``, ``is_isomorphic`` and the checks of a pair
-work on the charts of N's entries (``_charts``) and build no form.  The
-linear equations (the graded kernel's
-nullspaces in at most two degrees, one when the product's twists differ
-by at most 1, and the intertwining equation) come from
-``linalg.convolution_matrix``; the z-action on the kernel is an exact
-division of charts by a nonzero 2 x 2 minor of the kernel basis (its
-adjugate), checked on the other two rows, and needs no solve.
+``inverse``, ``is_isomorphic`` and the checks of a pair work on the
+charts of N's entries (``_charts``) and build no form.
 """
 
 import math
@@ -66,7 +54,6 @@ from .fields import sqrt_mod
 from .homog import HForm, plain_form
 from .poly import (Poly, plain_poly, base_field_roots, trim_c, inv_c, reduce_c, neg_c, sub_c,
                    add_c, scale_c, mul_c, divmod_c, monic_c)
-from .graded import kernel_basis, nonzero_minor
 from . import linalg, parsing
 
 
@@ -308,89 +295,17 @@ def _charts(pair):
 
 
 def tensor(p1, p2):
-    """The product module of two pairs over the same ring.
-
-    The product is the cokernel of psi = N1 (x) Id - Id (x) N2 acting on
-    the tensor of the underlying bundles; its dual is the kernel of the
-    transpose, which ``kernel_basis`` computes exactly at its known twist
-    sum l - (a1 + b1 + a2 + b2), the first Chern class of the product
-    (c1 = c1(p1) + c1(p2) - c1(O)), and certifies there.
-    Everything runs on charts, with e_i (x) e_j at index 2i + j of
-    O(-rows[2i + j]), and the product is built from the charts of its
-    entries.
-
-    The kernel of psi^T is {X : N1^T X = X N2}, and only its column 0,
-    (N1^T - P2) X e0 = q2 X e1 (the rows 2k + m of psi^T with m = 0), is
-    passed on.  Column 1 reads (N1^T + P2) X e1 = f2 X e0; times q2 it is
-    (N1^T + P2)(N1^T - P2) X e0 = (F - P2^2) X e0 = q2 f2 X e0, which
-    column 0 implies.  q2 != 0, because P2^2 + q2 f2 = F and a squarefree
-    F of positive degree is not a square, and the charts lie in a domain,
-    so the two rows have the kernel of all four in every degree: the
-    same row space, rref and nullspace basis.
-
-    The z-action M on the kernel K (4 x 2) solves K(-l) M = (N1 (x) Id)^T K.
-    Two rows j1, j2 of K with a nonzero determinant D give B M = C for
-    the 2 x 2 blocks B of K and C of the right side, so M = adj(B) C / D,
-    an exact division of charts; each M[h][g] must fit its degree
-    tw[g] - tw[h] + l, and K M must equal the right side on the other two
-    rows as well.  K has rank 2, so that solution is the only one.
-    """
+    """The product module of two pairs over the same ring: each pair is
+    the line bundle c + e * inf on the ring's odd model
+    (``hyperelliptic.bundle_from_matrix``), and the product is c1 + c2 by
+    Cantor addition, plus (e1 + e2) * inf.  On a ring with no rational
+    branch point the odd model raises ValueError."""
     if p1.ring != p2.ring:
         raise ValueError("pairs live over different rings")
-    ring = p1.ring
-    field = ring.field
-    p = field.characteristic
-    l = ring.l
-    rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
-    cols = [r + l for r in rows]
-    n1, n2 = _charts(p1), _charts(p2)
-    # the column-0 rows (k, 0) of psi^T: entry (i, j) is
-    # N1[i][k] [j == 0] - [i == k] N2[j][0]; the column-1 rows follow from them
-    psiT = [[sub_c(n1[i][k] if j == 0 else [], n2[j][0] if i == k else [], p)
-             for i in range(2) for j in range(2)]
-            for k in range(2)]
-    # psi^T has a kernel of rank 2: each N_i is trace free, nonzero and
-    # squares to F, so over the fraction field with z = sqrt(F) adjoined it
-    # diagonalizes with eigenvalues z and -z (distinct, as F != 0 and the
-    # characteristic is not 2), and psi has eigenvalues 0, 0, 2z, -2z
-    tw, gens, minor = kernel_basis(field, psiT, [-cols[0], -cols[2]], [-r for r in rows], 2,
-                                   l - (p1.a + p1.b + p2.a + p2.b))
-    return BundlePair(ring, -tw[0], -tw[1], *_z_action(field, l, n1, tw, gens, minor))
-
-
-def _z_action(field, l, n1, tw, gens, minor=None):
-    """The charts of (P3, f3, q3) of the product: the z-action M on the
-    kernel with generators ``gens`` of twists ``tw``, by the adjugate
-    division in ``tensor`` (through ``minor`` when ``kernel_basis`` found
-    one); raises ValueError when it does not factor."""
-    p = field.characteristic
-    g0, g1 = gens
-    # (N1 (x) Id)^T K: entry ((k, m), g) is sum_i N1[i][k] K[(i, m)][g]
-    AtK = [[add_c(mul_c(n1[0][k], g[m], p), mul_c(n1[1][k], g[2 + m], p), p)
-            for g in gens]
-           for k in range(2) for m in range(2)]
-    # kernel_basis certified g0 and g1 independent, so some minor is nonzero
-    j1, j2, D = minor or nonzero_minor(g0, g1, p)
-    # adj(B) C with B = [[g0[j1], g1[j1]], [g0[j2], g1[j2]]]
-    M = [[None] * 2 for _ in range(2)]
-    for g in range(2):
-        c1, c2 = AtK[j1][g], AtK[j2][g]
-        nums = (sub_c(mul_c(g1[j2], c1, p), mul_c(g1[j1], c2, p), p),
-                sub_c(mul_c(g0[j1], c2, p), mul_c(g0[j2], c1, p), p))
-        for h, num in enumerate(nums):
-            q, r = divmod_c(num, D, p)
-            if r or len(q) > tw[g] - tw[h] + l + 1:
-                raise ValueError("factorization through kernel failed")
-            M[h][g] = q
-    # rows j1 and j2 of K M = (N1 (x) Id)^T K hold by the exact division
-    for r in {0, 1, 2, 3} - {j1, j2}:
-        for g in range(2):
-            if add_c(mul_c(g0[r], M[0][g], p), mul_c(g1[r], M[1][g], p), p) != AtK[r][g]:
-                raise ValueError("factorization through kernel failed")
-    # N3 = M^T up to twists: O(-a3) + O(-b3) with (a3, b3) = (-tw0, -tw1)
-    if add_c(M[0][0], M[1][1], p):
-        raise AssertionError("tensor z-action is not trace free")
-    return M[0][0], M[1][0], M[0][1]
+    # imported here: hyperelliptic builds on this module
+    from .hyperelliptic import bundle_from_matrix, matrix_from_bundle
+    (c1, e1), (c2, e2) = bundle_from_matrix(p1), bundle_from_matrix(p2)
+    return matrix_from_bundle(p1.ring, c1 + c2, e1 + e2)
 
 
 def inverse(pair):

@@ -1,5 +1,9 @@
 """Graded kernels of maps between twisted sums of line bundles on a line.
 
+No module of the package imports this one.  ``kernel_basis`` gives the
+kernel route of ``double_cover.tensor`` (the cokernel of N1 (x) Id -
+Id (x) N2), its independent oracle in tests/test_tensor_kernel.py.
+
 A sheaf map
 
     O(-c_0) + ... + O(-c_{m-1})  -->  O(-r_0) + ... + O(-r_{n-1})

@@ -16,18 +16,15 @@ picks the route, coprime u's compose by the Chinese remainder theorem
 with its cofactor, other pairs go on to Cantor's second extended gcd,
 and only the reduced result is boxed as ``Poly``s.
 
-The two directions of the dictionary between divisor classes and
-trace-free matrix pairs:
-
-* ``class_from_matrix`` reads the semireduced divisor (q, -(P mod q))
-  off the pair in the odd model of the pair's ring, where the section
-  (1, 0) vanishes on q = 0 with z = P there, and reduces it to the class;
-* ``matrix_from_class`` writes down Mumford's matrix
-  [[-v, (fodd - v^2)/u], [u, v]], which squares to fodd (Mumford, Tata
-  Lectures on Theta II, ch. IIIa), homogenized with splitting
-  a = ceil(deg u / 2), b = g + 1 - a; the exact check P^2 + q f = F in
-  ``BundlePair`` is its certificate.  ``stratum`` keeps the independent
-  Riemann-Roch cross-check of the splitting.
+The dictionary between pairs and line bundles: a pair (a, b) is the
+bundle c + e * inf on the odd model of its ring, c a reduced class and
+e = l - a - b its degree.  ``bundle_from_matrix`` reads (c, e) off the
+pair and ``matrix_from_bundle`` writes Mumford's matrix of (c, e), both
+in closed form, so the product of pairs (``double_cover.tensor``) is one
+Cantor addition.  The degree-zero pairs (a + b = l) are the divisor
+classes: ``class_from_matrix`` and ``matrix_from_class`` are the case
+e = 0, and ``stratum`` keeps the independent Riemann-Roch cross-check
+of the splitting.
 
 Torsion is certified two ways: by the group law (the oracle: n * c by
 double-and-add; ``class_order`` iterates the addition and returns None
@@ -305,25 +302,31 @@ def rr_space(model, u, v, k):
 # dictionary between classes and pairs
 
 
-def class_from_matrix(pair):
-    """The divisor class of a degree-zero pair, as a reduced Mumford pair
-    on the odd model of the pair's curve.
+def bundle_from_matrix(pair):
+    """The pair as the line bundle c + e * inf on the odd model of its
+    ring: (c, e), c a reduced Mumford class and e = l - a - b the degree.
 
-    In odd-model coordinates the section (1, 0) of the pair vanishes on
-    u = q, and there z = P mod q; as the eigenvalue of N on the section
-    is the z-value at the conjugate point, the class is (q, -(P mod q)).
-    P^2 + q f = F makes u divide v^2 - fodd, which ``semireduced``
-    checks exactly.  q never vanishes: q = 0 would force P^2 = F, and F
-    is squarefree."""
-    model = pair.ring.odd_model()
-    if pair.is_trivial():
-        return model.zero_class()
-    if pair.a + pair.b != model.g + 1:
+    In odd-model coordinates the section (1, 0) of the pair twisted by a
+    vanishes on q = 0 (q at its degree l + a - b, never 0 as F is
+    squarefree), with z = P there (P at degree l); the eigenvalue of N on
+    it is the z-value at the conjugate point, so its affine part is
+    (u, v) = (q, -(P mod q)), and x1 | q puts the rest at infinity: the
+    bundle is (u, v) - deg u * inf + e * inf.  P^2 + q f = F makes u
+    divide v^2 - fodd, which ``semireduced`` checks before reducing."""
+    model, l, (P, _, q) = pair.ring.odd_model(), pair.ring.l, pair.charts
+    field = model.field
+    u = _substitute_matrix(field, q, l + pair.a - pair.b, model.T)
+    v = neg_c(_substitute_matrix(field, P, l, model.T), field.characteristic)
+    return model.semireduced(plain_poly(field, u), plain_poly(field, v)), l - pair.a - pair.b
+
+
+def class_from_matrix(pair):
+    """The reduced Mumford class c of a degree-zero pair (a + b = l) on the
+    odd model of its curve: ``bundle_from_matrix`` with e = 0."""
+    c, e = bundle_from_matrix(pair)
+    if e:
         raise ValueError("class extraction needs a degree-zero pair")
-    field, (P, _, q) = model.field, pair.charts
-    u = _substitute_matrix(field, q, 2 * pair.a, model.T)
-    v = neg_c(_substitute_matrix(field, P, pair.a + pair.b, model.T), field.characteristic)
-    return model.semireduced(plain_poly(field, u), plain_poly(field, v))
+    return c
 
 
 def stratum(pair):
@@ -344,23 +347,28 @@ def stratum(pair):
     return (a, g + 1 - a)
 
 
+def matrix_from_bundle(ring, c, e):
+    """The pair of the line bundle c + e * inf, c = (u, v) a reduced class
+    on ring's odd model: Mumford's matrix [[-v, (fodd - v^2)/u], [u, v]],
+    which squares to fodd (Mumford, Tata Lectures on Theta II, ch. IIIa),
+    with q = u at the degree h in {deg u, deg u + 1} of the parity of e
+    (x1 | q adds inf), a = (h - e) / 2 and b = l - e - a."""
+    model = ring.odd_model()
+    l, p = ring.l, ring.field.characteristic
+    u, v = c.u.c, c.v.c
+    h = len(u) - 1 + (len(u) - 1 - e) % 2
+    a = (h - e) // 2
+    f = exact_div_c(sub_c(model.fodd.c, mul_c(v, v, p), p), u, p)
+    # the charts of P, f and q at their degrees, moved back to the ring's coordinates
+    entries = ((neg_c(v, p), l), (f, 2 * l - h), (u, h))
+    return BundlePair(ring, a, l - e - a, *(_substitute_matrix(ring.field, x, d, model.Tinv)
+                                           for x, d in entries))
+
+
 def matrix_from_class(curve, c):
-    """The trace-free pair of a reduced divisor class on curve's odd model:
-    Mumford's matrix [[-v, (fodd - v^2)/u], [u, v]], which squares to fodd,
-    homogenized with a = ceil(deg u / 2) and b = g + 1 - a."""
-    if c.is_zero():
-        return curve.trivial_pair()
-    g = curve.g
-    model = curve.odd_model()
-    u, v = c.u, c.v
-    a = (u.degree + 1) // 2
-    b = g + 1 - a
-    p = curve.field.characteristic
-    f = exact_div_c(sub_c(model.fodd.c, mul_c(v.c, v.c, p), p), u.c, p)
-    # the charts of P, f and q at their degrees, moved back to the curve's coordinates
-    entries = ((neg_c(v.c, p), g + 1), (f, 2 * b), (u.c, 2 * a))
-    return BundlePair(curve, a, b, *(_substitute_matrix(curve.field, e, d, model.Tinv)
-                                     for e, d in entries))
+    """The pair of a reduced class on curve's odd model: ``matrix_from_bundle``
+    with e = 0, so a = ceil(deg u / 2) and b = g + 1 - a."""
+    return matrix_from_bundle(curve, c, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,10 @@ accepts field elements, ints and Fractions, and refuses floats.
 values: over GF(p) the roots of
 gcd(x^p - x, f), split apart by seeded equal-degree splitting and
 given in ascending order, so that a prime of any size costs about
-log p polynomial products; over Q the rational-root-theorem
-candidates.  Nothing here ever touches a float except the degree
-sentinel.
+log p polynomial products; over Q the roots modulo a small prime,
+lifted p-adically and recovered by rational reconstruction, so that no
+coefficient is factored.  Nothing here ever touches a float except the
+degree sentinel.
 """
 
 import math
@@ -531,8 +532,7 @@ class Poly:
         return plain_poly(self.field, [0] * k + self.c)
 
     def derivative(self):
-        d = [i * a for i, a in enumerate(self.c)][1:]
-        return plain_poly(self.field, reduce_c(d, self.field.characteristic))
+        return plain_poly(self.field, reduce_c(_derivative_c(self.c), self.field.characteristic))
 
     def compose(self, other):
         r = Poly.zero(self.field)
@@ -590,75 +590,92 @@ def is_squarefree(a):
 
 def base_field_roots(f):
     """The distinct roots of the nonzero polynomial f in its base field,
-    in a fixed order, as plain values: over GF(p) ints in range(p), over
-    Q an int where the root is integral and else a Fraction.
-
-    Over GF(p), p odd (``fields.GF`` refuses 2), in ascending order:
-    g = gcd(x^p - x, f) is the product of the distinct linear factors of
-    f.  The residues 0, 1, ... below ``ROOT_PREFIX`` are tried first, by
-    evaluating g, and each root found is yielded at once and divided out
-    of g, so a caller that wants only the least root of a curve with a
-    small root never splits g.  What is left of g after the prefix has
-    only larger roots: for a random a the gcd of it with
-    (x + a)^((p - 1)/2) - 1 takes the roots r with r + a a nonzero
-    square, about half of them; such splits are repeated until every
-    factor is linear (equal-degree splitting: Cantor & Zassenhaus,
-    Math. Comp. 36, 1981), and those roots follow, sorted.  The draws come
-    from a generator of their own with a fixed seed, so no other random
-    state is read or moved.
-    Over Q, lazily, the rational-root-theorem candidates +-p/q, p
-    dividing the lowest nonzero and q the leading integer coefficient.
-    """
+    as plain values: over GF(p) ints in range(p), ascending
+    (``_roots_mod``); over Q an int where the root is integral and else a
+    Fraction, in the order of ``_rational_roots``."""
     p = f.field.characteristic
-    if p:
-        g = monic_c(f.c, p)
-        if len(g) > 1:
-            g = gcd_c(sub_c(powmod_c([0, 1], p, g, p), [0, 1], p), g, p)
-        for x in range(min(p, ROOT_PREFIX)):
-            if len(g) < 2:
-                return
-            if not eval_c(g, x, p):
-                yield x
-                g = divmod_c(g, [-x % p, 1], p)[0]
-        rng = random.Random(0)
-        roots, todo = [], [g]
-        while todo:
-            h = todo.pop()
-            if len(h) == 2:
-                roots.append(-h[0] % p)
-            elif len(h) > 2:
-                s = powmod_c([rng.randrange(p), 1], (p - 1) // 2, h, p)
-                d = gcd_c(sub_c(s, [1], p), h, p)
-                if 1 < len(d) < len(h):
-                    todo += [d, divmod_c(h, d, p)[0]]
-                else:
-                    todo.append(h)
-        yield from sorted(roots)
-        return
-    den = math.lcm(*[Fraction(c).denominator for c in f.c])
-    ic = [int(Fraction(c) * den) for c in f.c]
-    lo = next(c for c in ic if c)
-    seen = set()
-    for p in _divisors(abs(lo)) | {0}:
-        for q in _divisors(abs(ic[-1])):
-            for s in (1, -1):
-                x = _ratio(s * p, q)
-                if x not in seen and not eval_c(f.c, x, 0):
-                    seen.add(x)
-                    yield x
+    return _roots_mod(f.c, p) if p else _rational_roots(f.c)
 
 
-def _divisors(n):
-    if n == 0:
-        return {1}
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
+def _roots_mod(c, p):
+    """The roots in range(p) of the nonzero list c, ascending, from
+    g = gcd(x^p - x, c), the product of c's distinct linear factors.
+    The residues below ``ROOT_PREFIX`` are tried first, by evaluating g,
+    and each root found is yielded at once and divided out of g, so the
+    least root of a curve with a small root splits nothing.  The rest of g
+    is split by gcds with (x + a)^((p - 1)/2) - 1 for random a until every
+    factor is linear (equal-degree splitting: Cantor & Zassenhaus, Math.
+    Comp. 36, 1981), and those roots follow, sorted.  The draws come from
+    a generator of their own with a fixed seed, so no other random state
+    is read or moved."""
+    g = monic_c(c, p)
+    if len(g) > 1:
+        g = gcd_c(sub_c(powmod_c([0, 1], p, g, p), [0, 1], p), g, p)
+    for x in range(min(p, ROOT_PREFIX)):
+        if len(g) < 2:
+            return
+        if not eval_c(g, x, p):
+            yield x
+            g = divmod_c(g, [-x % p, 1], p)[0]
+    rng = random.Random(0)
+    roots, todo = [], [g]
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            s = powmod_c([rng.randrange(p), 1], (p - 1) // 2, h, p)
+            d = gcd_c(sub_c(s, [1], p), h, p)
+            if 1 < len(d) < len(h):
+                todo += [d, divmod_c(h, d, p)[0]]
+            else:
+                todo.append(h)
+    yield from sorted(roots)
+
+
+def _rational_roots(c):
+    """The rational roots of the nonzero list c: 0 first when it is one,
+    then s/t in lowest terms (t > 0) by (|s|, t, positive first), the
+    order of the rational-root-theorem scan over ascending divisors.
+
+    With x^k divided out, h is the primitive squarefree part, and a root
+    s/t has s | lo = |h(0)| and t | lc = |lc(h)|.  No divisor is computed:
+    modulo the least odd prime p with p not dividing lc and h squarefree
+    mod p, each root of h (``_roots_mod``) is simple and lifts by Newton's
+    iteration modulo M = p^(2^i) > 2 lo lc, where s/t is the one fraction
+    with |s| <= lo and 0 < t <= lc congruent to the lift (Wang's rational
+    reconstruction, by the extended Euclidean algorithm on (M, r); von
+    zur Gathen & Gerhard, 5.10).  It is kept only if h(s/t) = 0 exactly."""
+    h = _primitive(c)[2]
+    k = next(i for i, v in enumerate(h) if v)
+    if k:
+        yield 0
+    h = h[k:]
+    h = _primitive(exact_div_c(h, gcd_c(h, _derivative_c(h), 0), 0))[2]
+    dh, lo, lc = _derivative_c(h), abs(h[0]), abs(h[-1])
+    p = 3
+    while not (lc % p and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+               and len(gcd_c(reduce_c(h, p), reduce_c(dh, p), p)) == 1):
+        p += 2
+    roots = []
+    for r in _roots_mod(reduce_c(h, p), p):
+        M = p
+        while M <= 2 * lo * lc:
+            M *= M
+            r = (r - eval_c(h, r, M) * pow(eval_c(dh, r, M), -1, M)) % M
+        r0, s, t0, t = M, r, 0, 1
+        while s > lo:
+            q = r0 // s
+            r0, s, t0, t = s, r0 - q * s, t, t0 - q * t
+        x = Fraction(s, t)
+        if x.denominator <= lc and not eval_c(h, x, 0):
+            roots.append(x)
+    for x in sorted(roots, key=lambda x: (abs(x.numerator), x.denominator, x < 0)):
+        yield _ratio(x.numerator, x.denominator)
+
+
+def _derivative_c(c):
+    return [i * v for i, v in enumerate(c)][1:]
 
 
 def lagrange_interpolate(field, points):

@@ -61,6 +61,11 @@ DUNDER = "kept for interactive use (dunder method of a public class)"
 ELEMENTS = ("GF(p) element arithmetic at the public edge (operators kept for "
             "interactive use): the package passes plain values, and "
             "tests/test_fields.py and the tests' boxed oracles divide elements")
+KERNEL = ("the kernel route of tensor, the oracle of tests/test_tensor_kernel.py: "
+          "graded.py stays in src/ while bench/run.py's LAYERS imports it and "
+          "bench/tracer.py binds kernel_basis, and moves to tests/ with ROADMAP item 1")
+FALLBACK = ("entered only by is_isomorphic's intertwining fallback for a = b with "
+            "F(1, 0) not a square (ROADMAP item 12) and by the bench-bound names")
 TO_INTS = ("field protocol of SimpleCoverAlgebra.mul over GF(p), which "
            "tests/test_cover_algebra.py runs; every user path multiplies over "
            "QQ or Q(zeta_n)")
@@ -74,6 +79,20 @@ ALLOWED = {
     "poly.lagrange_interpolate": BENCH,
     "hyperelliptic.torsion_matrix": BENCH,
     "double_cover.divisor_of_section": BENCH,
+    "linalg.rref": BENCH,
+    "linalg.nullspace": BENCH,
+
+    "graded.kernel_basis": KERNEL,
+    "graded.kernel_basis.<locals>.check": KERNEL,
+    "graded.kernel_basis.<locals>.sections": KERNEL,
+    "graded._read_off": KERNEL,
+    "graded._vector_charts": KERNEL,
+    "graded.nonzero_minor": KERNEL,
+    "linalg._echelon": FALLBACK,
+    "linalg._eliminate_mod": FALLBACK,
+    "linalg._clone": FALLBACK,
+    "linalg.split_blocks": FALLBACK,
+    "double_cover._charts": FALLBACK,
 
     "cover_geometry.normality_criterion":
         ("paper result (normality of a dihedral cover over a hyperelliptic "
@@ -115,6 +134,10 @@ ALLOWED = {
     "double_cover.BundlePair.c1":
         ("the first Chern class that tests/test_hyperelliptic.py checks "
          "tensor against (c1 of a square is 2 c1 + l)"),
+    "double_cover.DoubleCoverRing.trivial_pair":
+        ("the structure sheaf as a pair, the unit of tensor, which tests/test_double_cover.py, "
+         "test_cover_geometry.py and test_acceptance.py build; the dictionary writes the "
+         "zero class's pair in closed form"),
     "double_cover.BundlePair.splitting":
         "the splitting type that tests/test_double_cover.py and test_hyperelliptic.py check",
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -162,6 +163,11 @@ NEGATIVE_GENUS = ["--field", "Fp:7", "--curve", '{"g":-1,"F":"1"}']
       "--pair", '{"a":1,"b":1,"P":"1/7*x0^2 + 2*x0*x1 + 6*x1^2","f":"4*x0^2 + 4*x1^2",'
       '"q":"x0*x1 + 6*x1^2"}'],
      "coefficient 1/7 of '1/7*x0^2 + 2*x0*x1 + 6*x1^2' has no value in GF(7)"),
+    # the product is a Cantor sum on the odd model, which needs a rational branch point
+    (["pic", "--op", "tensor", "--field", "Fp:7", "--curve", '{"g":1,"F":"x0^4 + x1^4"}',
+      "--pair", '{"a":0,"b":2,"P":"0","f":"x0^4 + x1^4","q":"1"}',
+      "--pair2", '{"a":0,"b":2,"P":"0","f":"x0^4 + x1^4","q":"1"}'],
+     "no rational branch point; odd model unavailable"),
 ])
 def test_out_of_domain_input_exits_2(capsys, argv, message):
     # refused as bad input, not an internal error (3) and not a report (0)
@@ -169,6 +175,28 @@ def test_out_of_domain_input_exits_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+def test_a_large_constant_over_q_is_refused_at_once(capsys):
+    """F = x0^4 - (10^30 + 57) x1^4 has no rational root.  The root finder
+    factors no coefficient, so ``tensor`` of the trivial pair with itself
+    and ``pic --op class`` refuse the curve in well under a second."""
+    from dihedralcovers.double_cover import tensor
+    from dihedralcovers.fields import QQ
+    from dihedralcovers.hyperelliptic import HECurve
+    from dihedralcovers.parsing import parse_form
+
+    F = "x0^4 - %d*x1^4" % (10 ** 30 + 57)
+    start = time.process_time()
+    t = HECurve(QQ, 1, parse_form(F, QQ, 2)).trivial_pair()
+    with pytest.raises(ValueError, match="no rational branch point"):
+        tensor(t, t)
+    code = cli.main(["pic", "--op", "class", "--field", "Q",
+                     "--curve", json.dumps({"g": 1, "F": F}),
+                     "--pair", json.dumps({"a": 0, "b": 2, "P": "0", "f": F, "q": "1"})])
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "error: no rational branch point; odd model unavailable\n"
 
 
 def test_jacobian_subcommand(capsys):
@@ -291,3 +319,31 @@ def test_golden_batch_is_byte_identical(capsys):
     code, out = run(capsys, "--json", str(GOLDEN / "batch.json"))
     assert code == 1
     assert out.encode() == (GOLDEN / "batch.out.json").read_bytes()
+
+
+# the products of the two tensor jobs of the golden batch as the kernel
+# route wrote them, before the product became a Cantor sum
+KERNEL_ROUTE_PRODUCTS = [
+    ("Fp:7", {"a": 1, "b": 1, "P": "2*x0^2 + x0*x1 + 4*x1^2",
+              "f": "4*x0^2 + 2*x0*x1 + x1^2", "q": "x0^2 + 2*x0*x1 + 2*x1^2"}),
+    ("Q", {"a": 1, "b": 1, "P": "-1/3*x0^2 - 73/18*x0*x1 - 2/3*x1^2",
+           "f": "8/9*x0^2 - 170/27*x0*x1 + 16/9*x1^2", "q": "x0^2 + 97/24*x0*x1 + 2*x1^2"}),
+]
+
+
+def test_golden_tensor_products_are_the_kernel_route_products():
+    """Each tensor job of the golden batch prints a pair isomorphic to the
+    one the kernel route printed."""
+    from dihedralcovers.double_cover import BundlePair, is_isomorphic
+    from dihedralcovers.fields import field_from_name
+    from dihedralcovers.hyperelliptic import HECurve
+
+    jobs = json.loads((GOLDEN / "batch.json").read_text())
+    reports = json.loads((GOLDEN / "batch.out.json").read_text())
+    products = [(job, report["pair"]) for job, report in zip(jobs, reports)
+                if job.get("op") == "tensor"]
+    assert [job["field"] for job, _ in products] == [f for f, _ in KERNEL_ROUTE_PRODUCTS]
+    for (job, new), (_, old) in zip(products, KERNEL_ROUTE_PRODUCTS):
+        curve = HECurve.from_json(job["curve"], field_from_name(job["field"]))
+        assert new != old
+        assert is_isomorphic(BundlePair.from_json(new, curve), BundlePair.from_json(old, curve))

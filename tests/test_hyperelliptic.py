@@ -11,7 +11,7 @@ from dihedralcovers.fields import GF, QQ, field_from_name
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
 from dihedralcovers.parsing import parse_form, format_form
-from dihedralcovers import linalg
+from dihedralcovers import linalg, graded
 from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
                                           class_order, rr_space,
                                           class_from_matrix, matrix_from_class,
@@ -524,15 +524,23 @@ def test_group_law_round_builds_the_odd_model_once(rng, monkeypatch):
 
 
 def test_tensor_takes_no_rank(rng, monkeypatch):
-    def no_rank(*args):
-        raise AssertionError("the kernel of psi^T always has rank 2")
+    """``tensor`` is a Cantor sum in the class dictionary: it runs no
+    linear algebra, neither a rank nor a nullspace nor a graded kernel."""
+    def no_linear_algebra(*args, **kwargs):
+        raise AssertionError("tensor runs no linear algebra")
 
-    monkeypatch.setattr(linalg, "bareiss_rank", no_rank)
+    for owner, name in ((linalg, "bareiss_rank"), (linalg, "nullspace"),
+                        (linalg, "convolution_matrix"), (graded, "kernel_basis")):
+        monkeypatch.setattr(owner, name, no_linear_algebra)
     curve = split_curve(1009, 2)
     model = curve.odd_model()
     a, b = random_class(model, 2, rng), random_class(model, 2, rng)
-    t = tensor(matrix_from_class(curve, a), matrix_from_class(curve, b))
-    assert class_from_matrix(t) == a + b
+    pa, pb = matrix_from_class(curve, a), matrix_from_class(curve, b)
+    assert class_from_matrix(tensor(pa, pb)) == a + b
+    # and for a pair twisted to degree -2
+    t = tensor(BundlePair(curve, pa.a + 1, pa.b + 1, *pa.charts), pb)
+    assert (t.a + t.b, class_from_matrix(BundlePair(curve, t.a - 1, t.b - 1, *t.charts))) == \
+        (curve.l + 2, a + b)
 
 
 def _psi_transpose_chart(p1, p2):
@@ -548,9 +556,9 @@ def _psi_transpose_chart(p1, p2):
 
 
 def test_tensor_kernel_rank_is_two():
-    """The rank ``tensor`` passes to ``kernel_basis`` against the
-    computation it replaced: psi^T has rank 2 over the fraction field,
-    so its kernel has rank 4 - 2."""
+    """The rank the kernel route of tests/test_tensor_kernel.py passes to
+    ``kernel_basis``: psi^T has rank 2 over the fraction field, so its
+    kernel has rank 4 - 2."""
     pairs = _oracle_pairs()[::6]
     checked = 0
     for p1, p2 in zip(pairs, pairs[1:]):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -145,6 +146,47 @@ def test_base_field_roots_match_a_scan(rng):
     got = list(base_field_roots(f))
     assert sorted(got) == [Fraction(-1, 2), 0, 2]
     assert sorted(map(type, got), key=str) == [Fraction, int, int]
+
+
+def _rational_root_scan(f):
+    """The rational-root-theorem scan: +-s/t for s = 0 and the divisors s
+    of the lowest nonzero integer coefficient, t of the leading one, both
+    ascending, each value once (s/t in lowest terms), kept where the
+    integer polynomial vanishes: sum c_i s^i t^(n - i) = 0."""
+    den = math.lcm(*[Fraction(c).denominator for c in f.c])
+    ic = [int(Fraction(c) * den) for c in f.c]
+    n = len(ic) - 1
+    divisors = lambda n: sorted({e for d in range(1, math.isqrt(n) + 1) if n % d == 0
+                                 for e in (d, n // d)})
+    out = []
+    for s in [0] + divisors(abs(next(c for c in ic if c))):
+        for t in divisors(abs(ic[-1])):
+            for r in ((s,) if s == 0 else (s, -s)):
+                if math.gcd(s, t) == 1 and not sum(c * r ** i * t ** (n - i)
+                                                   for i, c in enumerate(ic)):
+                    out.append(Fraction(r, t))
+    return out
+
+
+def test_rational_roots_match_the_rational_root_theorem_scan(rng):
+    """Over Q the roots lifted from a small prime and recovered by rational
+    reconstruction are the scan's, in its order (|s|, t, positive first),
+    on seeded polynomials with planted rational roots, repeated ones and
+    the root 0 among them, and rational coefficients."""
+    x = Poly.x(QQ)
+    checked = 0
+    for _ in range(300):
+        f = Poly(QQ, [Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3]))
+                      for _ in range(rng.randint(0, 3))] + [rng.choice([1, -2, 3, Fraction(1, 2)])])
+        for _ in range(rng.randint(0, 4)):
+            f = f * (x * rng.randint(1, 6) - rng.randint(-12, 12)) ** rng.randint(1, 2)
+        if f.is_zero():
+            continue
+        got = list(base_field_roots(f))
+        assert got == _rational_root_scan(f), f
+        assert all(type(r) is (int if Fraction(r).denominator == 1 else Fraction) for r in got)
+        checked += len(got)
+    assert checked > 300
 
 
 @pytest.mark.parametrize("p", [5, 1009, 2 ** 61 - 1])

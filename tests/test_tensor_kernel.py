@@ -1,15 +1,17 @@
-"""``tensor`` against the degree search it replaced.
+"""``tensor`` against the kernel route, its independent oracle.
 
-The oracle below is the earlier ``graded.kernel_basis``, which looked
-for generators degree by degree from the least column twist upward, and
-the earlier z-action, which solved K(-l) M = (N1 (x) Id)^T K with
-``linalg.solve`` one column at a time.  The kernel at its known twist
-sum and the adjugate division must give the same twists, the same
-generators and the same pair, bit for bit.
+``tensor`` adds the two line bundles in the class dictionary: one Cantor
+addition and no linear algebra.  The oracle computes the same product as
+a module: the cokernel of psi = N1 (x) Id - Id (x) N2, read off a kernel
+basis of psi^T (``graded.kernel_basis`` at the known twist sum, checked
+against a degree search from the least column twist upward), with the
+z-action K(-l) M = (N1 (x) Id)^T K solved by ``linalg.solve`` one column
+at a time.  The two products must be isomorphic pairs of the same class
+and degree, for pairs of both parities of a + b.
 
-``tensor`` passes only the column-0 rows of psi^T, and ``kernel_basis``
-reads lower degrees off higher ones; both must leave every nullspace
-as it was, which the tests below check degree by degree.
+``kernel_basis`` reads lower degrees off higher ones, and the kernel is
+cut out by the column-0 rows of psi^T alone; both must leave every
+nullspace as it was, which the tests below check degree by degree.
 """
 
 import itertools
@@ -17,16 +19,16 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from dihedralcovers import linalg
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.homog import HForm
-from dihedralcovers.poly import Poly, trim_c, sub_c, add_c, mul_c
+from dihedralcovers import hyperelliptic
+from dihedralcovers.poly import (Poly, trim_c, sub_c, add_c, mul_c, reduce_c, exact_div_c,
+                                 base_field_roots)
 from dihedralcovers.graded import kernel_basis, _read_off
-from dihedralcovers.double_cover import (BundlePair, tensor, inverse, _charts,
-                                         _z_action)
-from dihedralcovers.hyperelliptic import HECurve, matrix_from_class, class_from_matrix
+from dihedralcovers.double_cover import BundlePair, tensor, inverse, is_isomorphic, _charts
+from dihedralcovers.hyperelliptic import (HECurve, matrix_from_class, class_from_matrix,
+                                          bundle_from_matrix)
 
 from conftest import split_curve, random_point_class
 
@@ -72,8 +74,8 @@ def _degree_search_kernel(field, coeffs, row_twists, col_twists, nullity):
 
 
 def _psi_transpose(p1, p2):
-    """(psi^T charts, row twists, column twists): all four rows, where
-    ``tensor`` builds only the column-0 rows (``_column0``)."""
+    """(psi^T charts, row twists, column twists): all four rows; the
+    column-0 rows alone (``_column0``) cut out the same kernel."""
     p, l = p1.ring.field.characteristic, p1.ring.l
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
     n1, n2 = _charts(p1), _charts(p2)
@@ -214,23 +216,94 @@ def _products():
             yield name, g, p1, inverse(p1)
 
 
+def _twist(pair, k):
+    """The pair twisted by O(k): (a - k, b - k) with the same charts, the
+    line bundle plus 2k points at infinity of the odd model."""
+    return BundlePair(pair.ring, pair.a - k, pair.b - k, *pair.charts)
+
+
+def _odd_pairs(curve):
+    """Pairs of odd degree e = l - a - b = +-1: P = 0 and q the product of
+    one or three linear factors of F (x1 first when it divides F)."""
+    p, l = curve.field.characteristic, curve.l
+    factors = [[1]] * curve.F.x1_multiplicity()
+    factors += [reduce_c([-r, 1], p) for r in base_field_roots(curve.F.to_univar())]
+    out = []
+    for k in (k for k in (1, 3) if k <= len(factors)):
+        q = [1]
+        for fac in factors[:k]:
+            q = mul_c(q, fac, p)
+        for e in (1, -1):
+            # deg q = l + a - b = k and a + b = l - e
+            a = (k - e) // 2
+            out.append(BundlePair(curve, a, l - e - a, [], exact_div_c(curve.chart, q, p), q))
+    return out
+
+
+def _kernel_route(p1, p2):
+    """The product by the kernel of psi^T: ``kernel_basis`` at the twist
+    sum l - (a1 + b1 + a2 + b2), on all four rows and on column 0, equal
+    to the degree search, and the z-action by ``linalg.solve``."""
+    field, l = p1.ring.field, p1.ring.l
+    psiT, row_tw, col_tw = _psi_transpose(p1, p2)
+    want_tw, want_gens = _degree_search_kernel(field, psiT, row_tw, col_tw, 2)
+    S = l - (p1.a + p1.b + p2.a + p2.b)
+    assert kernel_basis(field, psiT, row_tw, col_tw, 2, S)[:2] == (want_tw, want_gens)
+    assert kernel_basis(field, *_column0(psiT, row_tw), col_tw, 2, S)[:2] == \
+        (want_tw, want_gens)
+    return _tensor_by_solve(p1, p2, want_tw, want_gens), want_tw
+
+
+def _twisted_and_odd_products():
+    """Products of pairs twisted away from degree zero and of odd-degree
+    pairs, on one curve per field and genus of ``_products``: twists of
+    the first three classes' pairs by O(1) and O(-1) with each other and
+    with the untwisted ones, the odd-degree pairs with those three, and
+    the kernel route's products of odd with degree-zero pairs (P != 0)
+    with the three and with their inverses."""
+    rng = random.Random(31)
+    for name, g in itertools.product(("GF(5)", "GF(101)", "GF(1009)", "GF(2^61-1)", "Q"),
+                                     (1, 2, 3, 4)):
+        if name == "Q" and g > 2:
+            continue        # heights grow: keep the suite's time down
+        if name == "GF(5)":
+            curve = _gf5_curve(g, rng)
+        elif name == "Q":
+            curve = _q_curve(g)
+        else:
+            curve = split_curve({"GF(101)": 101, "GF(1009)": 1009}.get(name, 2 ** 61 - 1), g)
+        base = [matrix_from_class(curve, c) for c in _classes(curve, rng)[1:4]]
+        twisted = [_twist(x, k) for x in base for k in (1, -1)]
+        for p1, p2 in itertools.product(twisted, base + twisted[:2]):
+            yield name, g, p1, p2
+        odd = _odd_pairs(curve)
+        for p1, p2 in itertools.product(odd, base):
+            yield name, g, p1, p2
+        mixed = [_kernel_route(o, x)[0] for o, x in zip(odd, base + base)]
+        for p1, p2 in itertools.product(mixed[:3], base[:2] + [inverse(mixed[0])]):
+            yield name, g, p1, p2
+
+
 def test_tensor_matches_the_degree_search_and_solve():
-    seen, spreads, count = set(), set(), 0
-    for name, g, p1, p2 in _products():
-        field, l = p1.ring.field, p1.ring.l
-        psiT, row_tw, col_tw = _psi_transpose(p1, p2)
-        want_tw, want_gens = _degree_search_kernel(field, psiT, row_tw, col_tw, 2)
-        S = l - (p1.a + p1.b + p2.a + p2.b)
-        assert kernel_basis(field, psiT, row_tw, col_tw, 2, S)[:2] == (want_tw, want_gens)
-        assert kernel_basis(field, *_column0(psiT, row_tw), col_tw, 2, S)[:2] == \
-            (want_tw, want_gens)
-        want = _tensor_by_solve(p1, p2, want_tw, want_gens)
+    """``tensor`` and the kernel route give isomorphic pairs of the same
+    class and degree, for degree-zero, twisted and odd-degree pairs over
+    five fields at g = 1-4."""
+    seen, degrees, spreads, count = set(), set(), set(), 0
+    for name, g, p1, p2 in itertools.chain(_products(), _twisted_and_odd_products()):
+        want, want_tw = _kernel_route(p1, p2)
         got = tensor(p1, p2)
-        assert got == want and repr(got) == repr(want), (name, g, p1, p2)
+        assert is_isomorphic(got, want), (name, g, p1, p2)
+        assert bundle_from_matrix(got) == bundle_from_matrix(want), (name, g, p1, p2)
+        e = bundle_from_matrix(got)[1]
+        assert e == bundle_from_matrix(p1)[1] + bundle_from_matrix(p2)[1]
         seen.add((name, g))
-        spreads.add((want_tw[1] - want_tw[0]) / l)
+        degrees.add((name, min(max(e, -2), 2)))
+        spreads.add((want_tw[1] - want_tw[0]) / p1.ring.l)
         count += 1
-    assert count >= 1000 and len(seen) == 20
+    assert count >= 1500 and len(seen) == 20
+    # both parities of a + b, twisted both ways, on every field
+    names = ("GF(5)", "GF(101)", "GF(1009)", "GF(2^61-1)", "Q")
+    assert degrees == {(n, e) for n in names for e in (-2, -1, 0, 1, 2)}
     # balanced kernels and the most unbalanced one, twists (-l, 0), all occur
     assert {0, 1} <= spreads
 
@@ -249,20 +322,6 @@ def test_p_tensor_inverse_is_the_most_unbalanced_kernel():
             assert tw == [-l, 0]
             t = tensor(pair, inverse(pair))
             assert (t.a, t.b) == (0, l) and class_from_matrix(t).is_zero()
-
-
-def test_z_action_checks_the_rows_the_division_skips():
-    """Rows 0 and 1 of K are the identity, so the division reads M off
-    them and succeeds (M = 0, trace free); N1 does not preserve the span
-    on row 2, and only the check of the other two rows can see it."""
-    K = GF(7)
-    n1 = [[[], [1]], [[], []]]
-    gens = [[[1], [], [], []], [[], [1], [], []]]
-    with pytest.raises(ValueError, match="factorization"):
-        _z_action(K, 0, n1, [0, 0], gens)
-    # with N1 = 0 the span is preserved and M = 0
-    P, f, q = _z_action(K, 0, [[[], []], [[], []]], [0, 0], gens)
-    assert not P and not f and not q
 
 
 # -- the column-0 rows and the sections read off a higher degree -----------
@@ -331,25 +390,24 @@ def test_sections_read_off_a_higher_degree():
     assert reads > 1000
 
 
-def test_tensor_builds_psi_once_for_twists_at_most_one_apart(monkeypatch):
-    """``tensor`` builds psi^T's convolution matrix once per product whose
-    kernel twists differ by at most 1, and twice otherwise; each build
-    has the two column-0 row blocks."""
-    builds = []
-    real = linalg.convolution_matrix
+def test_tensor_is_one_cantor_addition(monkeypatch):
+    """``tensor`` reads each pair once as a line bundle, adds the classes
+    by one Cantor addition and writes the sum once, for every product of
+    ``_sample`` and of the twisted and odd-degree pairs."""
+    calls = []
 
-    def counted(field, coeffs, in_degs, out_degs):
-        if len(coeffs[0]) == 4:
-            assert len(coeffs) == 2
-            builds.append(out_degs)
-        return real(field, coeffs, in_degs, out_degs)
+    def spy(name):
+        real = getattr(hyperelliptic, name)
+        monkeypatch.setattr(hyperelliptic, name,
+                            lambda *args: calls.append(name) or real(*args))
 
-    monkeypatch.setattr(linalg, "convolution_matrix", counted)
-    spreads = set()
-    for name, g, p1, p2, kind in _sample():
-        builds.clear()
-        t = tensor(p1, p2)
-        spread = t.b - t.a
-        assert len(builds) == (1 if spread <= 1 else 2), (name, g, spread)
-        spreads.add(min(spread, 2))
-    assert spreads == {0, 1, 2}
+    for name in ("bundle_from_matrix", "matrix_from_bundle", "cantor_add"):
+        spy(name)
+    pairs = [(p1, p2) for _, _, p1, p2, _ in _sample()]
+    pairs += [(p1, p2) for _, _, p1, p2 in itertools.islice(_twisted_and_odd_products(), 0,
+                                                            None, 7)]
+    for p1, p2 in pairs:
+        calls.clear()
+        tensor(p1, p2)
+        assert sorted(calls) == ["bundle_from_matrix", "bundle_from_matrix", "cantor_add",
+                                 "matrix_from_bundle"]
