@@ -14,19 +14,20 @@ Condition (ii) gets a certificate: after a random linear change of
 coordinates, the resultant R of a and F with respect to the last
 variable is squarefree; a root of R has the multiplicity of the
 intersection of a and F on the line it names (Fulton, Algebraic Curves,
-1.6), so that alone proves transversality.  Condition (i) is tested by
-projecting the singular scheme of a^2 - F^n with resultants of the
-partial derivatives and certifying that every candidate lies over a
-root of R.  Over Q both gcd tests first run modulo a large prime: a
-reduction that keeps the degrees and has gcd 1 proves gcd 1 over Q
-(Brown's one-sided modular gcd); only an inconclusive one falls back to
-the exact gcd, a subresultant sequence on integers.  Over Q a form's
-coefficients are ints wherever integral (see :mod:`poly`), so on
-integer input the coordinate change, a^2 - F^n and its partials run on
-ints; a resultant clears any remaining denominators once, and runs one
-remainder sequence for all its interpolation nodes.  Verdicts are
-"pass", "fail" or "inconclusive"; a pass or a fail always rests on an
-exact computation, never on sampling.
+1.6), so that alone proves transversality.  Condition (i) is certified
+by the cusps' exponent: with R squarefree, R^(n-1) divides the
+resultant r1 of the partials G_0 and G_1 of G = a^2 - F^n, and r1 / R^(n-1)
+coprime to the resultant r2 of G_0 and G_2 proves (i)
+(``_singular_containment``).  Over Q both gcd tests run modulo a large
+prime: a reduction that keeps the degrees and has gcd 1 proves gcd 1
+over Q (Brown's one-sided modular gcd); only the squarefree test of R
+falls back to an exact one.  Over Q a form's coefficients are ints
+wherever integral (see :mod:`poly`), so on integer input the coordinate
+change, a^2 - F^n and its partials run on ints.  A resultant clears any
+remaining denominators once; r1 and r2 run as one batch of lanes of one
+remainder sequence, and interpolation is one product with a cached
+table.  Verdicts are "pass", "fail" or "inconclusive"; a pass or a fail
+always rests on an exact computation, never on sampling.
 
 Invariants of a cover of the plane (Y = P^2, L = O(m)) are computed
 twice, from the closed formulas
@@ -49,7 +50,7 @@ import random
 from fractions import Fraction
 
 from .fields import QQ, GF
-from .poly import plain_poly, powmod_c, poly_gcd, resultant_lanes_c, interpolate_c
+from .poly import plain_poly, poly_gcd, resultant_lanes_c, interpolate_c
 from .homog import HForm, form_gcd
 from .hyperelliptic import class_from_matrix
 from .deformations import pushforward_twists
@@ -112,71 +113,67 @@ class AlmostSimpleSpec:
 # -- resultants of ternary forms ----------------------------------------
 
 
-def resultant_wrt_last(f, g):
+def resultant_wrt_last(f, g, *more):
     """Resultant of two ternary forms with respect to x2, as a binary
-    form in (x0, x1) of degree deg(f)*deg(g).
+    form in (x0, x1) of degree deg(f)*deg(g); with further forms ``more``
+    of g's degree, the list of the resultants of f with each g, as one
+    batch.
 
-    Requires both forms to have full degree in x2 (their x2-leading
+    Requires the forms to have full degree in x2 (their x2-leading
     coefficients are nonzero scalars), which a generic linear change of
     coordinates guarantees; computed by specializing x1 = 1 at the
     deg(f)*deg(g) + 1 values x0 = 0, 1, 2, ... and interpolating, so a
     prime field with fewer elements raises ValueError.  Each x2-chart is
-    evaluated at all nodes in one Horner pass, and the nodes are the
-    lanes of one remainder sequence (``poly.resultant_lanes_c``), which
-    regroups them where their remainders fall to different degrees.
+    evaluated at all nodes in one Horner pass, f's once for the batch,
+    and every node of every pair is a lane of one remainder sequence
+    (``poly.resultant_lanes_c``), which regroups them where their
+    remainders fall to different degrees.
     """
-    cf = [c.to_univar().c for c in f.coeffs_in(2)]
-    cg = [c.to_univar().c for c in g.coeffs_in(2)]
-    if not cf[-1] or not cg[-1]:
+    gs = (g,) + more
+    if any(h.deg != g.deg for h in more):
+        raise ValueError("a batch of resultants needs forms of one degree")
+    charts = [[c.to_univar().c for c in h.coeffs_in(2)] for h in (f,) + gs]
+    if not all(cs[-1] for cs in charts):
         raise ValueError("forms must have full degree in x2")
     field, D = f.field, f.deg * g.deg
     p = field.characteristic
     if p and D + 1 > p:
         raise ValueError("resultant_wrt_last needs %d distinct points, GF(%d) has %d"
                          % (D + 1, p, p))
-    scale = 1
+    scales = [1] * len(gs)
     if not p:
         # Res(lam f, mu g) = lam^(deg g) mu^(deg f) Res(f, g): with the
         # denominators cleared, the charts are evaluated on ints
-        lam, cf = _clear_denominators(cf)
-        mu, cg = _clear_denominators(cg)
-        scale = lam ** g.deg * mu ** f.deg
+        lams, charts = zip(*map(_clear_denominators, charts))
+        scales = [lams[0] ** g.deg * mu ** f.deg for mu in lams[1:]]
     xs = range(D + 1)
-    lanes = []
-    for c in cf + cg:
-        v = [0] * (D + 1)
-        for a in reversed(c):
-            v = [y * x + a for y, x in zip(v, xs)]
-        lanes.append([y % p for y in v] if p else v)
-    R = plain_poly(field, interpolate_c(
-        xs, resultant_lanes_c(lanes[:len(cf)], lanes[len(cf):], p)[0], p))
-    if scale != 1:
-        R = R * Fraction(1, scale)
-    return HForm.from_univar(R, D)
+
+    def lanes(cs):
+        out = []
+        for c in cs:
+            v = [0] * (D + 1)
+            for a in reversed(c):
+                v = [y * x + a for y, x in zip(v, xs)]
+            out.append([y % p for y in v] if p else v)
+        return out
+
+    # f's lanes once per g, side by side, against the g's lanes
+    a = [v * len(gs) for v in lanes(charts[0])]
+    b = [sum(col, []) for col in zip(*map(lanes, charts[1:]))]
+    res = resultant_lanes_c(a, b, p)[0]
+    out = []
+    for k, scale in enumerate(scales):
+        R = plain_poly(field, interpolate_c(xs, res[k * (D + 1):(k + 1) * (D + 1)], p))
+        if scale != 1:
+            R = R * Fraction(1, scale)
+        out.append(HForm.from_univar(R, D))
+    return out if more else out[0]
 
 
 def _clear_denominators(charts):
     """(lam, lam * charts on ints) for lam the lcm of all denominators."""
     lam = math.lcm(*[v.denominator for c in charts for v in c])
     return lam, [[v.numerator * (lam // v.denominator) for v in c] for c in charts]
-
-
-def radical_divides(h, r):
-    """True when every projective root of the binary form h is a root
-    of the binary form r (with any multiplicity)."""
-    if h.is_zero():
-        raise ValueError("zero form has every root")
-    if h.deg == 0:
-        return True
-    if r.is_zero():
-        return True
-    if h.x1_multiplicity() >= 1 and r.x1_multiplicity() < 1:
-        return False
-    hu = h.to_univar()
-    if hu.degree <= 0:
-        return True
-    ru = r.to_univar()
-    return not powmod_c(ru.c, hu.degree, hu.c, h.field.characteristic)
 
 
 def random_coordinate_change(field, rng):
@@ -230,13 +227,14 @@ def check_simple(spec, seed=0):
     a root of R = Res_x2(a, F) has the multiplicity of the intersection
     of a and F on the line through (0:0:1) it names (Fulton, Algebraic
     Curves, 1.6): a squarefree R proves (ii), and R = 0 a common
-    component ("fail").  (i) passes when the singular points of
-    a^2 - F^n project into the roots of R (see _singular_containment).
-    An attempt whose resultant needs more points than a small prime field
-    has certifies nothing; ATTEMPTS of them without a certificate yield
-    "inconclusive".  R needs 2nm^2 + 1 points: a smaller field gets no
-    attempt.  The resultants behind (i) need (2nm - 1)^2 + 1 points: over
-    a smaller prime field (i) is not tried, and (ii) ends the attempts.
+    component ("fail").  (i) is tried only in an attempt whose R is
+    proved squarefree, and passes when gcd(r1 / R^(n-1), r2) = 1 (see
+    _singular_containment).  An attempt whose resultant needs more points
+    than a small prime field has certifies nothing; ATTEMPTS of them
+    without a certificate yield "inconclusive".  R needs 2nm^2 + 1
+    points: a smaller field gets no attempt.  The resultants behind (i)
+    need (2nm - 1)^2 + 1 points: over a smaller prime field (i) is not
+    tried, and (ii) ends the attempts.
     """
     field = spec.a.field
     rng = random.Random(seed)
@@ -258,15 +256,13 @@ def check_simple(spec, seed=0):
             details["commonComponent"] = True
             cond_ii = "fail"
             break
-        if cond_ii != "pass" and (_trivial_gcd_mod_prime(HForm.is_squarefree, R)
-                                  or R.is_squarefree()):
-            cond_ii = "pass"
-            details["resultantDegree"] = R.deg
-        if decide_i and cond_i != "pass":
-            verdict = _singular_containment(a, F, R, n)
-            if verdict is not None:
-                cond_i = verdict
-        if cond_ii == "pass" and (cond_i == "pass" or not decide_i):
+        if not (_trivial_gcd_mod_prime(HForm.is_squarefree, R) or R.is_squarefree()):
+            continue
+        cond_ii = "pass"
+        details["resultantDegree"] = R.deg
+        if decide_i and cond_i != "pass" and _singular_containment(a, F, R, n):
+            cond_i = "pass"
+        if cond_i == "pass" or not decide_i:
             break
     irreducible = None
     if cond_ii == "pass":
@@ -283,32 +279,38 @@ CERTIFICATE_FIELD = GF(CERTIFICATE_PRIME)
 
 
 def _singular_containment(a, F, R, n):
-    """Certify that the singular scheme of G = a^2 - F^n lies over the
-    common zeros of a and F: every common root of r1 = Res_x2(G_0, G_1)
-    and r2 = Res_x2(G_0, G_2) is a root of R.  Returns "pass" or None.
+    """True when G = a^2 - F^n is certified smooth off F = 0 by
+    r1 = Res_x2(G_0, G_1), r2 = Res_x2(G_0, G_2) and the squarefree
+    R = Res_x2(a, F) of the same coordinates; False certifies nothing.
 
-    With r1 = R^k r1' and R not dividing r1', a common root of r1 and r2
-    off R is a root of r1', so gcd(r1', r2) = 1 proves the containment,
-    and in general it holds iff every root of gcd(r1', r2) is one of R.
-    Over Q the gcd is first tried modulo a prime, which can only prove
-    it trivial; the exact gcd runs when that is inconclusive."""
+    R is squarefree, so each root of R names a line through (0:0:1) with
+    exactly one point P of a = F = 0, where a and F meet transversally.
+    In local coordinates u = F, v = a, G = v^2 - u^n is an A_(n-1)
+    singularity at P, of Tjurina number n - 1.  Euler's relation
+    2nm G = x0 G_0 + x1 G_1 + x2 G_2 puts G in the ideal of the partials
+    when the characteristic does not divide 2nm, so O_P / (G_0, G_1)
+    maps onto the Tjurina algebra and i_P(G_0, G_1) >= n - 1.  The order
+    of r1 at a root is the sum of the intersection multiplicities on its
+    line (Fulton, Algebraic Curves, 1.6), so R^(n-1) divides r1; divide
+    once, and no further, to r1'.  A singular point of G off F = 0 adds
+    at least 1 on its line, so its root is a root of r1' even when the
+    line holds a point of a = F = 0, and a root of r2.  So gcd(r1', r2) = 1
+    proves (i) with no assumption on the projection; a nontrivial gcd
+    leaves the attempt to the next coordinate change.  Over GF(p) (i) is
+    tried only for p > (2nm - 1)^2 >= 2nm, so p does not divide 2nm;
+    over Q the gcd is decided only modulo a prime, which can prove it
+    trivial and nothing else (``_trivial_gcd_mod_prime``)."""
     G = a * a - F ** n
     parts = [G.partial(i) for i in range(3)]
     try:
-        r1 = resultant_wrt_last(parts[0], parts[1])
-        r2 = resultant_wrt_last(parts[0], parts[2])
-    except ValueError:          # (0:0:1) on a curve, or too small a field
-        return None
+        r1, r2 = resultant_wrt_last(parts[0], parts[1], parts[2])
+        r1 = r1.exact_div(R ** (n - 1))
+    except ValueError:          # (0:0:1) on a curve, or R^(n-1) does not divide r1
+        return False
     if r1.is_zero() or r2.is_zero():
-        return None
-    while r1.deg >= R.deg:
-        try:
-            r1 = r1.exact_div(R)
-        except ValueError:
-            break
-    if _trivial_gcd_mod_prime(lambda f, g: form_gcd(f, g).deg == 0, r1, r2):
-        return "pass"
-    return "pass" if radical_divides(form_gcd(r1, r2), R) else None
+        return False
+    coprime = lambda f, g: form_gcd(f, g).deg == 0      # noqa: E731
+    return _trivial_gcd_mod_prime(coprime, r1, r2) if a.field == QQ else coprime(r1, r2)
 
 
 def _trivial_gcd_mod_prime(test, *forms):
@@ -323,8 +325,7 @@ def _trivial_gcd_mod_prime(test, *forms):
     prime).  A common factor over Q, made primitive in Z[x] (Gauss's
     lemma), reduces to a common factor of equal degree, and a common
     power of x1 stays common.  So a trivial gcd modulo the prime proves
-    a trivial gcd over Q.  It stays in front of the exact gcd because
-    it is far cheaper whenever it decides."""
+    a trivial gcd over Q."""
     if forms[0].field != QQ:
         return False
     reduced = []

@@ -29,8 +29,8 @@ Two tiers:
 
   Over any other field (Q or Q(zeta_n)) the matrix goes through the
   generic loop ``_eliminate``, with its nonzero int entries as
-  ``Fraction``, so no division is ever a float division; its values are
-  returned as that loop computes them.
+  ``Fraction``, so no division is ever a float division; an integral
+  value comes back as an int.
 * integral-domain matrices (e.g. polynomial entries): rank by
   fraction-free Bareiss elimination, which only ever performs divisions
   that are exact in the domain; the tests use it as the oracle of
@@ -68,6 +68,13 @@ def _echelon(m, p):
     if p:
         return _eliminate_mod(_clone(m), p)
     return _eliminate(_rationals(m), True)
+
+
+def _plain(x, p):
+    """x reduced mod p over GF(p); else an integral Fraction as an int."""
+    if p:
+        return x % p
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _rationals(m):
@@ -234,9 +241,7 @@ def rref(m, field):
     column list)."""
     p = field.characteristic
     red, pivots = _echelon(m, p)
-    if p:
-        red = [[x % p for x in row] for row in red]
-    return red, pivots
+    return [[_plain(x, p) for x in row] for row in red], pivots
 
 
 def nullspace(m, field):
@@ -245,13 +250,13 @@ def nullspace(m, field):
         return []
     p, cols = field.characteristic, len(m[0])
     red, pivots = _echelon(m, p)
-    zero, one = (0, 1) if p else (field.zero, field.one)
+    zero, one = (0, 1) if p else (_plain(field.zero, 0), _plain(field.one, 0))
     basis = []
     for fc in [c for c in range(cols) if c not in pivots]:
         v = [zero] * cols
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc] % p if p else -red[r][fc]
+            v[pc] = _plain(-red[r][fc], p)
         basis.append(v)
     return basis
 
@@ -264,9 +269,9 @@ def solve(m, b, field):
     red, pivots = _echelon([list(r) + [bv] for r, bv in zip(m, b)], p)
     if cols in pivots:
         return None
-    x = [0 if p else field.zero] * cols
+    x = [0 if p else _plain(field.zero, 0)] * cols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols] % p if p else red[r][cols]
+        x[pc] = _plain(red[r][cols], p)
     return x
 
 

@@ -10,9 +10,9 @@ the explicit sentinel ``NEG_INF``, so degree arithmetic such as
 
 All arithmetic runs in one set of routines on such lists (the functions
 ending in ``_c`` below): sum, difference, product, division with
-remainder, gcd, extended gcd, resultant, Horner evaluation, Newton
+remainder, gcd, extended gcd, resultant, Horner evaluation,
 interpolation and powers modulo a polynomial (von zur Gathen & Gerhard,
-*Modern Computer Algebra*, ch. 2-3 and 6).  Each takes the
+*Modern Computer Algebra*, ch. 2-3, 5 and 6).  Each takes the
 characteristic p of the field: for p > 0 the values are ints and every
 result is reduced mod p, with inverses from ``pow(a, -1, p)``; for p = 0
 they are ints and Fractions, sums and products of ints stay ints, and
@@ -26,9 +26,9 @@ a's cofactor, and ``cofactor_c`` gives b's by one exact division.
 Over Q the gcd, the resultant, exact division and interpolation clear
 denominators once and work on ints, so that no coefficient operation
 pays for a Fraction gcd: the remainder sequence is the fraction-free
-subresultant sequence, and interpolation runs Newton's table on ints
-scaled by a common denominator.  Each result coefficient is an int
-where the denominator divides it.  Field elements are boxed
+subresultant sequence, and interpolation takes one dot product per
+coefficient with a cached integer table.  Each result coefficient is
+an int where the denominator divides it.  Field elements are boxed
 (``FpElem``, ``Fraction``) only at the public accessors: ``coeff``,
 evaluation and ``resultant`` return field elements; the constructor
 accepts field elements, ints and Fractions, and refuses floats.
@@ -42,7 +42,9 @@ coefficient is factored.  Nothing here ever touches a float except the
 degree sentinel.
 """
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -335,54 +337,59 @@ def eval_c(a, x, p):
 
 def interpolate_c(xs, ys, p):
     """The polynomial of degree < len(xs) through the points (xs[i], ys[i]),
-    in O(len(xs)^2) operations: Newton's divided differences, then
-    Horner's rule on the Newton form.  A repeated node raises ValueError.
-    Over Q on integers (see ``_interpolate_q``)."""
-    if not p:
-        return _interpolate_q(xs, ys)
-    d = list(ys)
-    # d[i] becomes the divided difference y[x_0, ..., x_i]; level k
-    # divides by x_i - x_{i-k}, so every pair of nodes is differenced once
-    for k in range(1, len(xs)):
-        dxs = [(xi - xj) % p for xi, xj in zip(xs[k:], xs)]
-        if not all(dxs):
-            raise ValueError("repeated interpolation node %s"
-                             % ([x for x, dx in zip(xs[k:], dxs) if not dx][-1],))
-        invs = {dx: pow(dx, -1, p) for dx in set(dxs)}     # one per distinct difference
-        d[k:] = [(hi - lo) * invs[dx] % p for hi, lo, dx in zip(d[k:], d[k - 1:], dxs)]
-    c = []
-    for xk, dk in zip(reversed(xs), reversed(d)):
-        # c <- c * (x - x_k) + d_k
-        c = [(hi - xk * lo) % p for hi, lo in zip([dk] + c, c + [0])]
-    return trim_c(c)
-
-
-def _interpolate_q(xs, ys):
-    """``interpolate_c`` over Q.  With the nodes scaled by N and the values
-    by M to integers X_i and Y_i, the polynomial is Q(N x) / (M W) for
-    the Q through the points (X_i, W Y_i), where W is the lcm of the
-    Lagrange denominators w_i = prod over j != i of (X_i - X_j).  Q lies
-    in Z[x] (it is sum_i Y_i (W / w_i) prod_{j != i} (x - X_j)), and the
-    divided differences of a polynomial in Z[x] at integer nodes are
-    integers, so Newton's table runs on ints with exact divisions, and
-    each output coefficient costs one division by M W."""
-    N = math.lcm(*[x.denominator for x in xs])
-    X = [x.numerator * (N // x.denominator) for x in xs]
+    rows . ys / den for the table (rows, den) of ``_inverse_vandermonde``.
+    A repeated node raises ValueError.  Over Q the values are scaled to
+    ints by the lcm M of their denominators, and den by M."""
+    rows, den = _inverse_vandermonde(tuple(xs), p)
+    if p:
+        return trim_c([sum(map(operator.mul, row, ys)) % p for row in rows])
     M = math.lcm(*[y.denominator for y in ys])
-    if len(set(X)) < len(X):
+    ys = [y.numerator * (M // y.denominator) for y in ys]
+    den *= M
+    return trim_c([_ratio(sum(map(operator.mul, row, ys)), den) for row in rows])
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse_vandermonde(xs, p):
+    """The inverse Vandermonde matrix of the nodes xs as (rows, den):
+    column i is M / ((x - x_i) M'(x_i)) for M = prod_j (x - x_j) (von
+    zur Gathen & Gerhard, ch. 5), built in O(len(xs)^2) by Horner's rule
+    for every M'(x_i) and one synthetic division for every x - x_i, each
+    run for all nodes at once.  A repeated node has M'(x_i) = 0.  Over Q
+    the nodes are scaled to ints X_i = N x_i, so row k carries N^k, and
+    the rows are ints over den = lcm |M'(X_i)|.  Cached, as a check
+    interpolates at the nodes 0..D again and again; the rows are shared
+    and must not be changed."""
+    if p:
+        X, N = [x % p for x in xs], 1
+    else:
+        N = math.lcm(*[x.denominator for x in xs])
+        X = [x.numerator * (N // x.denominator) for x in xs]
+    M = [1]
+    for x in X:
+        # M <- M (t - x)
+        M = [(lo - x * hi) % p if p else lo - x * hi for lo, hi in zip([0] + M, M + [0])]
+    ws = [0] * len(X)
+    for k in range(len(X), 0, -1):
+        ws = [(w * x + k * M[k]) % p if p else w * x + k * M[k] for w, x in zip(ws, X)]
+    if not all(ws):
         raise ValueError("repeated interpolation node %s"
                          % next(x for i, x in enumerate(xs) if X[i] in X[:i]))
-    W = math.lcm(*[math.prod(xi - xj for xj in X if xj != xi) for xi in X])
-    d = [y.numerator * (M // y.denominator) * W for y in ys]
-    for k in range(1, len(X)):
-        d[k:] = [(hi - lo) // (xi - xj) for hi, lo, xi, xj in zip(d[k:], d[k - 1:], X[k:], X)]
-    c = []
-    for xk, dk in zip(reversed(X), reversed(d)):
-        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [0])]
+    if p:
+        den, row = 1, [pow(w, -1, p) for w in ws]
+    else:
+        den = math.lcm(*ws)
+        row = [den // w for w in ws]
+    # row k - 1 from row k, both scaled by den / M'(x_i): q_i = M / (t - x_i)
+    # has q_i[k - 1] = M[k] + x_i q_i[k], from q_i[len(X) - 1] = 1
+    rows = [row]
+    for k in range(len(X) - 1, 0, -1):
+        rows.append([(M[k] * s + x * q) % p if p else M[k] * s + x * q
+                     for s, x, q in zip(rows[0], X, rows[-1])])
+    rows.reverse()
     if N > 1:
-        c = [v * N ** k for k, v in enumerate(c)]
-    den = W * M
-    return trim_c([_ratio(v, den) for v in c])
+        rows = [[v * N ** k for v in row] for k, row in enumerate(rows)]
+    return rows, den
 
 
 def powmod_c(a, e, m, p):

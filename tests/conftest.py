@@ -124,6 +124,21 @@ def ref_resultant(K, a, b):
         a, b = b, r
 
 
+def ref_interpolate(K, xs, ys):
+    """The polynomial through the points (xs[i], ys[i]) of field elements
+    by Newton's divided differences, one field operation at a time: the
+    oracle of interpolation, which shares no code with the package's
+    inverse Vandermonde table."""
+    d = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            d[i] = (d[i] - d[i - 1]) / (xs[i] - xs[i - k])
+    c = []
+    for xk, dk in zip(reversed(xs), reversed(d)):
+        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [K.zero])]
+    return ref_trim(c)
+
+
 def identity(dim, K):
     """The dim x dim identity matrix over K."""
     return [[K.one if i == j else K.zero for j in range(dim)] for i in range(dim)]

@@ -89,6 +89,7 @@ ALLOWED = {
     "graded._vector_charts": KERNEL,
     "graded.nonzero_minor": KERNEL,
     "linalg._echelon": FALLBACK,
+    "linalg._plain": FALLBACK,
     "linalg._eliminate_mod": FALLBACK,
     "linalg._clone": FALLBACK,
     "linalg.split_blocks": FALLBACK,

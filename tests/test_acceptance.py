@@ -22,7 +22,7 @@ from dihedralcovers import deformations as df
 from dihedralcovers import dihedral
 from dihedralcovers.cyclotomic import CyclotomicField
 from dihedralcovers.cover_algebra import SimpleCoverAlgebra
-from dihedralcovers.double_cover import tensor, inverse
+from dihedralcovers.double_cover import tensor, inverse, is_isomorphic
 from dihedralcovers.hyperelliptic import (class_from_matrix, matrix_from_class,
                                           class_order, is_n_torsion,
                                           torsion_matrix,
@@ -31,6 +31,7 @@ from dihedralcovers.hyperelliptic import (class_from_matrix, matrix_from_class,
 from conftest import (identity, matmul, split_curve, random_class,
                       euler_characteristic_form, phi_is_symmetric,
                       phi_tensor, d3_resolvent, afpoly_a, afpoly_F)
+from test_tensor_kernel import _kernel_route
 
 
 def test_1_invariant_regression():
@@ -78,11 +79,15 @@ def test_3_group_law_oracle_equivalence():
         for c, pair in samples:
             assert class_from_matrix(pair) == c
             assert class_from_matrix(inverse(pair)) == -c
-        # tensor against Cantor addition
+        # tensor against Cantor addition, and on a sample against the
+        # kernel route, which shares no code with the class dictionary
         rng = random.Random(p * g)
-        for _ in range(50):
+        for i in range(50):
             (c1, p1), (c2, p2) = rng.choice(samples), rng.choice(samples)
-            assert class_from_matrix(tensor(p1, p2)) == c1 + c2
+            t = tensor(p1, p2)
+            assert class_from_matrix(t) == c1 + c2
+            if i < 10:
+                assert is_isomorphic(t, _kernel_route(p1, p2)[0])
 
 
 def test_4_two_torsion_census_and_matrix_dimensions():

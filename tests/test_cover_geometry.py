@@ -7,14 +7,14 @@ import pytest
 
 from dihedralcovers.fields import QQ, GF
 from dihedralcovers.homog import HForm
-from dihedralcovers.parsing import parse_form
+from dihedralcovers.parsing import parse_form, format_form
 from dihedralcovers import cover_geometry as cg, cli, linalg, poly
-from dihedralcovers.poly import lagrange_interpolate
+from dihedralcovers.poly import Poly
 from dihedralcovers.hyperelliptic import (class_from_matrix, class_order,
                                           matrix_from_class, enumerate_two_torsion)
 
 from conftest import (split_curve, random_class, watch_plain_values, ref_trim, ref_divmod,
-                      ref_resultant)
+                      ref_resultant, ref_interpolate)
 
 
 P2 = cg.ProjectiveSpace(2, 1)
@@ -45,24 +45,19 @@ def test_resultant_wrt_last():
     # common factor makes it vanish identically
     h = parse_form("x0^2 - x2^2", QQ, 3)
     assert cg.resultant_wrt_last(f, h).is_zero()
-
-
-def test_radical_divides():
-    a = parse_form("x0^2 - x1^2", QQ, 2)
-    b = parse_form("x0^3*x1 - x0*x1^3", QQ, 2)
-    assert cg.radical_divides(a, b)
-    assert not cg.radical_divides(b, a)
-    sq = parse_form("x0^2 - 2*x0*x1 + x1^2", QQ, 2)
-    lin = parse_form("x0 - x1", QQ, 2)
-    assert cg.radical_divides(sq, lin)
+    # a batch needs its further forms of g's degree
+    assert cg.resultant_wrt_last(f, g, f) == [r, cg.resultant_wrt_last(f, f)]
+    with pytest.raises(ValueError, match="forms of one degree"):
+        cg.resultant_wrt_last(f, g, h)
 
 
 def test_form_gcd():
     a = parse_form("x0^2*x1 - x0*x1^2", QQ, 2)
     b = parse_form("x0^2*x1^2", QQ, 2)
     g = cg.form_gcd(a, b)
-    assert g.deg == 2
-    assert cg.radical_divides(g, a) and cg.radical_divides(g, b)
+    assert g == parse_form("x0*x1", QQ, 2)
+    # g divides both, and their cofactors are coprime
+    assert cg.form_gcd(a.exact_div(g), b.exact_div(g)).deg == 0
 
 
 def test_invariants_regression():
@@ -251,12 +246,14 @@ def test_tangent_pair_never_passes_condition_ii(field):
         assert cg.check_simple(spec, seed=seed).condition_ii != "pass", seed
 
 
-def test_inconclusive_reduction_falls_back_to_the_exact_gcd(monkeypatch):
+def test_an_inconclusive_reduction_leaves_condition_i_to_a_later_attempt(monkeypatch):
+    """Over Q only the reduction modulo the certificate prime decides
+    gcd(r1', r2) = 1.  When it is inconclusive, that attempt certifies
+    nothing and no gcd runs over Q: the next coordinate change decides."""
     job = TRANSVERSAL_JOBS[0]
     spec = cg.SimpleCoverSpec(2, P2, parse_form(job["a"], QQ, 3),
                               parse_form(job["F"], QQ, 3))
-    want = cg.check_simple(spec, seed=40).to_json()
-    coprime_tries = []          # (r1 / R^k, r2, verdict of the reduction)
+    coprime_tries = []          # (r1', r2, verdict of the reduction)
     gcd_fields = []
     certify = cg._trivial_gcd_mod_prime
     form_gcd = cg.form_gcd
@@ -264,6 +261,8 @@ def test_inconclusive_reduction_falls_back_to_the_exact_gcd(monkeypatch):
     def spy_certify(test, *forms):
         ok = certify(test, *forms)
         if len(forms) == 2:
+            # only the first attempt's reduction comes out inconclusive
+            ok = ok and bool(coprime_tries)
             coprime_tries.append((*forms, ok))
         return ok
 
@@ -273,17 +272,12 @@ def test_inconclusive_reduction_falls_back_to_the_exact_gcd(monkeypatch):
 
     monkeypatch.setattr(cg, "_trivial_gcd_mod_prime", spy_certify)
     monkeypatch.setattr(cg, "form_gcd", spy_gcd)
-    assert cg.check_simple(spec, seed=40).to_json() == want
-    assert coprime_tries[-1][2] and QQ not in gcd_fields    # the reduction decided
-    # a prime dividing the leading coefficient of r1 / R^k drops its degree
-    lead = coprime_tries[-1][0].to_univar().c[-1].numerator
-    prime = next(q for q in range(3, 10 ** 4, 2)
-                 if lead % q == 0 and all(q % d for d in range(3, q, 2)))
-    monkeypatch.setattr(cg, "CERTIFICATE_FIELD", GF(prime))
-    coprime_tries.clear()
-    assert cg.check_simple(spec, seed=40).to_json() == want
-    assert coprime_tries and not any(ok for _, _, ok in coprime_tries)
-    assert QQ in gcd_fields                                 # the exact path decided
+    report = cg.check_simple(spec, seed=40).to_json()
+    assert [ok for _, _, ok in coprime_tries] == [False, True]
+    assert report["conditionI"] == report["conditionII"] == "pass"
+    assert gcd_fields and QQ not in gcd_fields
+    # r1' is r1 / R^(n - 1): its degree is (2nm - 1)^2 - (n - 1) 2nm^2
+    assert all(r1.deg == 9 - 4 and r2.deg == 9 for r1, r2, _ in coprime_tries)
 
 
 def _singular_at_origin_pair(rng):
@@ -301,10 +295,11 @@ def _singular_at_origin_pair(rng):
     return form(), form()
 
 
-def test_singular_pair_gets_a_verdict_from_the_exact_gcd(monkeypatch):
+def test_singular_pair_gets_a_verdict_from_the_modular_gcd(monkeypatch):
     # the modular step cannot prove gcd(r1', r2) = 1 here, since a common
-    # root off R really exists, so the exact gcd over Q decides; on
-    # Fractions it gave no verdict within a minute even on one attempt
+    # root off R really exists, and no exact gcd runs: the attempt is
+    # inconclusive at once.  An exact gcd on Fractions gave no verdict
+    # within a minute even on one attempt
     a, F = _singular_at_origin_pair(random.Random(1))
     G = a * a - F * F
     assert F((0, 0, 1)) == 1
@@ -324,6 +319,74 @@ def test_singular_pair_gets_a_verdict_from_the_exact_gcd(monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert (report.condition_i, report.condition_ii) == ("inconclusive", "pass")
     assert report.details["resultantDegree"] == 16
+
+
+def _cusp_line_singular_pair(K, seed):
+    """n = m = 2 quartics a and F = a + h with a(P) = 0 and h singular at
+    Q and zero at P, for Q = (1:0:1) and P = (1:0:2) on the line x1 = 0
+    through (0:0:1).  Then G = a^2 - F^2 = -h (2a + h) is singular at Q,
+    where F(Q) = a(Q) is not zero, and P is a point of a = F = 0 on Q's
+    line.  Each form is a seeded combination of a nullspace basis, with
+    one multiplier drawn per basis vector."""
+    rng = random.Random(seed)
+    monos = [(i, j, 4 - i - j) for i in range(5) for j in range(5 - i)]
+    Q, P = (1, 0, 1), (1, 0, 2)
+
+    def value(e, pt, var=None):
+        # the monomial e at pt, or its partial in x_var there
+        if var is not None:
+            if not e[var]:
+                return 0
+            e = tuple(k - (i == var) for i, k in enumerate(e))
+            return (e[var] + 1) * math.prod(x ** k for x, k in zip(pt, e))
+        return math.prod(x ** k for x, k in zip(pt, e))
+
+    def seeded(rows):
+        basis = linalg.nullspace(rows, K)
+        mult = [rng.randint(-9, 9) for _ in basis]
+        coeffs = [sum(c * v[i] for c, v in zip(mult, basis)) for i in range(len(monos))]
+        return HForm(K, 3, 4, dict(zip(monos, coeffs)))
+
+    a = seeded([[value(e, P) for e in monos]])
+    h = seeded([[value(e, Q, var) for e in monos] for var in range(3)]
+               + [[value(e, P) for e in monos]])
+    return a, a + h
+
+
+@pytest.mark.parametrize("K", [QQ, GF(1009)], ids=["Q", "Fp1009"])
+def test_a_singular_point_on_a_cusp_line_never_passes_condition_i(K):
+    """Mapping the candidates of r1 and r2 to the roots of R cannot
+    certify (i) when a singular point off F = 0 shares its projection
+    line with a point of a = F = 0: the root of that line is a root of R.
+    Dividing r1 exactly once by R^(n - 1) leaves the singular point's
+    root in r1', so gcd(r1', r2) is not trivial."""
+    for seed in range(6):
+        a, F = _cusp_line_singular_pair(K, seed)
+        G = a * a - F * F
+        Q = (K.of(1), K.of(0), K.of(1))
+        assert F(Q) and all(not f(Q) for f in [G] + [G.partial(i) for i in range(3)])
+        assert not a((1, 0, 2)) and not F((1, 0, 2))
+        R = cg.resultant_wrt_last(a, F)
+        assert R.is_squarefree() and R.deg == 16, seed
+        assert cg._singular_containment(a, F, R, 2) is False, seed
+
+
+def test_the_cusp_line_pair_as_a_check_job_does_not_pass_condition_i():
+    # mapped through the inverse of seed 0's first coordinate change, so
+    # that the check's first attempt sees the pair in its own coordinates
+    a, F = _cusp_line_singular_pair(QQ, 0)
+    images = cg.random_coordinate_change(QQ, random.Random(0))
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    L = [[img.terms.get(e, 0) for e in units] for img in images]
+    red = linalg.rref([row + [int(i == j) for j in range(3)] for i, row in enumerate(L)], QQ)[0]
+    inverse = [HForm(QQ, 3, 1, dict(zip(units, row[3:]))) for row in red]
+    assert [f.substitute(inverse).substitute(images) for f in (a, F)] == [a, F]
+    job = {"command": "check", "field": "Q", "n": 2, "m": 2, "seed": 0,
+           "a": format_form(a.substitute(inverse)), "F": format_form(F.substitute(inverse))}
+    report, code = cli.run_job(job)
+    assert code == 0
+    assert report["conditionI"] != "pass"
+    assert report["conditionII"] == "pass"
 
 
 def _rational_form(rng, deg):
@@ -441,10 +504,11 @@ def node_pairs(f, g):
 
 def per_node_resultant_wrt_last(f, g):
     """Res_x2(f, g) from the boxed Euclid of ``ref_resultant`` at each
-    node, then interpolation: code the lanes do not share."""
+    node, then Newton's interpolation (``ref_interpolate``): code the
+    lanes and the inverse Vandermonde table do not share."""
     xs, pairs = node_pairs(f, g)
     ys = [ref_resultant(f.field, a, b) for a, b in pairs]
-    return HForm.from_univar(lagrange_interpolate(f.field, list(zip(xs, ys))), f.deg * g.deg)
+    return HForm.from_univar(Poly(f.field, ref_interpolate(f.field, xs, ys)), f.deg * g.deg)
 
 
 def ref_remainders(K, a, b):
@@ -514,8 +578,11 @@ def test_lanes_match_the_per_node_resultants(K):
     @hyp.given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 32))
     def run(df, dg, seed):
         rng = random.Random(seed)
-        f, g = _lane_form(K, rng, df), _lane_form(K, rng, dg)
-        assert cg.resultant_wrt_last(f, g) == per_node_resultant_wrt_last(f, g)
+        f, g, h = _lane_form(K, rng, df), _lane_form(K, rng, dg), _lane_form(K, rng, dg)
+        want = [per_node_resultant_wrt_last(f, g), per_node_resultant_wrt_last(f, h)]
+        assert cg.resultant_wrt_last(f, g) == want[0]
+        # a batch: f's lanes once, g's and h's side by side
+        assert cg.resultant_wrt_last(f, g, h) == want
 
     run()
 

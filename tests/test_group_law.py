@@ -16,6 +16,7 @@ from dihedralcovers.hyperelliptic import (HECurve, OddModel, MumfordClass, canto
 from dihedralcovers.double_cover import tensor, is_isomorphic
 
 from conftest import split_curve, random_class
+from test_tensor_kernel import _kernel_route
 
 
 def oracle_cantor_add(c1, c2):
@@ -217,7 +218,9 @@ def test_tensor_is_the_group_law():
     GF(1009) and GF(2^61 - 1), g = 1..3 wherever the curve has 2g + 2
     distinct branch roots: each class comes back from its pair, the
     class of the product is the sum, and the product is isomorphic to
-    the pair of the sum."""
+    the pair of the sum.  Since ``tensor`` is that Cantor sum, the
+    product is also checked against the kernel route of
+    tests/test_tensor_kernel.py, which adds no classes."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     curves = [split_curve(p, g) for p in (7, 101, 1009, 2 ** 61 - 1) for g in (1, 2, 3)
@@ -235,5 +238,6 @@ def test_tensor_is_the_group_law():
         t = tensor(pa, pb)
         assert class_from_matrix(t) == a + b
         assert is_isomorphic(t, matrix_from_class(curve, a + b))
+        assert is_isomorphic(t, _kernel_route(pa, pb)[0])
 
     run()

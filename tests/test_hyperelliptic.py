@@ -22,6 +22,7 @@ from dihedralcovers.double_cover import (DoubleCoverRing, BundlePair, tensor, in
                                          is_isomorphic, divisor_of_section)
 
 from conftest import split_curve, random_class, watch_plain_values, parse_univar
+from test_tensor_kernel import _kernel_route
 
 K7 = GF(7)
 
@@ -95,7 +96,10 @@ def test_tensor_matches_cantor_addition():
     for _ in range(12):
         a, b = rng.choice(classes), rng.choice(classes)
         pa, pb = matrix_from_class(c, a), matrix_from_class(c, b)
-        assert class_from_matrix(tensor(pa, pb)) == a + b
+        t = tensor(pa, pb)
+        assert class_from_matrix(t) == a + b
+        # the kernel route computes the product without Cantor addition
+        assert is_isomorphic(t, _kernel_route(pa, pb)[0])
         assert class_from_matrix(inverse(pa)) == -a
 
 

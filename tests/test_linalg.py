@@ -307,8 +307,8 @@ def test_lazy_reduction_matches_reduced_matrix(rng):
 def test_plain_value_contract():
     """Every call takes its field.  Over GF(p) every value rref,
     nullspace and solve return is an int in range(p), for unreduced and
-    negative int input, up to p = 2^61 - 1; over Q the values are the
-    generic loop's Fractions, pinned here."""
+    negative int input, up to p = 2^61 - 1; over Q every integral value
+    is an int and the others are Fractions, pinned here."""
     for p in (7, 101, 2 ** 61 - 1):
         K = GF(p)
         rng = random.Random(p)
@@ -322,13 +322,14 @@ def test_plain_value_contract():
     typed = lambda rows: [[(type(v), v) for v in row] for row in rows]
     F = Fraction
     m = [[2, 3, 1], [4, 1, 0], [6, 4, 1]]
-    assert typed(linalg.rref(m, QQ)[0]) == typed([[F(1), F(0), F(-1, 10)], [F(0), F(1), F(2, 5)],
-                                                   [F(0), F(0), F(0)]])
-    assert typed(linalg.nullspace(m, QQ)) == typed([[F(1, 10), F(-2, 5), F(1)]])
-    assert typed([linalg.solve(m, [1, 2, 3], QQ)]) == typed([[F(1, 2), F(0), F(0)]])
+    assert typed(linalg.rref(m, QQ)[0]) == typed([[1, 0, F(-1, 10)], [0, 1, F(2, 5)], [0, 0, 0]])
+    assert typed(linalg.nullspace(m, QQ)) == typed([[F(1, 10), F(-2, 5), 1]])
+    assert typed([linalg.solve(m, [1, 2, 3], QQ)]) == typed([[F(1, 2), 0, 0]])
     m = [[0, 2, 4], [3, 0, 1]]
-    assert typed(linalg.nullspace(m, QQ)) == typed([[F(-1, 3), F(-2), F(1)]])
-    assert typed([linalg.solve(m, [2, 1], QQ)]) == typed([[F(1, 3), F(1), F(0)]])
+    assert typed(linalg.nullspace(m, QQ)) == typed([[F(-1, 3), -2, 1]])
+    assert typed([linalg.solve(m, [2, 1], QQ)]) == typed([[F(1, 3), 1, 0]])
+    # Fraction input too, and a system whose whole solution is integral
+    assert typed([linalg.solve([[F(1, 2), 0], [0, F(2)]], [1, 4], QQ)]) == typed([[2, 2]])
 
 
 def test_empty_and_zero_matrices():

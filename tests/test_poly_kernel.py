@@ -14,13 +14,14 @@ from fractions import Fraction
 
 import pytest
 
+from dihedralcovers import poly
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.poly import (Poly, plain_poly, add_c, sub_c, mul_c, divmod_c, gcd_c,
                                  xgcd_c, cofactor_c, monic_c, scale_c, resultant_lanes_c,
                                  eval_c, interpolate_c, powmod_c, poly_gcd, poly_xgcd,
                                  resultant, lagrange_interpolate)
 
-from conftest import ref_trim, ref_divmod, ref_resultant
+from conftest import ref_trim, ref_divmod, ref_resultant, ref_interpolate
 
 FIELDS = [GF(3), GF(5), GF(1009), GF(2 ** 61 - 1), QQ]
 
@@ -83,17 +84,6 @@ def ref_eval(K, a, x):
     for c in reversed(a):
         r = r * x + c
     return r
-
-
-def ref_interpolate(K, xs, ys):
-    d = list(ys)
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            d[i] = (d[i] - d[i - 1]) / (xs[i] - xs[i - k])
-    c = []
-    for xk, dk in zip(reversed(xs), reversed(d)):
-        c = [hi - xk * lo for hi, lo in zip([dk] + c, c + [K.zero])]
-    return ref_trim(c)
 
 
 def ref_pow(K, a, e):
@@ -374,6 +364,65 @@ def test_interpolation_matches_the_boxed_newton_form():
         assert got == plain(K, ref_interpolate(K, xs, ys))
         assert lagrange_interpolate(K, list(zip(xs, ys))).c == got
     run()
+
+
+def test_interpolation_table_matches_newton():
+    """``interpolate_c`` (rows . ys / den through the cached inverse
+    Vandermonde table) against Newton's divided differences on field
+    elements (``ref_interpolate``), seeded: over Q on int and Fraction
+    nodes and values, over GF(101), GF(1009) and GF(2^61 - 1) up to
+    D = 121, and on all p nodes of GF(3), GF(5) and GF(101)."""
+    rng = random.Random(47)
+    cases = []
+    for D in (0, 1, 2, 5, 9, 16, 25):
+        nodes = rng.sample(range(-60, 60), D + 1)
+        # int nodes, Fraction nodes with denominators, and integral Fractions
+        cases.append((QQ, nodes, [rng.randint(-10 ** 12, 10 ** 12) for _ in nodes]))
+        cases.append((QQ, list({Fraction(v, rng.randint(1, 7)) for v in nodes}),
+                      [Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 50)) for _ in nodes]))
+        cases.append((QQ, [Fraction(v) for v in nodes], [Fraction(rng.randint(-99, 99)) for _ in nodes]))
+    for p in (101, 1009, 2 ** 61 - 1):
+        for D in (0, 3, 24, 48, 100, 121)[:6 if p > 121 else 5]:
+            nodes = list(range(D + 1)) if D % 2 else rng.sample(range(min(p, 10 ** 6)), D + 1)
+            cases.append((GF(p), nodes, [rng.randint(-p, 2 * p) for _ in nodes]))
+    for p in (3, 5, 101):
+        nodes = list(range(p))
+        rng.shuffle(nodes)
+        cases.append((GF(p), nodes, [rng.randrange(p) for _ in nodes]))
+    for K, nodes, ys in cases:
+        got = interpolate_c(nodes, ys, K.characteristic)
+        assert_plain(K, got)
+        want = ref_interpolate(K, [K.of(x) for x in nodes], [K.of(y) for y in ys])
+        assert [K.of(v) for v in got] == want, (K, nodes)
+
+
+@pytest.mark.parametrize("K,nodes,name", [(GF(1009), (5, 3, 5), "5"), (GF(1009), (2, 1011, 7), "1011"),
+                                          (QQ, (Fraction(1, 2), 3, Fraction(1, 2)), "1/2"),
+                                          (QQ, (4, Fraction(8, 2), 1), "4")])
+def test_repeated_node_names_the_node(K, nodes, name):
+    with pytest.raises(ValueError, match="^repeated interpolation node %s$" % name):
+        interpolate_c(list(nodes), [1] * len(nodes), K.characteristic)
+
+
+def test_the_inverse_vandermonde_table_is_cached_and_bounded():
+    table = poly._inverse_vandermonde
+    assert table.cache_info().maxsize == 32
+    table.cache_clear()
+    xs, p = range(26), 1009
+    first = interpolate_c(xs, list(range(1, 27)), p)
+    info = table.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    # the same nodes again, as a range, a list or a tuple: no new table
+    for nodes in (xs, list(xs), tuple(xs)):
+        assert interpolate_c(nodes, list(range(1, 27)), p) == first
+    info = table.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # another prime is another table; so are other nodes
+    interpolate_c(xs, [1] * 26, 101)
+    assert table.cache_info().misses == 2
+    for D in range(40):
+        interpolate_c(range(D + 1), [1] * (D + 1), 101)
+    assert table.cache_info().currsize == 32
 
 
 def test_pow_and_powmod_match_repeated_products():
