@@ -3,12 +3,12 @@
 A curve is given by its even model z^2 = F(x0, x1) with F binary,
 squarefree of degree 2g + 2.  :class:`HECurve` is the double cover ring
 of ``double_cover`` with l = g + 1, built from (field, g, F): the pairs
-on a curve live over the curve itself.  When F has a rational root the
-coordinate change sending that root to (1:0) produces an odd model
-y^2 = fodd(x) with deg fodd = 2g + 1 and a single rational point at
-infinity, built once per curve (``odd_model``; its Mobius maps take
-and return the charts F(x, 1) of forms of a given degree, by Horner's
-rule, ``_substitute_matrix``), which is where divisor class arithmetic
+on a curve live over the curve itself.  When F has a rational root
+(r : 1), x -> 1/(x - r) sends it to (1:0): the odd model y^2 = fodd(x),
+deg fodd = 2g + 1, has one rational point at infinity and is built once
+per curve (``odd_model``; its maps take and return the charts F(x, 1)
+of forms of a given degree by one Taylor shift and one reversal, or
+are the identity when x1 | F).  There divisor class arithmetic
 happens: classes are reduced Mumford pairs (u, v) and
 the group law is composition and reduction (Cantor, Math. Comp. 48,
 1987), run on ``poly``'s coefficient lists: one extended gcd of the u's
@@ -67,25 +67,32 @@ class HECurve(DoubleCoverRing):
 
 
 class OddModel:
-    """Coordinates with one branch point at infinity: y^2 = fodd(x)."""
+    """Coordinates with one branch point at infinity: y^2 = fodd(x).  The
+    branch root (r : 1) goes to (1:0) by x -> 1/(x - r), which gives the
+    form of degree d with the chart c(x) the chart x^d c(r + 1/x), c(x + r)
+    reversed to length d + 1.  For the root (1:0), r is None."""
 
     def __init__(self, curve, root):
         field = curve.field
         r0, r1 = map(field.unbox, root)
-        # complete (r0, r1) to an invertible matrix T, columns T(1,0)=(r0,r1);
-        # T and Tinv hold plain values
-        s0, s1 = (1, 0) if r1 else (0, 1)
         self.curve = curve
         self.field = field
         self.g = curve.g
-        self.T = ((r0, s0), (r1, s1))
-        dinv = inv_c(r0 * s1 - r1 * s0, field.characteristic)
-        self.Tinv = tuple(tuple(field.unbox(x * dinv) for x in row)
-                          for row in ((s1, -s0), (-r1, r0)))
-        fodd = plain_poly(field, _substitute_matrix(field, curve.chart, 2 * curve.l, self.T))
+        self.r = field.unbox(r0 * inv_c(r1, field.characteristic)) if r1 else None
+        fodd = plain_poly(field, self.to_odd(curve.chart, 2 * curve.l))
         if fodd.degree != 2 * curve.g + 1:
             raise ValueError("chosen branch root does not give an odd model")
         self.fodd = fodd
+
+    def to_odd(self, chart, d):
+        """The odd-model chart of the form of degree d with the chart ``chart``."""
+        c = chart if self.r is None else _reversal(_taylor_shift(chart, self.r), d)
+        return reduce_c(c, self.field.characteristic)
+
+    def from_odd(self, chart, d):
+        """The inverse of ``to_odd``: the chart reversed, then shifted by -r."""
+        c = chart if self.r is None else _taylor_shift(_reversal(chart, d), -self.r)
+        return reduce_c(c, self.field.characteristic)
 
     def zero_class(self):
         return MumfordClass(self, Poly.one(self.field), Poly.zero(self.field))
@@ -112,29 +119,21 @@ class OddModel:
         return _reduce(self, u, v)
 
 
-def _substitute_matrix(field, chart, d, m):
-    """The chart of F(m00 x0 + m01 x1, m10 x0 + m11 x1) for the binary
-    form F of degree d with the chart ``chart``, by Horner's rule: with
-    A = m00 x + m01, B = m10 x + m11 and the chart's coefficients f_i, the
-    image's chart is sum_i f_i A^i B^(d - i), built as
-    r <- r A + f_i B^(d - i) from i = d down, with the powers of B
-    computed once.  A and B are linear, so each step is one pass over
-    untrimmed lists (B^j has j + 1 entries): O(d^2) field operations."""
-    p = field.characteristic
-    (m00, m01), (m10, m11) = m
-    f = chart + [0] * (d + 1 - len(chart))
-    powers = [[1]]
-    for _ in range(d):
-        pw = powers[-1]
-        pw = [m11 * x + m10 * y for x, y in zip(pw + [0], [0] + pw)]
-        powers.append([v % p for v in pw] if p else pw)
-    r = []
-    for i in range(d, -1, -1):
-        c = f[i]
-        r = [m01 * x + m00 * y + c * z for x, y, z in zip(r + [0], [0] + r, powers[d - i])]
-        if p:
-            r = [v % p for v in r]
-    return reduce_c(r, p)
+def _reversal(c, d):
+    """c padded to length d + 1 and reversed: x^d c(1/x)."""
+    return (c + [0] * (d + 1 - len(c)))[::-1]
+
+
+def _taylor_shift(c, r):
+    """c(x + r), unreduced, by Horner's scheme in place (von zur Gathen &
+    Gerhard, ISSAC 1997): O(len(c)^2) products by r, none when r = 0."""
+    if not r:
+        return c
+    a = list(c)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += r * a[j + 1]
+    return a
 
 
 class MumfordClass:
@@ -315,8 +314,8 @@ def bundle_from_matrix(pair):
     divide v^2 - fodd, which ``semireduced`` checks before reducing."""
     model, l, (P, _, q) = pair.ring.odd_model(), pair.ring.l, pair.charts
     field = model.field
-    u = _substitute_matrix(field, q, l + pair.a - pair.b, model.T)
-    v = neg_c(_substitute_matrix(field, P, l, model.T), field.characteristic)
+    u = model.to_odd(q, l + pair.a - pair.b)
+    v = neg_c(model.to_odd(P, l), field.characteristic)
     return model.semireduced(plain_poly(field, u), plain_poly(field, v)), l - pair.a - pair.b
 
 
@@ -361,8 +360,7 @@ def matrix_from_bundle(ring, c, e):
     f = exact_div_c(sub_c(model.fodd.c, mul_c(v, v, p), p), u, p)
     # the charts of P, f and q at their degrees, moved back to the ring's coordinates
     entries = ((neg_c(v, p), l), (f, 2 * l - h), (u, h))
-    return BundlePair(ring, a, l - e - a, *(_substitute_matrix(ring.field, x, d, model.Tinv)
-                                           for x, d in entries))
+    return BundlePair(ring, a, l - e - a, *(model.from_odd(x, d) for x, d in entries))
 
 
 def matrix_from_class(curve, c):

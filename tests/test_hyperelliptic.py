@@ -17,7 +17,7 @@ from dihedralcovers.hyperelliptic import (HECurve, MumfordClass, cantor_add,
                                           class_from_matrix, matrix_from_class,
                                           stratum, torsion_matrix, is_n_torsion,
                                           enumerate_two_torsion,
-                                          enumerate_jacobian, _substitute_matrix)
+                                          enumerate_jacobian, OddModel)
 from dihedralcovers.double_cover import (DoubleCoverRing, BundlePair, tensor, inverse,
                                          is_isomorphic, divisor_of_section)
 
@@ -108,8 +108,7 @@ def _odd_model_charts(pair):
     ring, at their forced degrees."""
     l, a, b = pair.ring.l, pair.a, pair.b
     model = pair.ring.odd_model()
-    return [_substitute_matrix(model.field, c, d, model.T)
-            for c, d in zip(pair.charts, (l, l - a + b, l + a - b))]
+    return [model.to_odd(c, d) for c, d in zip(pair.charts, (l, l - a + b, l + a - b))]
 
 
 def _quintic_curve(p):
@@ -402,7 +401,7 @@ def _class_by_section(pair):
     model = ring.odd_model()
     if pair.is_trivial():
         return model.zero_class()
-    FT = _substitute_matrix(field, ring.chart, 2 * ring.l, model.T)
+    FT = model.to_odd(ring.chart, 2 * ring.l)
     pairT = BundlePair(DoubleCoverRing(field, ring.l, HForm.from_univar(Poly(field, FT), 2 * ring.l)),
                        pair.a, pair.b, *_odd_model_charts(pair))
     one = HForm.const(field, 2, field.one)
@@ -573,40 +572,54 @@ def test_tensor_kernel_rank_is_two():
     assert checked >= 50
 
 
+def _model_shapes(field):
+    """Odd models of the three shapes, with their branch roots: x1 | F,
+    so r is None; r = 0; and r != 0 (p - 1 over GF(p), 1/3 over Q)."""
+    p = field.characteristic
+    x = Poly.x(field)
+    odd = HECurve.from_odd_poly(field, 1, x * x * x - x)
+    if p:
+        curve = split_curve(p, 1 if p == 7 else 2)
+        far = field.unbox(-1)
+    else:
+        # branch roots 0, 2, -2 and 1/3
+        curve = HECurve(QQ, 1, parse_form("3*x0^4 - x0^3*x1 - 12*x0^2*x1^2 + 4*x0*x1^3",
+                                          QQ, 2))
+        far = Fraction(1, 3)
+    return [OddModel(odd, (1, 0)), OddModel(curve, (0, 1)), OddModel(curve, (far, 1))]
+
+
 @pytest.mark.parametrize("field", [GF(7), GF(1009), GF(2 ** 61 - 1), QQ],
                          ids=["GF(7)", "GF(1009)", "GF(2^61-1)", "Q"])
 def test_substitute_matrix_matches_the_form_substitution(rng, field):
-    """The Horner substitution on charts against ``HForm.substitute`` on
-    random binary forms of degree 0-12 and random invertible matrices
-    (zero entries, determinants other than +-1), with the odd model's
-    round trip.  The matrix entries are plain values."""
+    """The odd model's maps are substitutions by a Mobius matrix:
+    ``to_odd`` and ``from_odd`` against ``HForm.substitute`` by the
+    matrices of x -> 1/(x - r) and of its inverse, built from r (the
+    identity when r is None), on random binary forms of degree 0-12
+    with zero coefficients at both ends, for each shape of model, with
+    the round trip both ways."""
     def value():
         if field.characteristic:
-            return field.of(rng.choice([0, 1, -1, rng.randrange(field.characteristic)]))
-        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+            return field.unbox(rng.choice([0, 1, -1, rng.randrange(field.characteristic)]))
+        return rng.choice([0, 1, -1, Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))])
 
-    checked = 0
-    while checked < 60:
-        m = tuple(tuple(field.unbox(value()) for _ in range(2)) for _ in range(2))
-        if not field.unbox(m[0][0] * m[1][1] - m[0][1] * m[1][0]):
-            continue
-        d = checked % 13
-        F = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})
+    def substitute(F, m):
         images = [HForm(field, 2, 1, {(1, 0): row[0], (0, 1): row[1]}) for row in m]
-        want = F.substitute(images)._chart()
-        got = _substitute_matrix(field, F._chart(), d, m)
-        assert got == want and repr(got) == repr(want), (F, m)
-        checked += 1
-    p = field.characteristic
-    if p:
-        curve = split_curve(p, 1 if p == 7 else 2)
-    else:
-        # branch roots 2, -2, 1/3 and 5: the odd model moves a finite root
-        curve = HECurve(QQ, 1, parse_form("3*x0^4 - 16*x0^3*x1 - 7*x0^2*x1^2 + 64*x0*x1^3 "
-                                          "- 20*x1^4", QQ, 2))
-    model = curve.odd_model()
-    assert model.T[1][0]
-    for d in range(9):
-        c = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})._chart()
-        assert _substitute_matrix(field, _substitute_matrix(field, c, d, model.T),
-                                  d, model.Tinv) == c
+        return F.substitute(images)._chart()
+
+    shapes = _model_shapes(field)
+    assert [model.r for model in shapes[:2]] == [None, 0] and shapes[2].r
+    for model in shapes:
+        r = model.r
+        if r is None:
+            to, back = ((1, 0), (0, 1)), ((1, 0), (0, 1))
+        else:
+            to, back = ((r, 1), (1, 0)), ((0, 1), (1, -r))
+        for d in list(range(13)) * 3:
+            F = HForm(field, 2, d, {(i, d - i): value() for i in range(d + 1)})
+            c = F._chart()
+            for got, want in ((model.to_odd(c, d), substitute(F, to)),
+                              (model.from_odd(c, d), substitute(F, back))):
+                assert got == want and repr(got) == repr(want), (model.r, F)
+            assert model.from_odd(model.to_odd(c, d), d) == c
+            assert model.to_odd(model.from_odd(c, d), d) == c

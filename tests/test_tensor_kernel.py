@@ -324,6 +324,47 @@ def test_p_tensor_inverse_is_the_most_unbalanced_kernel():
             assert (t.a, t.b) == (0, l) and class_from_matrix(t).is_zero()
 
 
+def _off_origin_curves():
+    """Curves of the two other shapes of odd model: ``_products``'s
+    curves all have the branch root r = 0, where the maps shift nothing.
+    GF(1009) and Q curves whose first rational root is nonzero (r = 517;
+    r = 1 on the golden batch's x0^4 - 5 x0^2 x1^2 + 4 x1^4), and a
+    GF(101) curve with x1 | F (r None)."""
+    K = GF(1009)
+    F = Poly.one(K)
+    for t in (517, 600, 700, 800, 900, 1000):
+        F = F * Poly(K, [-t, 1])
+    yield HECurve(K, 2, HForm.from_univar(F, 6)), 517
+    x = Poly.x(QQ)
+    yield HECurve(QQ, 1, HForm.from_univar(x ** 4 - 5 * x ** 2 + Poly.const(QQ, 4), 4)), 1
+    K = GF(101)
+    f = Poly.one(K)
+    for t in range(1, 6):
+        f = f * Poly(K, [-t, 1])
+    yield HECurve.from_odd_poly(K, 2, f), None
+
+
+def test_tensor_matches_the_kernel_route_off_the_origin():
+    """``tensor`` and the kernel route give isomorphic pairs of the same
+    class and degree on a seeded sample of products, on curves whose odd
+    model shifts by a nonzero r or is the curve's own chart: degree-zero,
+    twisted and odd-degree pairs times degree-zero ones, and p (x)
+    inverse(p)."""
+    rng = random.Random(37)
+    for curve, r in _off_origin_curves():
+        assert curve.odd_model().r == r
+        base = [matrix_from_class(curve, c) for c in _classes(curve, rng)]
+        other = [_twist(base[1], 1), _twist(base[3], -1)] + _odd_pairs(curve)
+        sample = list(itertools.product(other, base[:3]))
+        sample += rng.sample(list(itertools.product(base, base)), 12)
+        sample += [(p, inverse(p)) for p in base[1:3]]
+        for p1, p2 in sample:
+            want = _kernel_route(p1, p2)[0]
+            got = tensor(p1, p2)
+            assert is_isomorphic(got, want), (r, p1, p2)
+            assert bundle_from_matrix(got) == bundle_from_matrix(want), (r, p1, p2)
+
+
 # -- the column-0 rows and the sections read off a higher degree -----------
 
 
