@@ -33,7 +33,7 @@ from .fields import field_from_name
 from . import parsing
 from .double_cover import BundlePair, tensor, inverse
 from .hyperelliptic import (HECurve, MumfordClass, class_from_matrix,
-                            matrix_from_class, class_order, is_n_torsion,
+                            matrix_from_class, class_order, order_dividing, is_n_torsion,
                             stratum, enumerate_jacobian, enumerate_two_torsion,
                             require_enumerable)
 from . import cover_geometry as geometry
@@ -191,7 +191,7 @@ def run_jacobian(job):
     orders = {}
     if job.get("orders"):
         for c in classes:
-            o = class_order(c, bound=len(classes) + 1)
+            o = order_dividing(c, len(classes))
             orders[o] = orders.get(o, 0) + 1
         out["orderHistogram"] = {str(k): v for k, v in sorted(orders.items())}
     return out, 0

@@ -28,7 +28,8 @@ of the splitting.
 
 Torsion is certified two ways: by the group law (the oracle: n * c by
 double-and-add; ``class_order`` iterates the addition and returns None
-past its bound) and by the rank of a resultant-style band matrix built
+past its bound, and ``order_dividing`` strips a known multiple of the
+order down to it) and by the rank of a resultant-style band matrix built
 from the charts of (f, -2P, -q), which is rank deficient exactly when
 the class is n-torsion.  ``torsion_matrix`` writes the band out as a
 list matrix; ``is_n_torsion`` takes its rank by
@@ -108,15 +109,23 @@ class OddModel:
                             plain_poly(field, reduce_c([y], p)))
 
     def semireduced(self, u, v):
-        """A (possibly unreduced) Mumford pair, validated then reduced."""
+        """A (possibly unreduced) Mumford pair, validated then reduced.
+        u | v^2 - f is checked here only before a reduction step; a pair
+        with deg u <= g goes straight to ``MumfordClass``, which checks it."""
         p = self.field.characteristic
         if not u.c:
             raise ZeroDivisionError("polynomial division by zero")
         u = monic_c(u.c, p)
         v = divmod_c(v.c, u, p)[1]
-        if divmod_c(sub_c(mul_c(v, v, p), self.fodd.c, p), u, p)[1]:
-            raise ValueError("pair is not semireduced: u does not divide v^2 - f")
+        if len(u) > self.g + 1:
+            _check_divides(u, v, self.fodd.c, p)
         return _reduce(self, u, v)
+
+
+def _check_divides(u, v, f, p):
+    """Refuse the list pair (u, v) unless u divides v^2 - f."""
+    if divmod_c(sub_c(mul_c(v, v, p), f, p), u, p)[1]:
+        raise ValueError("pair is not semireduced: u does not divide v^2 - f")
 
 
 def _reversal(c, d):
@@ -152,8 +161,8 @@ class MumfordClass:
                 raise ValueError("v must vanish when u is constant")
         elif len(vc) >= len(uc):
             raise ValueError("v must be reduced mod u")
-        elif divmod_c(sub_c(mul_c(vc, vc, p), model.fodd.c, p), uc, p)[1]:
-            raise ValueError("u does not divide v^2 - f")
+        else:
+            _check_divides(uc, vc, model.fodd.c, p)
         self.model = model
         self.u = u
         self.v = v
@@ -182,8 +191,9 @@ class MumfordClass:
         while n:
             if n & 1:
                 acc = acc + base
-            base = base + base
             n >>= 1
+            if n:
+                base = base + base
         return acc
 
     def __eq__(self, other):
@@ -263,6 +273,30 @@ def class_order(c, bound=512):
             return n
         acc = acc + c
     return None
+
+
+def order_dividing(c, n):
+    """The order of c, given n > 0 with n * c = 0 (ValueError when it is
+    not), by stripping n: for each prime power l^e exactly dividing n,
+    the l-part of the order is the least l^k, k <= e, with
+    l^k (n / l^e) c = 0, each multiple by double-and-add, so a prime
+    factor costs O(log n) additions where ``class_order`` takes up to n.
+    Reaching k = e checks l^e (n / l^e) c = n c = 0."""
+    if n == 1 and not c.is_zero():
+        raise ValueError("1 times the class is not zero")
+    order, m, l = 1, n, 2
+    while m > 1:
+        while m % l:
+            l = l + 1 if l * l < m else m
+        e = 0
+        while m % l == 0:
+            m, e = m // l, e + 1
+        d = (n // l ** e) * c
+        while e and not d.is_zero():
+            d, order, e = l * d, order * l, e - 1
+        if not d.is_zero():
+            raise ValueError("%d times the class is not zero" % n)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,44 @@ def test_jacobian_subcommand(capsys):
     assert doc["orderHistogram"] == {"1": 1, "2": 3, "4": 4}
 
 
+# curves over GF(5), GF(7) and GF(11), g = 1 and 2, whose Jacobians have
+# classes of many orders (up to 12 distinct ones)
+ORDER_CURVES = [
+    (5, 1, "x0^3*x1 + 2*x0^2*x1^2 + 3*x0*x1^3"),
+    (5, 2, "x0^5*x1 + 4*x0^4*x1^2 + 3*x0^3*x1^3 + x0^2*x1^4 + 4*x0*x1^5 + x1^6"),
+    (7, 1, "x0^3*x1 + x0*x1^3 + 3*x1^4"),
+    (7, 2, "x0^5*x1 + 2*x0^4*x1^2 + 3*x0^3*x1^3 + 5*x0^2*x1^4 + 5*x0*x1^5 + x1^6"),
+    (11, 1, "x0^3*x1 + 4*x0^2*x1^2 + x0*x1^3 + 9*x1^4"),
+    (11, 2, "x0^5*x1 + 9*x0^4*x1^2 + 4*x0*x1^5 + 5*x1^6"),
+]
+
+
+@pytest.mark.parametrize("p, g, F", ORDER_CURVES)
+def test_jacobian_orders_match_iterated_addition(capsys, p, g, F):
+    """``--orders`` strips the count #J down to each class's order; the
+    histogram is the one ``class_order``'s iterated addition gives, and
+    ``order_dividing`` refuses a multiple that does not kill the class."""
+    from dihedralcovers.fields import GF
+    from dihedralcovers.hyperelliptic import (HECurve, enumerate_jacobian, class_order,
+                                              order_dividing)
+
+    curve = {"g": g, "F": F}
+    code, out = run(capsys, "jacobian", "--field", "Fp:%d" % p, "--curve", json.dumps(curve),
+                    "--orders")
+    assert code == 0
+    doc = json.loads(out)
+    classes = enumerate_jacobian(HECurve.from_json(curve, GF(p)).odd_model())
+    orders = [class_order(c, bound=len(classes)) for c in classes]
+    want = {str(o): orders.count(o) for o in set(orders)}
+    assert len(want) > 3 and doc["count"] == len(classes)
+    assert doc["orderHistogram"] == want
+    c, o = max(zip(classes, orders), key=lambda pair: pair[1])
+    assert order_dividing(c, 3 * o) == o
+    for n in (1, 2 * o + 1):
+        with pytest.raises(ValueError, match="times the class is not zero"):
+            order_dividing(c, n)
+
+
 def test_jacobian_refuses_a_large_field_before_building_the_odd_model(capsys, monkeypatch):
     from dihedralcovers.hyperelliptic import HECurve
 

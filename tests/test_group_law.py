@@ -204,6 +204,9 @@ def test_malformed_pairs_are_refused():
         # deg u > g runs the reduction, whose division by u must be exact
         u = P.u * P.u
         assert (model.fodd - P.v * P.v) % u
+        # semireduced checks u | v^2 - f itself only before that reduction
+        with pytest.raises(ValueError, match="pair is not semireduced"):
+            model.semireduced(u, P.v)
         with pytest.raises(ValueError, match="inexact polynomial division"):
             hyperelliptic._reduce(model, u.c, P.v.c)
         other, _ = _model(K, 1, random.Random(24))

@@ -255,6 +255,46 @@ def test_gcd_xgcd_resultant_match_the_boxed_loops():
     run()
 
 
+def test_long_operands_match_the_boxed_loops():
+    """``mul_c``, ``divmod_c`` and ``xgcd_c`` at lengths up to 40, where
+    each runs many rows of its in-place loop (``with_polys`` stops at 8).
+    Over GF(p) the kernels get entries outside range(p), negative ones
+    included, that only their one final reduction brings into range; the
+    cofactor s of ``xgcd_c`` satisfies s a = g mod b."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(st.sampled_from(range(len(FIELDS))), st.integers(0, 40), st.integers(0, 40),
+               st.randoms())
+    def run(fi, la, lb, rng):
+        K = FIELDS[fi]
+        p = K.characteristic
+
+        def value():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        a, b = (ref_trim([embed(K, value()) for _ in range(n)]) for n in (la, lb))
+        # over GF(p) each entry moved by a multiple of p, up to 3p either way
+        A, B = ([v + p * rng.randint(-3, 3) for v in plain(K, c)] for c in (a, b))
+        got = mul_c(A, B, p)
+        assert_plain(K, got)
+        assert got == plain(K, ref_mul(K, a, b))
+        if b:
+            q, r = divmod_c(A, B, p)
+            assert_plain(K, q)
+            assert_plain(K, r)
+            assert (q, r) == tuple(plain(K, c) for c in ref_divmod(K, a, b))
+        g, s = xgcd_c(A, B, p)
+        assert_plain(K, g)
+        assert_plain(K, s)
+        want = ref_xgcd(K, a, b)
+        assert [g, s] == [plain(K, c) for c in want[:2]]
+        if b:
+            assert not ref_divmod(K, ref_sub(K, ref_mul(K, want[1], a), want[0]), b)[1]
+    run()
+
+
 @pytest.mark.parametrize("K", FIELDS, ids=str)
 def test_xgcd_of_zero_operands(K):
     p, f = K.characteristic, [K.of(2), K.one]
