@@ -6,9 +6,9 @@ Two tiers:
   field; entries and results are the field's plain values (see
   ``fields``), and nothing here builds a field element.  Over GF(p) an
   entry is any int, read modulo p, and every value returned is an int
-  in range(p) (a rank is an int).  Two loops serve it:
+  in range(p) (a rank is an int).  Two loops serve every field:
 
-  - rank: forward elimination on packed rows
+  - rank over GF(p): forward elimination on packed rows
     (``_forward_mod``).  A row is a single int that holds its residues,
     from its leading column on, in W-bit slots, so one big-int
     expression updates a whole row (packing several residues into one
@@ -19,18 +19,13 @@ Two tiers:
     updated at most once per column.  The same loop serves every prime.
     ``convolution_rank`` builds its rows packed, straight from the
     charts, so a torsion band is never built as lists.
-  - rref, nullspace and solve: Gauss-Jordan elimination on lists of
-    ints reduced mod p only where they are read (``_eliminate_mod``),
-    and each caller reduces the values it returns.
-    It stays on lists because a packed Gauss-Jordan loop was about 3x
-    slower on the many small reduced eliminations of the group law
-    (about 15 x 8 on average): 45 -> 128 ms per three rounds of the
-    ``grouplaw`` benchmark.
-
-  Over any other field (Q or Q(zeta_n)) the matrix goes through the
-  generic loop ``_eliminate``, with its nonzero int entries as
-  ``Fraction``, so no division is ever a float division; an integral
-  value comes back as an int.
+  - everything else: one Gauss-Jordan loop on lists (``_eliminate``),
+    forward only for rank over Q and Q(zeta_n), reduced for rref,
+    nullspace and solve over every field.  Over GF(p) its ints are
+    reduced mod p only where they are read, and each caller reduces the
+    values it returns; over any other field its nonzero int entries
+    become ``Fraction``s, so no division is ever a float division, and
+    an integral value comes back as an int.
 * integral-domain matrices (e.g. polynomial entries): rank by
   fraction-free Bareiss elimination, which only ever performs divisions
   that are exact in the domain; the tests use it as the oracle of
@@ -53,23 +48,6 @@ def _clone(m):
     return [list(r) for r in m]
 
 
-def _echelon(m, p):
-    """Gauss-Jordan elimination of a copy of the matrix m over the field
-    of characteristic p: each pivot row is scaled to 1 and its column
-    cleared above and below (rref, nullspace, solve).
-
-    Returns (rows, pivot columns).  Over GF(p) the rows are those of
-    ``_eliminate_mod``, only congruent mod p to the reduced matrix, so a
-    caller reduces each value it returns; over any other field they are
-    those of the generic loop.
-    """
-    if not m or not m[0]:
-        return _clone(m), []
-    if p:
-        return _eliminate_mod(_clone(m), p)
-    return _eliminate(_rationals(m), True)
-
-
 def _plain(x, p):
     """x reduced mod p over GF(p); else an integral Fraction as an int."""
     if p:
@@ -77,80 +55,51 @@ def _plain(x, p):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _rationals(m):
-    """A copy of m in which every nonzero int is a Fraction, so that a
-    pivot divides exactly (an int zero is zero in any field and is never
-    a pivot)."""
-    return [[Fraction(x) if type(x) is int and x else x for x in row] for row in m]
+def _eliminate(m, p, reduced):
+    """Gaussian elimination of a copy of m over the field of
+    characteristic p; returns (rows, pivot columns).
 
+    Each pivot row is scaled by the inverse of its pivot, and the rows
+    below it (with ``reduced``, also those above: Gauss-Jordan) are
+    updated by ``row[j] -= f * t`` with f their entry in the pivot
+    column, only where the pivot row t is nonzero right of the pivot;
+    their pivot-column entry becomes 0.  Over any field but GF(p) the
+    copy holds each nonzero int as a ``Fraction`` (an int zero is zero
+    in any field and is never a pivot), so the inverse is never a float.
 
-def _eliminate(m, reduced):
-    """Gaussian elimination of m in place over any exact field."""
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        if reduced:
-            lead = top[c]
-            top = m[r] = [x / lead for x in top]
-        for i in range(0 if reduced else r + 1, rows):
-            row = m[i]
-            if i == r or not row[c]:
-                continue
-            f = row[c] if reduced else row[c] / top[c]
-            for j in range(c, cols):
-                row[j] = row[j] - f * top[j]
-        pivots.append(c)
-        if r + 1 == rows:
-            break
-    return m, pivots
-
-
-def _eliminate_mod(m, p):
-    """Gauss-Jordan elimination in place on rows of ints, reduced mod p
-    lazily.
-
-    An entry is reduced only where it is read: a pivot-column entry when
-    it is tested as a pivot and the row factor f; the pivot row is
-    scaled to 1 and so reduced, and a target row is updated by plain
-    ``row[j] -= f * t``.  This is exact: every entry stays congruent
-    mod p to its value in the elimination over GF(p), every zero test
-    reads a residue, and an int cannot overflow (an update makes it at
-    most p^2 larger).  So the rows returned are only congruent mod p to
-    the reduced matrix, and rref, nullspace and solve reduce every value
-    they return.  A target row is updated only where the pivot row is
-    nonzero.
+    Over GF(p) the copy holds the ints as given, and an entry is reduced
+    only where it is read: the pivot test, the row factor f, and the
+    pivot row, scaled by pow(lead, -1, p) and reduced.  This is exact:
+    every entry stays congruent mod p to its value in the elimination
+    over GF(p), every zero test reads a residue, and an int stays small
+    (f and t lie in [0, p), so an update moves an entry by less than
+    p^2).  So the rows returned are only congruent mod p to the
+    eliminated matrix, and each caller reduces the values it returns.
     """
-    rows, cols = len(m), len(m[0])
+    if p:
+        m = _clone(m)
+    else:
+        m = [[Fraction(x) if type(x) is int and x else x for x in row] for row in m]
+    rows, cols = len(m), len(m[0]) if m else 0
     pivots = []
     for c in range(cols):
         r = len(pivots)
         for piv in range(r, rows):
-            lead = m[piv][c] = m[piv][c] % p
+            lead = m[piv][c] % p if p else m[piv][c]
             if lead:
                 break
         else:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = pow(lead, -1, p)
-        top = m[r] = [x * inv % p for x in m[r]]
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(lead, -1, p) if p else 1 / lead
+        top = m[r] = [x * inv % p for x in m[r]] if p else [x * inv for x in m[r]]
         tail = [(j, t) for j, t in enumerate(top[c + 1:], c + 1) if t]
-        for row in m:
-            x = row[c]
-            if not x or row is top:
-                continue
-            f = x % p
-            if not f:
-                continue
-            for j, t in tail:
-                row[j] -= f * t
-            row[c] = 0
+        for row in m[0 if reduced else r + 1:]:
+            f = row[c] % p if p else row[c]
+            if f and row is not top:
+                for j, t in tail:
+                    row[j] -= f * t
+                row[c] = 0
         pivots.append(c)
         if r + 1 == rows:
             break
@@ -219,13 +168,13 @@ def _forward_mod(buckets, p, W):
 
 def rank(m, field):
     """Rank of a matrix over a field: over GF(p) on packed rows, all
-    filed in bucket 0 (``_forward_mod``), over any other field by
-    ``_eliminate``."""
+    filed in bucket 0 (``_forward_mod``), over any other field by the
+    forward half of the Gauss-Jordan loop (``_eliminate``)."""
     if not m or not m[0]:
         return 0
     p = field.characteristic
     if not p:
-        return len(_eliminate(_rationals(m), False)[1])
+        return len(_eliminate(m, 0, False)[1])
     W = _slot_width(p, len(m[0]))
     first = []
     for row in m:
@@ -240,7 +189,7 @@ def rref(m, field):
     """Reduced row echelon form over a field; returns (matrix, pivot
     column list)."""
     p = field.characteristic
-    red, pivots = _echelon(m, p)
+    red, pivots = _eliminate(m, p, True)
     return [[_plain(x, p) for x in row] for row in red], pivots
 
 
@@ -249,7 +198,7 @@ def nullspace(m, field):
     if not m or not m[0]:
         return []
     p, cols = field.characteristic, len(m[0])
-    red, pivots = _echelon(m, p)
+    red, pivots = _eliminate(m, p, True)
     zero, one = (0, 1) if p else (_plain(field.zero, 0), _plain(field.one, 0))
     basis = []
     for fc in [c for c in range(cols) if c not in pivots]:
@@ -266,7 +215,7 @@ def solve(m, b, field):
     if not m:
         return [] if all(not x for x in b) else None
     p, cols = field.characteristic, len(m[0])
-    red, pivots = _echelon([list(r) + [bv] for r, bv in zip(m, b)], p)
+    red, pivots = _eliminate([list(r) + [bv] for r, bv in zip(m, b)], p, True)
     if cols in pivots:
         return None
     x = [0 if p else _plain(field.zero, 0)] * cols

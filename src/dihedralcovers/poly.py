@@ -22,14 +22,9 @@ integral Fraction back into an int.
 The product, the division with remainder and the extended gcd's
 cofactor update are index loops that update one list in place
 (``out[j] += x * y``, ``r[i + j] -= t * b[j]``), over GF(p) on
-unreduced ints, and call ``reduce_c`` once at the end.  The group law's
-operands have 2 to 10 coefficients, and at that size a slice
-comprehension per row (``out[i:i + n] = [o + x * y for ...]``) spends
-more on building lists than on the arithmetic: against it one call of
-the loops takes 0.54-0.65x the time at 4 and 10 coefficients over
-GF(1009) (0.68-0.92x over GF(2^61 - 1), whose products are longer
-ints) and 0.67-0.98x at 130, and the same time within 6% over Q,
-where the Fraction arithmetic dominates.
+unreduced ints, and call ``reduce_c`` once at the end, which reduces
+and trims; CHANGES.md's entry on the in-place kernels gives their
+timings against the slice comprehensions they replaced.
 Every resultant, and the gcd over Q, is read off one remainder
 sequence, ``resultant_lanes_c``, which runs many pairs (lanes) at once;
 a single pair is one lane.  The extended gcd is one Euclid that tracks

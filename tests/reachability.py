@@ -88,9 +88,7 @@ ALLOWED = {
     "graded._read_off": KERNEL,
     "graded._vector_charts": KERNEL,
     "graded.nonzero_minor": KERNEL,
-    "linalg._echelon": FALLBACK,
     "linalg._plain": FALLBACK,
-    "linalg._eliminate_mod": FALLBACK,
     "linalg._clone": FALLBACK,
     "linalg.split_blocks": FALLBACK,
     "double_cover._charts": FALLBACK,

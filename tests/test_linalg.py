@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dihedralcovers.fields import QQ, GF, _is_prime
+from dihedralcovers.cyclotomic import CyclotomicField
 from dihedralcovers.poly import Poly, add_c, mul_c, neg_c
 from dihedralcovers import linalg
 from dihedralcovers.graded import kernel_basis
@@ -71,15 +72,19 @@ def test_kernel_degree_bound_raises():
 # -- the GF(p) elimination path against oracles --------------------------
 #
 # The matrices are plain ints, as the package passes them; the oracles
-# (``bareiss_rank`` and the generic loop) run on FpElem entries.
+# (``bareiss_rank`` and the p = 0 branch of the loop) run on FpElem
+# entries.
 
 SHAPES = ("dense", "sparse", "low-rank", "wide", "tall")
 
 
 class Boxed:
     """GF(p) presented to ``linalg`` as a field of characteristic 0, so
-    that a matrix of its FpElem entries takes the generic elimination
-    loop: the oracle of the GF(p) loops."""
+    that a matrix of its FpElem entries takes the p = 0 branch of the
+    one Gauss-Jordan loop, on field elements instead of lazily reduced
+    ints.  It shares the loop with the GF(p) branch, so it checks the
+    lazy reduction only; the independent oracles are ``bareiss_rank``
+    and the identity checks (m v = 0, m x = b)."""
 
     characteristic = 0
 
@@ -395,6 +400,77 @@ def test_int_only_matrix_gives_no_floats():
     v = linalg.nullspace(m, QQ)[0]
     assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
     assert linalg.solve(m, [1, 2, 3], QQ) == [Fraction(1, 2), 0, 0]
+
+
+def test_forward_loop_on_disguised_slot_boundary_matrices(rng):
+    """The forward half of the Gauss-Jordan loop over GF(p), on the
+    disguised slot-boundary matrices, finds as many pivots as ``rank``
+    and returns ints only.  In both halves the ints stay within k p^2
+    of the input's largest (k the number of pivots): the row factor and
+    the pivot row are reduced mod p, so an update moves an entry by
+    less than p^2."""
+    for K, m, disguised in slot_boundary_matrices(rng):
+        p = K.characteristic
+        bound = max(abs(x) for row in disguised for x in row)
+        for reduced in (False, True):
+            rows, pivots = linalg._eliminate(disguised, p, reduced)
+            assert len(pivots) == linalg.rank(disguised, K) == linalg.rank(m, K)
+            assert all(type(x) is int for row in rows for x in row)
+            assert all(abs(x) <= bound + len(pivots) * p * p for row in rows for x in row)
+
+
+def test_gauss_jordan_over_cyclotomic_fields(rng):
+    """rref, nullspace and solve over Q(zeta_5) and Q(zeta_12), on
+    CycloElem entries mixed with ints and Fractions: m kills each kernel
+    vector, a solution solves, and the rref has as many pivots as
+    ``bareiss_rank`` finds."""
+    for n in (5, 12):
+        K = CyclotomicField(n)
+
+        def elem():
+            if rng.random() < 0.3:
+                return 0
+            if rng.random() < 0.2:
+                return rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+            return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * K.zeta(rng.randrange(n))
+                        for _ in range(rng.randint(1, 3))), K.zero)
+
+        def dot(row, v):
+            return sum((a * x for a, x in zip(row, v)), K.zero)
+
+        def bareiss(m):
+            return linalg.bareiss_rank([[K.of(x) for x in row] for row in m], K.one)
+
+        for trial in range(16):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            if trial % 2:
+                # a product through k columns: rank at most k
+                k = rng.randint(0, min(rows, cols))
+                a = [[elem() for _ in range(k)] for _ in range(rows)]
+                b = [[elem() for _ in range(cols)] for _ in range(k)]
+                m = [[dot(a[i], [row[j] for row in b]) for j in range(cols)] for i in range(rows)]
+            else:
+                m = [[elem() for _ in range(cols)] for _ in range(rows)]
+            r = bareiss(m)
+            red, pivots = linalg.rref(m, K)
+            assert len(pivots) == r == linalg.rank(m, K)
+            for i, pc in enumerate(pivots):
+                assert [red[k][pc] for k in range(rows)] == [int(k == i) for k in range(rows)]
+            basis = linalg.nullspace(m, K)
+            assert len(basis) == cols - r
+            assert all(dot(row, v) == 0 for v in basis for row in m)
+            if basis:
+                assert bareiss(basis) == len(basis)
+            x0 = [elem() for _ in range(cols)]
+            rhs = [dot(row, x0) for row in m]
+            x = linalg.solve(m, rhs, K)
+            assert x is not None and [dot(row, x) for row in m] == rhs
+            rhs = [elem() for _ in range(rows)]
+            x = linalg.solve(m, rhs, K)
+            if bareiss([row + [bv] for row, bv in zip(m, rhs)]) == r:
+                assert [dot(row, x) for row in m] == rhs
+            else:
+                assert x is None
 
 
 # -- the convolution-matrix builder against Poly multiplication ----------
