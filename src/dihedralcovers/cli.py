@@ -84,7 +84,7 @@ def run_torsion(job):
     field = _field(job)
     curve = _curve(job, field)
     pair = _pair(job, "pair", curve)
-    n = int(job["n"])
+    n = parsing.read_int(job, "n")
     torsion = is_n_torsion(pair, n)
     out = {"n": n, "torsion": torsion}
     if job.get("oracle"):
@@ -123,8 +123,8 @@ def run_pic(job):
 
 
 def run_cover(job):
-    n = int(job["n"])
-    m = int(job["m"])
+    n = parsing.read_int(job, "n")
+    m = parsing.read_int(job, "m")
     if job.get("base", "P2") != "P2":
         raise JobError("only the base P2 is supported")
     report = geometry.invariants(n, geometry.ProjectiveSpace(2, m))
@@ -133,10 +133,10 @@ def run_cover(job):
 
 def run_check(job):
     field = _field(job)
-    n = int(job["n"])
-    m = int(job["m"])
+    n = parsing.read_int(job, "n")
+    m = parsing.read_int(job, "m")
     base = geometry.ProjectiveSpace(2, m)
-    seed = int(job.get("seed", 0))
+    seed = parsing.read_int(job, "seed", 0)
     kind = job.get("kind", "simple")
     if kind == "simple":
         spec = geometry.SimpleCoverSpec(n, base, _form(job, "a", field),
@@ -154,16 +154,16 @@ def run_check(job):
 
 
 def run_deform(job):
-    n = int(job["n"])
-    m = int(job["m"])
-    d = int(job.get("d", 2))
+    n = parsing.read_int(job, "n")
+    m = parsing.read_int(job, "m")
+    d = parsing.read_int(job, "d", 2)
     report = deformations.def_prime_dims(n, m, d)
     return report.to_json(), 0
 
 
 def run_dn_table(job):
-    n = int(job["n"])
-    m = int(job.get("m", 1))
+    n = parsing.read_int(job, "n")
+    m = parsing.read_int(job, "m", 1)
     labels = dihedral.irreducible_labels(n)
     out = {"n": n, "order": 2 * n,
            "characters": [{"label": lab, "degree": dihedral.char_degree(lab)}
@@ -182,7 +182,7 @@ def run_jacobian(job):
     if field.characteristic == 0:
         raise JobError("jacobian enumeration needs a finite field")
     curve = _curve(job, field)
-    limit = int(job.get("limit", 20000))
+    limit = parsing.read_int(job, "limit", 20000)
     require_enumerable(field, curve.g, limit)
     classes = enumerate_jacobian(curve.odd_model(), limit=limit)
     out = {"count": len(classes)}
@@ -214,7 +214,7 @@ def run_job(job):
     if command not in _RUNNERS:
         raise JobError("unknown command %r" % command)
     out, code = _RUNNERS[command](job)
-    report = {"command": command, "seed": int(job.get("seed", 0))}
+    report = {"command": command, "seed": parsing.read_int(job, "seed", 0)}
     report.update(out)
     return report, code
 

@@ -249,7 +249,7 @@ class BundlePair:
     @classmethod
     def from_json(cls, data, ring):
         field = ring.field
-        return cls(ring, int(data["a"]), int(data["b"]),
+        return cls(ring, parsing.read_int(data, "a"), parsing.read_int(data, "b"),
                    parsing.parse_form(data["P"], field, 2),
                    parsing.parse_form(data["f"], field, 2),
                    parsing.parse_form(data["q"], field, 2))

@@ -297,19 +297,9 @@ class HForm:
         return [plain_form(self.field, 2, self.deg - k, t) for k, t in enumerate(out)]
 
     def __repr__(self):
-        if not self.terms:
-            return "0[deg %d]" % self.deg
-        names = ["x0", "x1"] if self.nvars == 2 else ["x0", "x1", "x2"]
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mono = "*".join("%s^%d" % (n, k) if k > 1 else n
-                            for n, k in zip(names, e) if k)
-            if mono:
-                parts.append("%s*%s" % (c, mono) if c != 1 else mono)
-            else:
-                parts.append("%s" % (c,))
-        return " + ".join(parts)
+        # imported here: parsing builds on this module
+        from .parsing import format_form
+        return format_form(self)
 
 
 def form_gcd(f, g):

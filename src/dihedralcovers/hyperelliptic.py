@@ -63,7 +63,7 @@ class HECurve(DoubleCoverRing):
 
     @classmethod
     def from_json(cls, data, field):
-        g = int(data["g"])
+        g = parsing.read_int(data, "g")
         return cls(field, g, parsing.parse_form(data["F"], field, 2))
 
 

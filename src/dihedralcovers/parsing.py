@@ -1,154 +1,84 @@
 """Text grammar for polynomials.
 
-Accepted inputs are sums of terms like ``3*x0^2*x1 - 1/2*x1^3 + x0``:
-
-* coefficients are integers or rationals ``p/q`` (mapped into the
-  active field; a zero denominator, or over GF(p) a denominator
-  divisible by p, raises ``ValueError``);
-* variable powers are ``name`` or ``name^k`` joined by ``*``;
-* recognised variable names: x, x0, x1, x2, u, v, w, z.
+A form is a sum of terms like ``3*x0^2*x1 - 1/2*x1^3 + x0``: a run of
+signs (the first term may have none; an odd number of ``-`` negates),
+then factors joined by single ``*`` in any order.  A factor is an
+integer, a rational ``p/q`` or a variable ``x0``, ``x1``, ``x2`` or ``x``
+(read as x0) with an optional exponent ``^k``.  Coefficients multiply
+and the exponents of a repeated variable add.  Whitespace and newlines
+may stand between any two of these pieces.  Any other text, a zero
+denominator, or over GF(p) a denominator divisible by p raises
+``ValueError``.
 
 ``parse_form`` returns a homogeneous :class:`~dihedralcovers.homog.HForm`
-and rejects inhomogeneous input.  Formatting is the inverse, producing
-strings the parser accepts, so round trips are byte stable;
-``format_univar`` writes a :class:`~dihedralcovers.poly.Poly` in the
-variable x (the CLI prints Mumford classes with it; the tests read it
-back with their own ``parse_univar``).
+and rejects inhomogeneous input.  ``format_form`` and ``format_univar``
+(a :class:`~dihedralcovers.poly.Poly` in x: Mumford classes in the CLI,
+read back by the tests' ``parse_univar``) write what the parser reads,
+so round trips are byte stable; the reprs of both classes print through
+them.  ``read_int`` reads the integer fields of a job, curve or pair.
 """
 
 import re
-from fractions import Fraction
 
 from .homog import HForm
 from .poly import _ratio
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(x0|x1|x2|[xuvwz])|(\^)|(\*)|(\+)|(-))")
+# one factor, after a run of signs (a new term) or one "*" (the same term)
+_FACTOR = re.compile(r"\s*(?:([-+][-+\s]*)|(\*))?\s*"
+                     r"(?:(x[012]?)(?:\s*\^\s*(\d*))?|(\d+)(?:/(\d+))?)")
+# the variables of a form in n variables, x read as x0
+_INDEX = {n: dict([("x", 0)] + [("x%d" % i, i) for i in range(n)]) for n in (1, 2, 3)}
 
 
-def _tokens(s):
-    pos = 0
-    out = []
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m or m.end() == pos:
-            if s[pos:].strip():
-                raise ValueError("cannot parse %r at position %d" % (s, pos))
+def _scan(s, nvars):
+    """[(coefficient, exponent tuple)] per term of s, with int coefficients
+    where the text writes integers.  Each match must start where the last
+    one ended; the first text that no match reads raises ``ValueError``
+    with its position."""
+    terms, pos, exp, index = [], 0, None, _INDEX[nvars]
+    for m in _FACTOR.finditer(s):
+        signs, star, var, e, num, den = m.groups()
+        if m.start() != pos or star and exp is None:
             break
-        num, name, caret, star, plus, minus = m.groups()
-        if num:
-            out.append(("num", num))
-        elif name:
-            out.append(("var", name))
-        elif caret:
-            out.append(("pow", None))
-        elif star:
-            out.append(("mul", None))
-        elif plus:
-            out.append(("add", None))
-        else:
-            out.append(("sub", None))
-        pos = m.end()
-    return out
-
-
-def _terms(s):
-    """Yield (Fraction coefficient, {var: exponent}) per term."""
-    toks = _tokens(s)
-    if not toks:
-        raise ValueError("empty polynomial string")
-    i = 0
-    n = len(toks)
-    while i < n:
-        sign = 1
-        while i < n and toks[i][0] in ("add", "sub"):
-            if toks[i][0] == "sub":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise ValueError("dangling sign in %r" % s)
-        coeff = Fraction(1)
-        exps = {}
-        expect_factor = True
-        while i < n:
-            kind, val = toks[i]
-            if kind in ("add", "sub"):
-                break
-            if kind == "mul":
-                i += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise ValueError("missing operator near %r in %r" % (val, s))
-            if kind == "num":
-                try:
-                    coeff *= Fraction(val)
-                except ZeroDivisionError:
-                    raise ValueError("zero denominator in coefficient %s of %r"
-                                     % (val, s)) from None
-                i += 1
-            elif kind == "var":
-                name = val
-                i += 1
-                e = 1
-                if i < n and toks[i][0] == "pow":
-                    i += 1
-                    if i >= n or toks[i][0] != "num":
-                        raise ValueError("exponent expected in %r" % s)
-                    e = int(toks[i][1])
-                    i += 1
-                exps[name] = exps.get(name, 0) + e
+        if not star:
+            if exp is not None:
+                if signs is None:
+                    raise ValueError("missing operator near %r in %r" % (m.group().strip(), s))
+                terms.append((c, tuple(exp)))
+            c, exp = -1 if signs and signs.count("-") & 1 else 1, [0] * nvars
+        if var:
+            i = index.get(var)
+            if i is None:
+                raise ValueError("variable %r not allowed in a %d-variable form" % (var, nvars))
+            if e:
+                exp[i] += int(e)
+            elif e is None:
+                exp[i] += 1
             else:
-                raise ValueError("unexpected token in %r" % s)
-            expect_factor = False
-        yield sign * coeff, exps
-
-
-# a term as ``format_form`` writes it: sign, coefficient, x0, x1, x2
-_END = r"(?:\s*\*\s*|(?=\s*(?:[-+]|\Z)))"
-_TERM = re.compile(r"\s*([-+]?)\s*(?:(\d+)(?:/(\d+))?{0})?(?:(x0)(?:\^(\d+))?{0})?"
-                   r"(?:(x1)(?:\^(\d+))?{0})?(?:(x2)(?:\^(\d+))?)?\s*(?=[-+]|\Z)".format(_END))
-
-
-def _fast_terms(s, nvars):
-    """[(coefficient, exponent tuple)] by one _TERM match per term, with
-    int coefficients where integral.  None when the string leaves that
-    grammar or has a zero denominator or a variable past nvars: the token
-    grammar then reads it, and alone raises the syntax errors."""
-    terms, pos = [], 0
-    while pos < len(s) or not terms:
-        m = _TERM.match(s, pos)
-        if not m:
-            return None
-        sign, num, den, v0, e0, v1, e1, v2, e2 = m.groups()
-        if not (num or v0 or v1 or v2) or den and not int(den) or v2 and nvars == 2:
-            return None
-        c = _ratio(int(num or 1), int(den or 1))
-        exp = tuple(int(e or 1) if v else 0 for v, e in ((v0, e0), (v1, e1), (v2, e2)))
-        terms.append((-c if sign == "-" else c, exp[:nvars]))
+                raise ValueError("exponent expected in %r" % s)
+        elif den:
+            if not int(den):
+                raise ValueError("zero denominator in coefficient %s/%s of %r" % (num, den, s))
+            c *= _ratio(int(num), int(den))
+        else:
+            c *= int(num)
         pos = m.end()
+    if s[pos:].strip():
+        raise ValueError("cannot parse %r at position %d" % (s, pos))
+    if exp is None:
+        raise ValueError("empty polynomial string")
+    terms.append((c, tuple(exp)))
     return terms
 
 
 def parse_form(s, field, nvars):
-    """Parse a homogeneous form in x0,x1[,x2].  A bare ``x`` is taken
-    as x0.  Raises on inhomogeneous input."""
-    names = ("x0", "x1", "x2")[:nvars]
-    terms = _fast_terms(s, nvars) or []
-    for c, exps in [] if terms else _terms(s):     # what no term match reads
-        exp = [0] * nvars
-        for name, e in exps.items():
-            if name == "x":
-                name = "x0"
-            if name not in names:
-                raise ValueError("variable %r not allowed in a %d-variable form"
-                                 % (name, nvars))
-            exp[names.index(name)] += e
-        terms.append((c, tuple(exp)))
+    """Parse a homogeneous form in x0,x1[,x2].  Raises on inhomogeneous
+    input."""
+    terms = _scan(s, nvars)
     degs = {sum(e) for _, e in terms}
     if len(degs) > 1:
         raise ValueError("inhomogeneous polynomial %r (degrees %s)"
                          % (s, sorted(degs)))
-    deg = degs.pop() if degs else 0
     acc = {}
     for c, e in terms:
         acc[e] = acc.get(e, 0) + c
@@ -156,7 +86,20 @@ def parse_form(s, field, nvars):
     for c in acc.values():
         if p and c.denominator % p == 0:
             raise ValueError("coefficient %s of %r has no value in GF(%d)" % (c, s, p))
-    return HForm(field, nvars, deg, acc)
+    return HForm(field, nvars, degs.pop(), acc)
+
+
+def read_int(data, key, default=None):
+    """data[key] (``default`` when given and the key is absent) as an int,
+    from an int (not a bool) or a string of one; anything else, a float
+    among them, raises ``ValueError``."""
+    v = data[key] if default is None else data.get(key, default)
+    if type(v) in (int, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise ValueError("%s must be an integer" % key)
 
 
 def _join_terms(terms):

@@ -565,19 +565,9 @@ class Poly:
         return r
 
     def __repr__(self):
-        if not self.c:
-            return "0"
-        terms = []
-        for i, a in enumerate(self.c):
-            if not a:
-                continue
-            if i == 0:
-                terms.append("%s" % (a,))
-            elif i == 1:
-                terms.append("%s*x" % (a,))
-            else:
-                terms.append("%s*x^%d" % (a, i))
-        return " + ".join(reversed(terms))
+        # imported here: parsing builds on this module
+        from .parsing import format_univar
+        return format_univar(self)
 
 
 def poly_gcd(a, b):

@@ -10,7 +10,7 @@ from dihedralcovers.cover_algebra import AFPoly, SimpleCoverAlgebra
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
 from dihedralcovers.hyperelliptic import HECurve
-from dihedralcovers.parsing import _terms
+from dihedralcovers.parsing import _scan
 
 
 def split_curve(p, g):
@@ -160,20 +160,12 @@ def matmul(a, b, K):
 
 
 def parse_univar(s, field):
-    """The inverse of ``parsing.format_univar``: a univariate polynomial
-    in any one variable; a constant string works too."""
+    """The inverse of ``parsing.format_univar``: a polynomial in x (or
+    x0); a constant string works too."""
     coeffs = {}
-    seen = set()
-    for c, exps in _terms(s):
-        seen.update(exps)
-        e = sum(exps.values())
-        if len(exps) > 1:
-            raise ValueError("more than one variable in %r" % s)
-        coeffs[e] = coeffs.get(e, Fraction(0)) + c
-    if len(seen) > 1:
-        raise ValueError("unexpected variables %s in %r" % (sorted(seen), s))
-    deg = max(coeffs) if coeffs else 0
-    return Poly(field, [coeffs.get(i, 0) for i in range(deg + 1)])
+    for c, (e,) in _scan(s, 1):
+        coeffs[e] = coeffs.get(e, 0) + c
+    return Poly(field, [coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
 
 
 def euler_characteristic_form(d, p, k):

@@ -168,6 +168,13 @@ NEGATIVE_GENUS = ["--field", "Fp:7", "--curve", '{"g":-1,"F":"1"}']
       "--pair", '{"a":0,"b":2,"P":"0","f":"x0^4 + x1^4","q":"1"}',
       "--pair2", '{"a":0,"b":2,"P":"0","f":"x0^4 + x1^4","q":"1"}'],
      "no rational branch point; odd model unavailable"),
+    # a "*" stands only between two factors
+    (["check", "--n", "3", "--m", "1", "--a", "*", "--F", "x0*x1 + x2^2"],
+     "cannot parse '*' at position 0"),
+    (["pic", "--field", "Fp:7", "--curve", '{"g":1,"F":"x0^4 - 5*x0^2*x1^2 + 4*x1^4"}',
+      "--pair", '{"a":1,"b":1,"P":"6*x0^2 + 2*x0*x1 + 6*x1^2","f":"4*x0^2 + 4*x1^2",'
+      '"q":"x0*x1 + 6*x1^2*"}'],
+     "cannot parse 'x0*x1 + 6*x1^2*' at position 14"),
 ])
 def test_out_of_domain_input_exits_2(capsys, argv, message):
     # refused as bad input, not an internal error (3) and not a report (0)
@@ -175,6 +182,43 @@ def test_out_of_domain_input_exits_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+CURVE7 = {"g": 1, "F": "x0^4 - 5*x0^2*x1^2 + 4*x1^4"}
+PAIR7 = {"a": 1, "b": 1, "P": "6*x0^2 + 2*x0*x1 + 6*x1^2", "f": "4*x0^2 + 4*x1^2",
+         "q": "x0*x1 + 6*x1^2"}
+
+
+@pytest.mark.parametrize("job, key, good", [
+    ({"command": "cover", "n": 3.9, "m": 1}, "n", 3),
+    ({"command": "cover", "n": "3.5", "m": 1}, "n", "3"),
+    ({"command": "cover", "n": 3, "m": True}, "m", 1),
+    ({"command": "cover", "n": 3, "m": 1, "seed": 1.5}, "seed", 1),
+    ({"command": "check", "n": 3, "m": None, "a": "x0^3 + x1^3 + x2^3",
+      "F": "x0*x1 + x0*x2 + x1*x2"}, "m", 1),
+    ({"command": "deform", "n": 2, "m": 1, "d": 2.0}, "d", 2),
+    ({"command": "dn-table", "n": 3, "m": [1]}, "m", 1),
+    ({"command": "jacobian", "field": "Fp:7", "curve": CURVE7, "limit": 1e4}, "limit", 100),
+    ({"command": "pic", "field": "Fp:7", "curve": dict(CURVE7, g=1.2), "pair": PAIR7}, "g", 1),
+    ({"command": "pic", "field": "Fp:7", "curve": CURVE7, "pair": dict(PAIR7, a=1.9)}, "a", 1),
+    ({"command": "pic", "field": "Fp:7", "curve": CURVE7, "pair": dict(PAIR7, b="1.0")},
+     "b", " 1"),
+    ({"command": "torsion", "field": "Fp:7", "curve": CURVE7, "pair": PAIR7, "n": 2.0}, "n", 2),
+])
+def test_integer_fields_are_read_not_truncated(tmp_path, capsys, job, key, good):
+    # an int (not a bool) or a string of one; anything else is bad input,
+    # and the job with the field fixed runs
+    path = tmp_path / "jobs.json"
+    fixed = json.loads(json.dumps(job))
+    for d in (fixed, fixed.get("curve", {}), fixed.get("pair", {})):
+        if key in d:
+            d[key] = good
+    path.write_text(json.dumps([job, fixed]))
+    code, out = run(capsys, "--json", str(path))
+    docs = json.loads(out)
+    assert code == 2
+    assert docs[0] == {"command": job["command"], "error": "%s must be an integer" % key}
+    assert "error" not in docs[1]
 
 
 def test_a_large_constant_over_q_is_refused_at_once(capsys):

@@ -7,7 +7,7 @@ import pytest
 from dihedralcovers.fields import QQ, GF
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
-from dihedralcovers.parsing import parse_form, format_univar, format_form, _fast_terms, _terms
+from dihedralcovers.parsing import parse_form, format_univar, format_form
 
 from conftest import parse_univar
 
@@ -168,7 +168,9 @@ def test_univar_parsing():
 
 
 def test_parse_errors_are_value_errors():
-    for bad in ("x0^2 +", "x3", "x0 x1", ""):
+    # a "*" stands between two factors of one term, and only there
+    for bad in ("x0^2 +", "x3", "x0 x1", "", "*", "x0^2*", "*x0", "3**x0", "x0^2 + * x1^2",
+                "x0 * + x1", "x0*-x1"):
         with pytest.raises(ValueError):
             parse_form(bad, QQ, 2)
 
@@ -194,11 +196,11 @@ def test_parse_inverts_format():
         p = Poly(K, [K.of(Fraction(a, b)) for a, b in pcs])
         s = format_univar(p)
         assert parse_univar(s, K) == p and format_univar(parse_univar(s, K)) == s
+        assert repr(p) == s
         exps = [e for e in itertools.product(range(deg + 1), repeat=nvars) if sum(e) == deg]
         f = HForm(K, nvars, deg, {e: K.of(Fraction(a, b)) for e, (a, b) in zip(exps, fcs)})
         s = format_form(f)
-        # what format_form writes is read one term at a time
-        assert _fast_terms(s, nvars) is not None
+        assert repr(f) == s
         if f.is_zero():
             assert s == "0" and parse_form(s, K, nvars).is_zero()
         else:
@@ -207,23 +209,70 @@ def test_parse_inverts_format():
     run()
 
 
-def test_term_matches_agree_with_the_token_grammar():
-    # a string read one term at a time gives the terms, with int
-    # coefficients where integral, that the token grammar gives; any
-    # other string goes to the token grammar, which alone raises
+def _spell_term(rng, c, exp, first):
+    """One accepted spelling of the term c * x^exp, c = a/b with b > 0:
+    a sign run, the coefficient whole, split or left out when 1, each
+    power whole or split into repeated variables, x for x0, the factors
+    in any order and whitespace and newlines between the pieces."""
+    a, b = c.numerator, c.denominator
+    space = lambda: rng.choice(["", "", " ", "  ", "\n", " \n "])
+    minus = rng.choice([0, 2]) + (a < 0)
+    signs = list("-" * minus + "+" * rng.randrange(3))
+    rng.shuffle(signs)
+    if not first and not signs:
+        signs = ["+"]
+    factors = rng.choice([["%d/%d" % (abs(a), b)], ["%d" % abs(a), "1/%d" % b],
+                          ["%d/%d" % (2 * abs(a), 2 * b)]])
+    if b == 1:
+        factors = rng.choice([[str(abs(a))], factors] + [[], ["1", "1"]] * (abs(a) == 1))
+    for i, k in enumerate(exp):
+        names = ["x0", "x"] if i == 0 else ["x%d" % i]
+        while k:
+            j = rng.randint(1, k)
+            caret = "%s^%s%d" % (space(), space(), j) if j > 1 or rng.random() < 0.2 else ""
+            factors.append(rng.choice(names) + caret)
+            k -= j
+    if rng.random() < 0.2:
+        factors.append("x%d^0" % rng.randrange(len(exp)))
+    if not factors:
+        factors = ["1"]
+    rng.shuffle(factors)
+    return space().join(signs) + space() + (space() + "*" + space()).join(factors)
+
+
+def test_every_spelling_of_a_form_parses_to_it():
+    # a form written term by term in random accepted spellings reads back
+    # as the form; each string made malformed is refused
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    pieces = ["x0", "x1", "x2", "x", "u", "^", "*", "+", "-", " ", "\n",
-              "0", "2", "12", "1/2", "6/3", "7/0", "/", "**"]
+    coeff = st.tuples(st.integers(-40, 40), st.integers(1, 6))
 
-    @hyp.settings(max_examples=400, deadline=None)
-    @hyp.given(st.lists(st.sampled_from(pieces), max_size=10), st.integers(2, 3))
-    def run(parts, nvars):
-        s = "".join(parts)
-        fast = _fast_terms(s, nvars)
-        if fast is not None:
-            names = ("x0", "x1", "x2")[:nvars]
-            assert fast == [(c, tuple(exps.get(v, 0) for v in names)) for c, exps in _terms(s)]
-            assert all(type(c) is int for c, _ in fast if c == int(c))
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(st.sampled_from((QQ, GF(7), GF(1009))), st.integers(2, 3), st.integers(0, 4),
+               st.lists(st.tuples(coeff, st.integers(0, 99)), min_size=1, max_size=8),
+               st.integers(0, 2 ** 32))
+    def run(K, nvars, deg, terms, seed):
+        rng = random.Random(seed)
+        exps = [e for e in itertools.product(range(deg + 1), repeat=nvars) if sum(e) == deg]
+        acc, parts = {}, []
+        for (a, b), k in terms:
+            e = exps[k % len(exps)]
+            acc[e] = acc.get(e, 0) + Fraction(a, b)
+            parts.append(_spell_term(rng, Fraction(a, b), e, not parts))
+        s = rng.choice(["", " ", "\n"]).join([""] + parts + [""])
+        f = HForm(K, nvars, deg, {e: K.of(c) for e, c in acc.items()})
+        got = parse_form(s, K, nvars)
+        assert got == f, s
+        if K is QQ:
+            assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+        top = "x0^%d" % deg
+        bad = ["*" + s, s + "*", s + " *\n", s.replace("*", "**", 1) if "*" in s else s + "**",
+               s + " + 3 " + top, s + " + x0^", s + " - x3", s + " + u", s + " + 1/0*" + top,
+               s + " + x0^%d" % (deg + 1), "", " \n "]
+        if nvars == 2:
+            bad.append(s + " + x2^%d" % deg)
+        for t in bad:
+            with pytest.raises(ValueError):
+                parse_form(t, K, nvars)
 
     run()
