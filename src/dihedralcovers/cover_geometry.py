@@ -18,16 +18,18 @@ intersection of a and F on the line it names (Fulton, Algebraic Curves,
 by the cusps' exponent: with R squarefree, R^(n-1) divides the
 resultant r1 of the partials G_0 and G_1 of G = a^2 - F^n, and r1 / R^(n-1)
 coprime to the resultant r2 of G_0 and G_2 proves (i)
-(``_singular_containment``).  Over Q both gcd tests run modulo a large
-prime: a reduction that keeps the degrees and has gcd 1 proves gcd 1
-over Q (Brown's one-sided modular gcd); only the squarefree test of R
-falls back to an exact one.  Over Q a form's coefficients are ints
-wherever integral (see :mod:`poly`), so on integer input the coordinate
-change, a^2 - F^n and its partials run on ints.  A resultant clears any
-remaining denominators once; r1 and r2 run as one batch of lanes of one
-remainder sequence, and interpolation is one product with a cached
-table.  Verdicts are "pass", "fail" or "inconclusive"; a pass or a fail
-always rests on an exact computation, never on sampling.
+(``_singular_containment``).  Over Q, R is exact, and (i) is decided
+modulo the prime 2^30 - 35 only: a, F and R are reduced there, and r1,
+r2 and their gcd run over GF(2^30 - 35); a reduction that keeps the
+formal degrees and has gcd 1 proves gcd 1 over Q (Brown's one-sided
+modular gcd).  The squarefree test of R runs modulo the same prime
+first and falls back to an exact one.  Over Q a form's coefficients are
+ints wherever integral (see :mod:`poly`), so on integer input the
+coordinate change runs on ints, and R clears any remaining denominators
+once.  r1 and r2 run as one batch of lanes of one remainder sequence,
+and interpolation is one product with a cached table.  Verdicts are
+"pass", "fail" or "inconclusive"; a pass or a fail always rests on an
+exact computation, never on sampling.
 
 Invariants of a cover of the plane (Y = P^2, L = O(m)) are computed
 twice, from the closed formulas
@@ -51,7 +53,7 @@ from fractions import Fraction
 
 from .fields import QQ, GF
 from .poly import plain_poly, poly_gcd, resultant_lanes_c, interpolate_c
-from .homog import HForm, form_gcd
+from .homog import HForm, plain_form, form_gcd
 from .hyperelliptic import class_from_matrix
 from .deformations import pushforward_twists
 
@@ -132,8 +134,8 @@ def resultant_wrt_last(f, g, *more):
     gs = (g,) + more
     if any(h.deg != g.deg for h in more):
         raise ValueError("a batch of resultants needs forms of one degree")
-    charts = [[c.to_univar().c for c in h.coeffs_in(2)] for h in (f,) + gs]
-    if not all(cs[-1] for cs in charts):
+    charts = [_x2_charts(h) for h in (f,) + gs]
+    if not all(cs[-1][0] for cs in charts):
         raise ValueError("forms must have full degree in x2")
     field, D = f.field, f.deg * g.deg
     p = field.characteristic
@@ -151,8 +153,8 @@ def resultant_wrt_last(f, g, *more):
     def lanes(cs):
         out = []
         for c in cs:
-            v = [0] * (D + 1)
-            for a in reversed(c):
+            v = [c[-1]] * (D + 1)
+            for a in reversed(c[:-1]):
                 v = [y * x + a for y, x in zip(v, xs)]
             out.append([y % p for y in v] if p else v)
         return out
@@ -168,6 +170,15 @@ def resultant_wrt_last(f, g, *more):
             R = R * Fraction(1, scale)
         out.append(HForm.from_univar(R, D))
     return out if more else out[0]
+
+
+def _x2_charts(h):
+    """The charts h_k(x, 1) of the coefficients of x2^k in a ternary form h,
+    k = 0 .. deg h, as plain lists of length deg h - k + 1."""
+    charts = [[0] * (h.deg - k + 1) for k in range(h.deg + 1)]
+    for (i, _, k), v in h.terms.items():
+        charts[k][i] = v
+    return charts
 
 
 def _clear_denominators(charts):
@@ -188,8 +199,10 @@ def random_coordinate_change(field, rng):
                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
         if (det % p if p else det):
             break
+    if p:
+        rows = [[v % p for v in row] for row in rows]
     units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return [HForm(field, 3, 1, dict(zip(units, row))) for row in rows]
+    return [plain_form(field, 3, 1, {e: v for e, v in zip(units, row) if v}) for row in rows]
 
 
 # -- hypothesis checks --------------------------------------------------
@@ -256,7 +269,7 @@ def check_simple(spec, seed=0):
             details["commonComponent"] = True
             cond_ii = "fail"
             break
-        if not (_trivial_gcd_mod_prime(HForm.is_squarefree, R) or R.is_squarefree()):
+        if not ((not p and _squarefree_mod_prime(R)) or R.is_squarefree()):
             continue
         cond_ii = "pass"
         details["resultantDegree"] = R.deg
@@ -274,7 +287,8 @@ def check_simple(spec, seed=0):
     return CheckReport(cond_i, cond_ii, irreducible, details, seed)
 
 
-CERTIFICATE_PRIME = 2 ** 61 - 1     # below the bound to which GF certifies primes
+# below 2^30, where an inverse costs about a quarter of one modulo 2^61 - 1
+CERTIFICATE_PRIME = 2 ** 30 - 35
 CERTIFICATE_FIELD = GF(CERTIFICATE_PRIME)
 
 
@@ -297,9 +311,30 @@ def _singular_containment(a, F, R, n):
     line holds a point of a = F = 0, and a root of r2.  So gcd(r1', r2) = 1
     proves (i) with no assumption on the projection; a nontrivial gcd
     leaves the attempt to the next coordinate change.  Over GF(p) (i) is
-    tried only for p > (2nm - 1)^2 >= 2nm, so p does not divide 2nm;
-    over Q the gcd is decided only modulo a prime, which can prove it
-    trivial and nothing else (``_trivial_gcd_mod_prime``)."""
+    tried only for p > (2nm - 1)^2 >= 2nm, so p does not divide 2nm.
+
+    Over Q, r1' and r2 are never formed: a, F and R are reduced modulo
+    CERTIFICATE_PRIME at their formal degrees and the GF(p) route runs on
+    the reductions, which can prove gcd(r1', r2) = 1 and nothing else
+    (Brown's one-sided modular gcd, J. ACM 18, 1971):
+
+    - the prime dividing a denominator (ZeroDivisionError), R = 0 modulo
+      it, or an x2-leading coefficient vanishing modulo it (the
+      ValueError of resultant_wrt_last) certifies nothing;
+    - otherwise Res_x2 commutes with reduction, and R^(n-1) reduces to a
+      nonzero form, so by Gauss's lemma over Z localized at the prime
+      r1' has no denominator divisible by it, and r1 / R^(n-1) modulo the
+      prime is the reduction of r1';
+    - two binary forms coprime modulo the prime at their formal degrees
+      have a homogeneous resultant that is nonzero modulo it, so nonzero
+      over Q, and r1' and r2 are coprime over Q."""
+    if a.field == QQ:
+        try:
+            a, F, R = map(_reduction, (a, F, R))
+        except ZeroDivisionError:   # the prime divides a denominator
+            return False
+        if R.is_zero():
+            return False
     G = a * a - F ** n
     parts = [G.partial(i) for i in range(3)]
     try:
@@ -309,35 +344,32 @@ def _singular_containment(a, F, R, n):
         return False
     if r1.is_zero() or r2.is_zero():
         return False
-    coprime = lambda f, g: form_gcd(f, g).deg == 0      # noqa: E731
-    return _trivial_gcd_mod_prime(coprime, r1, r2) if a.field == QQ else coprime(r1, r2)
+    return form_gcd(r1, r2).deg == 0
 
 
-def _trivial_gcd_mod_prime(test, *forms):
-    """True when ``test``, that a gcd is trivial (coprimality, or
-    HForm.is_squarefree: gcd(f, f') = 1), holds for the reductions of
-    binary forms over Q modulo CERTIFICATE_PRIME.  False proves nothing.
+def _squarefree_mod_prime(R):
+    """True when a binary form R over Q reduces modulo CERTIFICATE_PRIME,
+    at its formal degree, to a squarefree form; False proves nothing.
 
-    Soundness, the one-sided modular gcd (Brown, J. ACM 18, 1971): if no
-    denominator vanishes and each form keeps its x1-multiplicity (its
-    degree minus that of its chart f(x, 1)), the charts keep their
-    degrees, and so do their derivatives (of degree far below the
-    prime).  A common factor over Q, made primitive in Z[x] (Gauss's
-    lemma), reduces to a common factor of equal degree, and a common
-    power of x1 stays common.  So a trivial gcd modulo the prime proves
-    a trivial gcd over Q."""
-    if forms[0].field != QQ:
+    Soundness: the homogeneous discriminant of a binary form of degree d
+    is an integer polynomial in its coefficients that vanishes exactly
+    when the form has a repeated root in P^1, the point x1 = 0 included.
+    If no denominator vanishes modulo the prime, it commutes with
+    reduction, so a squarefree reduction at the formal degree (whose
+    charts' degrees are far below the prime) proves a nonzero
+    discriminant over Q.  A reduction may gain a factor x1 (its chart
+    drops in degree); at the formal degree that is a root at x1 = 0 like
+    any other, so no comparison of x1-multiplicities is needed."""
+    try:
+        return _reduction(R).is_squarefree()
+    except ZeroDivisionError:   # the prime divides a denominator
         return False
-    reduced = []
-    for form in forms:
-        try:
-            fp = HForm(CERTIFICATE_FIELD, 2, form.deg, form.terms)
-        except ZeroDivisionError:   # the prime divides a denominator
-            return False
-        if fp.x1_multiplicity() != form.x1_multiplicity():
-            return False
-        reduced.append(fp)
-    return test(*reduced)
+
+
+def _reduction(h):
+    """The form h over Q reduced modulo CERTIFICATE_PRIME at its formal
+    degree; ZeroDivisionError when the prime divides a denominator."""
+    return HForm(CERTIFICATE_FIELD, h.nvars, h.deg, h.terms)
 
 
 def check_almost_simple(spec, seed=0):

@@ -20,7 +20,9 @@ The constructor accepts field elements, ints and Fractions (a float
 raises TypeError); ``coeff`` and evaluation return field elements.
 """
 
-from .poly import plain_poly, trim_c, add_c, scale_c, mul_c, poly_gcd, is_squarefree, NEG_INF
+from fractions import Fraction
+
+from .poly import plain_poly, trim_c, reduce_c, mul_c, poly_gcd, is_squarefree, NEG_INF
 
 
 def plain_form(field, nvars, deg, terms):
@@ -35,10 +37,12 @@ def plain_form(field, nvars, deg, terms):
 
 
 def _nonzero(t, p):
-    """The dict t of plain sums, reduced mod p (when p > 0), without zeros."""
+    """The dict t of plain sums without zeros: reduced mod p (when p > 0),
+    and over Q with each integral Fraction as an int."""
     if p:
-        t = {e: v % p for e, v in t.items()}
-    return {e: v for e, v in t.items() if v}
+        return {e: v % p for e, v in t.items() if v % p}
+    return {e: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            for e, v in t.items() if v}
 
 
 class HForm:
@@ -50,12 +54,12 @@ class HForm:
         self.field = field
         self.nvars = nvars
         self.deg = deg
-        clean = {}
+        clean, unbox = {}, field.unbox
         for exp, c in terms.items():
-            if len(exp) != nvars or sum(exp) != deg or any(e < 0 for e in exp):
+            if len(exp) != nvars or sum(exp) != deg or min(exp) < 0:
                 raise ValueError("exponent %r is not of degree %d in %d vars"
                                  % (exp, deg, nvars))
-            c = field.unbox(c)
+            c = unbox(c)
             if c:
                 clean[exp] = c
         self.terms = clean
@@ -118,27 +122,31 @@ class HForm:
             # through the chart x1 = 1: the product of the dense coefficient lists
             c = mul_c(self._chart(), other._chart(), p)
             return plain_form(field, 2, deg, {(i, deg - i): v for i, v in enumerate(c) if v})
-        t = {}
-        for (a0, a1, a2), c1 in self.terms.items():
-            for (b0, b1, b2), c2 in other.terms.items():
-                e = (a0 + b0, a1 + b1, a2 + b2)
-                t[e] = t.get(e, 0) + c1 * c2
-        return plain_form(field, 3, deg, _nonzero(t, p))
+        # x0^i x1^j is slot i (deg + 1) + j, so exponents add without carries
+        base = deg + 1
+        right = [(i * base + j, c) for (i, j, _), c in other.terms.items()]
+        out = [0] * (base * base)
+        for (i, j, _), x in self.terms.items():
+            s = i * base + j
+            for t, y in right:
+                out[s + t] += x * y
+        out = reduce_c(out, p)
+        return plain_form(field, 3, deg, {(k // base, k % base, deg - k // base - k % base): v
+                                          for k, v in enumerate(out) if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative exponent %d" % k)
-        r = HForm.const(self.field, self.nvars, self.field.one)
-        b = self
+        r, b = None, self
         while k:
             if k & 1:
-                r = r * b
+                r = b if r is None else r * b
             k >>= 1
             if k:
                 b = b * b
-        return r
+        return HForm.const(self.field, self.nvars, self.field.one) if r is None else r
 
     def __eq__(self, other):
         if not isinstance(other, HForm):
@@ -176,13 +184,7 @@ class HForm:
                              % (self.nvars, self.deg, other.nvars, other.deg))
 
     def partial(self, i):
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            t[tuple(e2)] = c * e[i]
+        t = {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]}
         return plain_form(self.field, self.nvars, max(self.deg - 1, 0),
                           _nonzero(t, self.field.characteristic))
 
@@ -190,39 +192,56 @@ class HForm:
         """Linear change of variables: x_i -> images[i], forms of degree 1
         (or of a common degree), by nested Horner's rule: outermost in the
         last variable, then in x1, with the powers of the x0 image computed
-        once.  On coefficient lists: x0^i x1^j of the images is y^i (binary)
-        or y^(i (D + 1) + j) (ternary), D = the result's degree, so products
-        of degree <= D add exponents without carries."""
+        once.  On flat lists: x0^i x1^j of the images is slot i (binary)
+        or i (D + 1) + j (ternary), D = the result's degree, so products of
+        degree <= D add slots without carries.  An image is the list of its
+        (slot, coefficient) pairs, and a product by it is one pass over
+        them for each nonzero slot."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         field, d, ternary = self.field, self.deg, self.nvars == 3
         p, nv, D = field.characteristic, images[0].nvars, d * images[0].deg
         base = 1 if nv == 2 else D + 1
-        lin = []
-        for img in images:
-            c = [0] * (img.deg * base + 1)
-            for e, v in img.terms.items():
-                c[e[0] * base + (e[1] if nv == 3 else 0)] = v
-            lin.append(trim_c(c))
-        pw = [[1]]
-        for _ in range(d):
-            pw.append(mul_c(pw[-1], lin[0], p))
+        lin = [[(e[0] * base + (e[1] if nv == 3 else 0), v) for e, v in img.terms.items()]
+               for img in images]
 
-        def horner(cs, img):
-            """sum_j cs[j] img^j"""
-            out = []
-            for c in reversed(cs):
-                out = add_c(mul_c(out, img, p), c, p)
+        def times(c, img):
+            """c times an image, reduced mod p (when p > 0)"""
+            if not c or not img:
+                return []
+            out = [0] * (len(c) + max(s for s, _ in img))
+            for i, x in enumerate(c):
+                if x:
+                    for s, v in img:
+                        out[i + s] += x * v
+            return [v % p for v in out] if p else out
+
+        def add(out, c, scale=1):
+            """out + scale c"""
+            if len(out) < len(c):
+                out = out + [0] * (len(c) - len(out))
+            for i, v in enumerate(c):
+                if v:
+                    out[i] += scale * v
             return out
 
+        pw = [[1]]
+        for _ in range(d):
+            pw.append(times(pw[-1], lin[0]))
         # rows[k][j] is the coefficient of x2^k x1^j (binary: one row, of x1^j)
         rows = [[0] * (d + 1 - k) for k in range(d + 1 if ternary else 1)]
         for e, c in self.terms.items():
             rows[e[2] if ternary else 0][e[1]] = c
-        # each row, sum_j c_j x0^(k - j) x1^j with k = len(row) - 1, at the images
-        out = [horner([scale_c(pw[len(r) - 1 - j], c, p) for j, c in enumerate(r)], lin[1])
-               for r in rows]
-        out = horner(out, lin[2]) if ternary else out[0]
+        out = []
+        for r in reversed(rows):
+            # sum_j c_j x0^(k - j) x1^j with k = len(r) - 1, at the images
+            row = []
+            for j in range(len(r) - 1, -1, -1):
+                row = times(row, lin[1])
+                if r[j]:
+                    row = add(row, pw[len(r) - 1 - j], r[j])
+            out = add(times(out, lin[2]), row) if ternary else row
+        out = reduce_c(out, p)
         if nv == 2:
             return plain_form(field, 2, D, {(i, D - i): v for i, v in enumerate(out) if v})
         return plain_form(field, 3, D, {(i // base, i % base, D - i // base - i % base): v
@@ -281,20 +300,6 @@ class HForm:
         if self.is_zero():
             return False
         return self.x1_multiplicity() < 2 and is_squarefree(self.to_univar())
-
-    # -- ternary form as polynomial in one variable ---------------------
-
-    def coeffs_in(self, var):
-        """For a ternary form, the list of binary-form coefficients of
-        powers of variable ``var``, low power first.  The two remaining
-        variables keep their relative order."""
-        if self.nvars != 3:
-            raise ValueError("coeffs_in needs a ternary form")
-        keep = [i for i in range(3) if i != var]
-        out = [dict() for _ in range(self.deg + 1)]
-        for e, c in self.terms.items():
-            out[e[var]][(e[keep[0]], e[keep[1]])] = c
-        return [plain_form(self.field, 2, self.deg - k, t) for k, t in enumerate(out)]
 
     def __repr__(self):
         # imported here: parsing builds on this module

@@ -128,6 +128,10 @@ ALLOWED = {
         ("the zero form of a given degree, which tests/test_homog.py checks and "
          "tests/test_double_cover.py and test_tensor_kernel.py build pair entries "
          "from; user paths give a pair its entries as parsed forms or as charts"),
+    "homog.HForm.const":
+        ("the constant form, the zeroth power of a form, which the tests build "
+         "and tests/test_homog.py's substitution oracle starts from; user paths "
+         "raise forms only to positive powers"),
     "poly.Poly.compose":
         "the oracle of CycloElem.conjugate in tests/test_dihedral.py (z -> z^-1)",
     "double_cover.BundlePair.c1":

@@ -254,30 +254,107 @@ def test_an_inconclusive_reduction_leaves_condition_i_to_a_later_attempt(monkeyp
     spec = cg.SimpleCoverSpec(2, P2, parse_form(job["a"], QQ, 3),
                               parse_form(job["F"], QQ, 3))
     coprime_tries = []          # (r1', r2, verdict of the reduction)
-    gcd_fields = []
-    certify = cg._trivial_gcd_mod_prime
     form_gcd = cg.form_gcd
 
-    def spy_certify(test, *forms):
-        ok = certify(test, *forms)
-        if len(forms) == 2:
-            # only the first attempt's reduction comes out inconclusive
-            ok = ok and bool(coprime_tries)
-            coprime_tries.append((*forms, ok))
-        return ok
-
     def spy_gcd(f, g):
-        gcd_fields.append(f.field)
-        return form_gcd(f, g)
+        h = form_gcd(f, g)
+        if not coprime_tries:
+            h = g               # only the first attempt's reduction comes out inconclusive
+        coprime_tries.append((f, g, h.deg == 0))
+        return h
 
-    monkeypatch.setattr(cg, "_trivial_gcd_mod_prime", spy_certify)
     monkeypatch.setattr(cg, "form_gcd", spy_gcd)
     report = cg.check_simple(spec, seed=40).to_json()
     assert [ok for _, _, ok in coprime_tries] == [False, True]
     assert report["conditionI"] == report["conditionII"] == "pass"
-    assert gcd_fields and QQ not in gcd_fields
+    assert all(f.field == g.field == cg.CERTIFICATE_FIELD for f, g, _ in coprime_tries)
     # r1' is r1 / R^(n - 1): its degree is (2nm - 1)^2 - (n - 1) 2nm^2
     assert all(r1.deg == 9 - 4 and r2.deg == 9 for r1, r2, _ in coprime_tries)
+
+
+def _identity_change(field, rng):
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return [HForm(field, 3, 1, {e: 1}) for e in units]
+
+
+@pytest.mark.parametrize("a, F, reason", [
+    ("2*x2^2 + x0*x2 - 3*x1*x2 + x0^2 + 4*x0*x1 - 5*x1^2",
+     "x2^2 - 1007*x0*x2 + 2*x1*x2 - 3*x0^2 + x0*x1 + 7*x1^2", "lead"),
+    ("2*x2^2 + x0*x2 - 3*x1*x2 + 1/1009*x0^2 + 4*x0*x1 - 5*x1^2",
+     "x2^2 + 5*x0*x2 + 2*x1*x2 - 3*x0^2 + x0*x1 + 7*x1^2", "denominator"),
+    ("2018*x2^2 + 1009*x0*x2 - 3027*x1*x2 + 1009*x0^2 + 4036*x0*x1 - 5045*x1^2",
+     "x2^2 + 5*x0*x2 + 2*x1*x2 - 3*x0^2 + x0*x1 + 7*x1^2", "resultant")],
+    ids=["lead", "denominator", "resultant"])
+def test_an_unlucky_certificate_prime_certifies_nothing(monkeypatch, a, F, reason):
+    """With 1009 as the certificate prime, the x2-leading coefficient of
+    G_0 = 2018 x2^3 + ... vanishes modulo it (resultant_wrt_last's
+    ValueError), a's coefficient 1/1009 has no reduction (a
+    ZeroDivisionError), or a = 1009 a' makes R = 0 modulo it: the attempt
+    leaves (i) inconclusive, with no exception.  With 2^30 - 35 the same
+    transversal pair passes."""
+    a, F = parse_form(a, QQ, 3), parse_form(F, QQ, 3)
+    spec = cg.SimpleCoverSpec(2, P2, a, F)
+    monkeypatch.setattr(cg, "random_coordinate_change", _identity_change)
+    monkeypatch.setattr(cg, "ATTEMPTS", 1)
+    report = cg.check_simple(spec)
+    assert (report.condition_i, report.condition_ii) == ("pass", "pass")
+    K = GF(1009)
+    R = cg.resultant_wrt_last(a, F)
+    if reason == "lead":
+        G = HForm(K, 3, 2, a.terms) ** 2 - HForm(K, 3, 2, F.terms) ** 2
+        with pytest.raises(ValueError, match="full degree"):
+            cg.resultant_wrt_last(*[G.partial(i) for i in range(3)])
+    elif reason == "denominator":
+        with pytest.raises(ZeroDivisionError):
+            HForm(K, 3, 2, a.terms)
+    else:
+        assert HForm(K, 2, R.deg, R.terms).is_zero() and not R.is_zero()
+    monkeypatch.setattr(cg, "CERTIFICATE_PRIME", 1009)
+    monkeypatch.setattr(cg, "CERTIFICATE_FIELD", K)
+    report = cg.check_simple(spec)
+    assert (report.condition_i, report.condition_ii) == ("inconclusive", "pass")
+    assert cg._singular_containment(a, F, R, 2) is False
+
+
+def _seeded_pair(rng, n, m, singular):
+    """Dense a of degree nm and F of degree 2m, integers in [-9, 9].
+    When singular: a = F = 1 at (0:0:1) and 2 grad a = n grad F there, so
+    a^2 - F^n is singular at a point off F = 0."""
+    f0, f1 = 2 * rng.randint(-4, 4), 2 * rng.randint(-4, 4)
+
+    def form(deg, lead):
+        terms = {(i, j, deg - i - j): rng.randint(-9, 9)
+                 for i in range(deg + 1) for j in range(deg + 1 - i)}
+        if singular:
+            terms[(0, 0, deg)] = 1
+            terms[(1, 0, deg - 1)], terms[(0, 1, deg - 1)] = lead
+        return HForm(QQ, 3, deg, terms)
+    F = form(2 * m, (f0, f1))
+    return form(n * m, (n * f0 // 2, n * f1 // 2)), F
+
+
+@pytest.mark.parametrize("n,m,pairs", [(2, 1, 4), (3, 1, 3), (2, 2, 1), (4, 1, 1)])
+def test_the_modular_verdict_never_passes_where_the_exact_gcd_is_nontrivial(n, m, pairs):
+    """The exact oracle of condition (i) over Q: r1 and r2 over Q, r1' =
+    r1 / R^(n-1), and form_gcd over QQ.  Over seeded transversal pairs
+    and pairs singular off F = 0, each moved by seeded coordinate
+    changes, _singular_containment (modulo the certificate prime) says
+    True only where gcd(r1', r2) = 1 over Q; here they agree."""
+    rng = random.Random(10 * n + m)
+    verdicts = []
+    for k in range(2 * pairs):
+        a0, F0 = _seeded_pair(rng, n, m, singular=k % 2 == 1)
+        images = cg.random_coordinate_change(QQ, rng)
+        a, F = a0.substitute(images), F0.substitute(images)
+        R = cg.resultant_wrt_last(a, F)
+        assert R.is_squarefree(), k
+        G = a * a - F ** n
+        r1, r2 = cg.resultant_wrt_last(G.partial(0), G.partial(1), G.partial(2))
+        exact = cg.form_gcd(r1.exact_div(R ** (n - 1)), r2).deg == 0
+        modular = cg._singular_containment(a, F, R, n)
+        assert not (modular and not exact), k
+        verdicts.append((modular, exact))
+    assert verdicts == [(k % 2 == 0,) * 2 for k in range(2 * pairs)]
 
 
 def _singular_at_origin_pair(rng):
@@ -400,14 +477,15 @@ def _rational_form(rng, deg):
 def test_resultant_wrt_last_over_q_reduces_to_the_large_prime_one(n, m):
     # the reduction mod p of Res_x2(f, g) over Q is Res_x2 of the reduced
     # forms over GF(p), when p divides no denominator and no x2-lead
-    K = GF(cg.CERTIFICATE_PRIME)
     rng = random.Random(100 * n + m)
     for _ in range(2):
         f, g = _rational_form(rng, n * m), _rational_form(rng, 2 * m)
         R = cg.resultant_wrt_last(f, g)
         assert R.deg == f.deg * g.deg and not R.is_zero()
-        reduced = cg.resultant_wrt_last(HForm(K, 3, f.deg, f.terms), HForm(K, 3, g.deg, g.terms))
-        assert HForm(K, 2, R.deg, R.terms) == reduced
+        for K in (cg.CERTIFICATE_FIELD, GF(2 ** 61 - 1)):
+            reduced = cg.resultant_wrt_last(HForm(K, 3, f.deg, f.terms),
+                                            HForm(K, 3, g.deg, g.terms))
+            assert HForm(K, 2, R.deg, R.terms) == reduced
 
 
 # -- prime fields too small for the interpolation -----------------------
@@ -498,7 +576,8 @@ def node_pairs(f, g):
     evaluated there, as lists of field elements."""
     K = f.field
     xs = [K.of(x) for x in range(f.deg * g.deg + 1)]
-    charts = [[c.to_univar() for c in h.coeffs_in(2)] for h in (f, g)]
+    charts = [[Poly(K, [h.coeff((i, h.deg - k - i, k)) for i in range(h.deg - k + 1)])
+               for k in range(h.deg + 1)] for h in (f, g)]
     return xs, [[ref_trim([c(x) for c in cs]) for cs in charts] for x in xs]
 
 
@@ -552,8 +631,8 @@ def integral(h):
     return h * math.lcm(*[Fraction(v).denominator for v in h.terms.values()])
 
 
-LANE_FIELDS = [QQ, GF(101), GF(1009), GF(cg.CERTIFICATE_PRIME)]
-LANE_IDS = ["Q", "Fp101", "Fp1009", "Fp2^61-1"]
+LANE_FIELDS = [QQ, GF(101), GF(1009), GF(2 ** 61 - 1), cg.CERTIFICATE_FIELD]
+LANE_IDS = ["Q", "Fp101", "Fp1009", "Fp2^61-1", "Fp2^30-35"]
 
 
 def _lane_form(K, rng, deg):

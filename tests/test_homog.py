@@ -143,14 +143,42 @@ def test_substitute_matches_the_power_route():
     run()
 
 
-def test_coeffs_in():
-    f = form("x0^2*x2 + x1*x2^2 + x0^3", nvars=3)
-    cs = f.coeffs_in(2)
-    assert len(cs) == 4
-    assert cs[0] == form("x0^3")
-    assert cs[1] == form("x0^2")
-    assert cs[2] == form("x1")
-    assert cs[3].is_zero()
+def test_ternary_product_and_powers_match_the_term_loop():
+    """The ternary product (one flat list of slots) against the sum over
+    all pairs of terms on field elements, and f^k against k - 1 products;
+    zero forms and degree 0 included."""
+    rng = random.Random(11)
+    for K in (QQ, GF(7), GF(2 ** 61 - 1)):
+        def ternary(deg):
+            def value():
+                if K.characteristic:
+                    return rng.choice([0, 1, -1, rng.randrange(K.characteristic)])
+                return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]))
+            return HForm(K, 3, deg, {(i, j, deg - i - j): value()
+                                     for i in range(deg + 1) for j in range(deg + 1 - i)})
+
+        for _ in range(40):
+            f, g = ternary(rng.randint(0, 5)), ternary(rng.randint(0, 5))
+            want = {}
+            for e1, c1 in f.terms.items():
+                for e2, c2 in g.terms.items():
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    want[e] = want.get(e, K.zero) + K.of(c1) * K.of(c2)
+            assert f * g == HForm(K, 3, f.deg + g.deg, want)
+            k = rng.randint(0, 4)
+            power = HForm.const(K, 3, 1)
+            for _ in range(k):
+                power = power * f
+            assert f ** k == power
+
+
+def test_q_products_and_partials_are_ints_where_integral():
+    f = parse_form("1/2*x0*x2 + 1/3*x1^2", QQ, 3)
+    product = f * parse_form("2*x1", QQ, 3)
+    assert product.terms == {(1, 1, 1): 1, (0, 3, 0): Fraction(2, 3)}
+    assert type(product.terms[(1, 1, 1)]) is int
+    partial = parse_form("1/2*x0^2 + 1/3*x1^2", QQ, 2).partial(0)
+    assert partial.terms == {(1, 0): 1} and type(partial.terms[(1, 0)]) is int
 
 
 def test_parsing_rationals_and_format_stability():
