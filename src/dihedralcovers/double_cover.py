@@ -53,7 +53,7 @@ from fractions import Fraction
 from .fields import sqrt_mod
 from .homog import HForm, plain_form
 from .poly import (Poly, plain_poly, base_field_roots, trim_c, inv_c, reduce_c, neg_c, sub_c,
-                   add_c, scale_c, mul_c, divmod_c, monic_c)
+                   add_c, scale_c, addmul_c, mul_c, divmod_c, monic_c)
 from . import linalg, parsing
 
 
@@ -124,7 +124,13 @@ class BundlePair:
     """A trace-free matrix presentation (a, b, P, f, q) of a rank-one
     module on a double cover ring, held as the charts F(x, 1) of
     (P, f, q), ``charts``; the forms ``P``, ``f`` and ``q`` are built from
-    them on each read."""
+    them on each read.
+
+    Every pair built passes the same checks: each chart within its forced
+    degree, and P^2 + q f = F (``validate``).  The constructor takes each
+    entry as a form or a chart (``_entry_chart``); ``_from_charts`` takes
+    the reduced, trimmed charts that the package computes, a <= b, and
+    skips only that conversion and its re-reduction."""
 
     __slots__ = ("ring", "a", "b", "charts")
 
@@ -136,10 +142,24 @@ class BundlePair:
             f, q = q, f
         P, f, q = (_entry_chart(ring.field, name, e, d) for name, e, d in (
             ("P", P, l), ("f", f, l - a + b), ("q", q, l + a - b)))
+        self._set(ring, a, b, (neg_c(P, ring.field.characteristic) if swap else P, f, q))
+
+    @classmethod
+    def _from_charts(cls, ring, a, b, charts):
+        pair = cls.__new__(cls)
+        pair._set(ring, a, b, charts)
+        return pair
+
+    def _set(self, ring, a, b, charts):
+        """The checks of every pair, on its charts (P, f, q); then q is made
+        monic."""
+        l = ring.l
+        for name, chart, d in zip("Pfq", charts, (l, l - a + b, l + a - b)):
+            _check_degree(name, chart, d)
         self.ring = ring
         self.a = a
         self.b = b
-        self.charts = (neg_c(P, ring.field.characteristic) if swap else P, f, q)
+        self.charts = charts
         self.validate()
         self._normalize()
 
@@ -178,10 +198,11 @@ class BundlePair:
         """Check the determinant constraint P^2 + q f = F, which says
         N^2 = F * Id, on the charts (every degree is fixed at 2l, so they
         decide it); raises ValueError.  It refuses q = 0, as P^2 = F
-        contradicts a squarefree F of positive degree."""
+        contradicts a squarefree F of positive degree.  P^2 + q f is summed
+        unreduced and reduced once."""
         p = self.ring.field.characteristic
         P, f, q = self.charts
-        if add_c(mul_c(P, P, p), mul_c(q, f, p), p) != self.ring.chart:
+        if reduce_c(addmul_c(addmul_c([], P, P), q, f), p) != self.ring.chart:
             raise ValueError("determinant constraint P^2 + q*f = F violated")
         return True
 
@@ -263,13 +284,19 @@ def _entry_chart(field, name, val, deg):
     if isinstance(val, HForm):
         chart, fits = val._chart(), val.deg == deg
     elif isinstance(val, list):
-        chart = reduce_c(val, field.characteristic)
-        fits = len(chart) <= deg + 1
+        chart, fits = reduce_c(val, field.characteristic), True
     elif isinstance(val, int) and (deg <= 0 or not val):
         chart, fits = trim_c([field.unbox(val)]), deg == 0
     else:
         raise ValueError("expected a binary form of degree %d" % deg)
-    if chart and not fits:
+    return _check_degree(name, chart, deg, fits)
+
+
+def _check_degree(name, chart, deg, fits=True):
+    """The chart, refused unless it is zero or its form has the forced
+    degree deg: it must fit (a form's own degree is deg, for a form) and
+    be at most deg + 1 long, which only the zero chart is for deg < 0."""
+    if chart and (not fits or len(chart) > deg + 1):
         if deg < 0:
             raise ValueError("entry of negative forced degree must vanish")
         raise ValueError("%s must have degree %d" % (name, deg))
@@ -311,7 +338,8 @@ def tensor(p1, p2):
 def inverse(pair):
     """The inverse module: same splitting with P negated."""
     P, f, q = pair.charts
-    return BundlePair(pair.ring, pair.a, pair.b, neg_c(P, pair.ring.field.characteristic), f, q)
+    return BundlePair._from_charts(pair.ring, pair.a, pair.b,
+                                   (neg_c(P, pair.ring.field.characteristic), f, q))
 
 
 def is_isomorphic(p1, p2):

@@ -13,8 +13,11 @@ happens: classes are reduced Mumford pairs (u, v) and
 the group law is composition and reduction (Cantor, Math. Comp. 48,
 1987), run on ``poly``'s coefficient lists: one extended gcd of the u's
 picks the route, coprime u's compose by the Chinese remainder theorem
-with its cofactor, other pairs go on to Cantor's second extended gcd,
-and only the reduced result is boxed as ``Poly``s.
+with its cofactor, other pairs go on to Cantor's second extended gcd.
+A class holds its pair as lists, and nothing is boxed: ``u`` and ``v``
+build ``Poly``s only when read.  Each chain of sums of products is
+summed unreduced and reduced once (``poly``'s rule), and every class
+built, the group law's own results included, passes the same checks.
 
 The dictionary between pairs and line bundles: a pair (a, b) is the
 bundle c + e * inf on the odd model of its ring, c a reduced class and
@@ -39,8 +42,9 @@ straight from the three charts and never builds it as lists.
 
 import itertools
 
-from .poly import (Poly, plain_poly, base_field_roots, inv_c, reduce_c, add_c, neg_c, sub_c,
-                   scale_c, mul_c, divmod_c, monic_c, xgcd_c, cofactor_c, exact_div_c, eval_c)
+from .poly import (Poly, plain_poly, base_field_roots, inv_c, reduce_c, trim_c, add_c, neg_c,
+                   scale_c, addmul_c, mul_c, divmod_c, monic_c, xgcd_c, cofactor_c, exact_div_c,
+                   eval_c)
 from .homog import HForm
 from .double_cover import DoubleCoverRing, BundlePair
 from . import linalg, parsing
@@ -96,7 +100,7 @@ class OddModel:
         return reduce_c(c, self.field.characteristic)
 
     def zero_class(self):
-        return MumfordClass(self, Poly.one(self.field), Poly.zero(self.field))
+        return MumfordClass(self, [1], [])
 
     def point_class(self, x0, y0):
         """The class of (x0, y0) minus infinity."""
@@ -105,26 +109,31 @@ class OddModel:
         x, y = field.unbox(x0), field.unbox(y0)
         if eval_c(self.fodd.c, x, p) != field.unbox(y * y):
             raise ValueError("point is not on the curve")
-        return MumfordClass(self, plain_poly(field, reduce_c([-x, 1], p)),
-                            plain_poly(field, reduce_c([y], p)))
+        return MumfordClass(self, reduce_c([-x, 1], p), reduce_c([y], p))
 
     def semireduced(self, u, v):
-        """A (possibly unreduced) Mumford pair, validated then reduced.
-        u | v^2 - f is checked here only before a reduction step; a pair
-        with deg u <= g goes straight to ``MumfordClass``, which checks it."""
+        """A (possibly unreduced) Mumford pair, validated then reduced: u a
+        coefficient list of plain values with a nonzero leading one, and v
+        one that need not be reduced (a Poly is read through its list).
+        u | v^2 - f is checked here only before a reduction step; the
+        reduced class passes ``MumfordClass``'s checks, which check it
+        again."""
+        if isinstance(u, Poly):
+            u, v = u.c, v.c
         p = self.field.characteristic
-        if not u.c:
+        if not u:
             raise ZeroDivisionError("polynomial division by zero")
-        u = monic_c(u.c, p)
-        v = divmod_c(v.c, u, p)[1]
+        u = monic_c(u, p)
+        v = divmod_c(v, u, p)[1]
         if len(u) > self.g + 1:
             _check_divides(u, v, self.fodd.c, p)
         return _reduce(self, u, v)
 
 
 def _check_divides(u, v, f, p):
-    """Refuse the list pair (u, v) unless u divides v^2 - f."""
-    if divmod_c(sub_c(mul_c(v, v, p), f, p), u, p)[1]:
+    """Refuse the list pair (u, v) unless u divides v^2 - f: v^2 - f is
+    summed unreduced, and the remainder's reduction is the only one."""
+    if divmod_c(addmul_c([-x for x in f], v, v), u, p)[1]:
         raise ValueError("pair is not semireduced: u does not divide v^2 - f")
 
 
@@ -146,37 +155,53 @@ def _taylor_shift(c, r):
 
 
 class MumfordClass:
-    """A reduced divisor class (u, v) on an odd model."""
+    """A reduced divisor class on an odd model, held as the coefficient
+    lists ``uc`` and ``vc`` of its Mumford pair (u, v), reduced and
+    trimmed.  ``u`` and ``v`` are read-only ``Poly`` views, built on each
+    read, for JSON, ``repr``, ``rr_space`` and the tests.
 
-    __slots__ = ("model", "u", "v")
+    ``MumfordClass(model, u, v)`` takes the pair as such lists, as the
+    package computes them, or as ``Poly``s, read through their lists.
+    Every class built passes its checks, the group law's own results
+    included: u monic of degree at most g, v = 0 when u is constant,
+    deg v < deg u, and u | v^2 - f; ValueError otherwise."""
+
+    __slots__ = ("model", "uc", "vc")
 
     def __init__(self, model, u, v):
-        uc, vc, p = u.c, v.c, model.field.characteristic
-        if not uc or uc[-1] != 1:
+        if isinstance(u, Poly):
+            u, v = u.c, v.c
+        if not u or u[-1] != 1:
             raise ValueError("u must be monic")
-        if len(uc) > model.g + 1:
+        if len(u) > model.g + 1:
             raise ValueError("not reduced: deg u > g")
-        if len(uc) == 1:
-            if vc:
+        if len(u) == 1:
+            if v:
                 raise ValueError("v must vanish when u is constant")
-        elif len(vc) >= len(uc):
+        elif len(v) >= len(u):
             raise ValueError("v must be reduced mod u")
         else:
-            _check_divides(uc, vc, model.fodd.c, p)
+            _check_divides(u, v, model.fodd.c, model.field.characteristic)
         self.model = model
-        self.u = u
-        self.v = v
+        self.uc = u
+        self.vc = v
+
+    @property
+    def u(self):
+        return plain_poly(self.model.field, list(self.uc))
+
+    @property
+    def v(self):
+        return plain_poly(self.model.field, list(self.vc))
 
     def is_zero(self):
-        return self.u.degree == 0
+        return len(self.uc) == 1
 
     def __add__(self, other):
         return cantor_add(self, other)
 
     def __neg__(self):
-        field = self.model.field
-        return MumfordClass(self.model, self.u,
-                            plain_poly(field, neg_c(self.v.c, field.characteristic)))
+        return MumfordClass(self.model, self.uc, neg_c(self.vc, self.model.field.characteristic))
 
     def __sub__(self, other):
         return self + (-other)
@@ -200,10 +225,10 @@ class MumfordClass:
         if not isinstance(other, MumfordClass):
             return NotImplemented
         return (self.model.fodd == other.model.fodd
-                and self.u == other.u and self.v == other.v)
+                and self.uc == other.uc and self.vc == other.vc)
 
     def __hash__(self):
-        return hash((tuple(self.u.c), tuple(self.v.c)))
+        return hash((tuple(self.uc), tuple(self.vc)))
 
     def __repr__(self):
         return "MumfordClass(u=%s, v=%s)" % (self.u, self.v)
@@ -221,17 +246,18 @@ def cantor_add(c1, c2):
     (Cohen & Frey, eds., Handbook of Elliptic and Hyperelliptic Curve
     Cryptography, 2006, 14.3); other pairs take Cantor's composition,
     ``_compose``, which goes on from (d0, e).  Either route gives the one
-    semireduced pair of the composed divisor, so the result is the same."""
+    semireduced pair of the composed divisor, so the result is the same.
+    Each chain of products is summed unreduced and reduced once."""
     if c1.model is not c2.model and c1.model.fodd != c2.model.fodd:
         raise ValueError("classes live on different curves")
     model = c1.model
     p = model.field.characteristic
-    u1, v1, u2, v2 = c1.u.c, c1.v.c, c2.u.c, c2.v.c
+    u1, v1, u2, v2 = c1.uc, c1.vc, c2.uc, c2.vc
     d0, e = xgcd_c(u1, u2, p)
     if len(d0) == 1:
         u = mul_c(u1, u2, p)
-        w = divmod_c(mul_c(sub_c(v2, v1, p), e, p), u2, p)[1]
-        v = add_c(v1, mul_c(u1, w, p), p)
+        w = divmod_c(addmul_c(addmul_c([], v2, e), [-x for x in v1], e), u2, p)[1]
+        v = reduce_c(addmul_c(list(v1), u1, w), p)
     else:
         u, v = _compose(u1, v1, u2, v2, d0, e, model.fodd.c, p)
     return _reduce(model, u, v)
@@ -242,25 +268,31 @@ def _compose(u1, v1, u2, v2, d0, e1, f, p):
     (u1 = u2 included), from d0 = gcd(u1, u2) = e1 u1 + e2 u2 and e1:
     d = gcd(d0, v1 + v2) = s1 u1 + s2 u2 + s3 (v1 + v2) by one more
     extended gcd, u = u1 u2 / d^2 and
-    v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u.  The cofactors
-    of u2 and of v1 + v2 are ``cofactor_c``'s exact divisions."""
+    v = (s1 u1 v2 + s2 u2 v1 + s3 (v1 v2 + f)) / d mod u, with s1 = c e1
+    and s2 = c e2 for d's cofactor c of d0.  The cofactors e2 of u2 and
+    s3 of v1 + v2 are ``cofactor_c``'s exact divisions.  u1 u2 is monic,
+    so it is divided unreduced; the numerator's top coefficient can
+    cancel mod p, so it is reduced once before its division by d."""
     w = add_c(v1, v2, p)
-    d, c1 = xgcd_c(d0, w, p)
-    s1, s2 = mul_c(c1, e1, p), mul_c(c1, cofactor_c(u1, u2, d0, e1, p), p)
-    s3 = cofactor_c(d0, w, d, c1, p)
-    u = exact_div_c(mul_c(u1, u2, p), mul_c(d, d, p), p)
-    num = add_c(add_c(mul_c(s1, mul_c(u1, v2, p), p), mul_c(s2, mul_c(u2, v1, p), p), p),
-                mul_c(s3, add_c(mul_c(v1, v2, p), f, p), p), p)
-    return u, divmod_c(exact_div_c(num, d, p), u, p)[1]
+    d, c = xgcd_c(d0, w, p)
+    e2 = cofactor_c(u1, u2, d0, e1, p)
+    s3 = cofactor_c(d0, w, d, c, p)
+    u = exact_div_c(addmul_c([], u1, u2), mul_c(d, d, p), p)
+    num = addmul_c(addmul_c([], addmul_c([], e1, u1), v2), addmul_c([], e2, u2), v1)
+    num = addmul_c(addmul_c([], c, num), s3, addmul_c(list(f), v1, v2))
+    return u, divmod_c(exact_div_c(reduce_c(num, p), d, p), u, p)[1]
 
 
 def _reduce(model, u, v):
-    """The class of the semireduced list pair (u, v), u monic, reduced."""
+    """The reduced class of the semireduced pair of reduced lists (u, v),
+    u monic.  f - v^2 takes its top coefficient from f or from -v^2 (deg f
+    is odd), which no reduction mod p cancels, so it is divided
+    unreduced."""
     f, p = model.fodd.c, model.field.characteristic
     while len(u) > model.g + 1:
-        u = monic_c(exact_div_c(sub_c(f, mul_c(v, v, p), p), u, p), p)
-        v = divmod_c(neg_c(v, p), u, p)[1]
-    return MumfordClass(model, plain_poly(model.field, u), plain_poly(model.field, v))
+        u = monic_c(exact_div_c(addmul_c(list(f), [-x for x in v], v), u, p), p)
+        v = divmod_c([-x for x in v], u, p)[1]
+    return MumfordClass(model, u, v)
 
 
 def class_order(c, bound=512):
@@ -347,10 +379,9 @@ def bundle_from_matrix(pair):
     bundle is (u, v) - deg u * inf + e * inf.  P^2 + q f = F makes u
     divide v^2 - fodd, which ``semireduced`` checks before reducing."""
     model, l, (P, _, q) = pair.ring.odd_model(), pair.ring.l, pair.charts
-    field = model.field
     u = model.to_odd(q, l + pair.a - pair.b)
-    v = neg_c(model.to_odd(P, l), field.characteristic)
-    return model.semireduced(plain_poly(field, u), plain_poly(field, v)), l - pair.a - pair.b
+    v = [-x for x in model.to_odd(P, l)]
+    return model.semireduced(u, v), l - pair.a - pair.b
 
 
 def class_from_matrix(pair):
@@ -385,16 +416,19 @@ def matrix_from_bundle(ring, c, e):
     on ring's odd model: Mumford's matrix [[-v, (fodd - v^2)/u], [u, v]],
     which squares to fodd (Mumford, Tata Lectures on Theta II, ch. IIIa),
     with q = u at the degree h in {deg u, deg u + 1} of the parity of e
-    (x1 | q adds inf), a = (h - e) / 2 and b = l - e - a."""
+    (x1 | q adds inf), a = (h - e) / 2 and b = l - e - a, so a <= b.
+    fodd - v^2 has fodd's top coefficient (deg v^2 < 2g), so it is
+    divided unreduced, and ``from_odd`` reduces each chart once."""
     model = ring.odd_model()
     l, p = ring.l, ring.field.characteristic
-    u, v = c.u.c, c.v.c
+    u, v = c.uc, c.vc
     h = len(u) - 1 + (len(u) - 1 - e) % 2
     a = (h - e) // 2
-    f = exact_div_c(sub_c(model.fodd.c, mul_c(v, v, p), p), u, p)
+    f = exact_div_c(addmul_c(list(model.fodd.c), [-x for x in v], v), u, p)
     # the charts of P, f and q at their degrees, moved back to the ring's coordinates
-    entries = ((neg_c(v, p), l), (f, 2 * l - h), (u, h))
-    return BundlePair(ring, a, l - e - a, *(model.from_odd(x, d) for x, d in entries))
+    entries = (([-x for x in v], l), (f, 2 * l - h), (u, h))
+    return BundlePair._from_charts(ring, a, l - e - a,
+                                   tuple(model.from_odd(x, d) for x, d in entries))
 
 
 def matrix_from_class(curve, c):
@@ -522,14 +556,13 @@ def enumerate_jacobian(model, limit=20000):
     out = [model.zero_class()]
     for d in range(1, g + 1):
         for uc in itertools.product(range(p), repeat=d):
-            u = Poly(field, uc + (1,))
+            u = list(uc) + [1]
             for vc in itertools.product(range(p), repeat=d):
-                v = Poly(field, vc)
-                if ((v * v - model.fodd) % u).is_zero():
-                    try:
-                        out.append(MumfordClass(model, u, v))
-                    except ValueError:
-                        pass
+                # u is monic of degree d <= g and deg v < d: only u | v^2 - f can fail
+                try:
+                    out.append(MumfordClass(model, u, trim_c(list(vc))))
+                except ValueError:
+                    pass
     return out
 
 

@@ -19,12 +19,18 @@ they are ints and Fractions, sums and products of ints stay ints, and
 the one inverse, ``inv_c``, is a Fraction, so that no division is a
 float division; ``reduce_c`` and the quotient of ``divmod_c`` turn an
 integral Fraction back into an int.
-The product, the division with remainder and the extended gcd's
-cofactor update are index loops that update one list in place
-(``out[j] += x * y``, ``r[i + j] -= t * b[j]``), over GF(p) on
-unreduced ints, and call ``reduce_c`` once at the end, which reduces
-and trims; CHANGES.md's entry on the in-place kernels gives their
-timings against the slice comprehensions they replaced.
+The product and the division with remainder are index loops that
+update one list in place (``out[j] += x * y``, ``r[i + j] -= t * b[j]``),
+over GF(p) on unreduced ints.  ``addmul_c`` is the one product loop and
+leaves its sum unreduced; ``mul_c`` is it followed by ``reduce_c``,
+which reduces and trims.  A chain of sums and products (the extended
+gcd's cofactor s0 - q s1, P^2 + q f, the numerator of a Cantor
+composition) is reduced once: its products are added unreduced by
+``addmul_c``, and the sum is reduced before the division or comparison
+that reads it.  ``divmod_c`` takes an unreduced dividend.  A divisor is
+always reduced and trimmed, and a dividend whose top coefficient can
+cancel mod p is reduced before an exact division, so that the quotient
+comes out trimmed.
 Every resultant, and the gcd over Q, is read off one remainder
 sequence, ``resultant_lanes_c``, which runs many pairs (lanes) at once;
 a single pair is one lane.  The extended gcd is one Euclid that tracks
@@ -112,19 +118,28 @@ def scale_c(a, s, p):
     return reduce_c([x * s for x in a], p)
 
 
+def addmul_c(out, a, b):
+    """out + a b, unreduced and untrimmed: the schoolbook product, each
+    x y added in place to its slot of out, which is first padded with
+    zeros to the product's length.  Returns out.  The one product loop:
+    a chain of sums of products runs it on unreduced values and reduces
+    once, before its division or comparison."""
+    if a and b:
+        if len(a) > len(b):
+            a, b = b, a
+        n = len(a) + len(b) - 1
+        if len(out) < n:
+            out += [0] * (n - len(out))
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    return out
+
+
 def mul_c(a, b, p):
-    """The schoolbook product: each x y added in place to its slot of one
-    list, which is reduced once at the end."""
-    if not a or not b:
-        return []
-    if len(a) > len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return reduce_c(out, p)
+    """The product, reduced once."""
+    return reduce_c(addmul_c([], a, b), p)
 
 
 def divmod_c(a, b, p):
@@ -183,19 +198,14 @@ def gcd_c(a, b, p):
 def xgcd_c(a, b, p):
     """(g, s) with g = gcd(a, b) monic and s a = g mod b, by Euclid
     tracking a's cofactor only (g empty and s = [1] when a = b = 0);
-    ``cofactor_c`` gives b's.  Each new cofactor s0 - q s1 is one loop
-    that subtracts the products in place from a copy of s0, padded to
-    the length of q s1, and one reduction."""
+    ``cofactor_c`` gives b's.  Each new cofactor s0 - q s1 is the
+    product loop run on a copy of s0, and one reduction."""
     r0, r1 = a, b
     s0, s1 = [1], []
     while r1:
         q, r = divmod_c(r0, r1, p)
         r0, r1 = r1, r
-        s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
-        for i, x in enumerate(q):
-            for j, y in enumerate(s1, i):
-                s[j] -= x * y
-        s0, s1 = s1, reduce_c(s, p)
+        s0, s1 = s1, reduce_c(addmul_c(list(s0), [-x for x in q], s1), p)
     if not r0:
         return r0, s0
     inv = inv_c(r0[-1], p)
@@ -204,8 +214,8 @@ def xgcd_c(a, b, p):
 
 def cofactor_c(a, b, g, s, p):
     """t = (g - s a) / b, so that s a + t b = g for (g, s) = xgcd_c(a, b, p);
-    empty when b = 0."""
-    return exact_div_c(sub_c(g, mul_c(s, a, p), p), b, p) if b else []
+    empty when b = 0.  g - s a is reduced once, before the division."""
+    return exact_div_c(reduce_c(addmul_c(list(g), [-x for x in s], a), p), b, p) if b else []
 
 
 def resultant_lanes_c(a, b, p):

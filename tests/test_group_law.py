@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from dihedralcovers import hyperelliptic
+from dihedralcovers import cli, hyperelliptic
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.poly import Poly, poly_gcd, poly_xgcd
 from dihedralcovers.hyperelliptic import (HECurve, OddModel, MumfordClass, cantor_add,
@@ -244,3 +244,40 @@ def test_tensor_is_the_group_law():
         assert is_isomorphic(t, _kernel_route(pa, pb)[0])
 
     run()
+
+
+@pytest.mark.parametrize("p, g", [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_group_law_stays_in_the_enumerated_group(p, g):
+    """On seeded curves over GF(5) and GF(7), g = 1 and 2, every class c
+    of ``enumerate_jacobian`` has -c, 2c and 3c in the list, and c - c is
+    zero; so is c + d for a seeded sample of d.  Every result, rebuilt by
+    the public constructor from its ``u`` and ``v``, is the same class."""
+    model, _ = _model(GF(p), g, random.Random(100 * p + g))
+    classes = enumerate_jacobian(model)
+    group = set(classes)
+    assert len(group) == len(classes) > 1
+    rng = random.Random(10 * p + g)
+    for c in classes:
+        assert (c - c).is_zero()
+        for r in [-c, 2 * c, 3 * c] + [c + rng.choice(classes) for _ in range(3)]:
+            assert r in group, (c, r)
+            assert MumfordClass(model, r.u, r.v) == r
+
+
+def test_a_quintic_with_one_affine_point():
+    """y^2 = x^5 + 4x^4 + x^3 + 2x^2 + 3x + 2 over GF(5), the quintic that
+    ``bench/workloads.py`` draws for grouplaw seed 412: its only affine
+    point is the Weierstrass point (2, 0), of order 2, so every sum of
+    affine points is 0 or (2, 0) - inf; yet its Jacobian has 12 classes,
+    and ``jacobian --orders`` gives their orders."""
+    K = GF(5)
+    model = HECurve.from_odd_poly(K, 2, Poly(K, [2, 3, 2, 1, 4, 1])).odd_model()
+    assert [x for x in range(5) if K.sqrt(model.fodd(K.of(x))) is not None] == [2]
+    P = model.point_class(K.of(2), K.zero)
+    assert not P.is_zero() and (P + P).is_zero()
+    doc, code = cli.run_job({"command": "jacobian", "field": "Fp:5", "orders": True,
+                             "curve": {"g": 2, "F": "x0^5*x1 + 4*x0^4*x1^2 + x0^3*x1^3"
+                                       " + 2*x0^2*x1^4 + 3*x0*x1^5 + 2*x1^6"}})
+    assert code == 0
+    assert doc["count"] == 12
+    assert doc["orderHistogram"] == {"1": 1, "2": 3, "3": 2, "6": 6}

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dihedralcovers.fields import GF, QQ, field_from_name
+from dihedralcovers.fields import GF, QQ, FpElem, field_from_name
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly
 from dihedralcovers.parsing import parse_form, format_form
@@ -459,47 +459,58 @@ def test_class_from_matrix_matches_section_route():
     assert 0 < sum(map(_q_vanishes_at_infinity, pairs)) < len(pairs)
 
 
+def _watch_boxes(monkeypatch):
+    """Refuse every Poly, HForm and FpElem built by its constructor, and
+    record every Poly and HForm built on plain values (``plain_poly`` and
+    ``plain_form``, wherever the package imported them).  Returns the
+    record."""
+    def refuse(self, *args):
+        raise AssertionError("a %s was built" % type(self).__name__)
+
+    for cls in (Poly, HForm, FpElem):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    return watch_plain_values(monkeypatch, lambda v: True)
+
+
 def test_gf_p_values_stay_reduced_ints(rng, monkeypatch):
-    """Every Poly built on plain values during a GF(p) group-law round,
-    and every chart of the pairs it returns, holds ints in range(p):
-    never a float (an int / int would give one), never an FpElem, never an
-    unreduced int; and the charts are trimmed."""
+    """A GF(p) group-law round runs on plain values alone: it builds no
+    Poly, no HForm and no FpElem, and the lists ``uc`` and ``vc`` of every
+    class it returns or reads off a pair, and every chart of the pairs it
+    returns, hold ints in range(p) (never a float, as an int / int would
+    give, never an FpElem, never an unreduced int), trimmed."""
     p = 1009
-    built = watch_plain_values(monkeypatch, lambda v: type(v) is int and 0 <= v < p)
     curve = split_curve(p, 2)
     model = curve.odd_model()
     a, b = random_class(model, 2, rng), random_class(model, 2, rng)
+    built = _watch_boxes(monkeypatch)
     pairs, classes = _group_law_round(curve, a, b)
-    # the patch intercepted: the class polynomials came out of plain_poly
-    assert any(isinstance(obj, Poly) for obj in built)
-    made = set(map(id, built))     # ``built`` keeps its objects alive
-    for pair in pairs:
-        for chart in pair.charts:
-            assert all(type(v) is int and 0 <= v < p for v in chart)
-            assert not chart or chart[-1]
-    for c in classes:
-        assert id(c.u) in made and id(c.v) in made
-        assert all(type(v) is int and 0 <= v < p for v in c.u.c + c.v.c)
+    classes += [class_from_matrix(pair) for pair in pairs] + [-a, a - b]
+    assert not built
+    lists = [chart for pair in pairs for chart in pair.charts]
+    lists += [c for cls in classes for c in (cls.uc, cls.vc)]
+    for c in lists:
+        assert all(type(v) is int and 0 <= v < p for v in c), c
+        assert not c or c[-1]
+    assert all(len(cls.uc) > len(cls.vc) and cls.uc[-1] == 1 for cls in classes)
 
 
 def test_group_law_round_builds_no_form(rng, monkeypatch):
-    """A pair holds no HForm: tensor, class_from_matrix, matrix_from_class,
-    inverse and is_isomorphic on GF(1009) genus-2 classes build none,
-    through ``plain_form`` (wherever the package imported it) or the
-    HForm constructor."""
+    """tensor, class_from_matrix, matrix_from_class, inverse,
+    is_isomorphic and the Cantor sums on GF(1009) genus-2 classes build
+    no Poly, no HForm and no FpElem, by a constructor or on plain values.
+    A class builds a Poly only when its ``u`` or ``v`` is read, on a copy
+    of its list."""
     curve = split_curve(1009, 2)
     model = curve.odd_model()
     classes = [random_class(model, 2, rng) for _ in range(4)]
-    built = watch_plain_values(monkeypatch, lambda v: True)
-
-    def no_form(*args):
-        raise AssertionError("an HForm was built")
-
-    monkeypatch.setattr(HForm, "__init__", no_form)
+    built = _watch_boxes(monkeypatch)
     for a, b in zip(classes, classes[1:]):
         _group_law_round(curve, a, b)
-    assert not [obj for obj in built if isinstance(obj, HForm)]
-    assert any(isinstance(obj, Poly) for obj in built)
+    assert not built
+    c = classes[0]
+    u, v = c.u, c.v
+    assert len(built) == 2 and built[0] is u and built[1] is v
+    assert (u.c, v.c) == (c.uc, c.vc) and u.c is not c.uc and v.c is not c.vc
 
 
 def test_group_law_round_builds_the_odd_model_once(rng, monkeypatch):
