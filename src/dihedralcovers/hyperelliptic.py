@@ -278,6 +278,7 @@ def _compose(u1, v1, u2, v2, d0, e1, f, p):
     e2 = cofactor_c(u1, u2, d0, e1, p)
     s3 = cofactor_c(d0, w, d, c, p)
     u = exact_div_c(addmul_c([], u1, u2), mul_c(d, d, p), p)
+    # c (e1 u1 v2 + e2 u2 v1) + s3 (v1 v2 + f), unreduced
     num = addmul_c(addmul_c([], addmul_c([], e1, u1), v2), addmul_c([], e2, u2), v1)
     num = addmul_c(addmul_c([], c, num), s3, addmul_c(list(f), v1, v2))
     return u, divmod_c(exact_div_c(reduce_c(num, p), d, p), u, p)[1]
