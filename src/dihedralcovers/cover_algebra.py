@@ -43,6 +43,7 @@ from fractions import Fraction
 
 from .fields import QQ
 from .cyclotomic import CyclotomicField
+from .parsing import _join_terms
 
 
 def _afpoly(K, terms):
@@ -133,15 +134,9 @@ class AFPoly:
         return bool(self.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, reverse=True):
-            c = self.terms[(i, j)]
-            mono = "*".join(filter(None, ["a^%d" % i if i > 1 else "a" * min(i, 1),
-                                          "F^%d" % j if j > 1 else "F" * min(j, 1)]))
-            parts.append("%s%s" % (c, "*" + mono if mono else ""))
-        return " + ".join(parts)
+        return _join_terms((self.terms[e], "*".join("%s^%d" % (n, k) if k > 1 else n
+                                                    for n, k in zip("aF", e) if k))
+                           for e in sorted(self.terms, reverse=True))
 
 
 class SimpleCoverAlgebra:

@@ -35,16 +35,13 @@ Operations:
 * ``inverse`` flips the sign of P, which realizes the dual module up to
   the standard twist;
 * ``is_isomorphic`` compares the twists and the normal forms
-  (``BundlePair.normal_form``); where there is none (a = b, F(1, 0) not
-  a square) it solves the intertwining equation exactly, on its
-  column 0 alone (here q1 != 0), and evaluates the determinant
-  quadratic form on a basis of the solutions and on pairwise sums
-  (valid in characteristic != 2);
+  (``BundlePair.normal_form``), which for a = b with F(1, 0) not a
+  square in k are taken over k(sqrt(F(1, 0)));
 * ``divisor_of_section`` returns the vanishing divisor of a global
   section in (u, v) coordinates.
 
 ``inverse``, ``is_isomorphic`` and the checks of a pair work on the
-charts of N's entries (``_charts``) and build no form.
+charts of N's entries and build no form.
 """
 
 import math
@@ -207,8 +204,11 @@ class BundlePair:
         return True
 
     def normal_form(self):
-        """(a, b, P, q), P and q charts, of one fixed pair of the class,
-        or None when a = b and F(1, 0) is not a square.
+        """(a, b, P, q) of one fixed pair of the class: P and q are charts,
+        except for a = b with F(1, 0) not a square in k, where each is a
+        pair (x, y) of charts, the chart x + y s over k' = k(s), s^2 =
+        F(1, 0).  Two pairs with the same twists are isomorphic iff their
+        normal forms are equal.
 
         An isomorphism conjugates N by a graded automorphism U, which
         turns NJ = [[-f, P], [P, q]] (J = [[0, 1], [-1, 0]]), the form
@@ -217,7 +217,17 @@ class BundlePair:
         and P reduced from the top modulo x^j q, j = b - a .. 0, fix the
         pair.  For a = b, U is constant, and first its second row is put
         on the root of Q's x0^l coefficient (discriminant 4 F(1, 0)) that
-        makes the new P(1, 0) the field's square root of F(1, 0)."""
+        makes the new P(1, 0) the field's square root of F(1, 0).
+
+        Where F(1, 0) is not a square the same steps run over k', with s
+        as the square root, and give the normal form of the class over
+        k'; d = P_l + s is never 0 (P_l is in k, s is not), so gamma =
+        -q_l / d always.  Isomorphism over k' is isomorphism over k: the
+        intertwining equation Psi N1 = N2 Psi(-l) is linear over k, so its
+        solutions over k' are V (x) k' for its solutions V over k; det Psi
+        is a quadratic form on V, and in characteristic != 2 a quadratic
+        form that vanishes on V vanishes on V (x) k' (its polar form
+        does, as 2 is invertible)."""
         ring = self.ring
         p, l = ring.field.characteristic, ring.l
         P, f, q = self.charts
@@ -225,7 +235,34 @@ class BundlePair:
             F = ring.chart
             s = _square_root(ring.field, F[2 * l] if len(F) > 2 * l else 0)
             if s is None:
-                return None
+                # over k' = k(s), s^2 = r = F(1, 0), x + y s is (x, y) and a
+                # k'-chart two k-charts: (x1 + y1 s)(x2 + y2 s) = (x1 x2 +
+                # r y1 y2) + (x1 y2 + x2 y1) s, and 1/(x + y s) = (x - y s) /
+                # (x^2 - r y^2), a norm that is never 0, as r is not a square
+                r = F[2 * l]
+                Pl, ql = (c[l] if len(c) > l else 0 for c in (P, q))
+                # d = P_l + s is never 0, so U = [[1, 0], [gamma, 1]] with
+                # gamma = -q_l / d = x + y s, and P_l - gamma f_l = s
+                y = ql * inv_c(Pl * Pl - r, p)
+                x = -Pl * y
+                # P - gamma f = Pn - y f s, and q + gamma (2 P - gamma f) =
+                # q + 2 x P - (x^2 + r y^2) f + 2 y Pn s
+                Pn = sub_c(P, scale_c(f, x, p), p)
+                q = (sub_c(add_c(q, scale_c(P, 2 * x, p), p), scale_c(f, x * x + r * y * y, p), p),
+                     scale_c(Pn, 2 * y, p))
+                P = (Pn, scale_c(f, -y, p))
+                # q times 1/lead(q)
+                dq = max(map(len, q)) - 1
+                x, y = (c[dq] if len(c) > dq else 0 for c in q)
+                n = inv_c(x * x - r * y * y, p)
+                x, y = x * n, -y * n
+                q = (add_c(scale_c(q[0], x, p), scale_c(q[1], r * y, p), p),
+                     add_c(scale_c(q[1], x, p), scale_c(q[0], y, p), p))
+                # deg q < l: P reduced at degree deg q alone is P - P_dq q
+                x, y = (c[dq] if len(c) > dq else 0 for c in P)
+                P = (sub_c(P[0], add_c(scale_c(q[0], x, p), scale_c(q[1], r * y, p), p), p),
+                     sub_c(P[1], add_c(scale_c(q[1], x, p), scale_c(q[0], y, p), p), p))
+                return self.a, self.b, tuple(map(tuple, P)), tuple(map(tuple, q))
             Pl, fl, ql = (c[l] if len(c) > l else 0 for c in (P, f, q))
             d = (Pl + s) % p if p else Pl + s
             if d or fl:
@@ -315,12 +352,6 @@ def _square_root(field, v):
     return Fraction(n, d) if n * n == v.numerator and d * d == v.denominator else None
 
 
-def _charts(pair):
-    """N = [[P, f], [q, -P]] as the charts F(x, 1) of its entries."""
-    P, f, q = pair.charts
-    return [[P, f], [q, neg_c(P, pair.ring.field.characteristic)]]
-
-
 def tensor(p1, p2):
     """The product module of two pairs over the same ring: each pair is
     the line bundle c + e * inf on the ring's odd model
@@ -343,60 +374,12 @@ def inverse(pair):
 
 
 def is_isomorphic(p1, p2):
-    """Exact isomorphism test for two pairs over the same ring.
-
-    Two pairs with the same twists are isomorphic iff their normal forms
-    are equal.  Where there is none (a = b, F(1, 0) not a square), it
-    solves the intertwining equation Psi N1 = N2 Psi(-L) for graded Psi
-    and decides invertibility on the solution space.  det Psi is
-    homogeneous of degree zero, hence a quadratic form Q in the solution
-    coordinates; Q is nonzero on the space iff it is nonzero at a basis
-    vector or a sum of two (characteristic != 2).
-    """
+    """Exact isomorphism test for two pairs over the same ring: equal
+    twists and equal normal forms (``BundlePair.normal_form``, which
+    says why that decides it)."""
     if p1.ring != p2.ring:
         raise ValueError("pairs live over different rings")
-    if (p1.a, p1.b) != (p2.a, p2.b):
-        return False
-    form = p1.normal_form()
-    if form is not None:
-        return form == p2.normal_form()
-    field = p1.ring.field
-    l = p1.ring.l
-    src = [p1.a, p1.b]
-    tgt = [p2.a, p2.b]
-    # unknowns Psi[a][b] (index 2a + b) of degree src[b] - tgt[a], negative
-    # -> zero; equation entry (i, j) (index 2i + j) is the form
-    # sum_k Psi[i][k] n1[k][j] - n2[i][k] Psi[k][j] of degree
-    # src[j] + l - tgt[i], so unknown (a, b) enters it with the polynomial
-    # [a == i] n1[b][j] - [b == j] n2[i][a]
-    degs = [src[b] - tgt[a] for a in range(2) for b in range(2)]
-    n1, n2 = _charts(p1), _charts(p2)
-    p = field.characteristic
-    # only the column-0 equations (i, 0): q1 Psi e1 = (N2 - P1) Psi e0, and
-    # times q1 the column-1 equations (N2 + P1) Psi e1 = f1 Psi e0 become
-    # (F - P1^2) Psi e0 = q1 f1 Psi e0; q1 != 0, as F is not a square
-    coeffs = [[sub_c(n1[b][0] if a == i else [], n2[i][a] if b == 0 else [], p)
-               for a in range(2) for b in range(2)]
-              for i in range(2)]
-    # the diagonal equation (0, 0) has degree l >= 0, so there is always a row
-    rows_eq = linalg.convolution_matrix(field, coeffs, degs,
-                                        [src[0] + l - tgt[i] for i in range(2)])
-    basis = linalg.nullspace(rows_eq, field)
-    if not basis:
-        return False
-
-    def det_of(vec):
-        # det Psi is a form of degree 0: its chart is empty or one constant
-        a_, b_, c_, d_ = linalg.split_blocks(vec, degs)
-        return sub_c(mul_c(a_, d_, p), mul_c(b_, c_, p), p)
-
-    for i, v in enumerate(basis):
-        if det_of(v):
-            return True
-        for w in basis[i + 1:]:
-            if det_of([x + y for x, y in zip(v, w)]):
-                return True
-    return False
+    return (p1.a, p1.b) == (p2.a, p2.b) and p1.normal_form() == p2.normal_form()
 
 
 def divisor_of_section(pair, m, alpha, beta):

@@ -33,10 +33,9 @@ Two tiers:
   determinant, so there is none here.
 
 ``convolution_matrix`` builds the field matrix of "known polynomials
-times unknown coefficients", the linear map behind the graded kernels,
-the intertwining equations and the torsion band matrices, and
-``convolution_rank`` takes its rank; ``split_blocks`` cuts a solution
-vector back into its polynomials.
+times unknown coefficients", the linear map behind the graded kernels
+and the torsion band matrices, and ``convolution_rank`` takes its rank;
+``split_blocks`` cuts a solution vector back into its polynomials.
 
 Matrices are plain nested lists; nothing here mutates its input.
 """

@@ -150,7 +150,8 @@ def divmod_c(a, b, p):
     if len(a) <= db:
         return [], reduce_c(a, p)
     r = list(a)
-    binv = inv_c(b[-1], p)
+    # a monic divisor, u in the group law, takes no inverse
+    binv = 1 if b[-1] == 1 else inv_c(b[-1], p)
     q = [0] * (len(a) - db)
     for i in range(len(a) - 1 - db, -1, -1):
         t = r[i + db] * binv

@@ -8,7 +8,7 @@ import pytest
 from dihedralcovers.fields import GF, QQ
 from dihedralcovers.cover_algebra import AFPoly, SimpleCoverAlgebra
 from dihedralcovers.homog import HForm
-from dihedralcovers.poly import Poly
+from dihedralcovers.poly import Poly, neg_c
 from dihedralcovers.hyperelliptic import HECurve
 from dihedralcovers.parsing import _scan
 
@@ -29,6 +29,12 @@ def split_curve(p, g):
     for t in roots:
         f = f * (x - Poly.const(K, K.of(t)))
     return HECurve(K, g, HForm.from_univar(f, 2 * g + 2))
+
+
+def pair_charts(pair):
+    """N = [[P, f], [q, -P]] of a pair as the charts F(x, 1) of its entries."""
+    P, f, q = pair.charts
+    return [[P, f], [q, neg_c(P, pair.ring.field.characteristic)]]
 
 
 def random_point_class(model, rng):

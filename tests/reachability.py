@@ -64,8 +64,8 @@ ELEMENTS = ("GF(p) element arithmetic at the public edge (operators kept for "
 KERNEL = ("the kernel route of tensor, the oracle of tests/test_tensor_kernel.py: "
           "graded.py stays in src/ while bench/run.py's LAYERS imports it and "
           "bench/tracer.py binds kernel_basis, and moves to tests/ with ROADMAP item 1")
-FALLBACK = ("entered only by is_isomorphic's intertwining fallback for a = b with "
-            "F(1, 0) not a square (ROADMAP item 12) and by the bench-bound names")
+ELIMINATION = ("entered only by the bench-bound names: rref, nullspace and solve over "
+               "GF(p), and bareiss_rank; it leaves src/ with them (ROADMAP item 30)")
 TO_INTS = ("field protocol of SimpleCoverAlgebra.mul over GF(p), which "
            "tests/test_cover_algebra.py runs; every user path multiplies over "
            "QQ or Q(zeta_n)")
@@ -88,10 +88,11 @@ ALLOWED = {
     "graded._read_off": KERNEL,
     "graded._vector_charts": KERNEL,
     "graded.nonzero_minor": KERNEL,
-    "linalg._plain": FALLBACK,
-    "linalg._clone": FALLBACK,
-    "linalg.split_blocks": FALLBACK,
-    "double_cover._charts": FALLBACK,
+    "linalg._plain": ELIMINATION,
+    "linalg._clone": ELIMINATION,
+    "linalg.split_blocks":
+        ("entered only by graded._vector_charts, the kernel route of tensor; it "
+         "moves to tests/ with graded.py (ROADMAP item 1)"),
 
     "cover_geometry.normality_criterion":
         ("paper result (normality of a dihedral cover over a hyperelliptic "
@@ -143,10 +144,6 @@ ALLOWED = {
          "zero class's pair in closed form"),
     "double_cover.BundlePair.splitting":
         "the splitting type that tests/test_double_cover.py and test_hyperelliptic.py check",
-
-    "double_cover.is_isomorphic.<locals>.det_of":
-        ("oracle fallback: the intertwining nullspace for a = b with "
-         "F(1, 0) not a square (ROADMAP item 12)"),
 }
 
 
@@ -157,7 +154,7 @@ def functions(package=PACKAGE):
     function and method defined in the package, nested ones included.
 
     The qualified name is the module's short name followed by Python's
-    ``__qualname__`` (``double_cover.is_isomorphic.<locals>.det_of``).  The
+    ``__qualname__`` (``graded.kernel_basis.<locals>.check``).  The
     first line is that of the first decorator, as in ``co_firstlineno``.
     """
     out = {}

@@ -62,5 +62,6 @@ def test_hashes_arithmetic_and_reprs():
         assert repr(value).startswith(name + "("), repr(value)
     assert repr(cls) == "MumfordClass(u=1, v=0)"
     assert repr(spec.base) == "ProjectiveSpace(d=2, m=1)"
-    assert repr(AFPoly(QQ, {(1, 0): 2, (0, 1): 1})) == "2*a + 1*F"
+    assert repr(AFPoly(QQ, {(1, 0): 2, (0, 1): 1})) == "2*a + F"
+    assert repr(AFPoly(QQ, {(2, 0): 4, (0, 5): -4})) == "4*a^2 - 4*F^5"
     assert repr(AFPoly(QQ)) == "0"

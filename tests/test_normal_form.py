@@ -7,8 +7,10 @@ form.  Two pairs with the same twists must have equal normal forms
 exactly when the oracle finds them isomorphic.  The seeded pairs are
 tensor products, the pairs of their Cantor sums, and both conjugated by
 random graded automorphisms, on curves with F(1, 0) zero (x1 | F), a
-nonzero square and a non-square (no normal form for a = b: the oracle's
-route stays in ``is_isomorphic``).
+nonzero square and a non-square (for a = b the normal form is then taken
+over k' = k(sqrt(F(1, 0))), and the oracle stays over k).  Where
+F(1, 0) is not a square, the normal forms are also checked to tell apart
+every class of ``enumerate_jacobian`` on small genus-1 curves.
 """
 
 import itertools
@@ -22,28 +24,29 @@ from dihedralcovers import linalg
 from dihedralcovers.fields import GF, QQ, FpElem
 from dihedralcovers.homog import HForm
 from dihedralcovers.poly import Poly, sub_c
-from dihedralcovers.double_cover import BundlePair, tensor, inverse, is_isomorphic, _charts
-from dihedralcovers.hyperelliptic import HECurve, matrix_from_class, class_from_matrix
+from dihedralcovers.double_cover import BundlePair, tensor, inverse, is_isomorphic
+from dihedralcovers.hyperelliptic import (HECurve, matrix_from_class, class_from_matrix,
+                                          enumerate_jacobian)
 
-from conftest import split_curve, random_point_class, random_class
+from conftest import split_curve, random_point_class, pair_charts, random_class
 
 
 # -- the oracle: the intertwining nullspace ------------------------------
 
 
-def _intertwining_nullspace(p1, p2, columns=(0, 1)):
-    """The nullspace of the equations (i, j), j in ``columns``, of
-    Psi N1 = N2 Psi(-l), and the unknowns' degrees."""
+def _intertwining_nullspace(p1, p2):
+    """The nullspace of the four equations (i, j) of Psi N1 = N2 Psi(-l),
+    and the unknowns' degrees."""
     field, l = p1.ring.field, p1.ring.l
     p = field.characteristic
     tw = [p1.a, p1.b]
     degs = [tw[b] - tw[a] for a in range(2) for b in range(2)]
-    n1, n2 = _charts(p1), _charts(p2)
+    n1, n2 = pair_charts(p1), pair_charts(p2)
     coeffs = [[sub_c(n1[b][j] if a == i else [], n2[i][a] if b == j else [], p)
                for a in range(2) for b in range(2)]
-              for i in range(2) for j in columns]
+              for i in range(2) for j in range(2)]
     rows = linalg.convolution_matrix(
-        field, coeffs, degs, [tw[j] + l - tw[i] for i in range(2) for j in columns])
+        field, coeffs, degs, [tw[j] + l - tw[i] for i in range(2) for j in range(2)])
     return linalg.nullspace(rows, field), degs
 
 
@@ -121,10 +124,10 @@ def _point_draw(model, rng):
 def _curve(name, g, rng):
     """A seeded genus-g curve: ``"p5"`` y^2 = squarefree quintic-style odd
     poly over GF(5) (F(1, 0) = 0); ``"p7"`` F = x0 h over GF(7) with
-    F(1, 0) = 3, a non-square, so that no pair with a = b has a normal
-    form; ``"p101"``, ``"p1009"``, ``"p61"`` split curves
-    (F(1, 0) = 1); ``"Q1"``, ``"Q4"``, ``"Q2"``, ``"Q-1"`` c times a split
-    form over Q, F(1, 0) = c."""
+    F(1, 0) = 3, a non-square, so that every pair with a = b has its
+    normal form over GF(7)(sqrt(3)); ``"p101"``, ``"p1009"``, ``"p61"``
+    split curves (F(1, 0) = 1); ``"Q1"``, ``"Q4"``, ``"Q2"``, ``"Q-1"`` c
+    times a split form over Q, F(1, 0) = c."""
     if name in ("p5", "p7"):
         p = int(name[1:])
         K = GF(p)
@@ -171,9 +174,13 @@ CURVES = ([("p5", g) for g in (1, 2, 3, 4)] + [("p7", g) for g in (1, 2, 3)]
              ("Q-1", 1), ("Q-1", 2)])
 
 
+def _at(chart, j):
+    return chart[j] if len(chart) > j else 0
+
+
 def test_normal_form_matches_the_intertwining_nullspace():
     rng = random.Random(32)
-    seen, nullspace_fields = set(), set()
+    seen, kprime_fields = set(), set()
     for name, g in CURVES:
         curve, draw = _curve(name, g, rng)
         F = curve.F._chart()
@@ -184,16 +191,21 @@ def test_normal_form_matches_the_intertwining_nullspace():
             want = _isomorphic_by_nullspace(x, y)
             assert is_isomorphic(x, y) == want, (name, g, x, y)
             nx, ny = x.normal_form(), y.normal_form()
-            if nx is None:
-                # a = b and no square root of F(1, 0): the nullspace decides
-                assert ny is None and x.a == x.b and name in ("p7", "Q2", "Q-1")
-                seen.add(("none", want))
-                nullspace_fields.add(curve.field.characteristic)
-                continue
             assert (nx == ny) == want, (name, g, x, y)
-            # the normal form is itself a pair of the class
             a, b, P, q = nx
             K = curve.field
+            s = K.sqrt(top) if K.characteristic else _sqrt_q(Fraction(top))
+            if a == b and s is None:
+                # over k' = k(s), s^2 = F(1, 0), an element x + y s is (x, y)
+                # and P and q are pairs of k-charts: q monic of degree < l,
+                # P(1, 0) = s
+                assert name in ("p7", "Q2", "Q-1")
+                assert q[0][-1] == 1 and len(q[1]) < len(q[0]) <= curve.l
+                assert (_at(P[0], curve.l), _at(P[1], curve.l)) == (0, 1)
+                seen.add(("k'", want))
+                kprime_fields.add(K.characteristic)
+                continue
+            # the normal form is itself a pair of the class
             f = (Poly(K, F) - Poly(K, P) * Poly(K, P)).exact_div(Poly(K, q))
             z = BundlePair(curve, a, b, *(HForm.from_univar(Poly(K, c), d) for c, d in (
                 (P, curve.l), (f.c, curve.l - a + b), (q, curve.l + a - b))))
@@ -202,18 +214,17 @@ def test_normal_form_matches_the_intertwining_nullspace():
             # field's square root of F(1, 0)
             assert q[-1] == 1
             if a == b:
-                s = K.sqrt(top) if K.characteristic else _sqrt_q(Fraction(top))
-                assert len(q) <= curve.l and (P[curve.l] if len(P) > curve.l else 0) == s
+                assert len(q) <= curve.l and _at(P, curve.l) == s
             seen.add(("a<b" if a < b else "a=b", want))
             seen.add(("F(1,0)=0" if not top else "square", want))
             if a == b and not top:
                 seen.add(("a=b, F(1,0)=0", want))
             if any(len(e.q._chart()) <= e.q.deg for e in (x, y)):
                 seen.add(("x1|q", want))
-    kinds = ("a<b", "a=b", "F(1,0)=0", "a=b, F(1,0)=0", "square", "x1|q", "none")
+    kinds = ("a<b", "a=b", "F(1,0)=0", "a=b, F(1,0)=0", "square", "x1|q", "k'")
     assert seen == {(kind, w) for kind in kinds for w in (True, False)}, seen
-    # the intertwining nullspace decides pairs over GF(7) and over Q
-    assert nullspace_fields == {7, 0}
+    # normal forms over k' decide pairs over GF(7) and over Q
+    assert kprime_fields == {7, 0}
 
 
 def test_normal_form_property():
@@ -275,11 +286,12 @@ def test_normal_form_of_conjugates_with_f_l_zero():
     assert signs == {True, False}
 
 
-def test_column0_intertwining_equations_have_the_nullspace_of_all_four():
-    """Where ``is_isomorphic`` solves the intertwining equation (a = b,
-    F(1, 0) not a square) it takes only the column-0 equations:
-    q1 Psi e1 = (N2 - P1) Psi e0, and q1 times column 1 follows from it.
-    q1 != 0, so the nullspace is that of all four equations."""
+def test_normal_forms_over_k_prime_match_the_full_intertwining_nullspace():
+    """For a = b with F(1, 0) not a square, the normal forms over
+    k' = k(sqrt(F(1, 0))) are equal exactly when the nullspace of all four
+    intertwining equations over k holds an invertible Psi, for every
+    ordered pair of a pool, over GF(7) and over Q: isomorphic pairs, and
+    pairs with no intertwiner at all."""
     rng = random.Random(4201)
     checked = set()
     curves = [_curve("p7", g, rng) for g in (1, 2, 3)]
@@ -287,10 +299,10 @@ def test_column0_intertwining_equations_have_the_nullspace_of_all_four():
     for curve, draw in curves:
         pool = [x for x in _pool(curve, draw, rng, 4) if x.a == x.b]
         for x, y in itertools.product(pool, repeat=2):
-            assert x.normal_form() is None
-            half = _intertwining_nullspace(x, y, (0,))
-            assert half == _intertwining_nullspace(x, y), (curve, x, y)
-            checked.add((curve.field.characteristic, bool(half[0]), is_isomorphic(x, y)))
+            iso = x.normal_form() == y.normal_form()
+            assert iso == _isomorphic_by_nullspace(x, y) == is_isomorphic(x, y), (curve, x, y)
+            basis = _intertwining_nullspace(x, y)[0]
+            checked.add((curve.field.characteristic, bool(basis), iso))
     # over both fields isomorphic pairs and pairs with no intertwiner at all
     assert {(p, i) for p, _, i in checked} == {(7, True), (7, False), (0, True), (0, False)}
     assert {(s, i) for _, s, i in checked} >= {(True, True), (False, False)}
@@ -299,8 +311,8 @@ def test_column0_intertwining_equations_have_the_nullspace_of_all_four():
 def test_pair_layer_builds_no_field_element(monkeypatch):
     """Plain values cross every module boundary: no FpElem is built by
     tensor, class_from_matrix, matrix_from_class, inverse and
-    is_isomorphic on GF(1009) genus-2 classes, nor by is_isomorphic's
-    intertwining nullspace on the GF(7) curves, where F(1, 0) is a
+    is_isomorphic on GF(1009) genus-2 classes, nor by the normal forms
+    over GF(7)(sqrt(3)) on the GF(7) curves, where F(1, 0) = 3 is a
     non-square."""
     rng = random.Random(45)
     curve = split_curve(1009, 2)
@@ -323,7 +335,37 @@ def test_pair_layer_builds_no_field_element(monkeypatch):
     verdicts = set()
     for pool in pools:
         for x, y in itertools.product(pool, repeat=2):
-            assert x.normal_form() is None
+            assert x.normal_form() is not None
             verdicts.add(is_isomorphic(x, y))
     assert verdicts == {True, False}
     assert not built
+
+
+def test_normal_forms_tell_the_classes_apart_where_f_1_0_is_not_a_square():
+    """On genus-1 curves F = x0 h over GF(5) and GF(7) with F(1, 0) not a
+    square (x0 | F gives the odd model a branch point), the pairs of each
+    class c of ``enumerate_jacobian``, namely ``matrix_from_class`` of c,
+    the tensor products of the pairs of a seeded sample of c1 and c - c1,
+    and a random conjugate of each, share one normal form, and different
+    classes have different ones.  Every class but zero has a = b = 1, so
+    its forms are taken over k' = k(sqrt(F(1, 0)))."""
+    rng = random.Random(5801)
+    for p, top in ((5, 2), (5, 3), (7, 3), (7, 6)):
+        K = GF(p)
+        while True:
+            F = HForm.from_univar(Poly(K, [0] + [rng.randrange(p) for _ in range(3)] + [top]), 4)
+            if F.is_squarefree():
+                break
+        curve = HECurve(K, 1, F)
+        classes = enumerate_jacobian(curve.odd_model())
+        forms = set()
+        for c in classes:
+            pairs = [matrix_from_class(curve, c)]
+            for c1 in rng.sample(classes, 3):
+                pairs.append(tensor(matrix_from_class(curve, c1),
+                                    matrix_from_class(curve, c - c1)))
+            pairs += [_conjugate(x, rng) for x in pairs]
+            (form,) = {x.normal_form() for x in pairs}
+            assert (form[0] == form[1]) == (not c.is_zero())
+            forms.add(form)
+        assert len(forms) == len(classes) > 2, (p, top)

@@ -26,11 +26,11 @@ from dihedralcovers import hyperelliptic
 from dihedralcovers.poly import (Poly, trim_c, sub_c, add_c, mul_c, reduce_c, exact_div_c,
                                  base_field_roots)
 from dihedralcovers.graded import kernel_basis, _read_off
-from dihedralcovers.double_cover import BundlePair, tensor, inverse, is_isomorphic, _charts
+from dihedralcovers.double_cover import BundlePair, tensor, inverse, is_isomorphic
 from dihedralcovers.hyperelliptic import (HECurve, matrix_from_class, class_from_matrix,
                                           bundle_from_matrix)
 
-from conftest import split_curve, random_point_class
+from conftest import split_curve, random_point_class, pair_charts
 
 
 # -- the oracle: the degree search and the factorization by solve ----------
@@ -78,7 +78,7 @@ def _psi_transpose(p1, p2):
     column-0 rows alone (``_column0``) cut out the same kernel."""
     p, l = p1.ring.field.characteristic, p1.ring.l
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
-    n1, n2 = _charts(p1), _charts(p2)
+    n1, n2 = pair_charts(p1), pair_charts(p2)
     psiT = [[sub_c(n1[i][k] if j == m else [], n2[j][m] if i == k else [], p)
              for i in range(2) for j in range(2)]
             for k in range(2) for m in range(2)]
@@ -109,7 +109,7 @@ def _tensor_by_solve(p1, p2, tw, gens):
     l = ring.l
     rows = [p1.a + p2.a, p1.a + p2.b, p1.b + p2.a, p1.b + p2.b]
     cols = [r + l for r in rows]
-    n1 = _charts(p1)
+    n1 = pair_charts(p1)
     K = list(zip(*gens))
     AtK = [[add_c(mul_c(n1[0][k], K[m][g], p), mul_c(n1[1][k], K[2 + m][g], p), p)
             for g in range(2)]
